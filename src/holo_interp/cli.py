@@ -209,12 +209,7 @@ def _cmd_construct(args) -> int:
     aux = construction.AuxiliaryWeight(space, pts, args.rho)
     energy = construction.dbar_energy_report(ext, aux, nr=args.nr, ntheta=args.ntheta)
     grid = _parse_grid(args.grid)
-    map_fn, pool = _map_fn(args)
-    try:
-        samples = list(map_fn(lambda z: construction.evaluate_extension(ext, z), list(grid)))
-    finally:
-        if pool:
-            pool.shutdown()
+    samples = construction.evaluate_extension(ext, grid[:, None]).tolist()
     body = {
         "delta0": ext.delta0,
         "rho": args.rho,

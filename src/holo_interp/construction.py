@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,39 +29,89 @@ def _bump(u):
     return out
 
 
+def _partition(t):
+    """Arguments ``(t, a, b, mid)`` of the bump partition: ``a = (1-t)/(3/4)``,
+    ``b = (t-1/4)/(3/4)`` and the mask of the transition band 1/4 < t < 1
+    (NaN falls in the band, so it propagates)."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t_arr < 0):
+        raise DomainError("cutoff argument must be nonnegative")
+    mid = ~((t_arr <= 0.25) | (t_arr >= 1.0))
+    return t_arr, (1.0 - t_arr) / 0.75, (t_arr - 0.25) / 0.75, mid
+
+
 def cutoff(t):
     """Smooth nonincreasing cutoff: 1 on [0, 1/4], 0 on [1, inf).
 
     Built from the exponential bump partition ``s(u) = exp(-1/u)``:
     ``chi(t) = s((1-t)/(3/4)) / (s((1-t)/(3/4)) + s((t-1/4)/(3/4)))``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < 0):
-        raise DomainError("cutoff argument must be nonnegative")
-    a = _bump((1.0 - t_arr) / 0.75)
-    b = _bump((t_arr - 0.25) / 0.75)
-    out = np.empty_like(t_arr)
-    lo = t_arr <= 0.25
-    hi = t_arr >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[hi] = 0.0
-    out[mid] = a[mid] / (a[mid] + b[mid])
-    return float(out[0]) if scalar else out
+    t_arr, a, b, mid = _partition(t)
+    sa, sb = _bump(a), _bump(b)
+    out = np.where(t_arr <= 0.25, 1.0, 0.0)
+    out[mid] = sa[mid] / (sa[mid] + sb[mid])
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def cutoff_derivative(t):
+    """chi'(t) of ``cutoff``, in closed form from the same bump partition.
+
+    With ``s'(u) = s(u)/u^2``: ``chi' = -(4/3) s(a) s(b) (1/a^2 + 1/b^2) /
+    (s(a) + s(b))^2`` on 1/4 < t < 1 and 0 elsewhere.  ``s(a) + s(b) >=
+    exp(-2)`` there because ``a + b = 1``.
+    """
+    t_arr, a, b, mid = _partition(t)
+    sa, sb, a, b = _bump(a[mid]), _bump(b[mid]), a[mid], b[mid]
+    out = np.zeros_like(t_arr)
+    out[mid] = -(4.0 / 3.0) * (sa * sb / (sa + sb) ** 2) * (1.0 / a ** 2 + 1.0 / b ** 2)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # local sections and gluing
 
+def _as_rows(space: geometry.ModelSpace, z):
+    """A single point or a (G, n) array as validated (G, n) rows, and
+    whether it was a single point (the ``normal_frame_exponent`` convention)."""
+    z = np.asarray(z, dtype=complex)
+    single = z.ndim <= 1
+    return space.validate_points(np.atleast_1d(z)[None, :] if single else z), single
+
+
+def _nodes_within(space: geometry.ModelSpace, nodes: np.ndarray, zs: np.ndarray,
+                  radius: float) -> np.ndarray:
+    """Indices, in order, of the nodes that can lie within ``radius`` of some
+    row of ``zs``.
+
+    For the anchor ``z0 = zs[0]`` and ``reach = max d(z0, zs)``, the triangle
+    inequality gives ``d(z, q) >= d(z0, q) - reach``, so nodes with
+    ``d(z0, q) > radius + reach`` are out of reach of every row (the 1e-12
+    slack absorbs rounding in the distances).  Every node is kept when a
+    distance is not finite.
+    """
+    if len(nodes) == 0 or zs.shape[0] == 0:
+        return np.arange(len(nodes))
+    z0 = zs[0]
+    reach = float(np.max(geometry.distances_from(space, zs, z0)))
+    d0 = geometry.distances_from(space, nodes, z0)
+    if not math.isfinite(reach):
+        return np.arange(len(nodes))
+    return np.nonzero(d0 <= (radius + reach) * (1.0 + 1e-12))[0]
+
+
 def local_section(w: weights.HermitianWeight, space: geometry.ModelSpace,
-                  p, a_p: complex, z, delta0: float) -> complex:
+                  p, a_p: complex, z, delta0: float):
     """Normal-frame holomorphic section ``a_p exp(exponent_p(z))`` on the
-    delta0-ball around ``p``; equals ``a_p`` at ``z = p``."""
-    if geometry.distance(space, p, z) >= delta0:
+    delta0-ball around ``p``; equals ``a_p`` at ``z = p``.
+
+    ``z`` is a single point (complex result) or a (G, n) array (array
+    result); every point must lie in the open delta0-ball.
+    """
+    zs, single = _as_rows(space, z)
+    if np.any(geometry.distances_from(space, zs, p) >= delta0):
         raise DomainError("local section evaluated outside its delta0-ball")
-    return complex(a_p) * complex(np.exp(weights.normal_frame_exponent(w, p, z)))
+    out = complex(a_p) * np.exp(weights.normal_frame_exponent(w, p, zs))
+    return complex(out[0]) if single else out
 
 
 @dataclass
@@ -69,9 +119,8 @@ class GluedExtension:
     """Cutoff-glued field ``F = sum_p f_p chi(d(p,.)^2/delta0^2)``.
 
     Requires ``2 delta0 <= min(separation, r0)`` so the delta0-balls are
-    disjoint and at most one node contributes at any point.  ``cutoff_fn``
-    must be 1 on [0, 1/4] and 0 on [1, inf); the default is the standard
-    exponential bump partition.
+    disjoint and at most one node contributes at any point.  ``chi`` is
+    ``cutoff``, whose closed-form derivative the dbar energy uses.
     """
 
     space: geometry.ModelSpace
@@ -79,7 +128,6 @@ class GluedExtension:
     points: pointset.PointSet
     delta0: float
     separation_report: Optional[pointset.SeparationReport] = None
-    cutoff_fn: Callable = cutoff
 
     def __post_init__(self):
         if self.delta0 <= 0:
@@ -90,7 +138,7 @@ class GluedExtension:
     def values(self) -> np.ndarray:
         return self.points.values if self.points.values is not None else np.zeros(0, dtype=complex)
 
-    def evaluate(self, z) -> complex:
+    def evaluate(self, z):
         return evaluate_extension(self, z)
 
 
@@ -112,19 +160,25 @@ def glued_extension(space: geometry.ModelSpace, w: weights.HermitianWeight,
     return GluedExtension(space, w, pts, float(delta0), rep)
 
 
-def evaluate_extension(ext: GluedExtension, z) -> complex:
-    """F(z): at most one node contributes; F(p) = a(p) exactly on the set."""
-    m = len(ext.points)
-    if m == 0:
-        return 0.0 + 0.0j
-    d = geometry.distances_from(ext.space, ext.points.points, z)
-    out = 0.0 + 0.0j
+def evaluate_extension(ext: GluedExtension, z):
+    """F(z) for a single point (complex) or a (G, n) array of points (array).
+
+    At most one node contributes at each point; F(p) = a(p) exactly on the
+    set.  Loops over the nodes that can reach the points and vectorizes over
+    the points inside each node's delta0-ball.
+    """
+    zs, single = _as_rows(ext.space, z)
+    out = np.zeros(zs.shape[0], dtype=complex)
     vals = ext.values()
-    for i in np.nonzero(d < ext.delta0)[0]:
-        chi = ext.cutoff_fn(d[i] ** 2 / ext.delta0 ** 2)
-        out += local_section(ext.weight, ext.space, ext.points.point(i), vals[i], z,
-                             ext.delta0) * chi
-    return out
+    for i in _nodes_within(ext.space, ext.points.points, zs, ext.delta0):
+        p = ext.points.point(i)
+        d = geometry.distances_from(ext.space, zs, p)
+        near = np.nonzero(d < ext.delta0)[0]
+        if near.size:
+            chi = cutoff(d[near] ** 2 / ext.delta0 ** 2)
+            out[near] += local_section(ext.weight, ext.space, p, vals[i], zs[near],
+                                       ext.delta0) * chi
+    return complex(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +205,18 @@ class AuxiliaryWeight:
         return float(self.value_grid(np.asarray(geometry.as_point(z, self.space.n))[None, :])[0])
 
     def value_grid(self, zs: np.ndarray) -> np.ndarray:
-        """Vectorized values over an (m, n) array of points."""
+        """Vectorized values over an (m, n) array of points.
+
+        Only nodes whose rho-ball can reach a point are visited (see
+        ``_nodes_within``); every skipped node would add exactly 0.0, so the
+        values equal the sum over all nodes bit for bit.
+        """
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim == 1:
             zs = zs[:, None]
         out = np.zeros(zs.shape[0])
-        for q in self.points.points:
+        nodes = self.points.points
+        for q in nodes[_nodes_within(self.space, nodes, zs, self.rho)]:
             d = geometry.distances_from(self.space, zs, q)
             pole = d == 0.0
             u = d ** 2 / self.rho ** 2
@@ -193,21 +253,31 @@ def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> 
 # quadrature
 
 def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
-    """FD Wirtinger dzbar of chi(d(p,.)^2/delta0^2) at each z (n = 1).
+    """Wirtinger dzbar of chi(d(p,.)^2/delta0^2) at each z (n = 1), in closed
+    form: ``chi'(t) dzbar(d^2) / delta0^2`` with ``t = d^2/delta0^2``.
+
+    Flat: ``dzbar(d^2) = z - p``.  Disk: differentiating
+    ``d = 2 kappa asinh(sqrt(u))``, ``u = kappa^2 |z-p|^2 / ((kappa^2-|p|^2)
+    (kappa^2-|z|^2))``, and using ``1 + u = |kappa^2 - conj(p) z|^2 /
+    ((kappa^2-|p|^2)(kappa^2-|z|^2))`` gives ``dzbar(d^2) = 2 kappa^2 d
+    e^{i arg((z-p)(kappa^2 - conj(p) z))} / (kappa^2 - |z|^2)``.
 
     Only the cutoff factor is differentiated; the local section is
     holomorphic by construction.
     """
+    space = ext.space
+    p = complex(geometry.as_point(p, 1)[0])
+    d = geometry.distances_from(space, zs[:, None], p)
+    if space.is_flat:
+        dbar_dsq = zs - p
+    else:
+        kap2 = space.kappa ** 2
+        phase = (zs - p) * (kap2 - p.conjugate() * zs)
+        mod = np.abs(phase)
+        unit = np.divide(phase, mod, out=np.zeros_like(phase), where=mod > 0)
+        dbar_dsq = 2.0 * kap2 * d * unit / (kap2 - np.abs(zs) ** 2)
     d0sq = ext.delta0 ** 2
-
-    def comp(pts_1d):
-        d = geometry.distances_from(ext.space, pts_1d[:, None], p)
-        return ext.cutoff_fn(d ** 2 / d0sq)
-
-    h = 1e-6 * np.maximum(1.0, np.abs(zs))
-    fx = (comp(zs + h) - comp(zs - h)) / (2.0 * h)
-    fy = (comp(zs + 1j * h) - comp(zs - 1j * h)) / (2.0 * h)
-    return 0.5 * (fx + 1j * fy)
+    return cutoff_derivative(d ** 2 / d0sq) * dbar_dsq / d0sq
 
 
 def _metric_coefficient_grid(space: geometry.ModelSpace, zs: np.ndarray) -> np.ndarray:
@@ -222,12 +292,9 @@ def _annulus_nodes(space, p, d_lo, d_hi, nr, ntheta):
     dth = 2.0 * math.pi / ntheta
     ds = d_lo + (np.arange(nr) + 0.5) * dd
     ths = (np.arange(ntheta) + 0.5) * dth
-    zs = np.empty(nr * ntheta, dtype=complex)
-    jac = np.empty(nr * ntheta)
-    for i, d in enumerate(ds):
-        for j, th in enumerate(ths):
-            zs[i * ntheta + j] = geometry.geodesic_point(space, p, d, th)
-            jac[i * ntheta + j] = geometry.polar_area_jacobian(space, d)
+    # row-major (radius, angle): one array geodesic map per annulus
+    zs = geometry.geodesic_point(space, p, ds[:, None], ths[None, :]).reshape(-1)
+    jac = np.repeat(geometry.polar_area_jacobian(space, ds), ntheta)
     return zs, jac, dd * dth
 
 
@@ -301,7 +368,7 @@ def extension_norm_sq(ext: GluedExtension, nr: int = 48, ntheta: int = 96) -> fl
         p = ext.points.point(i)
         zs, jac, cell = _annulus_nodes(ext.space, p, 0.0, ext.delta0, nr, ntheta)
         d = geometry.distances_from(ext.space, zs[:, None], p)
-        chi = ext.cutoff_fn(d ** 2 / ext.delta0 ** 2)
+        chi = cutoff(d ** 2 / ext.delta0 ** 2)
         zcol = zs[:, None]
         expo = weights.normal_frame_exponent(ext.weight, p, zcol)
         phi = ext.weight.value(zcol)

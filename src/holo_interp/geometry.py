@@ -83,6 +83,20 @@ class ModelSpace:
             )
         return z
 
+    def validate_points(self, zs) -> np.ndarray:
+        """Vectorized ``validate_point`` for an (m, n) array of points."""
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 2 or zs.shape[1] != self.n:
+            raise DomainError(f"expected an (m, {self.n}) array of points, got shape {zs.shape}")
+        if not self.is_flat:
+            r = np.linalg.norm(zs, axis=1)
+            outside = np.nonzero(r >= self.kappa)[0]
+            if outside.size:
+                raise DomainError(
+                    f"point with |z| = {r[outside[0]]:.6g} outside the open ball of radius {self.kappa}"
+                )
+        return zs
+
 
 def flat_space(n: int = 1) -> ModelSpace:
     return ModelSpace(FLAT, n=n, k=0.0)
@@ -346,34 +360,43 @@ def ricci_eigen(space: ModelSpace, z) -> float:
 # hyperbolic helpers (n = 1) used by polar quadrature and tests
 
 def mobius_translate(space: ModelSpace, p, u):
-    """Isometry of the kappa-disk sending 0 to ``p``, applied to ``u`` (n=1)."""
+    """Isometry of the kappa-disk sending 0 to ``p``, applied to ``u`` (n=1).
+
+    ``u`` may be a scalar or an array; the result has its shape.
+    """
     _require_disk(space)
     p = complex(space.validate_point(p)[0])
-    u = complex(u)
-    kap2 = space.kappa ** 2
-    return (u + p) / (1.0 + p.conjugate() * u / kap2)
+    u = np.asarray(u, dtype=complex)
+    out = (u + p) / (1.0 + p.conjugate() * u / space.kappa ** 2)
+    return complex(out) if out.ndim == 0 else out
 
 
-def geodesic_point(space: ModelSpace, p, d: float, theta: float):
-    """Point at geodesic distance ``d`` and direction ``theta`` from ``p`` (n=1)."""
+def geodesic_point(space: ModelSpace, p, d, theta):
+    """Point at geodesic distance ``d`` and direction ``theta`` from ``p`` (n=1).
+
+    ``d`` and ``theta`` broadcast against each other; scalars give a complex.
+    """
     if space.n != 1:
         raise SpaceMismatchError("geodesic_point is implemented for n = 1")
+    d = np.asarray(d, dtype=float)
+    direction = np.exp(1j * np.asarray(theta, dtype=float))
     if space.is_flat:
-        p = complex(as_point(p, 1)[0])
-        return p + d * complex(math.cos(theta), math.sin(theta))
+        out = complex(as_point(p, 1)[0]) + d * direction
+        return complex(out) if out.ndim == 0 else out
     kap = space.kappa
-    r = kap * math.tanh(d / (2.0 * kap))
-    return mobius_translate(space, p, r * complex(math.cos(theta), math.sin(theta)))
+    return mobius_translate(space, p, kap * np.tanh(d / (2.0 * kap)) * direction)
 
 
-def polar_area_jacobian(space: ModelSpace, d: float) -> float:
-    """Area element J(d) with dA = J(d) dd dtheta in geodesic polar coords (n=1)."""
+def polar_area_jacobian(space: ModelSpace, d):
+    """Area element J(d) with dA = J(d) dd dtheta in geodesic polar coords (n=1).
+
+    ``d`` may be a scalar or an array; scalars give a float.
+    """
     if space.n != 1:
         raise SpaceMismatchError("polar_area_jacobian is implemented for n = 1")
-    if space.is_flat:
-        return d
-    kap = space.kappa
-    return kap * math.sinh(d / kap)
+    d = np.asarray(d, dtype=float)
+    out = d if space.is_flat else space.kappa * np.sinh(d / space.kappa)
+    return float(out) if out.ndim == 0 else out
 
 
 def _require_disk(space: ModelSpace):

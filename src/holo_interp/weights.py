@@ -347,9 +347,15 @@ def normal_frame_exponent(w: HermitianWeight, p, z):
         z = z[None]
     sig_p = w.sigma_values(p)
     sig_z = w.sigma_values(z)
-    out = np.sum(sig_p.conj() * (sig_z - sig_p), axis=-1)
     grad = w.phi_def_dz(p)
-    out = out + np.sum(grad * (z - p), axis=-1)
+    # one scalar-times-column product per term: numpy then rounds each
+    # element the same way however many points are evaluated together, so
+    # a batched evaluation equals the per-point one exactly
+    out = np.zeros(z.shape[:-1], dtype=complex)
+    for a in range(sig_p.shape[-1]):
+        out = out + sig_p[a].conj() * (sig_z[..., a] - sig_p[a])
+    for k in range(w.n):
+        out = out + grad[k] * (z[..., k] - p[k])
     return complex(out) if scalar else out
 
 

@@ -77,6 +77,13 @@ class TestExitCodes:
         assert code == 3
         assert "eig_min" in capsys.readouterr().err
 
+    def test_construct_grid_outside_disk_exits_two(self, disk_points):
+        code = cli.run(["construct", "--space", DISK,
+                        "--weight", '{"builtin": "bergman", "A": 3.0, "kappa": 1.0}',
+                        "--points", disk_points, "--rho", "0.5", "--grid=-1:1:5",
+                        "--nr", "4", "--ntheta", "8", "--out", "/dev/null"])
+        assert code == 2
+
     def test_unknown_command_exits_two(self):
         assert cli.run(["frobnicate"]) == 2
 
@@ -179,6 +186,25 @@ class TestDeterminism:
             assert code == 0
             outputs.append((out.read_bytes(), csv.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_construct_disk_byte_identical_across_threads(self, tmp_path, disk_points):
+        outputs = []
+        for tag, threads in (("a", "1"), ("b", "4")):
+            out = tmp_path / f"{tag}.json"
+            csv = tmp_path / f"{tag}.csv"
+            code = cli.run(["construct", "--space", DISK,
+                            "--weight", '{"builtin": "bergman", "A": 3.0, "kappa": 1.0}',
+                            "--points", disk_points, "--rho", "0.5", "--grid=-0.5:0.5:5",
+                            "--nr", "8", "--ntheta", "16", "--threads", threads,
+                            "--out", str(out), "--csv", str(csv)])
+            assert code == 0
+            outputs.append((out.read_bytes(), csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = [line.split(",") for line in outputs[0][1].decode().strip().split("\n")[1:]]
+        assert len(rows) == 25
+        # the nodes +-0.5 sit on the grid, where F reproduces the values
+        at = {(float(r[1]), float(r[2])): (float(r[3]), float(r[4])) for r in rows}
+        assert at[(0.5, 0.0)] == (1.0, 0.0) and at[(-0.5, 0.0)] == (0.0, 1.0)
 
     def test_threads_env_fallback(self, tmp_path, sparse_points, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")

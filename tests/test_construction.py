@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 import holo_interp as hi
 from holo_interp import construction, geometry, pointset, weights
-from holo_interp.errors import DomainError, SpaceMismatchError
+from holo_interp.errors import DomainError, QuadratureError, SpaceMismatchError
 
 MINUS_INV_E = -0.36787944117144233
 LOG_QUARTER = -1.3862943611198906
@@ -20,6 +22,27 @@ def lattice_with_values(spacing=1.5, half_extent=3.0, seed=5):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=len(lat)) + 1j * rng.normal(size=len(lat))
     return lat.with_values(vals)
+
+
+def brute_value_grid(aux, zs):
+    """Auxiliary weight summed over every node: the loop ``value_grid`` ran
+    before it culled nodes, kept as the reference."""
+    out = np.zeros(zs.shape[0])
+    for q in aux.points.points:
+        d = geometry.distances_from(aux.space, zs, q)
+        pole = d == 0.0
+        u = d ** 2 / aux.rho ** 2
+        inside = (~pole) & (u < 1.0)
+        term = np.zeros_like(out)
+        term[inside] = aux.n * (1.0 - u[inside] + np.log(u[inside]))
+        out += term
+        out[pole] = -math.inf
+    return out
+
+
+def disk_nodes():
+    return pointset.PointSet(np.array([[0j], [0.5 + 0j], [-0.3 + 0.4j], [0.2 - 0.6j], [-0.75j]]),
+                             np.array([1.0 + 0j, 2j, -1.0 + 1.0j, 0.5 + 0j, -0.7j]))
 
 
 class TestCutoff:
@@ -45,6 +68,58 @@ class TestCutoff:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             hi.cutoff(-0.1)
+        with pytest.raises(DomainError):
+            construction.cutoff_derivative(-0.1)
+
+    def test_derivative_closed_form_values(self):
+        # at t = 5/8 both bump arguments are 1/2: chi' = -(4/3)(1/4)(4 + 4)
+        assert construction.cutoff_derivative(5.0 / 8.0) == pytest.approx(-8.0 / 3.0, rel=1e-15)
+        for t in (0.0, 0.1, 0.25, 1.0, 1.5):
+            assert construction.cutoff_derivative(t) == 0.0
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(hi.cutoff(math.nan))
+            assert math.isnan(construction.cutoff_derivative(math.nan))
+
+    def test_derivative_matches_central_difference(self):
+        h = 1e-6
+        ts = np.linspace(h, 1.2, 1201)
+        fd = (hi.cutoff(ts + h) - hi.cutoff(ts - h)) / (2.0 * h)
+        closed = construction.cutoff_derivative(ts)
+        assert np.all(np.abs(closed - fd) <= 1e-6 * np.abs(fd) + 1e-8)
+
+
+class TestCutoffDbar:
+    # t = d^2/delta0^2 on both plateaus, at and just past both ends of the
+    # transition band, and inside it
+    TS = (0.1, 0.25, 0.2501, 0.26, 0.3, 0.5, 0.625, 0.8, 0.95, 0.99, 0.9999, 1.0, 1.2)
+
+    @pytest.mark.parametrize("kind", ["flat", "disk"])
+    def test_closed_form_matches_finite_difference(self, kind):
+        flat = kind == "flat"
+        space = hi.flat_space(1) if flat else hi.hyperbolic_ball(1.0)
+        w = hi.fock_weight(1.0) if flat else hi.bergman_weight(3.0)
+        p, delta0 = 0.3 + 0.2j, (0.5 if flat else 0.25)
+        node = pointset.PointSet(np.array([[p]]), np.array([1.0 + 0j]))
+        ext = construction.GluedExtension(space, w, node, delta0)
+        ts = np.array(self.TS)
+        zs = geometry.geodesic_point(space, p, delta0 * np.sqrt(ts)[:, None],
+                                     np.array([0.3, 1.9, 4.0])[None, :]).reshape(-1)
+        closed = construction._cutoff_dbar_grid(ext, node.point(0), zs)
+
+        def chi(t):
+            return hi.cutoff(hi.distance(space, p, t) ** 2 / delta0 ** 2)
+
+        for z, c in zip(zs, closed):
+            zp = np.array([z])
+            # one Richardson level removes the h^2 error that the steep
+            # cutoff puts into a plain central difference
+            fd = (4.0 * geometry.dbar_fd(chi, zp, step=5e-6)[0]
+                  - geometry.dbar_fd(chi, zp, step=1e-5)[0]) / 3.0
+            # relative 1e-6; the 1e-9 floor covers FD noise where chi' ~ 0
+            assert abs(c - fd) <= 1e-6 * abs(fd) + 1e-9
+        assert np.all(np.isfinite(closed))
+        off_band = np.repeat((ts <= 0.25) | (ts >= 1.0), 3)
+        assert np.all(closed[off_band] == 0.0)
 
 
 class TestLocalSection:
@@ -132,6 +207,39 @@ class TestGluedExtension:
         assert hi.evaluate_extension(ext, 0.5 + 0j) == 2.0 + 0j
 
 
+class TestBatchedExtension:
+    @pytest.mark.parametrize("kind", ["flat", "disk"])
+    def test_matches_per_point_calls(self, kind, rng):
+        if kind == "flat":
+            lat = lattice_with_values()
+            pts = pointset.PointSet(lat.points + (0.123457 + 0.071234j), lat.values)
+            ext = hi.glued_extension(hi.flat_space(1), hi.fock_weight(0.7), pts)
+            other = rng.uniform(-4, 4, 1500) + 1j * rng.uniform(-4, 4, 1500)
+        else:
+            pts = disk_nodes()
+            ext = hi.glued_extension(hi.hyperbolic_ball(1.0), hi.bergman_weight(3.0), pts)
+            other = 0.95 * np.sqrt(rng.random(1500)) * np.exp(2j * np.pi * rng.random(1500))
+        zs = np.concatenate([pts.points[:, 0], other])
+        batch = hi.evaluate_extension(ext, zs[:, None])
+        assert batch.shape == zs.shape
+        assert batch.tolist() == [hi.evaluate_extension(ext, z) for z in zs]
+        assert batch[:len(pts)].tolist() == pts.values.tolist()
+        assert np.count_nonzero(batch[len(pts):]) > 50
+
+    def test_grid_outside_ball_rejected(self, disk):
+        ext = hi.glued_extension(disk, hi.bergman_weight(3.0), disk_nodes())
+        with pytest.raises(DomainError):
+            hi.evaluate_extension(ext, np.array([[0.1 + 0j], [0.6 + 0.8j]]))
+
+    def test_local_section_rows(self, fock1, flat1):
+        zs = np.array([[0.1 + 0j], [0.2j], [0.3 + 0.3j]])
+        rows = hi.local_section(fock1, flat1, 0.4, 1.5 - 0.5j, zs, 0.5)
+        assert rows.tolist() == [hi.local_section(fock1, flat1, 0.4, 1.5 - 0.5j, z[0], 0.5)
+                                 for z in zs]
+        with pytest.raises(DomainError):
+            hi.local_section(fock1, flat1, 0.0, 1.0, np.array([[0.1 + 0j], [2.0 + 0j]]), 0.5)
+
+
 class TestAuxiliaryWeight:
     def test_boundary_zero(self, flat1):
         aux = construction.AuxiliaryWeight(flat1, pointset.PointSet(np.array([[0j]])), 1.0)
@@ -165,6 +273,60 @@ class TestAuxiliaryWeight:
         g = geometry.dbar_fd(lambda t: aux.value(complex(t[0])),
                              np.array([complex(rho * (1 - 1e-3))]), step=1e-7)
         assert 2.0 * abs(g[0]) == pytest.approx(4e-3, rel=1e-2)
+
+    def _assert_matches_reference(self, aux, zs, poles):
+        vals = aux.value_grid(zs)
+        np.testing.assert_array_equal(vals, brute_value_grid(aux, zs))
+        assert np.all(np.isneginf(vals[poles]))
+        return vals
+
+    def _patches(self, aux, zs_list):
+        # every patch is checked; at least one must actually skip nodes
+        culled = False
+        for zs in zs_list:
+            self._assert_matches_reference(aux, zs, [])
+            kept = construction._nodes_within(aux.space, aux.points.points, zs, aux.rho)
+            culled |= kept.size < len(aux.points)
+        assert culled
+
+    def test_culled_matches_reference_flat_n1(self, flat1, rng):
+        # dyadic nodes, so q + rho lies at distance exactly rho
+        a = np.arange(-3, 4)
+        nodes = (1.25 * a[None, :] + 0.75j * a[:, None]).reshape(-1, 1)
+        aux = construction.AuxiliaryWeight(flat1, pointset.PointSet(nodes), 1.0)
+        rand = rng.uniform(-5, 5, (400, 1)) + 1j * rng.uniform(-5, 5, (400, 1))
+        zs = np.concatenate([rand, nodes[::2], nodes[1::3] + 1.0])
+        vals = self._assert_matches_reference(aux, zs, np.arange(400, 400 + len(nodes[::2])))
+        assert np.all(vals[-len(nodes[1::3]):] <= 0.0)
+        patches = [np.concatenate([q[None, :], q[None, :] + 1.0,
+                                   q + 0.6 * (rng.random((30, 1)) - 0.5)]) for q in nodes[::5]]
+        self._patches(aux, patches)
+        # a non-finite row keeps every node and leaves the other rows exact
+        nan_first = np.concatenate([[[complex(math.nan, 0.0)]], patches[0]])
+        self._assert_matches_reference(aux, nan_first, [1])
+
+    def test_culled_matches_reference_flat_n2(self, rng):
+        sp = hi.flat_space(2)
+        g = 1.5 * np.arange(-2, 3)
+        nodes = np.array([[x + 0.5j * y, 0.25 * x - 1j * y] for x in g for y in g])
+        aux = construction.AuxiliaryWeight(sp, pointset.PointSet(nodes), 1.0)
+        rand = rng.uniform(-4, 4, (300, 2)) + 1j * rng.uniform(-4, 4, (300, 2))
+        zs = np.concatenate([rand, nodes[::3], nodes[1::4] + np.array([1.0, 0.0])])
+        self._assert_matches_reference(aux, zs, np.arange(300, 300 + len(nodes[::3])))
+        self._patches(aux, [np.concatenate([q[None, :], q + 0.4 * (rng.random((20, 2)) - 0.5)])
+                            for q in nodes[::6]])
+
+    def test_culled_matches_reference_disk(self, disk, rng):
+        pts = disk_nodes()
+        aux = construction.AuxiliaryWeight(disk, pts, 0.5)
+        rand = (0.95 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400)))[:, None]
+        rim = np.array([[geometry.geodesic_point(disk, q, 0.5, th)]
+                        for q in pts.points for th in (0.0, 2.0, 4.0)])
+        zs = np.concatenate([rand, pts.points, rim])
+        self._assert_matches_reference(aux, zs, np.arange(400, 400 + len(pts)))
+        annuli = [construction._annulus_nodes(disk, q, 0.1, 0.2, 4, 8)[0][:, None]
+                  for q in pts.points]
+        self._patches(aux, [np.concatenate([q[None, :], a]) for q, a in zip(pts.points, annuli)])
 
     def test_n2_pole_order(self):
         sp = hi.flat_space(2)
@@ -225,6 +387,14 @@ class TestDbarEnergy:
         e2 = hi.dbar_energy(ext2, aux, nr=8, ntheta=16)
         assert e2 == 4.0 * e1
 
+    def test_non_finite_energy_raises(self, fock1, flat1):
+        pts = pointset.PointSet(np.array([[0j], [3.0 + 0j]]), np.array([1.0 + 0j, 1e200 + 0j]))
+        ext = hi.glued_extension(flat1, fock1, pts)
+        aux = construction.AuxiliaryWeight(flat1, pts, 1.0)
+        with pytest.raises(QuadratureError) as exc, np.errstate(over="ignore"):
+            hi.dbar_energy(ext, aux, nr=4, ntheta=8)
+        assert exc.value.region == ("annulus", 1)
+
     def test_hyperbolic_energy_finite(self, disk):
         w = hi.bergman_weight(3.0)
         pts = pointset.PointSet(np.array([[0j], [0.4 + 0j]]), np.array([1.0 + 0j, 1j]))
@@ -249,6 +419,68 @@ class TestDbarEnergy:
                 z = p + d * complex(math.cos(th), math.sin(th))
                 count = hi.count_in_ball(flat1, pts, z, rho)
                 assert aux.value(z) >= count * floor - 1e-9
+
+
+class TestRadialOracle:
+    """One fock node on flat space: ``F = a e^{conj(p)(z-p)} chi`` gives
+    ``|F|^2 e^{-|z|^2} = |a|^2 e^{-|p|^2} e^{-r^2} chi^2`` with ``r = |z-p|``,
+    and ``|dbar F|^2 = |a e^{...}|^2 chi'(t)^2 r^2/delta0^4``, so the norm and
+    the energy are 1-D radial integrals.  ``chi'`` comes from mpmath's
+    numerical derivative of an mpmath cutoff, independent of the library.
+
+    Midpoint errors fall by ~4 per refinement, so the refined level is
+    within the reported drift ``|e2 - e1|/e2`` of the exact value.
+    """
+
+    P, A = 0.7 - 0.4j, 1.5 + 0.5j
+
+    @staticmethod
+    def _chi_mp(t):
+        if t <= 0.25:
+            return mpmath.mpf(1)
+        if t >= 1:
+            return mpmath.mpf(0)
+        a = mpmath.exp(-0.75 / (1 - t))
+        b = mpmath.exp(-0.75 / (t - 0.25))
+        return a / (a + b)
+
+    def _setup(self, fock1, flat1):
+        pts = pointset.PointSet(np.array([[self.P]]), np.array([self.A]))
+        ext = hi.glued_extension(flat1, fock1, pts)
+        assert ext.delta0 == 0.5
+        return ext, 2.0 * math.pi * abs(self.A) ** 2 * math.exp(-abs(self.P) ** 2)
+
+    def test_extension_norm(self, fock1, flat1):
+        ext, pref = self._setup(fock1, flat1)
+        d0 = ext.delta0
+        with mpmath.workdps(30):
+            exact = pref * integrate.quad(
+                lambda r: math.exp(-r * r) * float(self._chi_mp(mpmath.mpf(r * r / d0 ** 2))) ** 2 * r,
+                0.0, d0, points=[d0 / 2], epsabs=0.0, epsrel=1e-12)[0]
+        n1 = construction.extension_norm_sq(ext)
+        n2 = construction.extension_norm_sq(ext, nr=96, ntheta=192)
+        drift = abs(n2 - n1) / abs(n2)
+        assert abs(n2 - exact) <= (drift + 1e-8) * exact
+
+    @pytest.mark.parametrize("rho", [1.0, 0.4])
+    def test_dbar_energy(self, fock1, flat1, rho):
+        ext, pref = self._setup(fock1, flat1)
+        d0 = ext.delta0
+        aux = construction.AuxiliaryWeight(flat1, ext.points, rho)
+
+        def v(r):
+            return 1.0 - r * r / rho ** 2 + math.log(r * r / rho ** 2) if r < rho else 0.0
+
+        def integrand(r):
+            dchi = float(mpmath.diff(self._chi_mp, mpmath.mpf(r * r / d0 ** 2)))
+            return math.exp(-r * r - v(r)) * dchi ** 2 * r ** 3 / d0 ** 4
+
+        with mpmath.workdps(30):
+            exact = pref * integrate.quad(integrand, d0 / 2, d0, points=[rho] if rho < d0 else None,
+                                          epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        rep = construction.dbar_energy_report(ext, aux)
+        assert abs(rep.refined_energy - exact) <= (rep.drift + 1e-8) * exact
+        assert hi.dbar_energy(ext, aux) == rep.energy
 
 
 class TestExtensionNorm:

@@ -211,3 +211,42 @@ class TestPolarHelpers:
     def test_area_jacobian(self, disk, flat1):
         assert geometry.polar_area_jacobian(flat1, 0.5) == 0.5
         assert geometry.polar_area_jacobian(disk, 0.5) == pytest.approx(math.sinh(0.5))
+
+    def test_batched_geodesic_point_matches_scalar(self, disk, flat1, rng):
+        ds = rng.uniform(0.0, 2.5, 7)
+        ths = rng.uniform(0.0, 2 * math.pi, 5)
+        for sp, p in ((disk, 0.3 + 0.2j), (flat1, 1.0 - 2.0j)):
+            grid = geometry.geodesic_point(sp, p, ds[:, None], ths[None, :])
+            assert grid.shape == (7, 5)
+            for i, d in enumerate(ds):
+                for j, th in enumerate(ths):
+                    z = geometry.geodesic_point(sp, p, float(d), float(th))
+                    assert isinstance(z, complex)
+                    assert abs(grid[i, j] - z) <= 1e-15 * max(1.0, abs(z))
+
+    def test_batched_mobius_and_jacobian_match_scalar(self, disk, flat1, rng):
+        us = 0.9 * rng.uniform(-0.7, 0.7, 6) + 0.9j * rng.uniform(-0.7, 0.7, 6)
+        batch = geometry.mobius_translate(disk, 0.4 - 0.3j, us)
+        assert [complex(b) for b in batch] == [geometry.mobius_translate(disk, 0.4 - 0.3j, u)
+                                               for u in us]
+        ds = np.array([0.0, 0.25, 1.0, 3.0])
+        for sp in (disk, flat1):
+            batch = geometry.polar_area_jacobian(sp, ds)
+            assert [float(b) for b in batch] == [geometry.polar_area_jacobian(sp, d) for d in ds]
+
+
+class TestValidatePoints:
+    def test_accepts_rows_inside(self, disk, flat1):
+        zs = np.array([[0.5 + 0.5j], [-0.9 + 0j]])
+        assert disk.validate_points(zs).shape == (2, 1)
+        assert flat1.validate_points(10.0 * zs).shape == (2, 1)
+
+    def test_rejects_row_outside_ball(self, disk):
+        with pytest.raises(DomainError, match="outside the open ball"):
+            disk.validate_points(np.array([[0.1 + 0j], [0.8 + 0.6j]]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DomainError):
+            hi.flat_space(2).validate_points(np.zeros((3, 1), complex))
+        with pytest.raises(DomainError):
+            hi.flat_space(1).validate_points(np.zeros(3, complex))
