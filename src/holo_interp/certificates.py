@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry, pointset, weights
-from .errors import DomainError, SizeGuardError, SpaceMismatchError
+from .errors import DomainError, NumericalGuardError, SizeGuardError, SpaceMismatchError
 from .reporting import report_envelope
 
 BOS = "bos"
@@ -83,10 +83,11 @@ class CertificateReport:
 def _finalize(criterion, eps, rho, samples, warnings, extras=None) -> CertificateReport:
     if not samples:
         raise DomainError("certificate grid must be nonempty")
-    worst = min(s.margin for s in samples)
     extras = dict(extras or {})
-    if "extra_margins" in extras:
-        worst = min([worst] + list(extras.pop("extra_margins")))
+    margins = [s.margin for s in samples] + list(extras.pop("extra_margins", []))
+    if not all(map(math.isfinite, margins)):
+        raise NumericalGuardError("a certificate margin is not finite")
+    worst = min(margins)
     return CertificateReport(
         criterion=criterion,
         passed=bool(worst >= 0.0),
@@ -109,15 +110,10 @@ def _separation_warning(space, pts) -> list:
     return []
 
 
-def laplacian_phi(w: weights.HermitianWeight, z, step: Optional[float] = None) -> float:
-    """Euclidean Laplacian of the weight at ``z`` (n = 1): 4 * d^2Phi/dz dzbar."""
-    if w.n != 1:
-        raise SpaceMismatchError("Delta Phi is defined here for n = 1")
-    if w.builtin == "fock":
-        return 4.0 * w.alpha
-    hess = geometry.complex_hessian_fd(lambda zz: float(w.value(zz)), geometry.as_point(z, 1),
-                                       step=step)
-    return 4.0 * float(hess[0, 0].real)
+def _grid_rows(space: geometry.ModelSpace, grid) -> np.ndarray:
+    """The sample grid (points, or scalars when n = 1) as validated (m, n) rows."""
+    zs = np.asarray(list(grid), dtype=complex)
+    return space.validate_points(zs[:, None] if zs.ndim == 1 and space.n == 1 else zs)
 
 
 def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
@@ -126,40 +122,36 @@ def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
                     map_fn=map) -> CertificateReport:
     """Flat one-dimensional Laplacian-versus-counting criterion.
 
-    ``map_fn`` may be a thread-pool map; samples are assembled in grid
-    order either way, so output is deterministic.
+    ``map_fn`` may be a thread-pool map over the per-sample ball counts;
+    they are assembled in grid order either way, so output is deterministic.
     """
     if space is None:
         space = geometry.flat_space(1)
     if not space.is_flat or space.n != 1:
         raise SpaceMismatchError("the bos certificate applies to flat C^1 only")
-    if rho <= 0 or eps <= 0:
-        raise DomainError("rho and eps must be positive")
-
-    def at(z):
-        z = space.validate_point(z)
-        count = pointset.count_in_ball(space, pts, z, rho)
-        return SampleMargin(z, count / rho ** 2 + eps, laplacian_phi(w, z))
-
-    samples = list(map_fn(at, list(grid)))
+    if w.n != space.n:
+        raise SpaceMismatchError(f"weight of dimension {w.n} on a space of dimension {space.n}")
+    if not (0.0 < rho < math.inf and 0.0 < eps < math.inf):
+        raise DomainError("rho and eps must be positive and finite")
+    zs = _grid_rows(space, grid)
+    laplacian = 4.0 * w.ddbar(zs)[:, 0, 0].real
+    counts = np.array(list(map_fn(lambda z: pointset.count_in_ball(space, pts, z, rho), zs)))
+    samples = list(map(SampleMargin, zs, counts / rho ** 2 + eps, laplacian))
     return _finalize(BOS, eps, rho, samples, _separation_warning(space, pts))
 
 
 def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
                          pts: pointset.PointSet, rho: float, eps: float,
                          grid: Sequence, map_fn=map) -> CertificateReport:
-    """Curvature-versus-counting criterion with the comparison factor."""
-    if rho <= 0 or eps <= 0:
-        raise DomainError("rho and eps must be positive")
+    """Curvature-versus-counting criterion with the comparison factor;
+    ``map_fn`` as in ``bos_certificate``."""
+    if not (0.0 < rho < math.inf and 0.0 < eps < math.inf):
+        raise DomainError("rho and eps must be positive and finite")
     factor = geometry.hessian_comparison_factor(space.k, rho)
-
-    def at(z):
-        z = space.validate_point(z)
-        count = pointset.count_in_ball(space, pts, z, rho)
-        required = space.n * (count / rho ** 2) * factor + eps
-        return SampleMargin(z, required, weights.curvature_eigen_min(w, space, z))
-
-    samples = list(map_fn(at, list(grid)))
+    zs = _grid_rows(space, grid)
+    available = weights.curvature_eigen_min(w, space, zs)
+    counts = np.array(list(map_fn(lambda z: pointset.count_in_ball(space, pts, z, rho), zs)))
+    samples = list(map(SampleMargin, zs, space.n * (counts / rho ** 2) * factor + eps, available))
     return _finalize(THEOREM1, eps, rho, samples, _separation_warning(space, pts),
                      {"comparison_factor": factor, "k": space.k})
 
@@ -167,25 +159,22 @@ def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
 def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
                          pts: pointset.PointSet, eps: float, grid: Sequence,
                          density_threshold: float = math.inf,
-                         cutoff: float = pointset.DENSITY_CUTOFF,
-                         map_fn=map) -> CertificateReport:
+                         cutoff: float = pointset.DENSITY_CUTOFF) -> CertificateReport:
     """Hyperbolic criterion: curvature floor plus bounded density grid-sup.
 
     The density clause reports a grid supremum (finite by construction);
-    the pass threshold is user-set and flagged as such.
+    the pass threshold is user-set (``inf`` for none) and flagged as such.
     """
     if space.is_flat:
         raise SpaceMismatchError("the theorem2 certificate requires a hyperbolic ball")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    grid = list(grid)
-
-    def at(z):
-        z = space.validate_point(z)
-        return SampleMargin(z, eps, weights.curvature_eigen_min(w, space, z))
-
-    samples = list(map_fn(at, grid))
-    sup = pointset.sup_density(space, pts, grid, cutoff=cutoff) if len(pts) else None
+    if not 0.0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
+    if math.isnan(density_threshold):
+        raise DomainError("density threshold must be a number or inf")
+    zs = _grid_rows(space, grid)
+    available = weights.curvature_eigen_min(w, space, zs)
+    samples = list(map(SampleMargin, zs, np.full(len(zs), eps), available))
+    sup = pointset.sup_density(space, pts, zs, cutoff=cutoff) if len(pts) else None
     density_sup = 0.0 if sup is None else sup.value
     extras = {
         "density_grid_sup": density_sup,

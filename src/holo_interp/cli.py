@@ -188,14 +188,9 @@ def _cmd_certify_t2(args) -> int:
     w = _load_weight(args)
     pts = _load_points(args)
     grid = _parse_grid(args.grid)
-    map_fn, pool = _map_fn(args)
-    try:
-        rep = certificates.theorem2_certificate(
-            w, space, pts, args.eps, grid,
-            density_threshold=args.density_threshold, cutoff=args.cutoff, map_fn=map_fn)
-    finally:
-        if pool:
-            pool.shutdown()
+    rep = certificates.theorem2_certificate(
+        w, space, pts, args.eps, grid,
+        density_threshold=args.density_threshold, cutoff=args.cutoff)
     return _emit_certificate(args, rep)
 
 

@@ -70,14 +70,6 @@ def cutoff_derivative(t):
 # ---------------------------------------------------------------------------
 # local sections and gluing
 
-def _as_rows(space: geometry.ModelSpace, z):
-    """A single point or a (G, n) array as validated (G, n) rows, and
-    whether it was a single point (the ``normal_frame_exponent`` convention)."""
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim <= 1
-    return space.validate_points(np.atleast_1d(z)[None, :] if single else z), single
-
-
 def _nodes_within(space: geometry.ModelSpace, nodes: np.ndarray, zs: np.ndarray,
                   radius: float) -> np.ndarray:
     """Indices, in order, of the nodes that can lie within ``radius`` of some
@@ -86,10 +78,10 @@ def _nodes_within(space: geometry.ModelSpace, nodes: np.ndarray, zs: np.ndarray,
     For the anchor ``z0 = zs[0]`` and ``reach = max d(z0, zs)``, the triangle
     inequality gives ``d(z, q) >= d(z0, q) - reach``, so nodes with
     ``d(z0, q) > radius + reach`` are out of reach of every row (the 1e-12
-    slack absorbs rounding in the distances).  Every node is kept when a
-    distance is not finite.
+    slack absorbs rounding in the distances).  Every node is kept when the
+    anchor or a distance is not finite.
     """
-    if len(nodes) == 0 or zs.shape[0] == 0:
+    if len(nodes) == 0 or zs.shape[0] == 0 or not np.isfinite(zs[0]).all():
         return np.arange(len(nodes))
     z0 = zs[0]
     reach = float(np.max(geometry.distances_from(space, zs, z0)))
@@ -107,7 +99,7 @@ def local_section(w: weights.HermitianWeight, space: geometry.ModelSpace,
     ``z`` is a single point (complex result) or a (G, n) array (array
     result); every point must lie in the open delta0-ball.
     """
-    zs, single = _as_rows(space, z)
+    zs, single = space.validate_rows(z)
     if np.any(geometry.distances_from(space, zs, p) >= delta0):
         raise DomainError("local section evaluated outside its delta0-ball")
     out = complex(a_p) * np.exp(weights.normal_frame_exponent(w, p, zs))
@@ -167,7 +159,7 @@ def evaluate_extension(ext: GluedExtension, z):
     set.  Loops over the nodes that can reach the points and vectorizes over
     the points inside each node's delta0-ball.
     """
-    zs, single = _as_rows(ext.space, z)
+    zs, single = ext.space.validate_rows(z)
     out = np.zeros(zs.shape[0], dtype=complex)
     vals = ext.values()
     for i in _nodes_within(ext.space, ext.points.points, zs, ext.delta0):
@@ -280,13 +272,6 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
     return cutoff_derivative(d ** 2 / d0sq) * dbar_dsq / d0sq
 
 
-def _metric_coefficient_grid(space: geometry.ModelSpace, zs: np.ndarray) -> np.ndarray:
-    if space.is_flat:
-        return np.ones(zs.shape[0])
-    s = np.abs(zs) ** 2 / space.kappa ** 2
-    return 4.0 / (1.0 - s) ** 2
-
-
 def _annulus_nodes(space, p, d_lo, d_hi, nr, ntheta):
     dd = (d_hi - d_lo) / nr
     dth = 2.0 * math.pi / ntheta
@@ -308,7 +293,7 @@ def _node_energy(ext: GluedExtension, aux: AuxiliaryWeight, idx: int,
     expo = weights.normal_frame_exponent(ext.weight, p, zcol)
     phi = ext.weight.value(zcol)
     v = aux.value_grid(zcol)
-    g = _metric_coefficient_grid(ext.space, zs)
+    g = geometry.metric_coefficient(ext.space, zcol)
     # |dbar F|^2_omega := |dF/dzbar|^2 / g (constant conventions absorbed
     # into the comparison constant C)
     integrand = np.exp(2.0 * expo.real - phi - v) * (np.abs(dbar) ** 2) / g * jac
@@ -434,8 +419,7 @@ def auxiliary_curvature_check(aux: AuxiliaryWeight, space: geometry.ModelSpace,
         if d.size and float(np.min(d)) < 0.05 * aux.rho:
             raise DomainError("curvature check grid must keep distance >= 0.05*rho from nodes")
         h = geometry.default_fd_step(z) if step is None else float(step)
-        stretch = math.sqrt(float(_metric_coefficient_grid(space, np.atleast_1d(z[0] if space.n == 1 else 0.0))[0])) if space.n == 1 else 1.0
-        buffer = 2.0 * h * stretch
+        buffer = 2.0 * h * math.sqrt(float(geometry.metric_coefficient(space, z)))
         count = int(np.count_nonzero(d < aux.rho + buffer)) if d.size else 0
         hess = geometry.complex_hessian_fd(aux.value, z, step=h)
         eig_min = float(geometry.relative_form_eigenvalues(space, z, hess)[0])

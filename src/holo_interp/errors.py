@@ -15,7 +15,7 @@ class SpaceMismatchError(DomainError):
 
 
 class NumericalGuardError(RuntimeError):
-    """A size or conditioning guard tripped before the computation ran."""
+    """A size, conditioning or finiteness guard tripped."""
 
 
 class SizeGuardError(NumericalGuardError):

@@ -1,14 +1,15 @@
 """Constant-curvature model spaces: flat C^n and the Poincare ball.
 
 Provides geodesic distances, the curvature comparison factor
-``1 + k*rho*coth(k*rho)``, space-form ball volumes, and finite-difference
-complex Hessians used to verify curvature inequalities numerically.
+``1 + k*rho*coth(k*rho)``, space-form ball volumes, the closed-form metric
+and Ricci data, and finite-difference complex Hessians kept as an audit
+tool for curvature inequalities.
 
 Conventions used throughout the package:
 
 * the Kaehler form is ``omega = (i/2) sum_j dz_j ^ dzbar_j`` times the
   metric coefficient matrix ``G``, so ``i ddbar |z|^2 = 2 omega`` on flat
-  space;
+  space; both models are conformal, ``G = g I``;
 * the "relative eigenvalue" of a (1,1)-form with coefficient matrix ``H``
   (entries ``d^2/dz_j dzbar_m``) is an eigenvalue of ``2 H`` against ``G``.
 """
@@ -21,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import eigh
 
 from .errors import DomainError, SpaceMismatchError
 
@@ -58,9 +58,9 @@ class ModelSpace:
             if self.kappa is not None:
                 raise DomainError("flat space has no curvature upper bound kappa")
         else:
-            if self.kappa is None or self.kappa <= 0:
-                raise DomainError("hyperbolic ball requires kappa > 0")
-            if self.k < 1.0 / self.kappa:
+            if self.kappa is None or not 0.0 < self.kappa < math.inf:
+                raise DomainError("hyperbolic ball requires a finite kappa > 0")
+            if not 1.0 / self.kappa <= self.k < math.inf:
                 raise DomainError(
                     "curvature lower bound must lie below the upper bound: k >= 1/kappa"
                 )
@@ -77,7 +77,10 @@ class ModelSpace:
 
     def validate_point(self, z) -> np.ndarray:
         z = as_point(z, self.n)
-        if not self.is_flat and float(np.linalg.norm(z)) >= self.kappa:
+        if self.is_flat:
+            if not np.isfinite(z).all():
+                raise DomainError("point has a non-finite coordinate")
+        elif not float(np.linalg.norm(z)) < self.kappa:  # NaN and inf fail here too
             raise DomainError(
                 f"point with |z| = {np.linalg.norm(z):.6g} outside the open ball of radius {self.kappa}"
             )
@@ -88,6 +91,9 @@ class ModelSpace:
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim != 2 or zs.shape[1] != self.n:
             raise DomainError(f"expected an (m, {self.n}) array of points, got shape {zs.shape}")
+        if not np.isfinite(zs).all():
+            bad = np.nonzero(~np.isfinite(zs).all(axis=1))[0][0]
+            raise DomainError(f"point {bad} has a non-finite coordinate")
         if not self.is_flat:
             r = np.linalg.norm(zs, axis=1)
             outside = np.nonzero(r >= self.kappa)[0]
@@ -96,6 +102,13 @@ class ModelSpace:
                     f"point with |z| = {r[outside[0]]:.6g} outside the open ball of radius {self.kappa}"
                 )
         return zs
+
+    def validate_rows(self, z):
+        """A single point or an (m, n) array as validated (m, n) rows, and
+        whether it was a single point."""
+        z = np.asarray(z, dtype=complex)
+        single = z.ndim <= 1
+        return self.validate_points(np.atleast_1d(z)[None, :] if single else z), single
 
 
 def flat_space(n: int = 1) -> ModelSpace:
@@ -312,36 +325,46 @@ def dbar_fd(f: Callable, z, step: Optional[float] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # metric data and curvature forms
 
-def metric_matrix(space: ModelSpace, z) -> np.ndarray:
-    """Coefficient matrix G of the Kaehler form at ``z`` (identity when flat)."""
-    z = space.validate_point(z)
+def metric_coefficient(space: ModelSpace, z):
+    """Conformal factor ``g`` of ``G = g I`` at each (..., n) point, assumed
+    valid: 1 when flat, ``4 / (1 - |z|^2/kappa^2)^2`` on the ball."""
+    z = np.asarray(z, dtype=complex)
     if space.is_flat:
-        return np.eye(space.n)
-    s = _norm_sq(z) / space.kappa ** 2
-    return (4.0 / (1.0 - s) ** 2) * np.eye(space.n)
+        return np.ones(z.shape[:-1])
+    s = (np.abs(z) ** 2).sum(axis=-1) / space.kappa ** 2
+    return 4.0 / (1.0 - s) ** 2
+
+
+def ddbar_log_ball(z, kappa: float) -> np.ndarray:
+    """Closed-form ``[d^2/dz_j dzbar_m] log(1 - |z|^2/kappa^2)`` at each
+    (..., n) point of the open kappa-ball, shape (..., n, n)."""
+    z = np.asarray(z, dtype=complex)
+    s = ((np.abs(z) ** 2).sum(axis=-1) / kappa ** 2)[..., None, None]
+    outer = z.conj()[..., :, None] * z[..., None, :]
+    return -(np.eye(z.shape[-1]) * (1.0 - s) + outer / kappa ** 2) / (kappa ** 2 * (1.0 - s) ** 2)
 
 
 def ricci_form_matrix(space: ModelSpace, z) -> np.ndarray:
-    """Coefficient matrix of the Ricci form ``-i ddbar log det G`` at ``z``."""
-    z = space.validate_point(z)
-    n = space.n
+    """Coefficient matrix of the Ricci form ``-i ddbar log det G`` at one
+    point (n, n) or at each row of an (m, n) array (m, n, n)."""
+    zs, single = space.validate_rows(z)
+    z = zs[0] if single else zs
     if space.is_flat:
-        return np.zeros((n, n))
-    kap = space.kappa
-    s = _norm_sq(z) / kap ** 2
-    # ddbar log(1 - |z|^2/kappa^2) has the closed form below; log det G is
-    # -2n times it plus a constant.
-    m = -(np.eye(n) * (1.0 - s) + np.outer(z.conj(), z) / kap ** 2) / (kap ** 2 * (1.0 - s) ** 2)
-    return 2.0 * n * m
+        return np.zeros(z.shape + (space.n,))
+    # log det G is -2n log(1 - |z|^2/kappa^2) plus a constant
+    return 2.0 * space.n * ddbar_log_ball(z, space.kappa)
 
 
 def relative_form_eigenvalues(space: ModelSpace, z, coeff_matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a (1,1)-form against the metric: eig(2H, G)."""
-    G = metric_matrix(space, z)
+    """Ascending eigenvalues of Hermitian (1,1)-forms against ``G = g I``,
+    i.e. ``eigvalsh(2H) / g``: at one point (H (n, n), result (n,)) or at
+    each row of an (m, n) array (H (m, n, n), result (m, n))."""
+    zs, single = space.validate_rows(z)
+    z = zs[0] if single else zs
     H = np.asarray(coeff_matrix)
-    if H.shape != G.shape:
+    if H.shape != z.shape + (space.n,):
         raise DomainError("coefficient matrix has wrong shape for this space")
-    return eigh(2.0 * H, G, eigvals_only=True)
+    return np.linalg.eigvalsh(2.0 * H) / metric_coefficient(space, z)[..., None]
 
 
 def ricci_eigen(space: ModelSpace, z) -> float:
@@ -350,9 +373,6 @@ def ricci_eigen(space: ModelSpace, z) -> float:
     Zero on flat space; ``-n/kappa^2`` at every point of the hyperbolic
     ball (the radial direction attains the minimum).
     """
-    z = space.validate_point(z)
-    if space.is_flat:
-        return 0.0
     return float(relative_form_eigenvalues(space, z, ricci_form_matrix(space, z))[0])
 
 

@@ -24,7 +24,7 @@ class PointSet:
     """A finite set of points with optional complex target values.
 
     ``points`` has shape (m, n); ``values`` (when present) shape (m,).
-    Points must be pairwise distinct.
+    Points must be finite and pairwise distinct.
     """
 
     points: np.ndarray
@@ -44,6 +44,8 @@ class PointSet:
             if vals.size != pts.shape[0]:
                 raise DomainError("values length must equal the number of points")
             self.values = vals
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("points must have finite coordinates")
         _check_distinct(self.points)
 
     def __len__(self):

@@ -2,7 +2,8 @@
 
 The holomorphic parts are polynomials (exact derivatives); the deformation
 part is a real polynomial in the underlying real coordinates or a built-in
-closed form.  Built-ins: ``fock(alpha)`` with weight ``alpha |z|^2`` and
+closed form.  Every weight has one exact ``ddbar``, which the curvature
+eigenvalues use.  Built-ins: ``fock(alpha)`` with weight ``alpha |z|^2`` and
 ``bergman(A)`` with weight ``-A log(1 - |z|^2/kappa^2)`` on the kappa-disk.
 """
 
@@ -120,6 +121,15 @@ class RealPolynomial:
                 terms[key] = terms.get(key, 0.0) + coeff * e
         return RealPolynomial(terms, self.n)
 
+    def ddbar(self, z) -> np.ndarray:
+        """Exact ``[d^2/dz_j dzbar_m]`` at each (..., n) point, shape (..., n, n):
+        ``(f_{x_j x_m} + f_{y_j y_m} + i (f_{x_j y_m} - f_{y_j x_m})) / 4``."""
+        n = self.n
+        f = [[self._partial(a)._partial(b).value(z) for b in range(2 * n)] for a in range(2 * n)]
+        rows = [np.stack([f[j][m] + f[n + j][n + m] + 1j * (f[j][n + m] - f[n + j][m])
+                          for m in range(n)], axis=-1) for j in range(n)]
+        return 0.25 * np.stack(rows, axis=-2)
+
     def dz_gradient(self, z) -> np.ndarray:
         """Exact vector of d/dz_k = (d/dx_k - i d/dy_k)/2 at ``z``."""
         out = np.zeros(self.n, dtype=complex)
@@ -142,8 +152,8 @@ class BergmanDeformation:
     """Closed-form deformation ``-A log(1 - |z|^2/kappa^2)`` on the kappa-disk."""
 
     def __init__(self, a: float, kappa: float):
-        if kappa <= 0:
-            raise DomainError("kappa must be positive")
+        if not 0.0 < kappa < math.inf:
+            raise DomainError("kappa must be positive and finite")
         self.a = float(a)
         self.kappa = float(kappa)
 
@@ -163,6 +173,11 @@ class BergmanDeformation:
         zz = np.asarray(z, dtype=complex)
         s = self._s(zz)
         return self.a * zz.conj() / (self.kappa ** 2 * (1.0 - s))
+
+    def ddbar(self, z) -> np.ndarray:
+        """Exact ``[d^2/dz_j dzbar_m]`` at each (..., n) point, shape (..., n, n)."""
+        self._s(z)
+        return -self.a * geometry.ddbar_log_ball(z, self.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +230,17 @@ class HermitianWeight:
             return np.zeros(self.n, dtype=complex)
         return np.asarray(self.phi_def.dz_gradient(z), dtype=complex)
 
+    def ddbar(self, z) -> np.ndarray:
+        """Exact ``[d^2 Phi / dz_j dzbar_m]`` at each (..., n) point, shape
+        (..., n, n): ``sum_a d sigma_a (x) conj(d sigma_a)`` plus the
+        deformation's own ``ddbar``."""
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape[:-1] + (self.n, self.n), dtype=complex)
+        for s in self.sigmas:
+            d = np.stack([s.dz(k)(z) for k in range(self.n)], axis=-1)
+            out = out + d[..., :, None] * d.conj()[..., None, :]
+        return out if self.phi_def is None else out + self.phi_def.ddbar(z)
+
     def value(self, z):
         """The weight Phi(z); accepts a single point or an (..., n) array."""
         z = np.asarray(z, dtype=complex)
@@ -228,29 +254,11 @@ class HermitianWeight:
         """Bound C with ||f_p(z)||_h^2 <= C ||a(p)||_h^2 on the delta0-ball."""
         return math.exp(0.5 * self.m2 * (2 * self.n) ** 2 * delta0 ** 2 / self.mu ** 2)
 
-    @property
-    def alpha(self) -> float:
-        if self.builtin != "fock":
-            raise DomainError("alpha is defined for the fock builtin")
-        return self.params[0]
-
-    @property
-    def bergman_a(self) -> float:
-        if self.builtin != "bergman":
-            raise DomainError("A is defined for the bergman builtin")
-        return self.params[0]
-
-    @property
-    def bergman_kappa(self) -> float:
-        if self.builtin != "bergman":
-            raise DomainError("kappa is defined for the bergman builtin")
-        return self.params[1]
-
 
 def fock_weight(alpha: float = 1.0, n: int = 1, r0: float = 1.0) -> HermitianWeight:
     """Gaussian weight ``alpha |z|^2`` with sigma_k = sqrt(alpha) z_k."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     root = math.sqrt(alpha)
     sigmas = []
     for k in range(n):
@@ -269,8 +277,8 @@ def bergman_weight(a: float, kappa: float = 1.0, r0: Optional[float] = None,
     overridden.  ``mu = 2`` is the global lower distortion of the disk
     metric against the Euclidean chart.
     """
-    if a <= 0:
-        raise DomainError("A must be positive")
+    if not 0.0 < a < math.inf:
+        raise DomainError("A must be positive and finite")
     deform = BergmanDeformation(a, kappa)
     if m2 is None:
         m2 = _bergman_second_derivative_bound(a, kappa, 0.9 * kappa)
@@ -281,24 +289,11 @@ def bergman_weight(a: float, kappa: float = 1.0, r0: Optional[float] = None,
 
 
 def _bergman_second_derivative_bound(a: float, kappa: float, radius: float) -> float:
-    # max |second real partials| of -A log(1 - r^2/kappa^2) on |z| <= radius,
-    # sampled radially (the weight is radial; the max sits on the rim).
-    worst = 0.0
-    deform = BergmanDeformation(a, kappa)
-    h = 1e-5 * kappa
-    for r in np.linspace(0.0, radius, 64):
-        z = np.array([complex(r, 0.0)])
-        for e in (np.array([h]), np.array([1j * h])):
-            for e2 in (np.array([h]), np.array([1j * h])):
-                if np.array_equal(e, e2):
-                    v = abs(deform.value(z + e) - 2 * deform.value(z) + deform.value(z - e)) / h ** 2
-                else:
-                    v = abs(
-                        deform.value(z + e + e2) - deform.value(z + e - e2)
-                        - deform.value(z - e + e2) + deform.value(z - e - e2)
-                    ) / (4 * h ** 2)
-                worst = max(worst, float(v))
-    return 1.05 * worst
+    # max |second real partials| of f = -A log(1 - r^2/kappa^2) on |z| <= radius:
+    # the radial f''(r) = 2A (kappa^2 + r^2) / (kappa^2 - r^2)^2 dominates f'(r)/r
+    # and the mixed partials and grows with r, so it peaks on the rim
+    k2, r2 = kappa ** 2, radius ** 2
+    return 1.05 * 2.0 * a * (k2 + r2) / (k2 - r2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +309,24 @@ def h_norm_sq(w: HermitianWeight, z, value: complex) -> float:
     return abs(value) ** 2 * math.exp(-weight_value(w, z))
 
 
-def curvature_eigen_min(w: HermitianWeight, space: geometry.ModelSpace, z,
-                        step: Optional[float] = None) -> float:
-    """Smallest relative eigenvalue of ``i ddbar Phi + ricci(omega)`` at ``z``.
+def curvature_eigen_min(w: HermitianWeight, space: geometry.ModelSpace, z):
+    """Smallest relative eigenvalue of ``i ddbar Phi + Ric(omega)``.
 
-    Closed forms for the built-ins (fock on flat space: ``2 alpha``;
-    bergman on the matching disk: ``(A - 2)/(2 kappa^2)``), finite
-    differences otherwise.
+    ``z`` is one point (a float result) or an (m, n) grid (an (m,) array).
+    Exact: ``w.ddbar`` plus the closed-form Ricci form, against ``g I``.
+    The weight must have the space's dimension, and a Bergman deformation
+    on the ball its kappa.
     """
-    z = space.validate_point(z)
-    if w.builtin == "fock" and space.is_flat:
-        return 2.0 * w.alpha
-    if w.builtin == "bergman" and not space.is_flat and space.n == 1:
-        if abs(space.kappa - w.bergman_kappa) > 1e-12 * w.bergman_kappa:
-            raise SpaceMismatchError("bergman weight kappa differs from the space kappa")
-        return (w.bergman_a - 2.0) / (2.0 * space.kappa ** 2)
-    hess = geometry.complex_hessian_fd(lambda zz: float(w.value(zz)), z, step=step)
-    total = hess + geometry.ricci_form_matrix(space, z)
-    return float(geometry.relative_form_eigenvalues(space, z, total)[0])
+    if w.n != space.n:
+        raise SpaceMismatchError(f"weight of dimension {w.n} on a space of dimension {space.n}")
+    deform = w.phi_def
+    if (isinstance(deform, BergmanDeformation) and not space.is_flat
+            and abs(space.kappa - deform.kappa) > 1e-12 * deform.kappa):
+        raise SpaceMismatchError("bergman weight kappa differs from the space kappa")
+    zs, single = space.validate_rows(z)
+    total = w.ddbar(zs) + geometry.ricci_form_matrix(space, zs)
+    eig = geometry.relative_form_eigenvalues(space, zs, total)[:, 0]
+    return float(eig[0]) if single else eig
 
 
 def normal_frame_exponent(w: HermitianWeight, p, z):
@@ -505,9 +500,9 @@ def weight_from_dict(d: dict) -> HermitianWeight:
 
 def weight_to_dict(w: HermitianWeight) -> dict:
     if w.builtin == "fock":
-        return {"builtin": "fock", "alpha": w.alpha, "n": w.n, "r0": w.r0}
+        return {"builtin": "fock", "alpha": w.params[0], "n": w.n, "r0": w.r0}
     if w.builtin == "bergman":
-        return {"builtin": "bergman", "A": w.bergman_a, "kappa": w.bergman_kappa}
+        return {"builtin": "bergman", "A": w.params[0], "kappa": w.params[1]}
     out = {
         "sigmas": [s.to_dict() for s in w.sigmas],
         "phi_def": (w.phi_def.to_dict() if isinstance(w.phi_def, RealPolynomial) else None),

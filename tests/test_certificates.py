@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import holo_interp as hi
-from holo_interp import pointset
-from holo_interp.errors import DomainError, SpaceMismatchError
+from holo_interp import pointset, weights
+from holo_interp.errors import DomainError, NumericalGuardError, SpaceMismatchError
 
 EMPTY = pointset.PointSet(np.zeros((0, 1), complex))
 
@@ -188,3 +190,66 @@ class TestReportShape:
         assert header == ["index", "re", "im", "required", "available", "margin"]
         assert len(rows) == 2
         assert rows[1][0] == 1
+
+
+class TestNonFiniteInputs:
+    def test_bos_infinite_rho_rejected(self, fock1):
+        lat = pointset.square_lattice(2.0, half_extent=4.0)
+        with pytest.raises(DomainError):
+            hi.bos_certificate(fock1, lat, rho=math.inf, eps=1.0, grid=[0.0, 1 + 1j])
+
+    def test_theorem1_infinite_rho_rejected(self, fock1, flat1):
+        lat = pointset.square_lattice(2.0, half_extent=4.0)
+        with pytest.raises(DomainError):
+            hi.theorem1_certificate(fock1, flat1, lat, rho=math.inf, eps=1.0, grid=[0.0])
+
+    def test_theorem2_nan_sample_rejected(self, disk):
+        with pytest.raises(DomainError):
+            hi.theorem2_certificate(hi.bergman_weight(4.0), disk, EMPTY, eps=0.5,
+                                    grid=[0.0 + 0j, complex(math.nan, 0.0)])
+
+    def test_overflowing_curvature_refused(self, flat1):
+        # |d sigma|^2 = 1e400 overflows: an infinite margin must not pass
+        w = weights.HermitianWeight((weights.Polynomial.from_coeffs([0.0, 1e200]),), None,
+                                    m2=0.0, r0=1.0, mu=1.0, n=1)
+        with pytest.raises(NumericalGuardError):
+            hi.theorem1_certificate(w, flat1, EMPTY, rho=1.0, eps=1.0, grid=[0.0])
+        with pytest.raises(NumericalGuardError):
+            hi.bos_certificate(w, EMPTY, rho=1.0, eps=1.0, grid=[0.0])
+
+    def test_weight_space_dimension_mismatch(self):
+        with pytest.raises(SpaceMismatchError):
+            hi.theorem1_certificate(hi.fock_weight(1.0), hi.flat_space(2), EMPTY,
+                                    rho=2.0, eps=1.0, grid=[np.zeros(2)])
+        with pytest.raises(SpaceMismatchError):
+            hi.bos_certificate(hi.fock_weight(1.0, n=2), EMPTY, 1.0, 1.0, [0.0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(criterion=st.sampled_from(["bos", "theorem1_flat", "theorem1_disk", "theorem2"]),
+           slot=st.sampled_from(["grid", "rho", "eps"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           rho=st.floats(0.1, 3.0), eps=st.floats(0.01, 2.0),
+           x=st.floats(-0.6, 0.6), y=st.floats(-0.6, 0.6))
+    def test_no_pass_on_non_finite_input(self, criterion, slot, bad, rho, eps, x, y):
+        assume(not (criterion == "theorem2" and slot == "rho"))  # theorem2 takes no rho
+        grid = [0.0 + 0j, complex(x, y)]
+        if slot == "grid":
+            grid.insert(1, complex(bad, y) if math.isnan(bad) else complex(x, bad))
+        elif slot == "rho":
+            rho = bad
+        else:
+            eps = bad
+        flat, disk = hi.flat_space(1), hi.hyperbolic_ball(1.0)
+        sparse = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0.25j]]))
+        try:
+            if criterion == "bos":
+                rep = hi.bos_certificate(hi.fock_weight(1.0), sparse, rho, eps, grid)
+            elif criterion == "theorem1_flat":
+                rep = hi.theorem1_certificate(hi.fock_weight(1.0), flat, sparse, rho, eps, grid)
+            elif criterion == "theorem1_disk":
+                rep = hi.theorem1_certificate(hi.bergman_weight(40.0), disk, sparse, rho, eps, grid)
+            else:
+                rep = hi.theorem2_certificate(hi.bergman_weight(40.0), disk, sparse, eps, grid)
+        except (DomainError, NumericalGuardError):
+            return
+        assert not rep.passed

@@ -7,6 +7,13 @@ from holo_interp import cli
 FLAT = '{"kind": "flat", "n": 1, "k": 0.0}'
 DISK = '{"kind": "hyperbolic_ball", "n": 1, "kappa": 1.0}'
 FOCK = '{"builtin": "fock", "alpha": 1.0}'
+# sigma = z + 0.05 z^3, Phi_def = (x^2 + y^2)/2
+POLY = json.dumps({
+    "sigmas": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.05, 0.0]]],
+    "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2, 0], "coeff": 0.5},
+                                                 {"powers": [0, 2], "coeff": 0.5}]}},
+    "M2": 1.0, "r0": 1.0, "mu": 1.0,
+})
 
 
 @pytest.fixture
@@ -82,6 +89,12 @@ class TestExitCodes:
                         "--weight", '{"builtin": "bergman", "A": 3.0, "kappa": 1.0}',
                         "--points", disk_points, "--rho", "0.5", "--grid=-1:1:5",
                         "--nr", "4", "--ntheta", "8", "--out", "/dev/null"])
+        assert code == 2
+
+    def test_non_finite_grid_exits_two(self, sparse_points):
+        code = cli.run(["certify-t1", "--space", FLAT, "--weight", FOCK,
+                        "--points", sparse_points, "--rho", "2", "--eps", "1",
+                        "--grid=nan:1:2", "--out", "/dev/null"])
         assert code == 2
 
     def test_unknown_command_exits_two(self):
@@ -205,6 +218,25 @@ class TestDeterminism:
         # the nodes +-0.5 sit on the grid, where F reproduces the values
         at = {(float(r[1]), float(r[2])): (float(r[3]), float(r[4])) for r in rows}
         assert at[(0.5, 0.0)] == (1.0, 0.0) and at[(-0.5, 0.0)] == (0.0, 1.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["certify-t1", "--space", DISK, "--weight", POLY, "--rho", "0.5", "--eps", "0.1",
+         "--grid=-0.6:0.6:7"],
+        ["certify-bos", "--weight", POLY, "--rho", "0.5", "--eps", "0.1", "--grid=-0.6:0.6:7"],
+        ["certify-t2", "--space", DISK, "--eps", "0.5", "--grid=-0.6:0.6:7",
+         "--weight", '{"builtin": "bergman", "A": 4.0, "kappa": 1.0}'],
+    ])
+    def test_certificates_byte_identical_across_threads(self, tmp_path, disk_points, argv):
+        outputs = []
+        for tag, threads in (("a", "1"), ("b", "4")):
+            out = tmp_path / f"{tag}.json"
+            csv = tmp_path / f"{tag}.csv"
+            code = cli.run(argv + ["--points", disk_points, "--threads", threads,
+                                   "--out", str(out), "--csv", str(csv)])
+            assert code in (0, 1)
+            outputs.append((out.read_bytes(), csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].decode().strip().split("\n")) == 50
 
     def test_threads_env_fallback(self, tmp_path, sparse_points, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")

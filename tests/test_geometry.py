@@ -250,3 +250,38 @@ class TestValidatePoints:
             hi.flat_space(2).validate_points(np.zeros((3, 1), complex))
         with pytest.raises(DomainError):
             hi.flat_space(1).validate_points(np.zeros(3, complex))
+
+    def test_rejects_non_finite_coordinates(self, disk, flat1):
+        for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)):
+            for sp in (disk, flat1):
+                with pytest.raises(DomainError):
+                    sp.validate_point(bad)
+                with pytest.raises(DomainError, match="point 1 has a non-finite"):
+                    sp.validate_points(np.array([[0.1 + 0j], [bad]]))
+
+    def test_non_finite_space_parameters_rejected(self):
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hi.hyperbolic_ball(kappa)
+        for k in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hi.hyperbolic_ball(1.0, k=k)
+
+
+class TestConformalMetric:
+    def test_relative_eigenvalues_batched_match_single(self, rng):
+        disk2 = hi.hyperbolic_ball(1.5, n=2)
+        zs = 0.5 * (rng.uniform(-1, 1, (6, 2)) + 1j * rng.uniform(-1, 1, (6, 2)))
+        ric = geometry.ricci_form_matrix(disk2, zs)
+        eig = geometry.relative_form_eigenvalues(disk2, zs, ric)
+        assert eig.shape == (6, 2)
+        for z, h, e in zip(zs, ric, eig):
+            np.testing.assert_array_equal(geometry.ricci_form_matrix(disk2, z), h)
+            np.testing.assert_array_equal(geometry.relative_form_eigenvalues(disk2, z, h), e)
+        # the smallest relative Ricci eigenvalue is -n/kappa^2 at every point
+        np.testing.assert_allclose(eig[:, 0], -2.0 / 1.5 ** 2, rtol=1e-12)
+
+    def test_metric_coefficient(self, disk, flat1):
+        z = np.array([[0.6 + 0j], [0.0 + 0j]])
+        np.testing.assert_array_equal(geometry.metric_coefficient(flat1, z), [1.0, 1.0])
+        np.testing.assert_allclose(geometry.metric_coefficient(disk, z), [4.0 / 0.64 ** 2, 4.0])

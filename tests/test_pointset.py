@@ -20,6 +20,12 @@ class TestPointSet:
         with pytest.raises(DomainError):
             pointset.PointSet(np.array([[1.0 + 0j], [1.0 + 0j]]))
 
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            pointset.PointSet(np.array([[complex(math.nan, 0.0)], [complex(math.nan, 0.0)]]))
+        with pytest.raises(DomainError, match="finite"):
+            pointset.PointSet(np.array([[0j], [complex(0.0, math.inf)]]))
+
     def test_values_length(self):
         with pytest.raises(DomainError):
             pointset.PointSet(np.array([[0j], [1j]]), np.array([1.0]))

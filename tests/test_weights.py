@@ -87,10 +87,12 @@ class TestCurvature:
         w = hi.bergman_weight(2.0)
         closed = hi.curvature_eigen_min(w, disk, 0.0)
         assert closed == pytest.approx(0.0, abs=1e-14)
-        # FD oracle, two step sizes, through the generic path
-        generic = weights.HermitianWeight((), w.phi_def, m2=w.m2, r0=w.r0, mu=w.mu, n=1)
+        # FD oracle, two step sizes: Hessian of Phi plus the Ricci form
+        z = np.zeros(1, dtype=complex)
         for step in (1e-4, 5e-5):
-            fd = hi.curvature_eigen_min(generic, disk, 0.0, step=step)
+            hess = geometry.complex_hessian_fd(lambda t: float(w.value(t)), z, step=step)
+            total = hess + geometry.ricci_form_matrix(disk, z)
+            fd = float(geometry.relative_form_eigenvalues(disk, z, total)[0])
             assert fd == pytest.approx(closed, abs=1e-6)
 
     def test_bergman_constant_in_z(self, disk):
@@ -104,6 +106,67 @@ class TestCurvature:
         sp = hi.hyperbolic_ball(2.0)
         with pytest.raises(SpaceMismatchError):
             hi.curvature_eigen_min(w, sp, 0.0)
+
+
+def random_polynomial_weight(rng, n):
+    """Two sigma terms and a real-polynomial deformation, exponents up to 2."""
+    sigmas = tuple(
+        Polynomial({tuple(rng.integers(0, 3, n)): 0.5 * complex(*rng.normal(size=2))
+                    for _ in range(3)}, n)
+        for _ in range(2))
+    phi = RealPolynomial({tuple(rng.integers(0, 3, 2 * n)): 0.5 * float(rng.normal())
+                          for _ in range(4)}, n)
+    return weights.HermitianWeight(sigmas, phi, m2=1.0, r0=1.0, mu=1.0, n=n)
+
+
+def assert_ddbar_matches_fd(w, zs):
+    exact = w.ddbar(zs)
+    for z, h in zip(zs, exact):
+        fd = geometry.complex_hessian_fd(lambda t: float(w.value(t)), z)
+        assert np.linalg.norm(h - fd) <= 1e-6 * max(1.0, np.linalg.norm(h))
+
+
+class TestExactDdbar:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_polynomial_weights_match_fd_oracle(self, rng, n):
+        for _ in range(20):
+            w = random_polynomial_weight(rng, n)
+            zs = 0.7 * (rng.uniform(-1, 1, (5, n)) + 1j * rng.uniform(-1, 1, (5, n)))
+            assert_ddbar_matches_fd(w, zs)
+
+    def test_bergman_matches_fd_oracle(self, rng):
+        for kappa in (1.0, 1.5):
+            w = hi.bergman_weight(3.0, kappa=kappa)
+            r = 0.7 * kappa * np.sqrt(rng.random(10))
+            assert_ddbar_matches_fd(w, (r * np.exp(2j * np.pi * rng.random(10)))[:, None])
+
+    def test_grid_equals_pointwise(self, rng, disk):
+        w = random_polynomial_weight(rng, 1)
+        zs = 0.6 * (rng.uniform(-1, 1, (7, 1)) + 1j * rng.uniform(-1, 1, (7, 1)))
+        for space in (hi.flat_space(1), disk):
+            grid = hi.curvature_eigen_min(w, space, zs)
+            assert grid.shape == (7,)
+            for z, value in zip(zs, grid):
+                assert hi.curvature_eigen_min(w, space, z) == value
+
+    def test_weight_space_dimension_mismatch(self):
+        with pytest.raises(SpaceMismatchError):
+            hi.curvature_eigen_min(hi.fock_weight(1.0), hi.flat_space(2), [0.0, 0.0])
+        with pytest.raises(SpaceMismatchError):
+            hi.curvature_eigen_min(hi.fock_weight(1.0, n=2), hi.flat_space(1), 0.0)
+
+
+class TestNonFiniteParameters:
+    def test_fock_alpha_nan_rejected(self):
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hi.fock_weight(alpha)
+
+    def test_bergman_parameters_nan_rejected(self):
+        with pytest.raises(DomainError):
+            hi.bergman_weight(math.nan)
+        with pytest.raises(DomainError):
+            hi.bergman_weight(3.0, kappa=math.nan)
 
 
 class TestNormalFrame:
@@ -169,6 +232,13 @@ class TestMeanValueMachinery:
         est = weights.phi_def_second_derivative_max(w, 0.0, 1.0)
         assert est == pytest.approx(4.0, rel=1e-3)
         assert est <= w.m2 * (1 + 1e-3)
+
+    def test_bergman_m2_closed_form_vs_fd_audit(self):
+        w = hi.bergman_weight(3.0, kappa=2.0)
+        # largest second real partial at the rim |z| = 0.9 kappa, by FD
+        rim = weights.phi_def_second_derivative_max(w, 1.8, 0.0, n_samples=1)
+        assert w.m2 == pytest.approx(1.05 * rim, rel=1e-6)
+        assert weights.phi_def_second_derivative_max(w, 0.0, 1.8) <= w.m2
 
 
 class TestSerialization:
