@@ -30,6 +30,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
 THREADS_ENV = "HOLO_INTERP_THREADS"
+#: ``interpolate`` warns above this raw nodal residual |f(p) - a|; on graded
+#: node sets the kernel values grow like e^{Phi/2}, so the raw residual can be
+#: large while the weighted one stays at rounding level
+RAW_RESIDUAL_WARN = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +58,16 @@ def _load_space(args) -> geometry.ModelSpace:
     raise DomainError("no --space given and the point file carries none")
 
 
-def _load_points(args) -> pointset.PointSet:
+def _load_points(args, space=None) -> pointset.PointSet:
+    """The ``--points`` set, checked against ``space`` for the commands that
+    take one (a node outside the ball would otherwise drop out as NaN).  An
+    empty set is stored as (0, 1) whatever the dimension, so it is not checked."""
     if not getattr(args, "points", None):
         raise DomainError("--points is required for this command")
-    return pointset.pointset_from_dict(_load_json_arg(args.points))
+    pts = pointset.pointset_from_dict(_load_json_arg(args.points))
+    if space is not None and len(pts):
+        space.validate_points(pts.points)
+    return pts
 
 
 def _load_weight(args) -> weights.HermitianWeight:
@@ -108,7 +118,7 @@ def _emit(args, report: dict, csv_text=None) -> None:
 
 def _cmd_separation(args) -> int:
     space = _load_space(args)
-    pts = _load_points(args)
+    pts = _load_points(args, space)
     r0 = math.inf
     if args.weight:
         r0 = _load_weight(args).r0
@@ -126,7 +136,7 @@ def _cmd_separation(args) -> int:
 
 def _cmd_density(args) -> int:
     space = _load_space(args)
-    pts = _load_points(args)
+    pts = _load_points(args, space)
     grid = _parse_grid(args.grid)
     map_fn, pool = _map_fn(args)
     try:
@@ -171,7 +181,7 @@ def _cmd_certify_bos(args) -> int:
 def _cmd_certify_t1(args) -> int:
     space = _load_space(args)
     w = _load_weight(args)
-    pts = _load_points(args)
+    pts = _load_points(args, space)
     grid = _parse_grid(args.grid)
     map_fn, pool = _map_fn(args)
     try:
@@ -186,7 +196,7 @@ def _cmd_certify_t1(args) -> int:
 def _cmd_certify_t2(args) -> int:
     space = _load_space(args)
     w = _load_weight(args)
-    pts = _load_points(args)
+    pts = _load_points(args, space)
     grid = _parse_grid(args.grid)
     rep = certificates.theorem2_certificate(
         w, space, pts, args.eps, grid,
@@ -197,7 +207,7 @@ def _cmd_certify_t2(args) -> int:
 def _cmd_construct(args) -> int:
     space = _load_space(args)
     w = _load_weight(args)
-    pts = _load_points(args)
+    pts = _load_points(args, space)
     if len(pts) and pts.values is None:
         raise DomainError("construct needs a point file with values")
     ext = construction.glued_extension(space, w, pts, delta0=args.delta0)
@@ -231,9 +241,14 @@ def _cmd_interpolate(args) -> int:
     kernel = _kernel_from_weight_spec(_load_json_arg(args.weight))
     pts = _load_points(args)
     interp = rkhs.min_norm_interpolant(kernel, pts)
-    res = interp.residuals()
+    raw = float(np.max(interp.residuals()))
+    weighted = float(np.max(interp.weighted_residuals))
     body = interp.to_dict()
-    body["max_residual"] = float(np.max(res)) if res.size else 0.0
+    body["max_residual"] = raw
+    body["max_weighted_residual"] = weighted
+    body["warnings"] = [] if raw <= RAW_RESIDUAL_WARN else [
+        f"raw nodal residual {raw:.3e} above {RAW_RESIDUAL_WARN:.0e}; "
+        f"weighted residual |f(p) - a| e^(-Phi(p)/2) is {weighted:.3e}"]
     _emit(args, report_envelope("interpolant", body))
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import pointset
 from .errors import ConditioningError, DomainError, SizeGuardError
@@ -79,13 +80,34 @@ class KernelSpace:
         return -(self.a_param + 2.0) * np.log(1.0 - s / self.kappa ** 2)
 
     def normalized_gram(self, points: np.ndarray) -> np.ndarray:
-        """Gram of the unit-normalized kernels; unit diagonal, Hermitian."""
-        logk = self.log_kernel(points, points, dtype=np.clongdouble)
-        dl = self.diag_log(points, dtype=np.clongdouble)
-        g = np.exp(logk - 0.5 * dl[:, None] - 0.5 * dl[None, :]).astype(complex)
-        g = 0.5 * (g + g.conj().T)
+        """Gram of the unit-normalized kernels; unit diagonal, exactly Hermitian."""
+        return self._normalized_grams(points)[0]
+
+    def _normalized_grams(self, points: np.ndarray):
+        """The normalized Gram from one extended-precision build, as
+        ``(complex128 with unit diagonal, clongdouble)``.
+
+        Only the upper triangle, diagonal included, is exponentiated; the
+        strict lower triangle is its exact conjugate mirror, so the rounded
+        Gram is exactly Hermitian.  The build runs row by row in the
+        log-kernel buffer: triangle fancy indexing would need three more
+        half-size extended temporaries.  The two half diagonal logs are
+        subtracted one after the other; subtracting their rounded sum made
+        the refined nodal residual six times larger.  The extended Gram
+        keeps its computed diagonal ``exp(logk_ii - dl_i)``, the one the
+        nodal evaluation in ``MinNormInterpolant`` sees.
+        """
+        gram_ld = self.log_kernel(points, points, dtype=np.clongdouble)
+        half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
+        for i in range(len(half)):
+            row = gram_ld[i, i:]
+            row -= half[i]
+            row -= half[i:]
+            np.exp(row, out=row)
+            gram_ld[i + 1:, i] = row[1:].conj()
+        g = gram_ld.astype(complex)
         np.fill_diagonal(g, 1.0)
-        return g
+        return g, gram_ld
 
 
 def _as_matrix(z, dtype=complex) -> np.ndarray:
@@ -121,12 +143,19 @@ class GramDiagnostic:
 def gram_matrix(space: KernelSpace, pts: pointset.PointSet,
                 size_guard: int = SIZE_GUARD) -> GramDiagnostic:
     """Normalized Gram with extreme eigenvalues (deterministic dense solve)."""
+    _check_size(pts, size_guard)
+    return _diagnose(space.normalized_gram(pts.points))
+
+
+def _check_size(pts: pointset.PointSet, size_guard: int) -> None:
     m = len(pts)
     if m == 0:
         raise DomainError("gram matrix of an empty point set")
     if m > size_guard:
         raise SizeGuardError(f"{m} points exceed the gram size guard ({size_guard})")
-    g = space.normalized_gram(pts.points)
+
+
+def _diagnose(g: np.ndarray) -> GramDiagnostic:
     ev = np.linalg.eigvalsh(g)
     eig_min = float(ev[0])
     eig_max = float(ev[-1])
@@ -147,13 +176,17 @@ class MinNormInterpolant:
     """
 
     def __init__(self, space: KernelSpace, pts: pointset.PointSet,
-                 normalized_coeff: np.ndarray, norm_sq: float, diagnostic: GramDiagnostic):
+                 normalized_coeff: np.ndarray, norm_sq: float, diagnostic: GramDiagnostic,
+                 weighted_residuals: np.ndarray):
         self.space = space
         self.points = pts
         self._y = normalized_coeff  # clongdouble, one per node
         self._dl = space.diag_log(pts.points, dtype=np.clongdouble)
         self.norm_sq = norm_sq
         self.diagnostic = diagnostic
+        #: nodal residuals ``|f(p) - a| e^{-Phi(p)/2} = |G y - a e^{-Phi/2}|``
+        #: in the normalized scale, from the solve's extended-precision Gram
+        self.weighted_residuals = weighted_residuals
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -193,7 +226,9 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     """
     if pts.values is None:
         raise DomainError("interpolation needs target values")
-    diag = gram_matrix(space, pts)
+    _check_size(pts, SIZE_GUARD)
+    g, gram_ld = space._normalized_grams(pts.points)
+    diag = _diagnose(g)
     if diag.eig_min < condition_guard:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {condition_guard:.1e}",
@@ -202,17 +237,17 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     # K = D G D with D = diag(exp(diag_log/2)); solve in the normalized
     # scale, then iterate refinement against the extended-precision Gram so
     # the strongly graded right-hand side keeps componentwise accuracy.
-    logk = space.log_kernel(pts.points, pts.points, dtype=np.clongdouble)
     dl = space.diag_log(pts.points, dtype=np.clongdouble)
-    gram_ld = np.exp(logk - 0.5 * dl[:, None] - 0.5 * dl[None, :])
     b = pts.values.astype(np.clongdouble) * np.exp(-0.5 * dl)
-    y = np.linalg.solve(diag.gram, b.astype(complex)).astype(np.clongdouble)
+    lu = scipy.linalg.lu_factor(g)
+    y = scipy.linalg.lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
         residual = b - gram_ld @ y
-        y = y + np.linalg.solve(diag.gram, residual.astype(complex)).astype(np.clongdouble)
+        y = y + scipy.linalg.lu_solve(lu, residual.astype(complex)).astype(np.clongdouble)
+    weighted = np.abs(gram_ld @ y - b).astype(float)
     coeff = (y * np.exp(-0.5 * dl)).astype(complex)
     norm_sq = float(np.real(np.vdot(coeff, pts.values)))
-    return MinNormInterpolant(space, pts, y, norm_sq, diag)
+    return MinNormInterpolant(space, pts, y, norm_sq, diag, weighted)
 
 
 # ---------------------------------------------------------------------------

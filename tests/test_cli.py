@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,13 @@ class TestExitCodes:
                         "--nr", "4", "--ntheta", "8", "--out", "/dev/null"])
         assert code == 2
 
+    def test_density_node_outside_disk_exits_two(self, capsys):
+        code = cli.run(["density", "--space", DISK,
+                        "--points", '{"points": [[0.5, 0.0], [1.5, 0.0]]}',
+                        "--grid=-0.5:0.5:3", "--out", "/dev/null"])
+        assert code == 2
+        assert "outside the open ball" in capsys.readouterr().err
+
     def test_non_finite_grid_exits_two(self, sparse_points):
         code = cli.run(["certify-t1", "--space", FLAT, "--weight", FOCK,
                         "--points", sparse_points, "--rho", "2", "--eps", "1",
@@ -166,7 +174,25 @@ class TestCommands:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["max_residual"] <= 1e-10
+        assert rep["warnings"] == []
         assert len(rep["coefficients"]) == 25
+
+    def test_interpolate_warns_on_raw_residual(self, tmp_path):
+        # spacing-2 lattice out to R = 10: the raw residual |f(p) - a| grows
+        # with e^{|p|^2/2} while the weighted one stays at rounding level
+        pts = {"points": [[2.0 * a, 2.0 * b] for a in range(-5, 6) for b in range(-5, 6)
+                          if a * a + b * b <= 25],
+               "values": [[math.cos(k), math.sin(k)] for k in range(81)]}
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps(pts))
+        out = tmp_path / "itp.json"
+        code = cli.run(["interpolate", "--weight", FOCK, "--points", str(path),
+                        "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["max_residual"] > 1e-10
+        assert rep["max_weighted_residual"] <= 1e-14
+        assert len(rep["warnings"]) == 1 and "raw nodal residual" in rep["warnings"][0]
 
     def test_sweep(self, tmp_path):
         out = tmp_path / "sweep.json"

@@ -1,13 +1,28 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from holo_interp import pointset, rkhs
 from holo_interp.errors import ConditioningError, DomainError, SizeGuardError
 
 # frozen dense-eigensolve oracle: 5x5 lattice, spacing 2, fock(1)
 FIVE_BY_FIVE_S2_EIG_MIN = 0.6160426662500302
+
+
+def golden_spiral(r0, r1, m):
+    """m points at radii linspace(r0, r1), a golden angle apart."""
+    return np.linspace(r0, r1, m) * np.exp(2.399963229728653j * np.arange(m))
+
+
+def mp_normalized_gram(log_k, z):
+    """50-digit ``exp(log K(p,q) - log K(p,p)/2 - log K(q,q)/2)``."""
+    with mpmath.workdps(50):
+        zs = [mpmath.mpc(c.real, c.imag) for c in z]
+        return np.array([[complex(mpmath.exp(log_k(p, q) - log_k(p, p) / 2 - log_k(q, q) / 2))
+                          for q in zs] for p in zs])
 
 
 def pts_of(values, targets=None):
@@ -74,6 +89,28 @@ class TestGram:
             assert np.allclose(np.diag(diag.gram), 1.0)
             assert diag.eig_min >= -1e-10
 
+    GRADED = [
+        # fock nodes out to |z| = 20, where the exponents reach alpha |z|^2 = 400
+        (rkhs.fock_kernel(1.0), golden_spiral(0.5, 20.0, 40),
+         lambda p, q: p * mpmath.conj(q)),
+        # bergman nodes up to 0.005 from the rim
+        (rkhs.bergman_kernel(3.0), golden_spiral(0.9, 0.995, 30),
+         lambda p, q: -5 * mpmath.log(1 - p * mpmath.conj(q))),
+    ]
+
+    @pytest.mark.parametrize("space,z,log_k", GRADED, ids=["fock", "bergman"])
+    def test_normalized_gram_exactly_hermitian(self, space, z, log_k):
+        g = space.normalized_gram(z)
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(np.diag(g) == 1.0)
+
+    @pytest.mark.parametrize("space,z,log_k", GRADED, ids=["fock", "bergman"])
+    def test_normalized_gram_matches_mpmath(self, space, z, log_k):
+        g = space.normalized_gram(z)
+        ref = mp_normalized_gram(log_k, z)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        assert np.all(np.abs(g - ref) <= 4 * eps * np.abs(ref) + tiny)
+
     def test_size_guard(self):
         lat = pointset.square_lattice(1.0, half_extent=2.0)
         with pytest.raises(SizeGuardError):
@@ -109,7 +146,27 @@ class TestMinNormInterpolant:
         a = rng.normal(size=20) + 1j * rng.normal(size=20)
         itp = rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, a))
         assert float(np.max(itp.residuals())) <= 1e-10 * float(np.max(np.abs(a)))
+        assert itp.weighted_residuals.shape == (20,)
+        assert float(np.max(itp.weighted_residuals)) <= 1e-14 * float(np.max(np.abs(a)))
         assert itp.norm_sq >= 0.0
+
+    def test_one_extended_build_and_one_factorization(self, monkeypatch):
+        calls = {"log_kernel": 0, "lu_factor": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rkhs.KernelSpace, "log_kernel",
+                            counting("log_kernel", rkhs.KernelSpace.log_kernel))
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting("lu_factor", scipy.linalg.lu_factor))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        lat = pointset.square_lattice(2.0, half_extent=4.0)
+        rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
+                                  pointset.PointSet(lat.points, np.ones(len(lat), complex)))
+        assert calls == {"log_kernel": 1, "lu_factor": 1, "solve": 0}
 
     def test_near_coincident_conditioning_error(self):
         with pytest.raises(ConditioningError) as exc:
