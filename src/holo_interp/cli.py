@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separation", help="minimum pairwise distance report")
     common(p, weight=True, points=True, space=True)
     p.add_argument("--bucketed", action="store_true",
-                   help="uniform-grid pruning for large flat sets")
+                   help="lift the pair guard (flat spaces only); the search is the same")
     p.set_defaults(func=_cmd_separation)
 
     p = sub.add_parser("density", help="hyperbolic density over a grid")

@@ -84,8 +84,8 @@ def _nodes_within(space: geometry.ModelSpace, nodes: np.ndarray, zs: np.ndarray,
     if len(nodes) == 0 or zs.shape[0] == 0 or not np.isfinite(zs[0]).all():
         return np.arange(len(nodes))
     z0 = zs[0]
-    reach = float(np.max(geometry.distances_from(space, zs, z0)))
-    d0 = geometry.distances_from(space, nodes, z0)
+    reach = float(np.max(geometry.geodesic_distances(space, zs, z0)))
+    d0 = geometry.geodesic_distances(space, nodes, z0)
     if not math.isfinite(reach):
         return np.arange(len(nodes))
     return np.nonzero(d0 <= (radius + reach) * (1.0 + 1e-12))[0]
@@ -126,6 +126,8 @@ class GluedExtension:
             raise DomainError("delta0 must be positive")
         if len(self.points) and self.points.values is None:
             raise DomainError("glued extension needs target values on the node set")
+        if len(self.points):  # validated once: the per-node distances do not check
+            self.space.validate_points(self.points.points)
 
     def values(self) -> np.ndarray:
         return self.points.values if self.points.values is not None else np.zeros(0, dtype=complex)
@@ -135,11 +137,10 @@ class GluedExtension:
 
 
 def glued_extension(space: geometry.ModelSpace, w: weights.HermitianWeight,
-                    pts: pointset.PointSet, delta0: Optional[float] = None,
-                    bucketed: bool = False) -> GluedExtension:
+                    pts: pointset.PointSet, delta0: Optional[float] = None) -> GluedExtension:
     """Build a GluedExtension, refusing node sets that violate the
     disjointness guard ``2 delta0 <= min(separation, r0)``."""
-    rep = pointset.separation(space, pts, r0=w.r0, bucketed=bucketed)
+    rep = pointset.separation(space, pts, r0=w.r0)
     if delta0 is None:
         delta0 = rep.delta0
     if not delta0 > 0:
@@ -164,7 +165,7 @@ def evaluate_extension(ext: GluedExtension, z):
     vals = ext.values()
     for i in _nodes_within(ext.space, ext.points.points, zs, ext.delta0):
         p = ext.points.point(i)
-        d = geometry.distances_from(ext.space, zs, p)
+        d = geometry.geodesic_distances(ext.space, zs, p)
         near = np.nonzero(d < ext.delta0)[0]
         if near.size:
             chi = cutoff(d[near] ** 2 / ext.delta0 ** 2)
@@ -188,6 +189,8 @@ class AuxiliaryWeight:
     def __post_init__(self):
         if self.rho <= 0:
             raise DomainError("rho must be positive")
+        if len(self.points):  # validated once: the per-node distances do not check
+            self.space.validate_points(self.points.points)
 
     @property
     def n(self) -> int:
@@ -199,17 +202,19 @@ class AuxiliaryWeight:
     def value_grid(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized values over an (m, n) array of points.
 
-        Only nodes whose rho-ball can reach a point are visited (see
+        Finite rows are validated; a non-finite row adds nothing.  Only
+        nodes whose rho-ball can reach a point are visited (see
         ``_nodes_within``); every skipped node would add exactly 0.0, so the
         values equal the sum over all nodes bit for bit.
         """
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim == 1:
             zs = zs[:, None]
+        self.space.validate_points(zs[np.isfinite(zs).all(axis=1)])
         out = np.zeros(zs.shape[0])
         nodes = self.points.points
         for q in nodes[_nodes_within(self.space, nodes, zs, self.rho)]:
-            d = geometry.distances_from(self.space, zs, q)
+            d = geometry.geodesic_distances(self.space, zs, q)
             pole = d == 0.0
             u = d ** 2 / self.rho ** 2
             inside = (~pole) & (u < 1.0)

@@ -153,16 +153,24 @@ def space_from_dict(d: dict) -> ModelSpace:
 # ---------------------------------------------------------------------------
 # distances
 
+def geodesic_distances(space: ModelSpace, a, b) -> np.ndarray:
+    """Geodesic distances between the rows of ``a`` and ``b``, (..., n)
+    arrays that broadcast against each other; no row is validated.
+
+    Flat: ``|a - b|``.  Ball: ``2 kappa asinh(sqrt(u))`` with ``u = kappa^2
+    |a-b|^2 / ((kappa^2 - |a|^2)(kappa^2 - |b|^2))``.
+    """
+    diff_sq = np.sum(np.abs(np.subtract(a, b)) ** 2, axis=-1)
+    if space.is_flat:
+        return np.sqrt(diff_sq)
+    kap2 = space.kappa * space.kappa
+    q = (kap2 - np.sum(np.abs(a) ** 2, axis=-1)) * (kap2 - np.sum(np.abs(b) ** 2, axis=-1))
+    return 2.0 * space.kappa * np.arcsinh(np.sqrt(kap2 * diff_sq / q))
+
+
 def distance(space: ModelSpace, x, y) -> float:
     """Geodesic distance between two points of the model space."""
-    x = space.validate_point(x)
-    y = space.validate_point(y)
-    if space.is_flat:
-        return float(np.linalg.norm(x - y))
-    kap = space.kappa
-    q = (kap * kap - _norm_sq(x)) * (kap * kap - _norm_sq(y))
-    u = kap * kap * _norm_sq(x - y) / q
-    return 2.0 * kap * math.asinh(math.sqrt(u))
+    return float(geodesic_distances(space, space.validate_point(x), space.validate_point(y)))
 
 
 def distances_from(space: ModelSpace, points: np.ndarray, z) -> np.ndarray:
@@ -171,21 +179,8 @@ def distances_from(space: ModelSpace, points: np.ndarray, z) -> np.ndarray:
     ``points`` has shape (m, n); membership of the rows is assumed, only
     ``z`` is validated.
     """
-    z = space.validate_point(z)
     pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    diff_sq = np.sum(np.abs(pts - z[None, :]) ** 2, axis=1)
-    if space.is_flat:
-        return np.sqrt(diff_sq)
-    kap = space.kappa
-    q = (kap * kap - np.sum(np.abs(pts) ** 2, axis=1)) * (kap * kap - _norm_sq(z))
-    u = kap * kap * diff_sq / q
-    return 2.0 * kap * np.arcsinh(np.sqrt(u))
-
-
-def _norm_sq(v) -> float:
-    return float(np.sum(np.abs(v) ** 2))
+    return geodesic_distances(space, pts[:, None] if pts.ndim == 1 else pts, space.validate_point(z))
 
 
 # ---------------------------------------------------------------------------

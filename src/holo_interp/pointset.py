@@ -3,12 +3,12 @@ hyperbolic (Seip-type) density used by the negative-curvature certificate."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import geometry
 from .errors import DomainError, SizeGuardError, SpaceMismatchError
@@ -134,78 +134,70 @@ class SeparationReport:
 
 def separation(space: geometry.ModelSpace, pts: PointSet, r0: float = math.inf,
                pair_guard: int = PAIR_GUARD, bucketed: bool = False) -> SeparationReport:
-    """Exact minimum pairwise distance (brute force over all pairs).
+    """Exact minimum pairwise distance and its first minimising pair in
+    lexicographic order (``_tree_min_pair``).
 
-    Raises ``SizeGuardError`` beyond ``pair_guard`` pairs unless
-    ``bucketed=True`` (flat spaces only), which prunes pairs with a uniform
-    grid while remaining exact.
+    The nodes are validated first.  Beyond ``pair_guard`` pairs a
+    ``SizeGuardError`` is raised unless ``bucketed=True``, which lifts the
+    guard on flat spaces and is refused on the ball; it selects no algorithm.
     """
     m = len(pts)
     if m <= 1:
         return SeparationReport(math.inf, None, min(math.inf, r0) / 2.0, r0)
+    space.validate_points(pts.points)
     n_pairs = m * (m - 1) // 2
     if n_pairs > pair_guard and not bucketed:
         raise SizeGuardError(
             f"{n_pairs} pairs exceed the guard ({pair_guard}); "
             "pass bucketed=True (flat spaces) or reduce the set"
         )
-    if bucketed:
-        if not space.is_flat:
-            raise SizeGuardError("bucketed separation is implemented for flat spaces only")
-        dmin, pair = _bucketed_min_pair(pts.points)
-    else:
-        dmin, pair = _brute_force_min_pair(space, pts.points)
+    if bucketed and not space.is_flat:
+        raise SizeGuardError("bucketed separation is implemented for flat spaces only")
+    dmin, pair = _tree_min_pair(space, pts.points)
     return SeparationReport(dmin, pair, min(dmin, r0) / 2.0, r0)
 
 
-def _brute_force_min_pair(space, points):
+def _tree_min_pair(space, points):
+    """Minimum distance over the pairs i < j of m >= 2 valid, distinct (m, n)
+    nodes and the first pair attaining it in lexicographic order (None when
+    it is infinite; NaN, from a node on the rim to rounding, counts as inf).
+
+    A k-d tree's Euclidean nearest neighbours bound the minimum by ``U``.  A
+    pair at distance ``<= U`` lies within Euclidean distance ``U`` of ``z_i``
+    on flat space and ``sqrt(kappa^2 - |z_i|^2) sinh(U/2kappa)`` on the ball
+    (``|z_i - z_j|^2 = q sinh^2(d/2kappa)/kappa^2``), so only those pairs get
+    exact distances; the closed form is symmetric to the bit, so the minimum
+    is the all-pairs one to the bit.
+    """
     m = points.shape[0]
-    best = math.inf
-    pair = None
-    block = 512
-    for i0 in range(0, m, block):
-        hi = min(i0 + block, m)
-        for i in range(i0, hi):
-            d = geometry.distances_from(space, points[i + 1:], points[i])
-            if d.size == 0:
-                continue
-            j = int(np.argmin(d))
-            if d[j] < best:
-                best = float(d[j])
-                pair = (i, i + 1 + j)
-    return best, pair
+    # clipping shortens no distance and keeps the tree's squares finite
+    tree = cKDTree(np.clip(points.view(float).reshape(m, -1), -2.0 ** 500, 2.0 ** 500))
+    rows = np.arange(m)
+    nearest = tree.query(tree.data, k=2)[1]
+    nearest = np.where(nearest[:, 1] == rows, nearest[:, 0], nearest[:, 1])
+    upper = np.min(_pair_distances(space, points, rows, nearest))
+    radii = upper
+    if not space.is_flat:  # room as rounded in geometry.geodesic_distances
+        kap = space.kappa
+        room = kap * kap - np.sum(np.abs(points) ** 2, axis=-1)
+        radii = np.sqrt(room) * np.sinh(upper / (2.0 * kap))
+    # widened past rounding and underflow; NaN (0 * inf, a rim node) is inf
+    radii = np.where(radii >= 0.0, radii * (1.0 + 1e-9) + 1e-150, math.inf)
+    found = tree.query_ball_point(tree.data, radii, return_sorted=True)
+    i = np.repeat(rows, [len(js) for js in found])
+    j = np.concatenate(found)
+    i, j = i[j > i], j[j > i]
+    d = _pair_distances(space, points, i, j)
+    if d.min() == math.inf:
+        return math.inf, None
+    k = int(np.argmin(d))
+    return float(d[k]), (int(i[k]), int(j[k]))
 
 
-def _bucketed_min_pair(points):
-    m = points.shape[0]
-    coords = points.view(float).reshape(m, -1)
-    # cheap upper bound: nearest neighbor among lexicographically adjacent rows
-    order = np.lexsort(coords.T[::-1])
-    srt = coords[order]
-    gaps = np.linalg.norm(srt[1:] - srt[:-1], axis=1)
-    ub = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
-    cell = max(ub, 1e-300)
-    buckets: dict = {}
-    keys = np.floor(coords / cell).astype(np.int64)
-    for i in range(m):
-        buckets.setdefault(tuple(keys[i]), []).append(i)
-    dim = coords.shape[1]
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-    best = math.inf
-    pair = None
-    for key, members in buckets.items():
-        cand = []
-        for off in offsets:
-            cand.extend(buckets.get(tuple(k + o for k, o in zip(key, off)), []))
-        for i in members:
-            for j in cand:
-                if j <= i:
-                    continue
-                d = float(np.linalg.norm(coords[i] - coords[j]))
-                if d < best:
-                    best = d
-                    pair = (i, j)
-    return best, pair
+def _pair_distances(space, points, i, j):
+    d = geometry.geodesic_distances(space, points[j], points[i])
+    d[np.isnan(d)] = math.inf
+    return d
 
 
 # ---------------------------------------------------------------------------

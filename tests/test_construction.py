@@ -194,6 +194,11 @@ class TestGluedExtension:
             f_val = hi.evaluate_extension(ext, complex(z[0]))
             assert abs(g[0]) <= 1e-8 * abs(f_val)
 
+    def test_node_outside_ball_refused(self, disk):
+        pts = pointset.PointSet(np.array([[0j], [1.5 + 0j]]), np.array([1.0 + 0j, 1.0 + 0j]))
+        with pytest.raises(DomainError):
+            construction.GluedExtension(disk, hi.bergman_weight(3.0), pts, 0.1)
+
     def test_values_required(self, fock1, flat1):
         lat = pointset.square_lattice(2.0, half_extent=4.0)
         with pytest.raises(DomainError):
@@ -250,6 +255,19 @@ class TestAuxiliaryWeight:
         aux = construction.AuxiliaryWeight(flat1, pointset.PointSet(np.array([[0j]])), rho)
         z = complex(math.sqrt(rho ** 2 / math.e))
         assert aux.value(z) == pytest.approx(MINUS_INV_E, abs=1e-14)
+
+    def test_node_outside_ball_refused(self):
+        # the node at 1.5 used to drop out of the sum as a NaN distance (value 0.0)
+        with pytest.raises(DomainError):
+            construction.AuxiliaryWeight(hi.hyperbolic_ball(1.0),
+                                         pointset.PointSet([[0], [1.5]]), 0.5).value_grid([[0.3]])
+
+    def test_points_outside_ball_refused(self, disk):
+        aux = construction.AuxiliaryWeight(disk, pointset.PointSet(np.array([[0j]])), 0.5)
+        with pytest.raises(DomainError):
+            aux.value(1.2 + 0j)
+        with pytest.raises(DomainError):
+            aux.value_grid(np.array([[0.3 + 0j], [1.5 + 0j]]))
 
     def test_pole_sentinel(self, flat1):
         aux = construction.AuxiliaryWeight(flat1, pointset.PointSet(np.array([[0.5 + 0j]])), 1.0)

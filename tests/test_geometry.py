@@ -73,6 +73,17 @@ class TestDistance:
             assert (dxy == 0.0) == (x == y)
             assert dxy <= hi.distance(sp, x, z) + hi.distance(sp, z, y) + 1e-12
 
+    @pytest.mark.parametrize("space", [hi.flat_space(2), hi.hyperbolic_ball(3.0, n=2)])
+    def test_one_closed_form(self, space, rng):
+        # distance, distances_from and the row-wise form agree to the bit
+        a = (rng.uniform(-1, 1, (40, 2)) + 1j * rng.uniform(-1, 1, (40, 2)))
+        b = a[::-1].copy()
+        rows = geometry.geodesic_distances(space, a, b)
+        assert rows.shape == (40,)
+        for i in range(40):
+            d = geometry.distances_from(space, a[i:i + 1], b[i])[0]
+            assert rows[i] == d == hi.distance(space, a[i], b[i]) == hi.distance(space, b[i], a[i])
+
     def test_vectorized_matches_scalar(self, disk, rng):
         pts = (rng.uniform(-0.6, 0.6, (50, 1)) + 1j * rng.uniform(-0.6, 0.6, (50, 1)))
         z = 0.1 + 0.2j

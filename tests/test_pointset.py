@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holo_interp as hi
 from holo_interp import pointset
@@ -13,6 +15,42 @@ LOG4 = 1.3862943611198906
 def brute_count(space, pts, z, rho):
     # independent enumeration oracle
     return sum(1 for p in pts.points if hi.distance(space, p, z) < rho)
+
+
+def all_pairs_min(space, pts):
+    """Independent reference: the closed-form distance matrix minimised over
+    i < j in row-major order, so the first minimiser comes first; NaN counts
+    as inf."""
+    z = pts.points
+    m = z.shape[0]
+    diff_sq = np.sum(np.abs(z[None, :, :] - z[:, None, :]) ** 2, axis=-1)
+    if space.is_flat:
+        d = np.sqrt(diff_sq)
+    else:
+        kap2 = space.kappa * space.kappa
+        room = kap2 - np.sum(np.abs(z) ** 2, axis=-1)
+        d = 2.0 * space.kappa * np.arcsinh(np.sqrt(kap2 * diff_sq / (room[None, :] * room[:, None])))
+    d = np.where(np.triu(np.ones((m, m), bool), 1) & ~np.isnan(d), d, math.inf)
+    k = int(np.argmin(d))
+    if d.flat[k] == math.inf:
+        return math.inf, None
+    return float(d.flat[k]), (k // m, k % m)
+
+
+def assert_matches_all_pairs(space, pts, **kw):
+    rep = hi.separation(space, pts, **kw)
+    dmin, pair = all_pairs_min(space, pts)
+    assert np.float64(rep.min_pairwise_distance).tobytes() == np.float64(dmin).tobytes()
+    assert rep.arg_pair == pair
+
+
+SPACES = [("flat", 1, None), ("flat", 2, None)] + [
+    ("ball", n, kap) for n in (1, 2) for kap in (0.5, 1.0, 3.0)]
+
+
+def make_space(spec):
+    kind, n, kap = spec
+    return hi.flat_space(n) if kind == "flat" else hi.hyperbolic_ball(kap, n=n)
 
 
 class TestPointSet:
@@ -88,6 +126,87 @@ class TestSeparation:
         pts = pointset.PointSet(np.array([[0j], [0.1 + 0j]]))
         with pytest.raises(SizeGuardError):
             hi.separation(disk, pts, bucketed=True)
+
+    def test_node_outside_ball_refused_before_pair_guard(self, disk):
+        pts = pointset.PointSet(np.array([[0j], [0.5 + 0j], [1.5 + 0j]]))
+        with pytest.raises(DomainError):
+            hi.separation(disk, pts, pair_guard=1)
+
+
+class TestTreeSeparation:
+    """``separation`` against an all-pairs reference: the same minimum to the
+    bit and the first minimising pair in lexicographic order."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(spec=st.sampled_from(SPACES), m=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1), rim_exponent=st.floats(0.0, 12.0))
+    def test_random_sets(self, spec, m, seed, rim_exponent):
+        rng = np.random.default_rng(seed)
+        n = spec[1]
+        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        if spec[0] == "ball":
+            # 1 - |z|/kappa in (0, 1], scaled down by up to 10^-rim_exponent
+            frac = 1.0 - (1.0 - rng.random(m)) * 10.0 ** -rng.uniform(0.0, rim_exponent, m)
+            z *= (spec[2] * frac / np.linalg.norm(z, axis=1))[:, None]
+        space, pts = make_space(spec), pointset.PointSet(z)
+        assert_matches_all_pairs(space, pts)
+        if spec[0] == "flat":
+            assert_matches_all_pairs(space, pts, bucketed=True)
+
+    @pytest.mark.parametrize("spec", SPACES)
+    def test_lattice_ties(self, spec, rng):
+        kind, n, kap = spec
+        a = np.arange(-3, 4)
+        grid = (a[None, :] + 1j * a[:, None]).reshape(-1)
+        z = grid[:, None] if n == 1 else np.stack([grid, grid[::-1] * 1j], axis=1)
+        z = z * (1.0 if kind == "flat" else 0.08 * kap)
+        for order in (np.arange(len(z)), rng.permutation(len(z))):
+            assert_matches_all_pairs(make_space(spec), pointset.PointSet(z[order]))
+
+    @pytest.mark.parametrize("spec", SPACES)
+    def test_symmetric_rings(self, spec):
+        kind, n, kap = spec
+        scale = 1.0 if kind == "flat" else kap
+        for k, r in ((6, 0.5), (24, 0.9), (64, 1.0 - 1e-9)):
+            ring = scale * r * np.exp(2j * np.pi * np.arange(k) / k)
+            ring = np.concatenate([[0.0], ring])
+            z = ring[:, None] if n == 1 else np.stack([ring, np.zeros_like(ring)], axis=1)
+            assert_matches_all_pairs(make_space(spec), pointset.PointSet(z))
+
+    def test_rim_nodes_to_rounding(self, disk):
+        # |z| < 1, but |z|^2 rounds to 1: every distance from such a node is inf
+        rim = [-0.783814003152143 - 0.6209956589724377j, -0.9626681429324231 - 0.2706844040262379j]
+        assert np.all(np.abs(rim) ** 2 == 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = hi.separation(disk, pointset.PointSet(np.array(rim)[:, None]))
+            assert (rep.min_pairwise_distance, rep.arg_pair) == (math.inf, None)
+            pts = pointset.PointSet(np.array([rim[0], 0.3, rim[1], 0.5j, 0.1 - 0.2j])[:, None])
+            assert_matches_all_pairs(disk, pts)
+            assert hi.separation(disk, pts).arg_pair == (1, 4)
+        # n = 2: |z|^2 rounds above kappa^2, so distances from the node are NaN
+        ball2 = hi.hyperbolic_ball(1.0, n=2)
+        beyond = [0.5625185766301471 + 0.13528470549487323j, 0.4290346420040747 + 0.6936859342422866j]
+        pts = pointset.PointSet(np.array([[0.1j, 0.2], beyond, [0.3, -0.1j]]))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(hi.distance(ball2, beyond, [0.1j, 0.2]))
+            assert_matches_all_pairs(ball2, pts)
+            assert hi.separation(ball2, pts).arg_pair == (0, 2)
+
+    def test_underflowing_squares(self, flat1):
+        # squared differences near 1e-316 are subnormal and round differently
+        # in the tree and in the distance formula
+        z = [-3.9701224820124056e-159 - 1.1910367446037217e-158j, 7.940244964024811e-159 + 0j,
+             -3.1664737313258105e-161 - 1.5832368656629052e-161j, -1.5832368656629052e-161j]
+        for pts in (z[:2], z[2:], z):
+            assert_matches_all_pairs(flat1, pointset.PointSet(np.array(pts)[:, None]))
+
+    def test_overflowing_flat_coordinates(self, flat1):
+        # squared differences overflow to inf in the distance formula
+        pts = pointset.PointSet(np.array([[1e200 + 0j], [-1e200 + 0j], [1e200j], [0j], [1e-3 + 0j]]))
+        with np.errstate(over="ignore"):
+            rep = hi.separation(flat1, pts)
+            assert (rep.min_pairwise_distance, rep.arg_pair) == (1e-3, (3, 4))
+            assert_matches_all_pairs(flat1, pointset.PointSet(pts.points[:3]))
 
 
 class TestCountInBall:
