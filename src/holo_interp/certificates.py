@@ -55,9 +55,6 @@ class CertificateReport:
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def worst_sample(self) -> SampleMargin:
-        return min(self.per_sample, key=lambda s: s.margin)
-
     def to_dict(self) -> dict:
         body = {
             "criterion": self.criterion,
@@ -75,7 +72,7 @@ class CertificateReport:
         header = ["index", "re", "im", "required", "available", "margin"]
         rows = []
         for i, s in enumerate(self.per_sample):
-            z = s.point[0] if s.point.size == 1 else s.point[0]
+            z = s.point[0]
             rows.append([i, z.real, z.imag, s.required, s.available, s.margin])
         return header, rows
 
@@ -110,12 +107,6 @@ def _separation_warning(space, pts) -> list:
     return []
 
 
-def _grid_rows(space: geometry.ModelSpace, grid) -> np.ndarray:
-    """The sample grid (points, or scalars when n = 1) as validated (m, n) rows."""
-    zs = np.asarray(list(grid), dtype=complex)
-    return space.validate_points(zs[:, None] if zs.ndim == 1 and space.n == 1 else zs)
-
-
 def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
                     rho: float, eps: float, grid: Sequence,
                     space: Optional[geometry.ModelSpace] = None,
@@ -133,7 +124,7 @@ def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
         raise SpaceMismatchError(f"weight of dimension {w.n} on a space of dimension {space.n}")
     if not (0.0 < rho < math.inf and 0.0 < eps < math.inf):
         raise DomainError("rho and eps must be positive and finite")
-    zs = _grid_rows(space, grid)
+    zs = pointset.grid_rows(space, grid)
     laplacian = 4.0 * w.ddbar(zs)[:, 0, 0].real
     counts = np.array(list(map_fn(lambda z: pointset.count_in_ball(space, pts, z, rho), zs)))
     samples = list(map(SampleMargin, zs, counts / rho ** 2 + eps, laplacian))
@@ -148,7 +139,7 @@ def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
     if not (0.0 < rho < math.inf and 0.0 < eps < math.inf):
         raise DomainError("rho and eps must be positive and finite")
     factor = geometry.hessian_comparison_factor(space.k, rho)
-    zs = _grid_rows(space, grid)
+    zs = pointset.grid_rows(space, grid)
     available = weights.curvature_eigen_min(w, space, zs)
     counts = np.array(list(map_fn(lambda z: pointset.count_in_ball(space, pts, z, rho), zs)))
     samples = list(map(SampleMargin, zs, space.n * (counts / rho ** 2) * factor + eps, available))
@@ -171,7 +162,7 @@ def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
         raise DomainError("eps must be positive and finite")
     if math.isnan(density_threshold):
         raise DomainError("density threshold must be a number or inf")
-    zs = _grid_rows(space, grid)
+    zs = pointset.grid_rows(space, grid)
     available = weights.curvature_eigen_min(w, space, zs)
     samples = list(map(SampleMargin, zs, np.full(len(zs), eps), available))
     sup = pointset.sup_density(space, pts, zs, cutoff=cutoff) if len(pts) else None

@@ -138,17 +138,10 @@ def _cmd_density(args) -> int:
     space = _load_space(args)
     pts = _load_points(args, space)
     grid = _parse_grid(args.grid)
-    map_fn, pool = _map_fn(args)
-    try:
-        vals = list(map_fn(lambda z: pointset.seip_density(space, pts, z, cutoff=args.cutoff),
-                           list(grid)))
-    finally:
-        if pool:
-            pool.shutdown()
-    best = int(np.argmax(vals)) if vals else 0
+    vals = pointset.seip_density(space, pts, pointset.grid_rows(space, grid), cutoff=args.cutoff)
     body = {
-        "grid_sup": (max(vals) if vals else 0.0),
-        "argmax_index": best,
+        "grid_sup": float(vals.max()),
+        "argmax_index": int(np.argmax(vals)),
         "cutoff": args.cutoff,
         "n_grid": len(vals),
         "note": "grid supremum, not a supremum over the space",

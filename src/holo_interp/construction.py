@@ -250,8 +250,9 @@ def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> 
 # quadrature
 
 def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
-    """Wirtinger dzbar of chi(d(p,.)^2/delta0^2) at each z (n = 1), in closed
-    form: ``chi'(t) dzbar(d^2) / delta0^2`` with ``t = d^2/delta0^2``.
+    """Wirtinger dzbar of chi(d(p,.)^2/delta0^2) at each z (n = 1) for the
+    node row ``p`` of ``ext`` (validated with it), in closed form:
+    ``chi'(t) dzbar(d^2) / delta0^2`` with ``t = d^2/delta0^2``.
 
     Flat: ``dzbar(d^2) = z - p``.  Disk: differentiating
     ``d = 2 kappa asinh(sqrt(u))``, ``u = kappa^2 |z-p|^2 / ((kappa^2-|p|^2)
@@ -263,8 +264,8 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
     holomorphic by construction.
     """
     space = ext.space
-    p = complex(geometry.as_point(p, 1)[0])
-    d = geometry.distances_from(space, zs[:, None], p)
+    d = geometry.geodesic_distances(space, zs[:, None], p)
+    p = complex(p[0])
     if space.is_flat:
         dbar_dsq = zs - p
     else:
@@ -357,7 +358,7 @@ def extension_norm_sq(ext: GluedExtension, nr: int = 48, ntheta: int = 96) -> fl
     for i in range(len(ext.points)):
         p = ext.points.point(i)
         zs, jac, cell = _annulus_nodes(ext.space, p, 0.0, ext.delta0, nr, ntheta)
-        d = geometry.distances_from(ext.space, zs[:, None], p)
+        d = geometry.geodesic_distances(ext.space, zs[:, None], p)
         chi = cutoff(d ** 2 / ext.delta0 ** 2)
         zcol = zs[:, None]
         expo = weights.normal_frame_exponent(ext.weight, p, zcol)

@@ -17,6 +17,8 @@ PAIR_GUARD = 10_000_000
 
 #: Literal cutoff in the density sum: nodes at distance >= 1 contribute.
 DENSITY_CUTOFF = 1.0
+#: Distances per block of grid rows in ``seip_density``
+DENSITY_BLOCK = 2 ** 15
 
 
 @dataclass
@@ -213,22 +215,33 @@ def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float) -> i
     return int(np.count_nonzero(d < rho))
 
 
+def grid_rows(space: geometry.ModelSpace, grid) -> np.ndarray:
+    """A sample grid (points, or scalars when n = 1) as validated (m, n) rows."""
+    zs = np.asarray(list(grid), dtype=complex)
+    return space.validate_points(zs[:, None] if zs.ndim == 1 and space.n == 1 else zs)
+
+
 def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
-                 cutoff: float = DENSITY_CUTOFF) -> float:
+                 cutoff: float = DENSITY_CUTOFF):
     """Sum of ``-log tanh^2(d(x,p)/(2 kappa))`` over nodes at distance >= cutoff.
 
+    ``x`` is one point (a float result) or an (m, n) grid (an (m,) array).
     Requires a hyperbolic ball; each contributing term is positive and
-    decreases to 0 as the node recedes.
+    decreases to 0 as the node recedes.  Excluded nodes (NaN distances too)
+    are put at infinity, where the term is exactly 0.
     """
     if space.is_flat:
         raise SpaceMismatchError("the density is defined on the hyperbolic ball only")
-    if len(pts) == 0:
-        return 0.0
-    d = geometry.distances_from(space, pts.points, x)
-    d = d[d >= cutoff]
-    if d.size == 0:
-        return 0.0
-    return float(-2.0 * np.sum(np.log(np.tanh(d / (2.0 * space.kappa)))))
+    xs, single = space.validate_rows(x)
+    out = np.zeros(len(xs))
+    if len(pts):
+        nodes = pts.points[None]
+        step = max(1, DENSITY_BLOCK // len(pts))
+        for i in range(0, len(xs), step):
+            d = geometry.geodesic_distances(space, nodes, xs[i:i + step, None])
+            d = np.where(d >= cutoff, d, math.inf)
+            out[i:i + step] = -2.0 * np.sum(np.log(np.tanh(d / (2.0 * space.kappa))), axis=1)
+    return float(out[0]) if single else out
 
 
 class GridSupremum(NamedTuple):
@@ -239,22 +252,18 @@ class GridSupremum(NamedTuple):
 
 def sup_density(space: geometry.ModelSpace, pts: PointSet, sample_grid: Sequence,
                 cutoff: float = DENSITY_CUTOFF) -> GridSupremum:
-    """Maximum of the density over a sample grid, with the maximizing point.
+    """Maximum of the density over a sample grid, with the first maximizing
+    point.
 
     This is a grid supremum, not the supremum over the whole space; reports
     label it accordingly.
     """
-    grid = list(sample_grid)
-    if not grid:
+    xs = grid_rows(space, sample_grid)
+    if not len(xs):
         raise DomainError("sample grid must be nonempty")
-    best = -math.inf
-    best_i = 0
-    for i, x in enumerate(grid):
-        v = seip_density(space, pts, x, cutoff=cutoff)
-        if v > best:
-            best = v
-            best_i = i
-    return GridSupremum(best, geometry.as_point(grid[best_i], space.n), best_i)
+    vals = seip_density(space, pts, xs, cutoff=cutoff)
+    i = int(np.argmax(vals))
+    return GridSupremum(float(vals[i]), xs[i], i)
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,8 @@ class MinNormInterpolant:
         return complex(out[0]) if scalar else out.reshape(z.shape if self.space.n == 1 else z.shape[:-1])
 
     def residuals(self) -> np.ndarray:
-        vals = self(self.points.points[:, 0]) if self.space.n == 1 else np.array(
-            [self(p) for p in self.points.points])
+        nodes = self.points.points
+        vals = self(nodes[:, 0] if self.space.n == 1 else nodes)
         return np.abs(vals - self.points.values)
 
     def to_dict(self) -> dict:

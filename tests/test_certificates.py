@@ -208,6 +208,8 @@ class TestNonFiniteInputs:
             hi.theorem2_certificate(hi.bergman_weight(4.0), disk, EMPTY, eps=0.5,
                                     grid=[0.0 + 0j, complex(math.nan, 0.0)])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_curvature_refused(self, flat1):
         # |d sigma|^2 = 1e400 overflows: an infinite margin must not pass
         w = weights.HermitianWeight((weights.Polynomial.from_coeffs([0.0, 1e200]),), None,

@@ -99,6 +99,12 @@ class TestExitCodes:
         assert code == 2
         assert "outside the open ball" in capsys.readouterr().err
 
+    def test_density_grid_outside_disk_exits_two(self, disk_points, capsys):
+        code = cli.run(["density", "--space", DISK, "--points", disk_points,
+                        "--grid=-1:1:5", "--out", "/dev/null"])
+        assert code == 2
+        assert "outside the open ball" in capsys.readouterr().err
+
     def test_non_finite_grid_exits_two(self, sparse_points):
         code = cli.run(["certify-t1", "--space", FLAT, "--weight", FOCK,
                         "--points", sparse_points, "--rho", "2", "--eps", "1",
@@ -251,6 +257,7 @@ class TestDeterminism:
         ["certify-bos", "--weight", POLY, "--rho", "0.5", "--eps", "0.1", "--grid=-0.6:0.6:7"],
         ["certify-t2", "--space", DISK, "--eps", "0.5", "--grid=-0.6:0.6:7",
          "--weight", '{"builtin": "bergman", "A": 4.0, "kappa": 1.0}'],
+        ["density", "--space", DISK, "--grid=-0.6:0.6:7"],
     ])
     def test_certificates_byte_identical_across_threads(self, tmp_path, disk_points, argv):
         outputs = []

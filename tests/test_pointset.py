@@ -285,6 +285,56 @@ class TestSeipDensity:
         assert hi.seip_density(disk, pts, 0.0, cutoff=0.1) > 0.0
 
 
+def density_sets():
+    """(space, node set, grid rows): disk and n = 2 ball sets with nodes in
+    and out of the cutoff, and an empty set."""
+    rng = np.random.default_rng(7)
+    disk = hi.hyperbolic_ball(1.0)
+    ball2 = hi.hyperbolic_ball(2.0, n=2)
+    r1 = 0.9 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    g1 = 0.8 * np.sqrt(rng.uniform(0, 1, 25)) * np.exp(2j * np.pi * rng.uniform(0, 1, 25))
+    z2 = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    z2 *= 1.8 * rng.uniform(0, 1, (30, 1)) / np.linalg.norm(z2, axis=1, keepdims=True)
+    return [
+        (disk, pointset.PointSet(r1[:, None]), g1[:, None]),
+        (disk, pointset.PointSet(np.zeros((0, 1), complex)), g1[:, None]),
+        (ball2, pointset.PointSet(z2[:20]), z2[20:]),
+    ]
+
+
+class TestSeipDensityGrid:
+    @pytest.mark.parametrize("cutoff", [pointset.DENSITY_CUTOFF, 0.3, 2.5])
+    @pytest.mark.parametrize("case", range(3), ids=["disk", "disk_empty", "ball_n2"])
+    def test_grid_equals_stacked_points(self, case, cutoff):
+        space, pts, rows = density_sets()[case]
+        grid = hi.seip_density(space, pts, rows, cutoff=cutoff)
+        single = np.array([hi.seip_density(space, pts, x, cutoff=cutoff) for x in rows])
+        assert isinstance(grid, np.ndarray) and grid.shape == (len(rows),)
+        assert isinstance(hi.seip_density(space, pts, rows[0], cutoff=cutoff), float)
+        assert grid.tobytes() == single.tobytes()
+
+    def test_grid_spanning_several_blocks(self, monkeypatch):
+        space, pts, rows = density_sets()[0]
+        whole = hi.seip_density(space, pts, rows)
+        monkeypatch.setattr(pointset, "DENSITY_BLOCK", 3 * len(pts))
+        assert hi.seip_density(space, pts, rows).tobytes() == whole.tobytes()
+
+    def test_grid_matches_term_sum(self):
+        space, pts, rows = density_sets()[0]
+        d = np.array([[hi.distance(space, p, x) for p in pts.points] for x in rows])
+        terms = np.where(d >= 1.0, -2.0 * np.log(np.tanh(d / 2.0)), 0.0)
+        np.testing.assert_allclose(hi.seip_density(space, pts, rows), terms.sum(axis=1),
+                                   rtol=1e-14)
+
+    def test_grid_row_outside_ball_rejected(self, disk):
+        pts = pointset.PointSet(np.array([[0.5 + 0j]]))
+        with pytest.raises(DomainError):
+            hi.seip_density(disk, pts, np.array([[0.0], [1.0 + 0j]]))
+        with pytest.raises(DomainError):
+            hi.seip_density(disk, pointset.PointSet(np.zeros((0, 1), complex)),
+                            np.array([[complex(math.nan)]]))
+
+
 class TestSupDensity:
     def test_empty_grid_rejected(self, disk):
         with pytest.raises(DomainError):
@@ -299,6 +349,25 @@ class TestSupDensity:
         sup = hi.sup_density(disk, pts, [-0.5 + 0j])
         assert sup.value == pytest.approx(hi.seip_density(disk, pts, -0.5 + 0j), rel=1e-14)
         assert sup.index == 0
+
+    def test_first_maximiser_on_tied_grid(self, disk):
+        # nodes symmetric under z -> -z: the density ties at -0.3 and 0.3,
+        # where it is largest, and the first of the tied maxima wins
+        pts = pointset.PointSet(np.array([[0.7 + 0j], [-0.7 + 0j]]))
+        grid = [0.0, 0.1j, -0.3, 0.3, 0.1]
+        vals = hi.seip_density(disk, pts, pointset.grid_rows(disk, grid))
+        assert vals[2] == vals[3] == max(vals)
+        sup = hi.sup_density(disk, pts, grid)
+        assert (sup.value, sup.index) == (vals[2], 2)
+        assert sup.argmax.tolist() == [-0.3 + 0j]
+
+    def test_list_of_scalars(self, disk):
+        pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0j]]))
+        grid = [0.0, 0.1 + 0.2j, -0.4]
+        sup = hi.sup_density(disk, pts, grid)
+        rows = hi.sup_density(disk, pts, np.array(grid)[:, None])
+        assert (sup.value, sup.index) == (rows.value, rows.index)
+        assert sup.value == max(hi.seip_density(disk, pts, z) for z in grid)
 
     def test_refining_grids_monotone(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0j], [0.5j], [-0.5j]]))

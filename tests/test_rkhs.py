@@ -150,6 +150,19 @@ class TestMinNormInterpolant:
         assert float(np.max(itp.weighted_residuals)) <= 1e-14 * float(np.max(np.abs(a)))
         assert itp.norm_sq >= 0.0
 
+    def test_fock_n2_interpolation(self, rng):
+        # 12 separated nodes in C^2: a 3 x 4 lattice in the first coordinate,
+        # jittered in both
+        base = np.array([[complex(p, q) * 2.0, 0.0] for p in range(-1, 2) for q in range(-2, 2)])
+        z = base + 0.3 * (rng.uniform(-1, 1, (12, 2)) + 1j * rng.uniform(-1, 1, (12, 2)))
+        a = rng.normal(size=12) + 1j * rng.normal(size=12)
+        itp = rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0, n=2), pointset.PointSet(z, a))
+        res = itp.residuals()
+        assert res.shape == (12,)
+        assert float(np.max(res)) <= 1e-10 * float(np.max(np.abs(a)))
+        per_point = np.abs(np.array([itp(p) for p in z]) - a)
+        assert res.tobytes() == per_point.tobytes()
+
     def test_one_extended_build_and_one_factorization(self, monkeypatch):
         calls = {"log_kernel": 0, "lu_factor": 0, "solve": 0}
 
