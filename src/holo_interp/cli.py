@@ -234,7 +234,7 @@ def _cmd_interpolate(args) -> int:
     kernel = _kernel_from_weight_spec(_load_json_arg(args.weight))
     pts = _load_points(args)
     interp = rkhs.min_norm_interpolant(kernel, pts)
-    raw = float(np.max(interp.residuals()))
+    raw = float(np.max(interp.raw_residuals))
     weighted = float(np.max(interp.weighted_residuals))
     body = interp.to_dict()
     body["max_residual"] = raw
@@ -242,6 +242,11 @@ def _cmd_interpolate(args) -> int:
     body["warnings"] = [] if raw <= RAW_RESIDUAL_WARN else [
         f"raw nodal residual {raw:.3e} above {RAW_RESIDUAL_WARN:.0e}; "
         f"weighted residual |f(p) - a| e^(-Phi(p)/2) is {weighted:.3e}"]
+    if rkhs.LONGDOUBLE_MANTISSA < 63:
+        body["warnings"].append(
+            f"long double has {rkhs.LONGDOUBLE_MANTISSA} mantissa bits (float80 has 63); "
+            f"the extended-precision solve is degraded and residuals may exceed "
+            f"{RAW_RESIDUAL_WARN:.0e}")
     _emit(args, report_envelope("interpolant", body))
     return EXIT_OK
 

@@ -24,6 +24,10 @@ from .reporting import dump_csv
 
 SIZE_GUARD = 2000
 CONDITION_GUARD = 1e-10
+#: stored mantissa bits of ``np.longdouble``: 63 for x87 float80, 52 where
+#: long double is float64 (Windows, macOS arm64), which leaves the extended
+#: Gram and refinement no more accurate than the plain double solve
+LONGDOUBLE_MANTISSA = np.finfo(np.longdouble).nmant
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,8 @@ class KernelSpace:
     def __post_init__(self):
         if self.kind not in ("fock", "bergman"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.alpha, self.a_param, self.kappa)):
+            raise DomainError("kernel parameters alpha, A and kappa must be finite")
         if self.kind == "fock" and self.alpha <= 0:
             raise DomainError("alpha must be positive")
         if self.kind == "bergman":
@@ -176,17 +182,21 @@ class MinNormInterpolant:
     """
 
     def __init__(self, space: KernelSpace, pts: pointset.PointSet,
-                 normalized_coeff: np.ndarray, norm_sq: float, diagnostic: GramDiagnostic,
-                 weighted_residuals: np.ndarray):
+                 normalized_coeff: np.ndarray, diag_log: np.ndarray, norm_sq: float,
+                 diagnostic: GramDiagnostic, weighted_residuals: np.ndarray,
+                 raw_residuals: np.ndarray):
         self.space = space
         self.points = pts
         self._y = normalized_coeff  # clongdouble, one per node
-        self._dl = space.diag_log(pts.points, dtype=np.clongdouble)
+        self._dl = diag_log  # clongdouble log K(p, p), one per node
         self.norm_sq = norm_sq
         self.diagnostic = diagnostic
         #: nodal residuals ``|f(p) - a| e^{-Phi(p)/2} = |G y - a e^{-Phi/2}|``
         #: in the normalized scale, from the solve's extended-precision Gram
         self.weighted_residuals = weighted_residuals
+        #: raw nodal residuals ``|f(p) - a| = e^{Phi(p)/2} |G y - a e^{-Phi/2}|``
+        #: from the same extended-precision residual vector
+        self.raw_residuals = raw_residuals
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -202,6 +212,12 @@ class MinNormInterpolant:
         return complex(out[0]) if scalar else out.reshape(z.shape if self.space.n == 1 else z.shape[:-1])
 
     def residuals(self) -> np.ndarray:
+        """Raw nodal residuals ``|f(p) - a|`` by evaluating the interpolant.
+
+        An independent audit of ``raw_residuals``: it rebuilds the m x m
+        extended log-kernel of the nodes instead of reusing the solve's Gram,
+        so the two agree at rounding level, not bit for bit.
+        """
         nodes = self.points.points
         vals = self(nodes[:, 0] if self.space.n == 1 else nodes)
         return np.abs(vals - self.points.values)
@@ -229,7 +245,7 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     _check_size(pts, SIZE_GUARD)
     g, gram_ld = space._normalized_grams(pts.points)
     diag = _diagnose(g)
-    if diag.eig_min < condition_guard:
+    if not diag.eig_min >= condition_guard:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {condition_guard:.1e}",
             eig_min=diag.eig_min,
@@ -244,10 +260,13 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     for _ in range(3):
         residual = b - gram_ld @ y
         y = y + scipy.linalg.lu_solve(lu, residual.astype(complex)).astype(np.clongdouble)
-    weighted = np.abs(gram_ld @ y - b).astype(float)
+    # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
+    abs_residual = np.abs(gram_ld @ y - b)
+    weighted = abs_residual.astype(float)
+    raw = (np.exp(0.5 * dl.real) * abs_residual).astype(float)
     coeff = (y * np.exp(-0.5 * dl)).astype(complex)
     norm_sq = float(np.real(np.vdot(coeff, pts.values)))
-    return MinNormInterpolant(space, pts, y, norm_sq, diag, weighted)
+    return MinNormInterpolant(space, pts, y, dl, norm_sq, diag, weighted, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +299,12 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     Rows are emitted largest spacing first; ``monotone_in_spacing`` records
     whether ``eig_min`` was nonincreasing as the spacing decreased (at the
     primary truncation radius).  Extra radii expose truncation drift.
+
+    One normalized Gram is built per spacing, on the lattice at the largest
+    radius (which the size guard checks).  A normalized entry depends only
+    on its pair of points, so each radius's Gram is the principal submatrix
+    on its lattice's points, found by exact value in the order
+    ``square_lattice`` returns them: bit-identical to building it anew.
     """
     if space.n != 1:
         raise DomainError("the lattice sweep is defined on one complex variable")
@@ -288,9 +313,14 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     rows = []
     primary = {}
     for s in spacings:
+        largest = pointset.square_lattice(s, radius=max(radii))
+        _check_size(largest, SIZE_GUARD)
+        gram = space.normalized_gram(largest.points)
+        index = {z: i for i, z in enumerate(largest.points[:, 0].tolist())}
         for r in radii:
             lattice = pointset.square_lattice(s, radius=r)
-            diag = gram_matrix(space, lattice)
+            sub = np.array([index[z] for z in lattice.points[:, 0].tolist()])
+            diag = _diagnose(gram[np.ix_(sub, sub)])
             row = SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice))
             rows.append(row)
             if r == radii[0]:

@@ -200,6 +200,47 @@ class TestCommands:
         assert rep["max_weighted_residual"] <= 1e-14
         assert len(rep["warnings"]) == 1 and "raw nodal residual" in rep["warnings"][0]
 
+    def test_interpolate_reads_the_residual_from_the_solve(self, tmp_path, sparse_points,
+                                                            monkeypatch):
+        from holo_interp import rkhs
+        calls = {"log_kernel": 0, "residuals": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rkhs.KernelSpace, "log_kernel",
+                            counting("log_kernel", rkhs.KernelSpace.log_kernel))
+        monkeypatch.setattr(rkhs.MinNormInterpolant, "residuals",
+                            counting("residuals", rkhs.MinNormInterpolant.residuals))
+        out = tmp_path / "itp.json"
+        code = cli.run(["interpolate", "--weight", FOCK, "--points", sparse_points,
+                        "--out", str(out)])
+        assert code == 0
+        assert calls == {"log_kernel": 1, "residuals": 0}
+        assert json.loads(out.read_text())["max_residual"] <= 1e-10
+
+    def test_interpolate_warns_on_double_long_double(self, tmp_path, sparse_points,
+                                                      monkeypatch):
+        from holo_interp import rkhs
+        monkeypatch.setattr(rkhs, "LONGDOUBLE_MANTISSA", 52)
+        out = tmp_path / "itp.json"
+        code = cli.run(["interpolate", "--weight", FOCK, "--points", sparse_points,
+                        "--out", str(out)])
+        assert code == 0
+        warnings = json.loads(out.read_text())["warnings"]
+        assert len(warnings) == 1 and "52 mantissa bits" in warnings[0]
+
+    @pytest.mark.parametrize("weight", ['{"builtin": "fock", "alpha": NaN}',
+                                        '{"builtin": "fock", "alpha": Infinity}',
+                                        '{"builtin": "bergman", "A": NaN}',
+                                        '{"builtin": "bergman", "A": 1.0, "kappa": Infinity}'])
+    def test_interpolate_non_finite_kernel_refused(self, weight, sparse_points, capsys):
+        assert cli.run(["interpolate", "--weight", weight, "--points", sparse_points]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path):
         out = tmp_path / "sweep.json"
         csv = tmp_path / "sweep.csv"

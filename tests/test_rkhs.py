@@ -60,6 +60,13 @@ class TestKernels:
         with pytest.raises(DomainError):
             rkhs.KernelSpace("bergman", n=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "a_param", "kappa"])
+    def test_non_finite_parameters_refused(self, field, bad):
+        for kind in ("fock", "bergman"):
+            with pytest.raises(DomainError, match="finite"):
+                rkhs.KernelSpace(kind, **{field: bad})
+
 
 class TestGram:
     def test_singleton(self):
@@ -181,6 +188,60 @@ class TestMinNormInterpolant:
                                   pointset.PointSet(lat.points, np.ones(len(lat), complex)))
         assert calls == {"log_kernel": 1, "lu_factor": 1, "solve": 0}
 
+    @staticmethod
+    def residual_sets():
+        """(space, nodes, values): the criterion-9 set, a random 20-node set
+        and an n = 2 Fock set."""
+        base = np.array([complex(p, q) * 2.0 for p in range(-2, 3) for q in range(-2, 2)])
+        out = []
+        for seed in (41, 7):
+            rng = np.random.default_rng(seed)
+            z = base + 0.3 * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20))
+            a = rng.normal(size=20) + 1j * rng.normal(size=20)
+            out.append((rkhs.fock_kernel(1.0), z.reshape(-1, 1), a))
+        rng = np.random.default_rng(12)
+        base2 = np.array([[complex(p, q) * 2.0, 0.0] for p in range(-1, 2) for q in range(-2, 2)])
+        z2 = base2 + 0.3 * (rng.uniform(-1, 1, (12, 2)) + 1j * rng.uniform(-1, 1, (12, 2)))
+        out.append((rkhs.fock_kernel(1.0, n=2), z2, rng.normal(size=12) + 1j * rng.normal(size=12)))
+        return out
+
+    def test_raw_residuals_from_the_solve(self):
+        # the solve's raw residual e^{Re dl/2} |G y - b| meets the same gate
+        # as the independent audit and agrees with it far below that gate;
+        # both sit at rounding level (about 1e-14 here)
+        for space, z, a in self.residual_sets():
+            itp = rkhs.min_norm_interpolant(space, pointset.PointSet(z, a))
+            scale = float(np.max(np.abs(a)))
+            raw, audit = itp.raw_residuals, itp.residuals()
+            assert raw.dtype == np.float64 and raw.shape == (len(a),)
+            assert float(np.max(raw)) <= 1e-10 * scale
+            assert float(np.max(audit)) <= 1e-10 * scale
+            assert float(np.max(np.abs(raw - audit))) <= 1e-12 * scale
+
+    def test_raw_residuals_carry_the_node_scale(self):
+        # spacing-2 lattice out to R = 10: rounding in the normalized scale is
+        # multiplied by e^{|p|^2/2} up to e^50, so both raw residuals are far
+        # above the weighted ones and of one order of magnitude
+        z = np.array([2.0 * complex(a, b) for a in range(-5, 6) for b in range(-5, 6)
+                      if a * a + b * b <= 25])
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+        itp = rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, a))
+        raw, audit = float(np.max(itp.raw_residuals)), float(np.max(itp.residuals()))
+        assert raw > 1e6 * float(np.max(itp.weighted_residuals))
+        assert 0.1 <= raw / audit <= 10.0
+
+    def test_conditioning_guard_refuses_nan_eigenvalue(self, monkeypatch):
+        real = rkhs._diagnose
+
+        def nan_min(g):
+            d = real(g)
+            return rkhs.GramDiagnostic(d.gram, math.nan, d.eig_max, math.nan)
+
+        monkeypatch.setattr(rkhs, "_diagnose", nan_min)
+        with pytest.raises(ConditioningError):
+            rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of([0.0, 3.0], [1.0, 1.0]))
+
     def test_near_coincident_conditioning_error(self):
         with pytest.raises(ConditioningError) as exc:
             rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
@@ -253,3 +314,48 @@ class TestFeasibilitySweep:
         assert lines[0] == "s,eig_min,eig_max,R,n_points"
         assert len(lines) == 2
         assert len(lines[1].split(",")) == 5
+
+    @staticmethod
+    def per_radius(space, s, radii):
+        """Eigenvalues from a Gram built anew on each radius's lattice."""
+        out = []
+        for r in radii:
+            lat = pointset.square_lattice(s, radius=r)
+            d = rkhs.gram_matrix(space, lat)
+            out.append((d.eig_min, d.eig_max, len(lat)))
+        return out
+
+    @pytest.mark.parametrize("space,spacings,radius,extra", [
+        (rkhs.fock_kernel(1.0), [3.0, 2.0], 6.0, [3.5]),        # extra radius below the primary
+        (rkhs.fock_kernel(0.6), [1.6, 2.0], 8.0, [4.8, 6.4]),   # r / s an integer: 8 / 1.6, 4.8 / 1.6
+        # r / s rounds below an integer, so square_lattice drops the ring at
+        # |z| = r that a re-derived |z| <= r mask would keep
+        (rkhs.fock_kernel(1.0), [0.7, 1.3], 0.7 * 6, [0.7 * 3, 1.3 * 7]),
+        (rkhs.fock_kernel(1.0), [1.5], 4.5, [7.5, 3.0, 4.5]),   # repeated and larger extra radii
+        (rkhs.bergman_kernel(2.0), [0.3, 0.2], 0.9, [0.4, 0.6]),
+    ])
+    def test_rows_bit_identical_to_per_radius_grams(self, space, spacings, radius, extra):
+        res = rkhs.feasibility_sweep(space, spacings, radius, extra_radii=extra)
+        radii = [radius] + extra
+        want = [(s, r, *e) for s in sorted(spacings, reverse=True)
+                for r, e in zip(radii, self.per_radius(space, s, radii))]
+        got = [(r.spacing, r.radius, r.eig_min, r.eig_max, r.n_points) for r in res.rows]
+        assert got == want
+
+    def test_one_gram_per_spacing(self, monkeypatch):
+        sizes = []
+        real = rkhs.KernelSpace.normalized_gram
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(rkhs.KernelSpace, "normalized_gram", counting)
+        rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0, 2.0])
+        assert sizes == [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
+
+    def test_largest_lattice_over_size_guard_refused(self):
+        # the primary lattice fits; the extra radius's has 2121 > SIZE_GUARD points
+        assert len(pointset.square_lattice(1.0, radius=26.0)) > rkhs.SIZE_GUARD
+        with pytest.raises(SizeGuardError):
+            rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [1.0], 4.0, extra_radii=[26.0])
