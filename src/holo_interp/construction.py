@@ -214,14 +214,41 @@ class AuxiliaryWeight:
         out = np.zeros(zs.shape[0])
         nodes = self.points.points
         for q in nodes[_nodes_within(self.space, nodes, zs, self.rho)]:
-            d = geometry.geodesic_distances(self.space, zs, q)
-            pole = d == 0.0
-            u = d ** 2 / self.rho ** 2
-            inside = (~pole) & (u < 1.0)
-            term = np.zeros_like(out)
-            term[inside] = self.n * (1.0 - u[inside] + np.log(u[inside]))
-            out += term
-            out[pole] = -math.inf
+            self._add_node(out, geometry.geodesic_distances(self.space, zs, q))
+        return out
+
+    def _add_node(self, out: np.ndarray, d: np.ndarray) -> None:
+        """Add one node's term at the distances ``d`` to ``out`` in place."""
+        pole = d == 0.0
+        u = d ** 2 / self.rho ** 2
+        inside = (~pole) & (u < 1.0)
+        term = np.zeros_like(out)
+        term[inside] = self.n * (1.0 - u[inside] + np.log(u[inside]))
+        out += term
+        out[pole] = -math.inf
+
+    def _annulus_values(self, idx: np.ndarray, zs: np.ndarray, reach: float) -> np.ndarray:
+        """Values on rows of points (n = 1): row ``r`` of ``zs`` (b, Q) lies
+        within ``reach`` of node ``idx[r]``.
+
+        By the triangle inequality only nodes ``q`` with ``d(p, q) <= rho +
+        reach`` can add to a row around ``p`` (the 1e-12 slack absorbs
+        rounding).  Each row adds them in node order, so it equals
+        ``value_grid`` on its points bit for bit.
+        """
+        nodes = self.points.points
+        near = geometry.geodesic_distances(self.space, nodes[idx][:, None, :], nodes[None, :, :]) \
+            <= (self.rho + reach) * (1.0 + 1e-12)
+        row, q = np.nonzero(near)
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        out = np.zeros(zs.shape)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            at = rank == r
+            rows = out[row[at]]
+            d = geometry.geodesic_distances(self.space, zs[row[at]][..., None],
+                                            nodes[q[at]][:, None, :])
+            self._add_node(rows, d)
+            out[row[at]] = rows
         return out
 
 
@@ -249,10 +276,18 @@ def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> 
 # ---------------------------------------------------------------------------
 # quadrature
 
+#: Quadrature points per block of annuli: the nodes of a block share one
+#: array pass, and a block's temporaries stay in cache.
+QUAD_BLOCK = 2 ** 12
+
+
 def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
     """Wirtinger dzbar of chi(d(p,.)^2/delta0^2) at each z (n = 1) for the
     node row ``p`` of ``ext`` (validated with it), in closed form:
     ``chi'(t) dzbar(d^2) / delta0^2`` with ``t = d^2/delta0^2``.
+
+    ``zs`` is an array of coordinates; ``p`` is one node row, or an array of
+    node rows (..., 1) whose leading shape broadcasts against ``zs``.
 
     Flat: ``dzbar(d^2) = z - p``.  Disk: differentiating
     ``d = 2 kappa asinh(sqrt(u))``, ``u = kappa^2 |z-p|^2 / ((kappa^2-|p|^2)
@@ -264,8 +299,8 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
     holomorphic by construction.
     """
     space = ext.space
-    d = geometry.geodesic_distances(space, zs[:, None], p)
-    p = complex(p[0])
+    d = geometry.geodesic_distances(space, zs[..., None], p)
+    p = np.asarray(p)[..., 0]
     if space.is_flat:
         dbar_dsq = zs - p
     else:
@@ -279,46 +314,77 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
 
 
 def _annulus_nodes(space, p, d_lo, d_hi, nr, ntheta):
+    """Midpoint nodes of the annulus ``d_lo <= d(p,.) <= d_hi`` in row-major
+    (radius, angle) order, their area Jacobians and the cell size.
+
+    ``p`` is one point, giving (nr*ntheta,) nodes, or a (b, 1, 1) array of
+    centres, giving one (b, nr*ntheta) row of nodes per centre.
+    """
     dd = (d_hi - d_lo) / nr
     dth = 2.0 * math.pi / ntheta
     ds = d_lo + (np.arange(nr) + 0.5) * dd
     ths = (np.arange(ntheta) + 0.5) * dth
-    # row-major (radius, angle): one array geodesic map per annulus
-    zs = geometry.geodesic_point(space, p, ds[:, None], ths[None, :]).reshape(-1)
+    zs = geometry.geodesic_point(space, p, ds[:, None], ths[None, :])
     jac = np.repeat(geometry.polar_area_jacobian(space, ds), ntheta)
-    return zs, jac, dd * dth
+    return zs.reshape(zs.shape[:-2] + (-1,)), jac, dd * dth
 
 
-def _node_energy(ext: GluedExtension, aux: AuxiliaryWeight, idx: int,
-                 nr: int, ntheta: int) -> float:
-    p = ext.points.point(idx)
-    a_p = ext.values()[idx]
-    zs, jac, cell = _annulus_nodes(ext.space, p, ext.delta0 / 2.0, ext.delta0, nr, ntheta)
-    dbar = _cutoff_dbar_grid(ext, p, zs)
-    zcol = zs[:, None]
-    expo = weights.normal_frame_exponent(ext.weight, p, zcol)
-    phi = ext.weight.value(zcol)
-    v = aux.value_grid(zcol)
-    g = geometry.metric_coefficient(ext.space, zcol)
-    # |dbar F|^2_omega := |dF/dzbar|^2 / g (constant conventions absorbed
-    # into the comparison constant C)
-    integrand = np.exp(2.0 * expo.real - phi - v) * (np.abs(dbar) ** 2) / g * jac
-    total = abs(a_p) ** 2 * float(np.sum(integrand) * cell)
-    if not math.isfinite(total):
-        raise QuadratureError("dbar energy diverged", region=("annulus", idx))
-    return total
+def _annulus_sums(ext: GluedExtension, d_lo: float, nr: int, ntheta: int,
+                  integrand, what: str) -> np.ndarray:
+    """Per-node midpoint quadrature over the annuli ``d_lo <= d(p,.) <=
+    delta0`` (n = 1): ``|a_p|^2 sum(integrand J) dd dtheta`` for each node
+    ``p``, as an (m,) array in node order.
+
+    The nodes are taken in blocks of about ``QUAD_BLOCK`` quadrature points,
+    and each block is one array pass.  ``integrand(idx, p, zs, frame)`` gets
+    the block's node indices, its node rows (b, 1, 1), its annulus points
+    (b, Q) and the normal-frame log factor ``2 Re exponent_p - Phi`` there,
+    and returns the (b, Q) integrand without the area Jacobian.  The first
+    node with a non-finite total raises ``QuadratureError``.
+    """
+    if ext.space.n != 1:
+        raise SpaceMismatchError(f"{what} quadrature is implemented for n = 1")
+    nodes, vals = ext.points.points, ext.values()
+    out = np.zeros(len(nodes))
+    per_block = max(1, QUAD_BLOCK // (nr * ntheta))
+    for lo in range(0, len(nodes), per_block):
+        idx = np.arange(lo, min(lo + per_block, len(nodes)))
+        p = nodes[idx][:, None, :]
+        zs, jac, cell = _annulus_nodes(ext.space, p, d_lo, ext.delta0, nr, ntheta)
+        # on the disk, a delta0 too large for the node rounds annulus points onto the rim
+        ext.space.validate_points(zs[np.isfinite(zs)][:, None])
+        zcol = zs[..., None]
+        frame = 2.0 * weights.normal_frame_exponent(ext.weight, p, zcol).real \
+            - ext.weight.value(zcol)
+        # hypot rounds |a_p| as abs() of one value does; numpy's complex
+        # abs on an array may differ from it in the last bit
+        a_sq = np.hypot(vals[idx].real, vals[idx].imag) ** 2
+        total = a_sq * (np.sum(integrand(idx, p, zs, frame) * jac, axis=-1) * cell)
+        bad = np.nonzero(~np.isfinite(total))[0]
+        if bad.size:
+            raise QuadratureError(f"{what} diverged", region=("annulus", int(idx[bad[0]])))
+        out[idx] = total
+    return out
+
+
+def _node_energies(ext: GluedExtension, aux: AuxiliaryWeight, nr: int, ntheta: int) -> np.ndarray:
+    """dbar energy of each node's gluing annulus ``delta0/2 <= d <= delta0``."""
+    def integrand(idx, p, zs, frame):
+        dbar = _cutoff_dbar_grid(ext, p, zs)
+        v = aux._annulus_values(idx, zs, ext.delta0)
+        g = geometry.metric_coefficient(ext.space, zs[..., None])
+        # |dbar F|^2_omega := |dF/dzbar|^2 / g (constant conventions absorbed
+        # into the comparison constant C)
+        return np.exp(frame - v) * (np.abs(dbar) ** 2) / g
+
+    return _annulus_sums(ext, ext.delta0 / 2.0, nr, ntheta, integrand, "dbar energy")
 
 
 def dbar_energy(ext: GluedExtension, aux: AuxiliaryWeight,
                 nr: int = 32, ntheta: int = 64) -> float:
     """Midpoint quadrature of ``||dbar F||^2_h exp(-v)`` over the annuli
     ``delta0/2 <= d(p,.) <= delta0`` (dbar F vanishes elsewhere); n = 1."""
-    if ext.space.n != 1:
-        raise SpaceMismatchError("dbar energy quadrature is implemented for n = 1")
-    total = 0.0
-    for i in range(len(ext.points)):
-        total += _node_energy(ext, aux, i, nr, ntheta)
-    return total
+    return float(sum(_node_energies(ext, aux, nr, ntheta).tolist()))
 
 
 @dataclass(frozen=True)
@@ -342,7 +408,7 @@ class EnergyReport:
 def dbar_energy_report(ext: GluedExtension, aux: AuxiliaryWeight,
                        nr: int = 32, ntheta: int = 64) -> EnergyReport:
     """Energy at two refinement levels with the relative drift between them."""
-    per_node = tuple(_node_energy(ext, aux, i, nr, ntheta) for i in range(len(ext.points)))
+    per_node = tuple(_node_energies(ext, aux, nr, ntheta).tolist())
     e1 = float(sum(per_node))
     e2 = dbar_energy(ext, aux, 2 * nr, 2 * ntheta)
     drift = 0.0 if e2 == 0.0 else abs(e2 - e1) / abs(e2)
@@ -351,21 +417,11 @@ def dbar_energy_report(ext: GluedExtension, aux: AuxiliaryWeight,
 
 def extension_norm_sq(ext: GluedExtension, nr: int = 48, ntheta: int = 96) -> float:
     """Quadrature of ``||F||^2_h`` over the union of the delta0-balls (n = 1)."""
-    if ext.space.n != 1:
-        raise SpaceMismatchError("norm quadrature is implemented for n = 1")
-    total = 0.0
-    vals = ext.values()
-    for i in range(len(ext.points)):
-        p = ext.points.point(i)
-        zs, jac, cell = _annulus_nodes(ext.space, p, 0.0, ext.delta0, nr, ntheta)
-        d = geometry.geodesic_distances(ext.space, zs[:, None], p)
-        chi = cutoff(d ** 2 / ext.delta0 ** 2)
-        zcol = zs[:, None]
-        expo = weights.normal_frame_exponent(ext.weight, p, zcol)
-        phi = ext.weight.value(zcol)
-        integrand = np.exp(2.0 * expo.real - phi) * chi ** 2 * jac
-        total += abs(vals[i]) ** 2 * float(np.sum(integrand) * cell)
-    return total
+    def integrand(idx, p, zs, frame):
+        d = geometry.geodesic_distances(ext.space, zs[..., None], p)
+        return np.exp(frame) * cutoff(d ** 2 / ext.delta0 ** 2) ** 2
+
+    return float(sum(_annulus_sums(ext, 0.0, nr, ntheta, integrand, "norm").tolist()))
 
 
 def euclidean_disk_integral(fn, center: complex, radius: float,

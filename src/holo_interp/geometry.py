@@ -374,13 +374,26 @@ def ricci_eigen(space: ModelSpace, z) -> float:
 # ---------------------------------------------------------------------------
 # hyperbolic helpers (n = 1) used by polar quadrature and tests
 
+def _centres(space: ModelSpace, p):
+    """One centre (n = 1) as a complex, or an array of centres (ndim >= 2,
+    one coordinate per entry) as a complex array of its shape; every centre
+    is validated."""
+    p = np.asarray(p, dtype=complex)
+    if p.ndim <= 1:
+        return complex(space.validate_point(p)[0])
+    space.validate_points(p.reshape(-1, 1))
+    return p
+
+
 def mobius_translate(space: ModelSpace, p, u):
     """Isometry of the kappa-disk sending 0 to ``p``, applied to ``u`` (n=1).
 
-    ``u`` may be a scalar or an array; the result has its shape.
+    ``u`` may be a scalar or an array; the result has its shape.  ``p`` is
+    one point, or an array of centres of ndim >= 2 (one coordinate per
+    entry) that broadcasts against ``u``.
     """
     _require_disk(space)
-    p = complex(space.validate_point(p)[0])
+    p = _centres(space, p)
     u = np.asarray(u, dtype=complex)
     out = (u + p) / (1.0 + p.conjugate() * u / space.kappa ** 2)
     return complex(out) if out.ndim == 0 else out
@@ -389,14 +402,16 @@ def mobius_translate(space: ModelSpace, p, u):
 def geodesic_point(space: ModelSpace, p, d, theta):
     """Point at geodesic distance ``d`` and direction ``theta`` from ``p`` (n=1).
 
-    ``d`` and ``theta`` broadcast against each other; scalars give a complex.
+    ``d`` and ``theta`` broadcast against each other, and against ``p`` when
+    it is an array of centres (see ``mobius_translate``); scalars give a
+    complex.
     """
     if space.n != 1:
         raise SpaceMismatchError("geodesic_point is implemented for n = 1")
     d = np.asarray(d, dtype=float)
     direction = np.exp(1j * np.asarray(theta, dtype=float))
     if space.is_flat:
-        out = complex(as_point(p, 1)[0]) + d * direction
+        out = _centres(space, p) + d * direction
         return complex(out) if out.ndim == 0 else out
     kap = space.kappa
     return mobius_translate(space, p, kap * np.tanh(d / (2.0 * kap)) * direction)

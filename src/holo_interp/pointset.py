@@ -83,9 +83,15 @@ def pointset_from_dict(d: dict) -> PointSet:
     """Build a PointSet from the JSON schema.
 
     Each point is ``[re, im]`` (one coordinate) or a list of ``[re, im]``
-    pairs (n coordinates); ``values`` entries are ``[re, im]``.
+    pairs (n coordinates); ``values`` entries are ``[re, im]``.  Anything
+    else (a non-numeric or boolean entry, a pair of the wrong length, ragged
+    points) raises ``DomainError``.
     """
+    if not isinstance(d, dict):
+        raise DomainError("a point file is a JSON object")
     raw_pts = d.get("points", [])
+    if not isinstance(raw_pts, list):
+        raise DomainError("'points' must be a list")
     pts = [_parse_point(p) for p in raw_pts]
     if pts:
         n = len(pts[0])
@@ -96,7 +102,9 @@ def pointset_from_dict(d: dict) -> PointSet:
         arr = np.zeros((0, 1), dtype=complex)
     values = None
     if d.get("values") is not None:
-        values = np.array([complex(v[0], v[1]) for v in d["values"]], dtype=complex)
+        if not isinstance(d["values"], list):
+            raise DomainError("'values' must be a list")
+        values = np.array([_parse_pair(v) for v in d["values"]], dtype=complex)
     return PointSet(arr, values)
 
 
@@ -111,10 +119,25 @@ def pointset_to_dict(pts: PointSet, space: Optional[geometry.ModelSpace] = None)
     return out
 
 
+def _is_pair(c) -> bool:
+    """``c`` is a ``[re, im]`` pair of numbers (a boolean is not a number)."""
+    return (isinstance(c, (list, tuple)) and len(c) == 2
+            and isinstance(c[0], (int, float)) and isinstance(c[1], (int, float))
+            and type(c[0]) is not bool and type(c[1]) is not bool)
+
+
+def _parse_pair(c) -> complex:
+    if not _is_pair(c):
+        raise DomainError(f"expected a [re, im] pair of numbers, got {c!r}")
+    return complex(c[0], c[1])
+
+
 def _parse_point(p) -> list:
-    if len(p) == 2 and all(isinstance(c, (int, float)) for c in p):
+    if _is_pair(p):
         return [complex(p[0], p[1])]
-    return [complex(c[0], c[1]) for c in p]
+    if not (isinstance(p, (list, tuple)) and p):
+        raise DomainError(f"a point is [re, im] or a list of [re, im] pairs, got {p!r}")
+    return [_parse_pair(c) for c in p]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +301,9 @@ def square_lattice(spacing: float, radius: Optional[float] = None,
     """
     if (radius is None) == (half_extent is None):
         raise DomainError("specify exactly one of radius or half_extent")
+    for name, val in (("spacing", spacing), ("radius", radius), ("half_extent", half_extent)):
+        if val is not None and not math.isfinite(val):
+            raise DomainError(f"lattice {name} must be finite, got {val}")
     if spacing <= 0:
         raise DomainError("spacing must be positive")
     pts = []

@@ -131,13 +131,10 @@ class RealPolynomial:
         return 0.25 * np.stack(rows, axis=-2)
 
     def dz_gradient(self, z) -> np.ndarray:
-        """Exact vector of d/dz_k = (d/dx_k - i d/dy_k)/2 at ``z``."""
-        out = np.zeros(self.n, dtype=complex)
-        for k in range(self.n):
-            dx = self._partial(k).value(z)
-            dy = self._partial(self.n + k).value(z)
-            out[k] = 0.5 * (dx - 1j * dy)
-        return out
+        """Exact vector of d/dz_k = (d/dx_k - i d/dy_k)/2 at each (..., n)
+        point, shape (..., n)."""
+        return np.stack([0.5 * (self._partial(k).value(z) - 1j * self._partial(self.n + k).value(z))
+                         for k in range(self.n)], axis=-1)
 
     def to_dict(self) -> dict:
         return {
@@ -170,9 +167,10 @@ class BergmanDeformation:
         return float(out) if np.ndim(out) == 0 else out
 
     def dz_gradient(self, z) -> np.ndarray:
+        """Exact vector of d/dz_k at each (..., n) point, shape (..., n)."""
         zz = np.asarray(z, dtype=complex)
         s = self._s(zz)
-        return self.a * zz.conj() / (self.kappa ** 2 * (1.0 - s))
+        return self.a * zz.conj() / (self.kappa ** 2 * (1.0 - s))[..., None]
 
     def ddbar(self, z) -> np.ndarray:
         """Exact ``[d^2/dz_j dzbar_m]`` at each (..., n) point, shape (..., n, n)."""
@@ -333,9 +331,14 @@ def normal_frame_exponent(w: HermitianWeight, p, z):
     """Holomorphic exponent of the normal frame centered at ``p``.
 
     ``sum_k dPhi_def/dz_k(p) (z_k - p_k) + sum_a conj(sigma_a(p)) (sigma_a(z)
-    - sigma_a(p))``; vanishes at ``z = p``.  Vectorized over ``z``.
+    - sigma_a(p))``; vanishes at ``z = p``.  Vectorized over ``z``; ``p`` is
+    one point or an (..., n) array of centres that broadcasts against ``z``.
     """
-    p = geometry.as_point(p, w.n)
+    p = np.asarray(p, dtype=complex)
+    if p.ndim <= 1:
+        p = geometry.as_point(p, w.n)
+    elif p.shape[-1] != w.n:
+        raise DomainError(f"expected centres with {w.n} complex coordinates, got shape {p.shape}")
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim <= 1
     if z.ndim == 0:
@@ -345,9 +348,14 @@ def normal_frame_exponent(w: HermitianWeight, p, z):
     grad = w.phi_def_dz(p)
     # one scalar-times-column product per term: numpy then rounds each
     # element the same way however many points are evaluated together, so
-    # a batched evaluation equals the per-point one exactly
+    # a batched evaluation equals the per-point one exactly.  One centre is
+    # indexed to numpy scalars, rounded as a single point always was; an
+    # array of centres puts its coordinate axis first, so indexing gives
+    # arrays that broadcast against the points.
+    if p.ndim > 1:
+        sig_p, grad, p = (np.moveaxis(x, -1, 0) for x in (sig_p, grad, p))
     out = np.zeros(z.shape[:-1], dtype=complex)
-    for a in range(sig_p.shape[-1]):
+    for a in range(sig_p.shape[0]):
         out = out + sig_p[a].conj() * (sig_z[..., a] - sig_p[a])
     for k in range(w.n):
         out = out + grad[k] * (z[..., k] - p[k])

@@ -114,6 +114,30 @@ class TestExitCodes:
     def test_unknown_command_exits_two(self):
         assert cli.run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("points", [
+        '{"points": [["a", 1]]}',                           # non-numeric coordinate
+        '{"points": [[0.1, 0.2], [0.3]]}',                  # ragged: a one-number point
+        '{"points": [[0.1, 0.2]], "values": [[1]]}',        # value of the wrong length
+        '{"points": [[true, 0.2]]}',                        # boolean coordinate
+        '{"points": [[[0.1, 0.2, 0.3]]]}',                  # pair of the wrong length
+        '{"points": [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6]]]}',  # ragged dimensions
+    ])
+    def test_malformed_point_file_exits_two(self, points, capsys):
+        code = cli.run(["separation", "--space", '{"kind": "flat", "n": 1}', "--points", points])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["--spacings", "1", "--radius", "inf"],
+        ["--spacings", "1", "--radius", "nan"],
+        ["--spacings", "inf", "--radius", "6"],
+        ["--spacings", "4,3", "--radius", "6", "--extra-radii", "inf"],
+    ])
+    def test_sweep_non_finite_lattice_exits_two(self, args, capsys):
+        code = cli.run(["sweep", "--weight", FOCK, *args, "--out", "/dev/null"])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_separation(self, tmp_path, sparse_points):

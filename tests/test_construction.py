@@ -40,6 +40,53 @@ def brute_value_grid(aux, zs):
     return out
 
 
+def reference_node_energy(ext, aux, i, nr, ntheta):
+    """Energy of node ``i``'s gluing annulus as one call chain per node, with
+    public calls: the per-node loop the batched quadrature replaced, kept as
+    the reference."""
+    sp, p, d0 = ext.space, ext.points.point(i), ext.delta0
+    dd, dth = (d0 / 2.0) / nr, 2.0 * math.pi / ntheta
+    ds = d0 / 2.0 + (np.arange(nr) + 0.5) * dd
+    zs = geometry.geodesic_point(sp, p, ds[:, None],
+                                 ((np.arange(ntheta) + 0.5) * dth)[None, :]).reshape(-1)
+    jac = np.repeat(geometry.polar_area_jacobian(sp, ds), ntheta)
+    zcol = zs[:, None]
+    d = geometry.geodesic_distances(sp, zcol, p)
+    pc = complex(p[0])
+    if sp.is_flat:
+        dbar_dsq = zs - pc
+    else:
+        kap2 = sp.kappa ** 2
+        phase = (zs - pc) * (kap2 - pc.conjugate() * zs)
+        dbar_dsq = 2.0 * kap2 * d * (phase / np.abs(phase)) / (kap2 - np.abs(zs) ** 2)
+    dbar = construction.cutoff_derivative(d ** 2 / d0 ** 2) * dbar_dsq / d0 ** 2
+    expo = weights.normal_frame_exponent(ext.weight, p, zcol)
+    integrand = (np.exp(2.0 * expo.real - ext.weight.value(zcol) - aux.value_grid(zcol))
+                 * np.abs(dbar) ** 2 / geometry.metric_coefficient(sp, zcol) * jac)
+    return abs(ext.values()[i]) ** 2 * float(np.sum(integrand) * dd * dth)
+
+
+def poly_weight():
+    """sigma = z + 0.05 z^3 with Phi_def = (x^2 + y^2)/2 + 0.01 x^3 y."""
+    return weights.HermitianWeight(
+        (weights.Polynomial.from_coeffs([0.0, 1.0, 0.0, 0.05]),),
+        weights.RealPolynomial({(2, 0): 0.5, (0, 2): 0.5, (3, 1): 0.01}, 1),
+        m2=1.0, r0=1.0, mu=1.0)
+
+
+def energy_setups():
+    """(extension, auxiliary weight) on a flat Fock lattice, the Bergman disk
+    and a polynomial weight; rho reaches several neighbours in each."""
+    flat, disk = hi.flat_space(1), hi.hyperbolic_ball(1.0)
+    lat = lattice_with_values()
+    out = []
+    for sp, w, pts, rho in ((flat, hi.fock_weight(0.7), lat, 2.0),
+                            (disk, hi.bergman_weight(3.0), disk_nodes(), 0.9),
+                            (flat, poly_weight(), lattice_with_values(1.2, 2.4, seed=8), 1.5)):
+        out.append((hi.glued_extension(sp, w, pts), construction.AuxiliaryWeight(sp, pts, rho)))
+    return out
+
+
 def disk_nodes():
     return pointset.PointSet(np.array([[0j], [0.5 + 0j], [-0.3 + 0.4j], [0.2 - 0.6j], [-0.75j]]),
                              np.array([1.0 + 0j, 2j, -1.0 + 1.0j, 0.5 + 0j, -0.7j]))
@@ -437,6 +484,64 @@ class TestDbarEnergy:
                 z = p + d * complex(math.cos(th), math.sin(th))
                 count = hi.count_in_ball(flat1, pts, z, rho)
                 assert aux.value(z) >= count * floor - 1e-9
+
+
+class TestBatchedEnergy:
+    NR, NTHETA = 8, 16
+
+    @pytest.mark.parametrize("setup", range(3), ids=["fock-flat", "bergman-disk", "poly-flat"])
+    def test_matches_per_node_reference(self, setup):
+        ext, aux = energy_setups()[setup]
+        rep = construction.dbar_energy_report(ext, aux, nr=self.NR, ntheta=self.NTHETA)
+        ref = [reference_node_energy(ext, aux, i, self.NR, self.NTHETA) for i in range(len(ext.points))]
+        assert len(rep.per_node) == len(ref)
+        for e, r in zip(rep.per_node, ref):
+            assert abs(e - r) <= 2e-15 * abs(r)
+        refined = sum(reference_node_energy(ext, aux, i, 2 * self.NR, 2 * self.NTHETA)
+                      for i in range(len(ext.points)))
+        assert abs(rep.refined_energy - refined) <= 2e-15 * refined
+
+    @pytest.mark.parametrize("block", [1, 3 * 128, 7 * 128 + 5, 10 ** 6])
+    def test_block_boundaries(self, block, monkeypatch):
+        # 1: one node per block; 3 and 7 nodes per block leave a short last
+        # block; 10**6: every node in one block
+        monkeypatch.setattr(construction, "QUAD_BLOCK", block)
+        for ext, aux in energy_setups():
+            got = construction.dbar_energy_report(ext, aux, nr=self.NR, ntheta=self.NTHETA).per_node
+            for i, e in enumerate(got):
+                r = reference_node_energy(ext, aux, i, self.NR, self.NTHETA)
+                assert abs(e - r) <= 2e-15 * abs(r)
+
+    @pytest.mark.parametrize("block", [1, 2 * 32, 10 ** 6])
+    def test_first_non_finite_node_named(self, block, fock1, flat1, monkeypatch):
+        monkeypatch.setattr(construction, "QUAD_BLOCK", block)
+        pts = pointset.PointSet(np.array([[0j], [3.0 + 0j], [6.0 + 0j], [9.0 + 0j]]),
+                                np.array([1.0 + 0j, 1.0 + 0j, 1e200 + 0j, 1e200 + 0j]))
+        ext = hi.glued_extension(flat1, fock1, pts)
+        aux = construction.AuxiliaryWeight(flat1, pts, 1.0)
+        with pytest.raises(QuadratureError) as exc, np.errstate(over="ignore"):
+            hi.dbar_energy(ext, aux, nr=4, ntheta=8)
+        assert exc.value.region == ("annulus", 2)
+
+    def test_auxiliary_weight_on_annuli_equals_value_grid(self):
+        for ext, aux in energy_setups():
+            idx = np.arange(len(ext.points))
+            p = ext.points.points[:, None, :]
+            zs = construction._annulus_nodes(ext.space, p, ext.delta0 / 2, ext.delta0,
+                                             self.NR, self.NTHETA)[0]
+            vals = aux._annulus_values(idx, zs, ext.delta0)
+            for row, z in zip(vals, zs):
+                assert row.tobytes() == aux.value_grid(z[:, None]).tobytes()
+            # some annulus is reached by several nodes' rho-balls
+            d = geometry.geodesic_distances(ext.space, p, ext.points.points[None, :, :])
+            assert np.max(np.sum(d <= aux.rho + ext.delta0, axis=1)) > 1
+
+    def test_empty_set_exactly_zero(self, fock1, flat1):
+        ext = hi.glued_extension(flat1, fock1, pointset.PointSet(np.zeros((0, 1), complex)))
+        aux = construction.AuxiliaryWeight(flat1, ext.points, 1.0)
+        rep = construction.dbar_energy_report(ext, aux)
+        assert (rep.energy, rep.refined_energy, rep.drift, rep.per_node) == (0.0, 0.0, 0.0, ())
+        assert construction.extension_norm_sq(ext) == 0.0
 
 
 class TestRadialOracle:

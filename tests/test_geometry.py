@@ -235,6 +235,27 @@ class TestPolarHelpers:
                     assert isinstance(z, complex)
                     assert abs(grid[i, j] - z) <= 1e-15 * max(1.0, abs(z))
 
+    def test_array_of_centres_matches_single_centre(self, disk, flat1, rng):
+        ds = rng.uniform(0.0, 2.5, (7, 1))
+        ths = rng.uniform(0.0, 2 * math.pi, (1, 5))
+        centres = 0.8 * np.sqrt(rng.random((4, 1, 1))) * np.exp(2j * np.pi * rng.random((4, 1, 1)))
+        for sp in (disk, flat1):
+            grid = geometry.geodesic_point(sp, centres, ds, ths)
+            assert grid.shape == (4, 7, 5)
+            for c, rows in zip(centres, grid):
+                assert rows.tobytes() == geometry.geodesic_point(sp, c[0, 0], ds, ths).tobytes()
+        us = 0.9 * rng.uniform(-0.7, 0.7, 6) + 0.9j * rng.uniform(-0.7, 0.7, 6)
+        batch = geometry.mobius_translate(disk, centres[:, 0], us)
+        assert batch.shape == (4, 6)
+        for c, row in zip(centres, batch):
+            assert row.tobytes() == geometry.mobius_translate(disk, c[0, 0], us).tobytes()
+        # every centre is validated
+        bad = np.array([[0.1 + 0j], [1.2 + 0j]])
+        with pytest.raises(DomainError):
+            geometry.mobius_translate(disk, bad, us)
+        with pytest.raises(DomainError):
+            geometry.geodesic_point(disk, bad[:, :, None], ds, ths)
+
     def test_batched_mobius_and_jacobian_match_scalar(self, disk, flat1, rng):
         us = 0.9 * rng.uniform(-0.7, 0.7, 6) + 0.9j * rng.uniform(-0.7, 0.7, 6)
         batch = geometry.mobius_translate(disk, 0.4 - 0.3j, us)

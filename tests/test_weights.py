@@ -36,6 +36,29 @@ class TestPolynomials:
             # d/dz = conj(d/dzbar) for real functions
             assert grad[0] == pytest.approx(np.conj(num[0]), abs=1e-8)
 
+    def test_real_polynomial_gradient_batched(self, rng):
+        # n = 2 with mixed powers up to 5; rows of an (m, n) and an (a, b, n)
+        # array equal the single-point gradient bit for bit
+        phi = RealPolynomial({(3, 1, 0, 2): 0.7, (0, 5, 1, 0): -0.2, (2, 2, 0, 0): 1.3,
+                              (1, 0, 0, 3): 0.5}, 2)
+        zs = rng.uniform(-2, 2, (60, 2)) + 1j * rng.uniform(-2, 2, (60, 2))
+        grid = phi.dz_gradient(zs)
+        assert grid.shape == (60, 2)
+        for z, row in zip(zs, grid):
+            single = phi.dz_gradient(z)
+            assert single.shape == (2,)
+            assert row.tobytes() == single.tobytes()
+        assert phi.dz_gradient(zs.reshape(6, 10, 2)).tobytes() == grid.tobytes()
+
+    def test_bergman_gradient_batched(self, rng):
+        w = hi.bergman_weight(4.0)
+        # used to broadcast (m, 1) / (m,) to an (m, m) array
+        assert w.phi_def_dz([[0.1], [0.2 + 0.1j]]).shape == (2, 1)
+        zs = (0.9 * np.sqrt(rng.random(60)) * np.exp(2j * np.pi * rng.random(60)))[:, None]
+        grid = w.phi_def_dz(zs)
+        for z, row in zip(zs, grid):
+            assert row.tobytes() == w.phi_def_dz(z).tobytes()
+
 
 class TestWeightValue:
     def test_fock(self, fock1):
@@ -187,6 +210,20 @@ class TestNormalFrame:
         zs = np.array([[0.5 + 0j], [1.5 + 1j]])
         out = hi.normal_frame_exponent(fock1, 1.0, zs)
         assert np.allclose(out, zs[:, 0] - 1.0)
+
+    def test_array_of_centres_matches_single_centre(self, fock1, rng):
+        poly = weights.HermitianWeight(
+            (Polynomial.from_coeffs([0.1, 1.0, 0.0, 0.05j]),),
+            RealPolynomial({(2, 0): 0.5, (0, 2): 0.5, (3, 1): 0.3}, 1), m2=1.0, r0=1.0, mu=1.0)
+        centres = 0.6 * (rng.random((5, 1, 1)) - 0.5) + 0.6j * (rng.random((5, 1, 1)) - 0.5)
+        zs = centres + 0.2 * (rng.random((5, 40, 1)) - 0.5) + 0.2j * (rng.random((5, 40, 1)) - 0.5)
+        for w in (fock1, hi.bergman_weight(3.0), poly):
+            batch = hi.normal_frame_exponent(w, centres, zs)
+            assert batch.shape == (5, 40)
+            for c, z, row in zip(centres, zs, batch):
+                assert row.tobytes() == hi.normal_frame_exponent(w, c[0], z).tobytes()
+        with pytest.raises(DomainError):
+            hi.normal_frame_exponent(fock1, np.zeros((5, 1, 2), dtype=complex), zs)
 
 
 class TestFrameNormBound:
