@@ -12,6 +12,7 @@ the thread count, and embed the convention block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,20 +40,25 @@ RAW_RESIDUAL_WARN = 1e-10
 # ---------------------------------------------------------------------------
 # input loading
 
-def _load_json_arg(spec: str):
-    """Accept inline JSON (starts with '{') or a path to a JSON file."""
-    text = spec
-    if not spec.lstrip().startswith("{"):
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
+def _load_json_arg(args, name: str):
+    """The JSON argument ``--name``: inline JSON (starts with '{') or a path
+    to a JSON file, decoded once per run (the decoded object is kept on
+    ``args``, which each run parses afresh)."""
+    decoded = vars(args).setdefault("_decoded", {})
+    if name not in decoded:
+        text = spec = getattr(args, name)
+        if not spec.lstrip().startswith("{"):
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        decoded[name] = json.loads(text)
+    return decoded[name]
 
 
 def _load_space(args) -> geometry.ModelSpace:
     if getattr(args, "space", None):
-        return geometry.space_from_dict(_load_json_arg(args.space))
+        return geometry.space_from_dict(_load_json_arg(args, "space"))
     if getattr(args, "points", None):
-        d = _load_json_arg(args.points)
+        d = _load_json_arg(args, "points")
         if "space" in d:
             return geometry.space_from_dict(d["space"])
     raise DomainError("no --space given and the point file carries none")
@@ -64,7 +70,7 @@ def _load_points(args, space=None) -> pointset.PointSet:
     empty set is stored as (0, 1) whatever the dimension, so it is not checked."""
     if not getattr(args, "points", None):
         raise DomainError("--points is required for this command")
-    pts = pointset.pointset_from_dict(_load_json_arg(args.points))
+    pts = pointset.pointset_from_dict(_load_json_arg(args, "points"))
     if space is not None and len(pts):
         space.validate_points(pts.points)
     return pts
@@ -73,7 +79,7 @@ def _load_points(args, space=None) -> pointset.PointSet:
 def _load_weight(args) -> weights.HermitianWeight:
     if not getattr(args, "weight", None):
         raise DomainError("--weight is required for this command")
-    return weights.weight_from_dict(_load_json_arg(args.weight))
+    return weights.weight_from_dict(_load_json_arg(args, "weight"))
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -231,7 +237,7 @@ def _kernel_from_weight_spec(spec: dict) -> rkhs.KernelSpace:
 
 
 def _cmd_interpolate(args) -> int:
-    kernel = _kernel_from_weight_spec(_load_json_arg(args.weight))
+    kernel = _kernel_from_weight_spec(_load_json_arg(args, "weight"))
     pts = _load_points(args)
     interp = rkhs.min_norm_interpolant(kernel, pts)
     raw = float(np.max(interp.raw_residuals))
@@ -252,7 +258,7 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kernel = _kernel_from_weight_spec(_load_json_arg(args.weight))
+    kernel = _kernel_from_weight_spec(_load_json_arg(args, "weight"))
     spacings = [float(s) for s in args.spacings.split(",") if s]
     extra = [float(s) for s in args.extra_radii.split(",") if s] if args.extra_radii else []
     result = rkhs.feasibility_sweep(kernel, spacings, args.radius, extra_radii=extra)
@@ -410,11 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use: parsing leaves no state in
+    it, and each ``parse_args`` call returns a fresh namespace."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse and execute; returns the exit code without raising."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT_ERROR
     try:

@@ -157,20 +157,30 @@ def evaluate_extension(ext: GluedExtension, z):
     """F(z) for a single point (complex) or a (G, n) array of points (array).
 
     At most one node contributes at each point; F(p) = a(p) exactly on the
-    set.  Loops over the nodes that can reach the points and vectorizes over
-    the points inside each node's delta0-ball.
+    set.  One node-batched pass: the distances from the nodes that can reach
+    the points to every point, in blocks of about ``QUAD_BLOCK`` distances,
+    give the (node, point) pairs inside a delta0-ball in node-major order;
+    the cutoff and the normal-frame section are evaluated once over all
+    pairs, and ``np.add.at`` adds the terms in node order (a point that
+    rounding puts in two touching balls sums them as a per-node loop would).
     """
     zs, single = ext.space.validate_rows(z)
+    idx = _nodes_within(ext.space, ext.points.points, zs, ext.delta0)
+    nodes = ext.points.points[idx]
+    per_block = max(1, QUAD_BLOCK // max(1, zs.shape[0]))
+    node, pt, dist = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for lo in range(0, len(idx), per_block):
+        d = geometry.geodesic_distances(ext.space, zs, nodes[lo:lo + per_block, None, :])
+        i, j = np.nonzero(d < ext.delta0)
+        node.append(lo + i)
+        pt.append(j)
+        dist.append(d[i, j])
+    node, pt, dist = (np.concatenate(x) for x in (node, pt, dist))
     out = np.zeros(zs.shape[0], dtype=complex)
-    vals = ext.values()
-    for i in _nodes_within(ext.space, ext.points.points, zs, ext.delta0):
-        p = ext.points.point(i)
-        d = geometry.geodesic_distances(ext.space, zs, p)
-        near = np.nonzero(d < ext.delta0)[0]
-        if near.size:
-            chi = cutoff(d[near] ** 2 / ext.delta0 ** 2)
-            out[near] += local_section(ext.weight, ext.space, p, vals[i], zs[near],
-                                       ext.delta0) * chi
+    if pt.size:
+        chi = cutoff(dist ** 2 / ext.delta0 ** 2)
+        expo = weights.normal_frame_exponent(ext.weight, nodes[node], zs[pt])
+        np.add.at(out, pt, ext.values()[idx[node]] * np.exp(expo) * chi)
     return complex(out[0]) if single else out
 
 
@@ -276,8 +286,9 @@ def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> 
 # ---------------------------------------------------------------------------
 # quadrature
 
-#: Quadrature points per block of annuli: the nodes of a block share one
-#: array pass, and a block's temporaries stay in cache.
+#: Quadrature points per block of annuli (node-to-point distances per block
+#: in ``evaluate_extension``): the nodes of a block share one array pass,
+#: and a block's temporaries stay in cache.
 QUAD_BLOCK = 2 ** 12
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -92,19 +93,26 @@ def pointset_from_dict(d: dict) -> PointSet:
     raw_pts = d.get("points", [])
     if not isinstance(raw_pts, list):
         raise DomainError("'points' must be a list")
-    pts = [_parse_point(p) for p in raw_pts]
-    if pts:
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise DomainError("all points must have the same number of coordinates")
-        arr = np.array(pts, dtype=complex)
-    else:
-        arr = np.zeros((0, 1), dtype=complex)
+    arr = _pairs_array(raw_pts, 1)
+    if arr is None:
+        arr = _pairs_array(raw_pts, 2)
+    if arr is None:
+        pts = [_parse_point(p) for p in raw_pts]
+        if pts:
+            n = len(pts[0])
+            if any(len(p) != n for p in pts):
+                raise DomainError("all points must have the same number of coordinates")
+            arr = np.array(pts, dtype=complex)
+        else:
+            arr = np.zeros((0, 1), dtype=complex)
     values = None
     if d.get("values") is not None:
         if not isinstance(d["values"], list):
             raise DomainError("'values' must be a list")
-        values = np.array([_parse_pair(v) for v in d["values"]], dtype=complex)
+        values = _pairs_array(d["values"], 1)
+        if values is None:
+            values = np.array([_parse_pair(v) for v in d["values"]], dtype=complex)
+        values = values.reshape(-1)
     return PointSet(arr, values)
 
 
@@ -117,6 +125,27 @@ def pointset_to_dict(pts: PointSet, space: Optional[geometry.ModelSpace] = None)
     if pts.values is not None:
         out["values"] = [[v.real, v.imag] for v in pts.values]
     return out
+
+
+def _pairs_array(raw: list, depth: int) -> Optional[np.ndarray]:
+    """``raw`` as a (len(raw), k) complex array when it is ``depth`` levels
+    of lists, equally long at each level, ending in ``[re, im]`` pairs of
+    ``int``/``float`` entries; ``None`` otherwise, and for an empty list.
+
+    Every check is a C-level pass over one level (``map`` and
+    ``chain.from_iterable``), and the float array is viewed as complex, so
+    ``[-0.0, -0.0]`` keeps both signs as ``complex(re, im)`` does.  A ``None``
+    sends the caller to the per-entry parser, which names what is wrong.
+    """
+    level = raw
+    for _ in range(depth):
+        if set(map(type, level)) != {list} or len(set(map(len, level))) != 1:
+            return None
+        width = len(level[0])
+        level = list(chain.from_iterable(level))
+    if width != 2 or not set(map(type, level)) <= {int, float}:
+        return None
+    return np.array(raw, dtype=float).view(complex).reshape(len(raw), -1)
 
 
 def _is_pair(c) -> bool:

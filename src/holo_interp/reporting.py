@@ -17,15 +17,6 @@ CONVENTIONS = {
 }
 
 
-def fmt(x) -> str:
-    """Full-precision scientific-ish rendering for CSV cells."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def report_envelope(kind: str, body: dict) -> dict:
     out = {"schema_version": SCHEMA_VERSION, "kind": kind, "conventions": CONVENTIONS}
     out.update(body)
@@ -37,8 +28,24 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
+def _cell_format(t: type) -> str:
+    """``%`` code of a CSV cell of type ``t``: integers (and booleans, as 1/0)
+    exactly, strings as they are, every other number to 17 significant digits."""
+    if issubclass(t, int):
+        return "%d"
+    return "%s" if issubclass(t, str) else "%.17g"
+
+
 def dump_csv(header, rows) -> str:
+    """CSV text with one ``%`` operation per row; the row format is built
+    once per sequence of cell types."""
     lines = [",".join(header)]
+    formats: dict = {}
     for row in rows:
-        lines.append(",".join(fmt(c) if not isinstance(c, str) else c for c in row))
+        row = tuple(row)
+        key = tuple(map(type, row))
+        f = formats.get(key)
+        if f is None:
+            f = formats[key] = ",".join(map(_cell_format, key))
+        lines.append(f % row)
     return "\n".join(lines) + "\n"

@@ -139,6 +139,57 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
 
 
+class TestJsonArguments:
+    @pytest.mark.parametrize("argv", [
+        ["separation"],
+        ["density", "--grid=-0.5:0.5:3"],
+    ])
+    def test_point_file_decoded_once_without_space(self, argv, disk_points, monkeypatch):
+        # the point file carries the space, so it is read for both
+        text = open(disk_points, encoding="utf-8").read()
+        decoded = []
+        real_loads = json.loads
+
+        def counting_loads(s, *a, **kw):
+            decoded.append(s)
+            return real_loads(s, *a, **kw)
+
+        monkeypatch.setattr(cli.json, "loads", counting_loads)
+        assert cli.run(argv + ["--points", disk_points, "--out", "/dev/null"]) == 0
+        assert decoded.count(text) == 1
+
+
+class TestParser:
+    def test_consecutive_runs_share_no_state(self, sparse_points, monkeypatch):
+        seen = []
+        real_map_fn = cli._map_fn
+
+        def recording_map_fn(args):
+            seen.append(args.threads)
+            return real_map_fn(args)
+
+        monkeypatch.setattr(cli, "_map_fn", recording_map_fn)
+        argv = ["certify-bos", "--weight", FOCK, "--points", sparse_points, "--rho", "2",
+                "--eps", "1", "--grid=-3:3:5", "--out", "/dev/null"]
+        assert cli.run(argv + ["--threads", "4"]) == 0
+        assert cli.run(argv) == 0
+        assert seen == [4, None]
+
+    def test_bad_argv_then_valid_call(self, sparse_points, capsys):
+        assert cli.run(["separation", "--space", FLAT, "--bogus"]) == 2
+        assert cli.run(["certify-bos", "--weight", FOCK, "--rho", "2"]) == 2
+        assert cli.run(["separation", "--space", FLAT, "--points", sparse_points,
+                        "--out", "/dev/null"]) == 0
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.run(["--help"]) == 0
+        assert cli.run(["construct", "--help"]) == 0
+        assert "usage: holo-interp" in capsys.readouterr().out
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestCommands:
     def test_separation(self, tmp_path, sparse_points):
         out = tmp_path / "sep.json"

@@ -292,6 +292,100 @@ class TestBatchedExtension:
             hi.local_section(fock1, flat1, 0.0, 1.0, np.array([[0.1 + 0j], [2.0 + 0j]]), 0.5)
 
 
+def reference_extension(ext, zs):
+    """F on the (G, n) rows ``zs`` as one call chain per node, with public
+    calls: the per-node loop the node-batched evaluation replaced, kept as
+    the reference."""
+    out = np.zeros(zs.shape[0], dtype=complex)
+    for i in range(len(ext.points)):
+        p = ext.points.point(i)
+        d = geometry.geodesic_distances(ext.space, zs, p)
+        near = np.nonzero(d < ext.delta0)[0]
+        if near.size:
+            chi = hi.cutoff(d[near] ** 2 / ext.delta0 ** 2)
+            out[near] += hi.local_section(ext.weight, ext.space, p, ext.values()[i], zs[near],
+                                          ext.delta0) * chi
+    return out
+
+
+def extension_setups(rng):
+    """(extension, (G, n) sample rows) on a flat Fock lattice (n = 1 and
+    n = 2), the Bergman disk and a polynomial weight with a RealPolynomial
+    deformation; the rows include the nodes and many points in their balls."""
+    flat, disk = hi.flat_space(1), hi.hyperbolic_ball(1.0)
+    lat = lattice_with_values()
+    out = []
+    for sp, w, pts in ((flat, hi.fock_weight(0.7), lat),
+                       (disk, hi.bergman_weight(3.0), disk_nodes()),
+                       (flat, poly_weight(), lattice_with_values(1.2, 2.4, seed=8))):
+        ext = hi.glued_extension(sp, w, pts)
+        if sp.is_flat:
+            other = rng.uniform(-3.5, 3.5, 1200) + 1j * rng.uniform(-3.5, 3.5, 1200)
+        else:
+            other = 0.95 * np.sqrt(rng.random(1200)) * np.exp(2j * np.pi * rng.random(1200))
+        out.append((ext, np.concatenate([pts.points[:, 0], other])[:, None]))
+    sp2 = hi.flat_space(2)
+    pts2 = pointset.PointSet(np.array([[0j, 0j], [1.5 + 0j, 0.2j], [-1 + 1j, 0.5 + 0j]]),
+                             np.array([1 + 1j, -2 + 0j, 0.3j]))
+    ext2 = hi.glued_extension(sp2, hi.fock_weight(1.0, n=2), pts2)
+    near = pts2.points[rng.integers(0, 3, 900)] + 0.3 * (rng.normal(size=(900, 2))
+                                                       + 1j * rng.normal(size=(900, 2)))
+    out.append((ext2, np.concatenate([pts2.points, near])))
+    return out
+
+
+class TestNodeBatchedExtension:
+    IDS = ["fock-flat", "bergman-disk", "poly-flat", "fock-flat-n2"]
+
+    @pytest.mark.parametrize("setup", range(4), ids=IDS)
+    def test_matches_per_node_reference(self, setup, rng):
+        ext, zs = extension_setups(rng)[setup]
+        got = hi.evaluate_extension(ext, zs)
+        assert got.tobytes() == reference_extension(ext, zs).tobytes()
+        assert got[:len(ext.points)].tolist() == ext.values().tolist()
+        assert np.count_nonzero(got[len(ext.points):]) > 50
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_block_boundaries(self, rows, rng, monkeypatch):
+        # 1, 3 and 7 node rows per block of distances: 3 and 7 leave a short last block
+        for ext, zs in extension_setups(rng):
+            monkeypatch.setattr(construction, "QUAD_BLOCK", rows * zs.shape[0])
+            assert hi.evaluate_extension(ext, zs).tobytes() == reference_extension(ext, zs).tobytes()
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-13])
+    def test_point_between_touching_balls(self, fock1, flat1, nudge):
+        # nodes exactly 2*delta0 apart: their midpoint is on both ball
+        # boundaries, and inside both once delta0 grows by a rounding-sized step
+        pts = pointset.PointSet(np.array([[0j], [1.0 + 0j]]), np.array([1.0 + 2j, -3.0 + 0.5j]))
+        ext = construction.GluedExtension(flat1, fock1, pts, 0.5 + nudge)
+        zs = np.array([[0.5 + 0j], [0.5 - 1e-14 + 0j], [0.5 + 1e-14 + 0j], [0.25 + 0j], [0.75 + 0j]])
+        got = hi.evaluate_extension(ext, zs)
+        assert got.tobytes() == reference_extension(ext, zs).tobytes()
+        assert got[0] == 0.0
+
+    def test_single_point_is_complex(self, rng):
+        for ext, zs in extension_setups(rng):
+            rows = hi.evaluate_extension(ext, zs[:40])
+            for z, f in zip(zs[:40], rows):
+                one = hi.evaluate_extension(ext, z if ext.space.n > 1 else z[0])
+                assert type(one) is complex and one == f
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_node_set(self, n):
+        sp = hi.flat_space(n)
+        ext = construction.GluedExtension(sp, hi.fock_weight(1.0, n=n),
+                                          pointset.PointSet(np.zeros((0, 1), complex)), 0.5)
+        got = hi.evaluate_extension(ext, np.ones((5, n), complex))
+        assert got.shape == (5,) and got.tobytes() == np.zeros(5, complex).tobytes()
+        assert hi.evaluate_extension(ext, np.ones(n, complex)) == 0j
+
+    def test_one_row_outside_ball_rejected(self, disk):
+        ext = hi.glued_extension(disk, hi.bergman_weight(3.0), disk_nodes())
+        zs = np.concatenate([disk_nodes().points, [[0.6 + 0.8j]]])
+        with pytest.raises(DomainError, match="outside the open ball"):
+            hi.evaluate_extension(ext, zs)
+
+
 class TestAuxiliaryWeight:
     def test_boundary_zero(self, flat1):
         aux = construction.AuxiliaryWeight(flat1, pointset.PointSet(np.array([[0j]])), 1.0)

@@ -82,6 +82,71 @@ class TestPointSet:
         assert pts.points[1, 0] == 2 + 1j
 
 
+def per_entry_parse(d):
+    """Points and values of a point file through the per-entry parser alone:
+    the parse that the C-level fast path must reproduce bit for bit."""
+    pts = [pointset._parse_point(p) for p in d["points"]]
+    arr = np.array(pts, dtype=complex) if pts else np.zeros((0, 1), dtype=complex)
+    vals = d.get("values")
+    return arr, None if vals is None else np.array([pointset._parse_pair(v) for v in vals],
+                                                   dtype=complex)
+
+
+#: the malformed files of tests/test_cli.py::TestExitCodes
+MALFORMED = [
+    {"points": [["a", 1]]},
+    {"points": [[0.1, 0.2], [0.3]]},
+    {"points": [[0.1, 0.2]], "values": [[1]]},
+    {"points": [[True, 0.2]]},
+    {"points": [[[0.1, 0.2, 0.3]]]},
+    {"points": [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6]]]},
+]
+
+
+class TestPointFileParse:
+    @pytest.mark.parametrize("d", [
+        {"points": [[-0.0, 0.5], [0.0, -0.0], [1.0, -0.0]], "values": [[-0.0, -0.0], [1, -0.0], [-2, 3]]},
+        {"points": [[1, 2], [-3, 4], [2 ** 60 + 1, 7]], "values": [[1, 0], [0, 1], [5, 5]]},
+        {"points": [[[0.0, -0.0], [1, 0.0]], [[2.0, 1.0], [-0.0, -1]], [[0.1, 0.2], [0.3, 0.4]]]},
+        {"points": [[[0.25, -0.0]], [[-1.5, 3]]], "values": [[0.0, 1.0], [2.0, -0.0]]},
+        {"points": [[0.1, 0.2], [0.3, 0.4]]},
+    ], ids=["negative-zero", "integers", "n2", "n1-pairs", "no-values"])
+    def test_fast_path_equals_per_entry_parser(self, d):
+        raw = d["points"]
+        assert pointset._pairs_array(raw, 1) is not None or pointset._pairs_array(raw, 2) is not None
+        got = pointset.pointset_from_dict(d)
+        arr, vals = per_entry_parse(d)
+        assert got.points.shape == arr.shape and got.points.tobytes() == arr.tobytes()
+        if vals is None:
+            assert got.values is None
+        else:
+            assert got.values.shape == vals.shape and got.values.tobytes() == vals.tobytes()
+
+    def test_empty_sets(self):
+        for d in ({"points": []}, {"points": [], "values": []}, {}):
+            got = pointset.pointset_from_dict(d)
+            assert got.points.shape == (0, 1) and got.points.dtype == complex
+            if d.get("values") is not None:
+                assert got.values.shape == (0,)
+        assert pointset._pairs_array([], 1) is None
+
+    @pytest.mark.parametrize("d", MALFORMED)
+    def test_malformed_files_fall_back_and_refuse(self, d):
+        raw = d["points"]
+        if d.get("values") is None:
+            assert pointset._pairs_array(raw, 1) is None and pointset._pairs_array(raw, 2) is None
+        else:
+            assert pointset._pairs_array(d["values"], 1) is None
+        with pytest.raises(DomainError):
+            pointset.pointset_from_dict(d)
+
+    def test_other_number_types_take_the_per_entry_parser(self):
+        d = {"points": [(0.5, 1.0), [np.float64(0.25), 2]]}
+        assert pointset._pairs_array(d["points"], 1) is None
+        got = pointset.pointset_from_dict(d)
+        assert got.points.tobytes() == per_entry_parse(d)[0].tobytes()
+
+
 class TestSeparation:
     def test_lattice(self, flat1):
         for s in (0.5, 1.0, 2.5):
