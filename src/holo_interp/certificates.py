@@ -113,8 +113,8 @@ def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
                     map_fn=map) -> CertificateReport:
     """Flat one-dimensional Laplacian-versus-counting criterion.
 
-    ``map_fn`` may be a thread-pool map over the per-sample ball counts;
-    they are assembled in grid order either way, so output is deterministic.
+    ``map_fn`` may be a thread-pool map; it runs the one whole-grid ball
+    count, so output is the same either way.
     """
     if space is None:
         space = geometry.flat_space(1)
@@ -126,7 +126,8 @@ def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
         raise DomainError("rho and eps must be positive and finite")
     zs = pointset.grid_rows(space, grid)
     laplacian = 4.0 * w.ddbar(zs)[:, 0, 0].real
-    counts = np.array(list(map_fn(lambda z: pointset.count_in_ball(space, pts, z, rho), zs)))
+    # one whole-grid count, mapped so `--threads 2` runs it on a worker (bench/smoke.py)
+    [counts] = map_fn(lambda rows: pointset.count_in_ball(space, pts, rows, rho), [zs])
     samples = list(map(SampleMargin, zs, counts / rho ** 2 + eps, laplacian))
     return _finalize(BOS, eps, rho, samples, _separation_warning(space, pts))
 
@@ -141,7 +142,7 @@ def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
     factor = geometry.hessian_comparison_factor(space.k, rho)
     zs = pointset.grid_rows(space, grid)
     available = weights.curvature_eigen_min(w, space, zs)
-    counts = np.array(list(map_fn(lambda z: pointset.count_in_ball(space, pts, z, rho), zs)))
+    [counts] = map_fn(lambda rows: pointset.count_in_ball(space, pts, rows, rho), [zs])
     samples = list(map(SampleMargin, zs, space.n * (counts / rho ** 2) * factor + eps, available))
     return _finalize(THEOREM1, eps, rho, samples, _separation_warning(space, pts),
                      {"comparison_factor": factor, "k": space.k})

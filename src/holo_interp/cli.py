@@ -439,7 +439,7 @@ def run(argv=None) -> int:
         extra = f" (eig_min = {exc.eig_min:.3e})" if getattr(exc, "eig_min", None) is not None else ""
         print(f"error: numerical guard: {exc}{extra}", file=sys.stderr)
         return EXIT_GUARD
-    except (DomainError, ValueError, OSError, KeyError) as exc:
+    except (DomainError, ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

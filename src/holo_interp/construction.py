@@ -132,9 +132,6 @@ class GluedExtension:
     def values(self) -> np.ndarray:
         return self.points.values if self.points.values is not None else np.zeros(0, dtype=complex)
 
-    def evaluate(self, z):
-        return evaluate_extension(self, z)
-
 
 def glued_extension(space: geometry.ModelSpace, w: weights.HermitianWeight,
                     pts: pointset.PointSet, delta0: Optional[float] = None) -> GluedExtension:

@@ -64,10 +64,6 @@ class PointSet:
     def with_values(self, values) -> "PointSet":
         return PointSet(self.points.copy(), np.asarray(values, dtype=complex))
 
-    def subset(self, indices) -> "PointSet":
-        vals = None if self.values is None else self.values[indices]
-        return PointSet(self.points[indices], vals)
-
 
 def _check_distinct(pts: np.ndarray):
     m = pts.shape[0]
@@ -216,27 +212,17 @@ def _tree_min_pair(space, points):
     nodes and the first pair attaining it in lexicographic order (None when
     it is infinite; NaN, from a node on the rim to rounding, counts as inf).
 
-    A k-d tree's Euclidean nearest neighbours bound the minimum by ``U``.  A
-    pair at distance ``<= U`` lies within Euclidean distance ``U`` of ``z_i``
-    on flat space and ``sqrt(kappa^2 - |z_i|^2) sinh(U/2kappa)`` on the ball
-    (``|z_i - z_j|^2 = q sinh^2(d/2kappa)/kappa^2``), so only those pairs get
+    A k-d tree's Euclidean nearest neighbours bound the minimum by ``U``.
+    Only the pairs within the Euclidean reach of ``U`` (``_reach``) get
     exact distances; the closed form is symmetric to the bit, so the minimum
     is the all-pairs one to the bit.
     """
     m = points.shape[0]
-    # clipping shortens no distance and keeps the tree's squares finite
-    tree = cKDTree(np.clip(points.view(float).reshape(m, -1), -2.0 ** 500, 2.0 ** 500))
+    tree = cKDTree(_tree_coords(points))
     rows = np.arange(m)
     nearest = tree.query(tree.data, k=2)[1]
     nearest = np.where(nearest[:, 1] == rows, nearest[:, 0], nearest[:, 1])
-    upper = np.min(_pair_distances(space, points, rows, nearest))
-    radii = upper
-    if not space.is_flat:  # room as rounded in geometry.geodesic_distances
-        kap = space.kappa
-        room = kap * kap - np.sum(np.abs(points) ** 2, axis=-1)
-        radii = np.sqrt(room) * np.sinh(upper / (2.0 * kap))
-    # widened past rounding and underflow; NaN (0 * inf, a rim node) is inf
-    radii = np.where(radii >= 0.0, radii * (1.0 + 1e-9) + 1e-150, math.inf)
+    radii = _reach(space, points, np.min(_pair_distances(space, points, rows, nearest)))
     found = tree.query_ball_point(tree.data, radii, return_sorted=True)
     i = np.repeat(rows, [len(js) for js in found])
     j = np.concatenate(found)
@@ -248,6 +234,26 @@ def _tree_min_pair(space, points):
     return float(d[k]), (int(i[k]), int(j[k]))
 
 
+def _tree_coords(points):
+    """(m, n) complex points as the real (m, 2n) rows of a k-d tree, clipped
+    to +-2**500: clipping shortens no distance and keeps the squares finite."""
+    return np.clip(np.ascontiguousarray(points).view(float), -2.0 ** 500, 2.0 ** 500)
+
+
+def _reach(space, points, dist):
+    """Euclidean radius about each (m, n) point holding every point within
+    geodesic distance ``dist``: ``dist`` flat, ``sqrt(kappa^2 - |z|^2)
+    sinh(dist/2kappa)`` on the ball (``|z-w|^2 = q sinh^2(d/2kappa)/kappa^2``),
+    widened past rounding; NaN (0 * inf, a rim point) and overflow are inf."""
+    radii = dist
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not space.is_flat:  # room as rounded in geometry.geodesic_distances
+            kap = space.kappa
+            room = kap * kap - np.sum(np.abs(points) ** 2, axis=-1)
+            radii = np.sqrt(room) * np.sinh(dist / (2.0 * kap))
+        return np.where(radii >= 0.0, radii * (1.0 + 1e-9) + 1e-150, math.inf)
+
+
 def _pair_distances(space, points, i, j):
     d = geometry.geodesic_distances(space, points[j], points[i])
     d[np.isnan(d)] = math.inf
@@ -257,14 +263,26 @@ def _pair_distances(space, points, i, j):
 # ---------------------------------------------------------------------------
 # counting and density
 
-def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float) -> int:
-    """Number of set points inside the open geodesic ball B(z, rho)."""
+def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float):
+    """Number of set points inside the open geodesic ball B(z, rho).
+
+    ``z`` is one point (an ``int`` result) or an (m, n) grid (an (m,) int
+    array).  A k-d tree over the nodes gives each sample's candidates within
+    its Euclidean reach (``_reach``); only they get the strict test
+    ``d < rho``, with the distances ``geometry.distances_from`` gives.
+    """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    if len(pts) == 0:
-        return 0
-    d = geometry.distances_from(space, pts.points, z)
-    return int(np.count_nonzero(d < rho))
+    xs, single = space.validate_rows(z)
+    counts = np.zeros(len(xs), dtype=np.intp)
+    if len(pts):
+        found = cKDTree(_tree_coords(pts.points)).query_ball_point(
+            _tree_coords(xs), _reach(space, xs, rho))
+        i = np.repeat(np.arange(len(xs)), [len(js) for js in found])
+        j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
+        inside = geometry.geodesic_distances(space, pts.points[j], xs[i]) < rho
+        counts = np.bincount(i[inside], minlength=len(xs))
+    return int(counts[0]) if single else counts
 
 
 def grid_rows(space: geometry.ModelSpace, grid) -> np.ndarray:
@@ -279,20 +297,28 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
 
     ``x`` is one point (a float result) or an (m, n) grid (an (m,) array).
     Requires a hyperbolic ball; each contributing term is positive and
-    decreases to 0 as the node recedes.  Excluded nodes (NaN distances too)
-    are put at infinity, where the term is exactly 0.
+    decreases to 0 as the node recedes.  It is ``log1p(w)``, ``w = 1/u`` with
+    ``u`` as in ``geometry.geodesic_distances``; ``d >= cutoff`` is ``w <=
+    1/sinh^2(cutoff/2kappa)``.  A sample on a node (``w = inf``, kept only for
+    ``cutoff <= 0``), NaN and a node off the ball (``w < 0``) add exactly 0.
     """
     if space.is_flat:
         raise SpaceMismatchError("the density is defined on the hyperbolic ball only")
     xs, single = space.validate_rows(x)
     out = np.zeros(len(xs))
     if len(pts):
-        nodes = pts.points[None]
+        kap2 = space.kappa * space.kappa
+        with np.errstate(divide="ignore", over="ignore"):
+            w_max = math.inf if cutoff <= 0 else min(
+                1.0 / np.sinh(cutoff / (2.0 * space.kappa)) ** 2, np.finfo(float).max)
+        room_p = kap2 - np.sum(np.abs(pts.points) ** 2, axis=-1)
+        room_x = kap2 - np.sum(np.abs(xs) ** 2, axis=-1)
         step = max(1, DENSITY_BLOCK // len(pts))
         for i in range(0, len(xs), step):
-            d = geometry.geodesic_distances(space, nodes, xs[i:i + step, None])
-            d = np.where(d >= cutoff, d, math.inf)
-            out[i:i + step] = -2.0 * np.sum(np.log(np.tanh(d / (2.0 * space.kappa))), axis=1)
+            diff_sq = np.sum(np.abs(pts.points - xs[i:i + step, None]) ** 2, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = room_x[i:i + step, None] * room_p / (kap2 * diff_sq)
+            out[i:i + step] = np.sum(np.log1p(np.where((w >= 0.0) & (w <= w_max), w, 0.0)), axis=1)
     return float(out[0]) if single else out
 
 

@@ -127,6 +127,16 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["separation", "--space", FLAT],
+        ["density", "--space", DISK, "--grid=-0.5:0.5:3"],
+    ], ids=["separation", "density"])
+    def test_coordinate_beyond_float_range_exits_two(self, argv, capsys):
+        # a 401-digit integer literal has no float: OverflowError is an input error
+        points = '{"points": [[1%s, 0.0], [0.5, 0.0]]}' % ("0" * 400)
+        assert cli.run([*argv, "--points", points, "--out", "/dev/null"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("args", [
         ["--spacings", "1", "--radius", "inf"],
         ["--spacings", "1", "--radius", "nan"],

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holo_interp as hi
-from holo_interp import pointset
+from holo_interp import geometry, pointset
 from holo_interp.errors import DomainError, SizeGuardError, SpaceMismatchError
 
 LOG4 = 1.3862943611198906
@@ -310,6 +311,113 @@ class TestCountInBall:
             assert c1 / rho ** 2 == (c2 / (2.0 * rho) ** 2) * 4.0
 
 
+def scan_counts(space, pts, rows, rho):
+    """Per-sample reference: every node's distance from ``distances_from``,
+    then the strict test."""
+    return np.array([np.count_nonzero(geometry.distances_from(space, pts.points, z) < rho)
+                     for z in rows], dtype=np.intp)
+
+
+def assert_grid_counts(space, pts, rows, rho):
+    grid = hi.count_in_ball(space, pts, rows, rho)
+    assert isinstance(grid, np.ndarray) and grid.shape == (len(rows),)
+    assert grid.dtype.kind == "i"
+    assert np.array_equal(grid, scan_counts(space, pts, rows, rho))
+    single = [hi.count_in_ball(space, pts, z, rho) for z in rows]
+    assert all(type(c) is int for c in single)
+    assert np.array_equal(grid, single)
+    return grid
+
+
+def rim_rows(rng, space, m, gap):
+    """m random points of the ball at |z| = kappa (1 - gap)."""
+    z = rng.normal(size=(m, space.n)) + 1j * rng.normal(size=(m, space.n))
+    return z * (space.kappa * (1.0 - gap) / np.linalg.norm(z, axis=1, keepdims=True))
+
+
+@pytest.mark.filterwarnings("error")
+class TestGridCounts:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("rho", [0.05, 0.7, 2.5, 40.0])
+    def test_flat_random(self, n, rho):
+        rng = np.random.default_rng(11 + n)
+        space = hi.flat_space(n)
+        pts = pointset.PointSet(rng.uniform(-3, 3, (120, n)) + 1j * rng.uniform(-3, 3, (120, n)))
+        rows = rng.uniform(-4, 4, (50, n)) + 1j * rng.uniform(-4, 4, (50, n))
+        assert_grid_counts(space, pts, np.vstack([rows, pts.points[:5]]), rho)
+
+    @pytest.mark.parametrize("spec", [s for s in SPACES if s[0] == "ball"])
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 6.0])
+    def test_ball_samples_near_the_rim(self, spec, rho):
+        space = make_space(spec)
+        rng = np.random.default_rng(23)
+        nodes = np.vstack([rim_rows(rng, space, 40, g) for g in (0.3, 1e-3, 1e-8)])
+        rows = np.vstack([rim_rows(rng, space, 10, g) for g in (0.5, 1e-2, 1e-6, 1e-12)])
+        grid = assert_grid_counts(space, pointset.PointSet(nodes), np.vstack([rows, nodes[::7]]), rho)
+        assert grid.any()
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.25, 0.7])
+    def test_lattice_ties_excluded(self, flat1, spacing):
+        # samples on nodes and cell centres; rho equal to lattice distances
+        lat = pointset.square_lattice(spacing, half_extent=4 * spacing)
+        rows = np.concatenate([lat.points[::3], lat.points[::5] + spacing * (0.5 + 0.5j)])
+        for rho in spacing * np.array([1.0, 2.0, math.sqrt(2.0), math.sqrt(0.5), 3.0]):
+            grid = assert_grid_counts(flat1, lat, rows, rho)
+            if spacing != 0.7:  # binary spacings: on-lattice distances are exact ties
+                inside = [sum(1 for p in lat.points[:, 0] if abs(p - z) < rho) for z in rows[:, 0]]
+                assert np.array_equal(grid, inside)
+        centre = pointset.PointSet(np.array([[0j]]))
+        ring = spacing * np.array([[1], [1j], [-1], [-1j]], dtype=complex)
+        assert hi.count_in_ball(flat1, centre, ring, spacing).tolist() == [0, 0, 0, 0]
+
+    def test_ball_ties_excluded(self, disk):
+        # rho is the computed distance of a node: the open ball leaves it out
+        nodes = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0j], [0.5j], [0.3 - 0.2j]]))
+        rows = np.array([[0j], [0.1 + 0.1j]])
+        for x in rows:
+            for p in nodes.points:
+                assert_grid_counts(disk, nodes, rows, float(geometry.geodesic_distances(disk, p, x)))
+
+    def test_ball_reach_widened_past_rounding(self, disk):
+        # a node at the origin makes the Euclidean reach tight: with rho one
+        # ulp above each sample's distance, about 5% of these samples fall
+        # outside the unwidened reach to rounding
+        origin = pointset.PointSet(np.zeros((1, 1), complex))
+        rng = np.random.default_rng(3)
+        rows = 0.999 * np.sqrt(rng.random((1000, 1))) * np.exp(2j * np.pi * rng.random((1000, 1)))
+        d = geometry.geodesic_distances(disk, origin.points, rows)
+        for x, rho in zip(rows, np.nextafter(d, math.inf)):
+            assert hi.count_in_ball(disk, origin, x, rho) == 1
+
+    def test_coordinates_near_two_to_the_500(self, flat1):
+        big = 2.0 ** 500
+        nodes = np.array([[big], [big + 2.0 ** 449], [2 * big], [4 * big], [-big], [1j * big], [0j]])
+        rows = np.array([[big], [3 * big], [4 * big], [-big - 2.0 ** 450], [0j]])
+        pts = pointset.PointSet(nodes)
+        for rho in (2.0 ** 448, 2.0 ** 450, 1.5 * big, 3.5 * big):
+            assert_grid_counts(flat1, pts, rows, rho)
+        assert hi.count_in_ball(flat1, pts, 4 * big, 1.0) == 1
+        # the node -2**500 lies exactly at 2**450 from its sample: excluded
+        assert hi.count_in_ball(flat1, pts, rows, 2.0 ** 450).tolist() == [2, 0, 1, 0, 1]
+
+    def test_empty_set_and_one_row_grid(self, flat1, disk):
+        empty = pointset.PointSet(np.zeros((0, 1), complex))
+        assert hi.count_in_ball(flat1, empty, 0.0, 1.0) == 0
+        counts = hi.count_in_ball(disk, empty, np.array([[0j], [0.5j]]), 1.0)
+        assert counts.tolist() == [0, 0] and counts.dtype.kind == "i"
+        lat = pointset.square_lattice(1.0, half_extent=2.0)
+        one = hi.count_in_ball(flat1, lat, np.array([[0.5 + 0j]]), 1.2)
+        assert isinstance(one, np.ndarray) and one.tolist() == [6]
+        assert type(hi.count_in_ball(flat1, lat, 0.5, 1.2)) is int
+
+    def test_grid_rows_validated(self, disk):
+        pts = pointset.PointSet(np.array([[0.5 + 0j]]))
+        with pytest.raises(DomainError):
+            hi.count_in_ball(disk, pts, np.array([[0j], [1.0 + 0j]]), 1.0)
+        with pytest.raises(DomainError):
+            hi.count_in_ball(disk, pts, np.array([[0j]]), 0.0)
+
+
 class TestSeipDensity:
     def test_flat_rejected(self, flat1):
         with pytest.raises(SpaceMismatchError):
@@ -398,6 +506,87 @@ class TestSeipDensityGrid:
         with pytest.raises(DomainError):
             hi.seip_density(disk, pointset.PointSet(np.zeros((0, 1), complex)),
                             np.array([[complex(math.nan)]]))
+
+
+def mp_density(space, pts, x, cutoff):
+    """40-digit reference: ``-log tanh^2(d/2kappa)`` over the nodes at
+    ``d >= cutoff``, from the float coordinates."""
+    with mpmath.workdps(40):
+        kap = mpmath.mpf(space.kappa)
+        xs = [mpmath.mpc(complex(c)) for c in x]
+        room_x = kap ** 2 - sum(abs(c) ** 2 for c in xs)
+        total = mpmath.mpf(0)
+        for p in pts.points:
+            ps = [mpmath.mpc(complex(c)) for c in p]
+            diff = sum(abs(a - b) ** 2 for a, b in zip(ps, xs))
+            u = kap ** 2 * diff / (room_x * (kap ** 2 - sum(abs(c) ** 2 for c in ps)))
+            d = 2 * kap * mpmath.asinh(mpmath.sqrt(u))
+            if d >= cutoff:
+                total += -mpmath.log(mpmath.tanh(d / (2 * kap)) ** 2)
+        return float(total)
+
+
+def tanh_density(space, pts, rows, cutoff):
+    """The ``-log tanh^2`` form over ``geodesic_distances``."""
+    d = geometry.geodesic_distances(space, pts.points[None], rows[:, None])
+    d = np.where(d >= cutoff, d, math.inf)
+    return -2.0 * np.sum(np.log(np.tanh(d / (2.0 * space.kappa))), axis=1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDensityTerm:
+    @pytest.mark.parametrize("cutoff", [pointset.DENSITY_CUTOFF, 0.3, 2.5, 0.0])
+    @pytest.mark.parametrize("case", [0, 2], ids=["disk", "ball_n2"])
+    def test_matches_mpmath_and_tanh_form(self, case, cutoff):
+        space, pts, rows = density_sets()[case]
+        got = hi.seip_density(space, pts, rows, cutoff=cutoff)
+        ref = np.array([mp_density(space, pts, x, cutoff) for x in rows])
+        assert got.any()
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, tanh_density(space, pts, rows, cutoff), rtol=1e-13, atol=0)
+
+    def test_far_nodes(self):
+        # nodes near the rim with exact |p|^2 (on the axes at 1 - 2**-k,
+        # k <= 26), so the terms are small and well posed: log1p keeps the
+        # digits that log(tanh) loses there (3.6e-12 relative)
+        space = hi.hyperbolic_ball(1.0)
+        radii = 1.0 - 2.0 ** -np.arange(16.0, 27.0)
+        nodes = (radii[:, None] * np.array([1, 1j, -1, -1j])).reshape(-1, 1)
+        rows = np.array([[0j], [0.3 - 0.1j], [-0.45 + 0.2j]])
+        pts = pointset.PointSet(nodes)
+        got = hi.seip_density(space, pts, rows)
+        np.testing.assert_allclose(got, [mp_density(space, pts, x, 1.0) for x in rows],
+                                   rtol=1e-15, atol=0)
+
+    def test_sample_on_a_node_adds_zero(self, disk):
+        pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.6j], [0.1 + 0.2j]]))
+        rest = pointset.PointSet(pts.points[:2])
+        x = pts.points[2]
+        assert hi.seip_density(disk, pts, x) == hi.seip_density(disk, rest, x) > 0.0
+        grid = hi.seip_density(disk, pts, pts.points)
+        assert grid.tolist() == [hi.seip_density(disk, pts, p) for p in pts.points]
+
+    def test_cutoff_zero_takes_every_node(self, disk):
+        pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.6j], [0.1 + 0.2j]]))
+        x = np.array([0.05 - 0.02j])
+        assert hi.seip_density(disk, pts, x, cutoff=0.0) == pytest.approx(
+            mp_density(disk, pts, x, 0.0), rel=1e-13)
+        assert hi.seip_density(disk, pts, x, cutoff=-1.0) == hi.seip_density(disk, pts, x, cutoff=0.0)
+        # at d = 0 the term is infinite, as the tanh form gives it
+        assert hi.seip_density(disk, pts, pts.points[2], cutoff=0.0) == math.inf
+
+    @pytest.mark.parametrize("cutoff", [60.0, 1e6, 1e308, math.inf, math.nan])
+    def test_large_or_nan_cutoff_adds_zero(self, disk, cutoff):
+        space, pts, rows = density_sets()[0]
+        assert hi.seip_density(space, pts, rows, cutoff=cutoff).tolist() == [0.0] * len(rows)
+
+    def test_node_off_the_ball_adds_zero(self, disk):
+        # seip_density validates the grid, not the nodes: a node off the
+        # ball (w < 0) and one on the rim (w = 0) add exactly 0
+        pts = pointset.PointSet(np.array([[0.5 + 0j], [1.5 + 0j], [-1.0 + 0j]]))
+        kept = pointset.PointSet(pts.points[:1])
+        rows = np.array([[0j], [0.2 - 0.1j]])
+        assert np.array_equal(hi.seip_density(disk, pts, rows), hi.seip_density(disk, kept, rows))
 
 
 class TestSupDensity:
