@@ -163,6 +163,8 @@ def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
         raise DomainError("eps must be positive and finite")
     if math.isnan(density_threshold):
         raise DomainError("density threshold must be a number or inf")
+    if not math.isfinite(cutoff):
+        raise DomainError(f"density cutoff must be finite, got {cutoff}")
     zs = pointset.grid_rows(space, grid)
     available = weights.curvature_eigen_min(w, space, zs)
     samples = list(map(SampleMargin, zs, np.full(len(zs), eps), available))

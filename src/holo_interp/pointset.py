@@ -301,9 +301,12 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
     ``u`` as in ``geometry.geodesic_distances``; ``d >= cutoff`` is ``w <=
     1/sinh^2(cutoff/2kappa)``.  A sample on a node (``w = inf``, kept only for
     ``cutoff <= 0``), NaN and a node off the ball (``w < 0``) add exactly 0.
+    A non-finite ``cutoff`` is refused with ``DomainError``.
     """
     if space.is_flat:
         raise SpaceMismatchError("the density is defined on the hyperbolic ball only")
+    if not math.isfinite(cutoff):
+        raise DomainError(f"density cutoff must be finite, got {cutoff}")
     xs, single = space.validate_rows(x)
     out = np.zeros(len(xs))
     if len(pts):
@@ -361,20 +364,20 @@ def square_lattice(spacing: float, radius: Optional[float] = None,
             raise DomainError(f"lattice {name} must be finite, got {val}")
     if spacing <= 0:
         raise DomainError("spacing must be positive")
-    pts = []
     if radius is not None:
         m = int(math.floor(radius / spacing))
-        for a in range(-m, m + 1):
-            for b in range(-m, m + 1):
-                z = spacing * complex(a, b)
-                if abs(z) <= radius + 1e-12:
-                    pts.append(z)
     else:
         m = int(math.floor(half_extent / spacing + 1e-12))
-        for a in range(-m, m + 1):
-            for b in range(-m, m + 1):
-                pts.append(spacing * complex(a, b))
-    return PointSet(np.array(pts, dtype=complex).reshape(-1, 1))
+    # a-major; every zero coordinate is +0.0, as in spacing * complex(a, b)
+    axis = spacing * np.arange(-m, m + 1, dtype=float)
+    z = np.empty((len(axis), len(axis)), dtype=complex)
+    z.real = axis[:, None]
+    z.imag = axis[None, :]
+    z = z.reshape(-1, 1)
+    if radius is not None:
+        # np.hypot rounds as the scalar abs(); numpy's array complex abs may not
+        z = z[np.hypot(z.real, z.imag)[:, 0] <= radius + 1e-12]
+    return PointSet(z)
 
 
 def grid_points(x0: float, x1: float, nx: int, y0: float, y1: float, ny: int) -> np.ndarray:

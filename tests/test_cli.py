@@ -137,6 +137,35 @@ class TestExitCodes:
         assert cli.run([*argv, "--points", points, "--out", "/dev/null"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    T2_DENSITY = ["certify-t2", "--space", DISK,
+                  "--weight", '{"builtin": "bergman", "A": 4.0, "kappa": 1.0}',
+                  "--eps", "0.5", "--grid=-0.25:0.25:3,0:0:1", "--density-threshold", "0.1"]
+
+    def test_t2_density_clause_fails_at_default_cutoff(self, disk_points):
+        # the reproducer below is a failing certificate when the cutoff is a number
+        assert cli.run([*self.T2_DENSITY, "--points", disk_points, "--out", "/dev/null"]) == 1
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        T2_DENSITY,
+        ["density", "--space", DISK, "--grid=-0.25:0.25:3,0:0:1"],
+    ], ids=["certify-t2", "density"])
+    def test_non_finite_cutoff_exits_two(self, argv, cutoff, disk_points, capsys):
+        # a NaN cutoff excluded every node: density 0, a passing t2 and a
+        # JSON NaN token in the report
+        code = cli.run([*argv, "--points", disk_points, f"--cutoff={cutoff}", "--out", "/dev/null"])
+        assert code == 2
+        assert "density cutoff must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        T2_DENSITY,
+        ["density", "--space", DISK, "--grid=-0.25:0.25:3,0:0:1"],
+    ], ids=["certify-t2", "density"])
+    def test_nan_cutoff_with_empty_set_exits_two(self, argv, tmp_path):
+        pts = tmp_path / "empty.json"
+        pts.write_text('{"points": []}')
+        assert cli.run([*argv, "--points", str(pts), "--cutoff=nan", "--out", "/dev/null"]) == 2
+
     @pytest.mark.parametrize("args", [
         ["--spacings", "1", "--radius", "inf"],
         ["--spacings", "1", "--radius", "nan"],

@@ -575,10 +575,21 @@ class TestDensityTerm:
         # at d = 0 the term is infinite, as the tanh form gives it
         assert hi.seip_density(disk, pts, pts.points[2], cutoff=0.0) == math.inf
 
-    @pytest.mark.parametrize("cutoff", [60.0, 1e6, 1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("cutoff", [60.0, 1e6, 1e308])
     def test_large_or_nan_cutoff_adds_zero(self, disk, cutoff):
+        # a NaN or infinite cutoff is refused (test_non_finite_cutoff_refused)
         space, pts, rows = density_sets()[0]
         assert hi.seip_density(space, pts, rows, cutoff=cutoff).tolist() == [0.0] * len(rows)
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, -math.inf])
+    def test_non_finite_cutoff_refused(self, disk, cutoff):
+        space, pts, rows = density_sets()[0]
+        empty = pointset.PointSet(np.zeros((0, 1), complex))
+        for nodes, x in ((pts, rows), (pts, rows[0]), (empty, rows)):
+            with pytest.raises(DomainError, match="cutoff must be finite"):
+                hi.seip_density(space, nodes, x, cutoff=cutoff)
+        with pytest.raises(DomainError, match="cutoff must be finite"):
+            hi.sup_density(space, pts, rows, cutoff=cutoff)
 
     def test_node_off_the_ball_adds_zero(self, disk):
         # seip_density validates the grid, not the nodes: a node off the
@@ -643,6 +654,44 @@ class TestGenerators:
         assert len(lat2) == 25
         with pytest.raises(DomainError):
             pointset.square_lattice(1.0)
+
+    @staticmethod
+    def loop_lattice(spacing, radius=None, half_extent=None):
+        """The per-point double loop the array construction replaced."""
+        pts = []
+        if radius is not None:
+            m = int(math.floor(radius / spacing))
+            for a in range(-m, m + 1):
+                for b in range(-m, m + 1):
+                    z = spacing * complex(a, b)
+                    if abs(z) <= radius + 1e-12:
+                        pts.append(z)
+        else:
+            m = int(math.floor(half_extent / spacing + 1e-12))
+            for a in range(-m, m + 1):
+                for b in range(-m, m + 1):
+                    pts.append(spacing * complex(a, b))
+        return np.array(pts, dtype=complex).reshape(-1, 1)
+
+    @pytest.mark.parametrize("spacing,kw", [
+        (2.0, {"radius": 2.0}),
+        (1.0, {"radius": 26.0}),
+        (0.7, {"radius": 0.7 * 3}),     # r / s rounds just below 3
+        (1.3, {"radius": 1.3 * 7}),
+        (1.6, {"radius": 8.0}),         # r / s = 5 exactly
+        (0.3, {"radius": 0.9}),
+        (3.0, {"radius": 0.5}),         # the origin alone
+        (0.1, {"radius": 0.95}),
+        (2.0, {"half_extent": 4.0}),
+        (1.5, {"half_extent": 6.0}),
+        (0.7, {"half_extent": 0.7 * 3}),
+    ])
+    def test_square_lattice_equals_the_loop(self, spacing, kw):
+        got = pointset.square_lattice(spacing, **kw).points
+        want = self.loop_lattice(spacing, **kw)
+        assert got.shape == want.shape
+        # bytes compare signed zeros too
+        assert got.tobytes() == want.tobytes()
 
     def test_grid_points_order(self):
         g = pointset.grid_points(0, 1, 2, 0, 1, 2)

@@ -234,8 +234,8 @@ class TestMinNormInterpolant:
     def test_conditioning_guard_refuses_nan_eigenvalue(self, monkeypatch):
         real = rkhs._diagnose
 
-        def nan_min(g):
-            d = real(g)
+        def nan_min(g, *rest):
+            d = real(g, *rest)
             return rkhs.GramDiagnostic(d.gram, math.nan, d.eig_max, math.nan)
 
         monkeypatch.setattr(rkhs, "_diagnose", nan_min)
@@ -282,6 +282,107 @@ class TestMinNormInterpolant:
             perturbed = c_full + delta
             norm = float(np.real(np.conj(perturbed) @ k_all @ perturbed))
             assert norm >= base_norm - 1e-9 * max(1.0, base_norm)
+
+
+def half_shifted_lattice(s, k):
+    """``s(x + i y)`` for half-integers ``|x|, |y| < k``: closed under the
+    quarter turn, without the origin."""
+    a = np.arange(-k, k) + 0.5
+    return (s * (a[:, None] + 1j * a[None, :])).reshape(-1, 1)
+
+
+def fock_product_set():
+    """A 5-point and a 9-point lattice in C^2, each closed under z -> i z."""
+    z1 = pointset.square_lattice(2.0, radius=2.0).points[:, 0]
+    z2 = pointset.square_lattice(1.5, half_extent=1.5).points[:, 0]
+    return np.stack(np.broadcast_arrays(z1[:, None], z2[None, :]), axis=-1).reshape(-1, 2)
+
+
+class TestQuarterTurnBlocks:
+    CLOSED = [
+        (rkhs.fock_kernel(1.0), pointset.square_lattice(1.5, radius=9.0).points),
+        (rkhs.fock_kernel(0.8), half_shifted_lattice(1.2, 5)),
+        (rkhs.bergman_kernel(2.0), pointset.square_lattice(0.15, radius=0.9).points),
+        (rkhs.fock_kernel(1.0, n=2), fock_product_set()),
+    ]
+    IDS = ["fock_origin", "fock_half_shifted", "bergman_disk", "fock_n2"]
+
+    @pytest.fixture
+    def eig_sizes(self, monkeypatch):
+        """Sizes of the matrices passed to ``np.linalg.eigvalsh``, in call order."""
+        sizes = []
+        real = np.linalg.eigvalsh
+
+        def counting(a):
+            sizes.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return sizes
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_block_extremes_equal_full_eigvalsh(self, space, z):
+        turn = rkhs._quarter_turn(z)
+        assert turn is not None
+        assert np.array_equal(z[turn], 1j * z)
+        g = space.normalized_gram(z)
+        ev = np.linalg.eigvalsh(g)
+        diag = rkhs._diagnose(g, z)
+        assert diag.gram is g
+        assert abs(diag.eig_min - ev[0]) <= 1e-12
+        assert abs(diag.eig_max - ev[-1]) <= 1e-12
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b)
+                                           for b in rkhs._character_blocks(g, turn) if b.size]))
+        assert np.max(np.abs(spectrum - ev)) <= 1e-12
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_quarter_size_eigensolves(self, space, z, eig_sizes):
+        rkhs.gram_matrix(space, pointset.PointSet(z))
+        origin = int(np.any(np.all(z == 0, axis=1)))
+        quarter = (len(z) - origin) // 4
+        assert eig_sizes == [quarter + origin, quarter, quarter, quarter]
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_one_orbit_point_removed_takes_the_full_path(self, space, z, eig_sizes):
+        # drop the first point off the origin: its orbit is broken
+        keep = np.ones(len(z), bool)
+        keep[np.flatnonzero(np.any(z != 0, axis=1))[0]] = False
+        z = z[keep]
+        assert rkhs._quarter_turn(z) is None
+        diag = rkhs.gram_matrix(space, pointset.PointSet(z))
+        assert eig_sizes == [len(z)]
+        ev = np.linalg.eigvalsh(space.normalized_gram(z))
+        assert (diag.eig_min, diag.eig_max) == (float(ev[0]), float(ev[-1]))
+
+    def test_interpolant_and_sweep_take_the_blocks(self, eig_sizes):
+        lat = pointset.square_lattice(2.0, radius=6.0)  # 29 points
+        rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
+                                  pointset.PointSet(lat.points, np.ones(len(lat), complex)))
+        assert eig_sizes == [8, 7, 7, 7]
+        eig_sizes.clear()
+        rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [2.0], 6.0, extra_radii=[4.0])
+        assert eig_sizes == [8, 7, 7, 7, 4, 3, 3, 3]
+
+    def test_only_the_origin(self):
+        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([0.0]))
+        assert (diag.eig_min, diag.eig_max) == (1.0, 1.0)
+
+    def test_duplicate_rows_take_the_full_path(self):
+        # the doubled orbit is closed as a multiset; the turn is not a
+        # permutation of distinct points
+        orbit = [1.0, 1j, -1.0, -1j]
+        assert rkhs._quarter_turn(np.array([0j, *orbit, *orbit]).reshape(-1, 1)) is None
+        assert rkhs._quarter_turn(np.array([0j, *orbit, 1.0]).reshape(-1, 1)) is None
+
+    def test_near_coincident_orbit_refused(self):
+        # {+-1e-9, +-1e-9 i} beside the origin of a spacing-2 lattice: a
+        # closed set with a nearly singular Gram
+        lat = pointset.square_lattice(2.0, radius=4.0).points[:, 0]
+        z = np.concatenate([lat, 1e-9 * np.array([1, 1j, -1, -1j])])
+        assert rkhs._quarter_turn(z.reshape(-1, 1)) is not None
+        with pytest.raises(ConditioningError) as exc:
+            rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, np.ones(len(z))))
+        assert exc.value.eig_min < 1e-10
 
 
 class TestFeasibilitySweep:
