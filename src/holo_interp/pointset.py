@@ -225,7 +225,7 @@ def _tree_min_pair(space, points):
     radii = _reach(space, points, np.min(_pair_distances(space, points, rows, nearest)))
     found = tree.query_ball_point(tree.data, radii, return_sorted=True)
     i = np.repeat(rows, [len(js) for js in found])
-    j = np.concatenate(found)
+    j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
     i, j = i[j > i], j[j > i]
     d = _pair_distances(space, points, i, j)
     if d.min() == math.inf:
@@ -267,15 +267,18 @@ def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float):
     """Number of set points inside the open geodesic ball B(z, rho).
 
     ``z`` is one point (an ``int`` result) or an (m, n) grid (an (m,) int
-    array).  A k-d tree over the nodes gives each sample's candidates within
-    its Euclidean reach (``_reach``); only they get the strict test
-    ``d < rho``, with the distances ``geometry.distances_from`` gives.
+    array).  The nodes and the samples are validated; a node off the ball
+    raises ``DomainError``.  A k-d tree over the nodes gives each sample's
+    candidates within its Euclidean reach (``_reach``); only they get the
+    strict test ``d < rho``, with the distances ``geometry.distances_from``
+    gives.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
     xs, single = space.validate_rows(z)
     counts = np.zeros(len(xs), dtype=np.intp)
     if len(pts):
+        space.validate_points(pts.points)
         found = cKDTree(_tree_coords(pts.points)).query_ball_point(
             _tree_coords(xs), _reach(space, xs, rho))
         i = np.repeat(np.arange(len(xs)), [len(js) for js in found])
@@ -300,8 +303,9 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
     decreases to 0 as the node recedes.  It is ``log1p(w)``, ``w = 1/u`` with
     ``u`` as in ``geometry.geodesic_distances``; ``d >= cutoff`` is ``w <=
     1/sinh^2(cutoff/2kappa)``.  A sample on a node (``w = inf``, kept only for
-    ``cutoff <= 0``), NaN and a node off the ball (``w < 0``) add exactly 0.
-    A non-finite ``cutoff`` is refused with ``DomainError``.
+    ``cutoff <= 0``), NaN and a node whose ``kappa^2 - |p|^2`` rounds to 0
+    or below (``w <= 0``) add exactly 0.  A non-finite ``cutoff`` and a node
+    or sample off the ball are refused with ``DomainError``.
     """
     if space.is_flat:
         raise SpaceMismatchError("the density is defined on the hyperbolic ball only")
@@ -310,6 +314,7 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
     xs, single = space.validate_rows(x)
     out = np.zeros(len(xs))
     if len(pts):
+        space.validate_points(pts.points)
         kap2 = space.kappa * space.kappa
         with np.errstate(divide="ignore", over="ignore"):
             w_max = math.inf if cutoff <= 0 else min(

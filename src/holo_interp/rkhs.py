@@ -87,33 +87,85 @@ class KernelSpace:
 
     def normalized_gram(self, points: np.ndarray) -> np.ndarray:
         """Gram of the unit-normalized kernels; unit diagonal, exactly Hermitian."""
-        return self._normalized_grams(points)[0]
+        points = _as_matrix(points)
+        return self._normalized_grams(points, _quarter_turn(points))[0]
 
-    def _normalized_grams(self, points: np.ndarray):
-        """The normalized Gram from one extended-precision build, as
-        ``(complex128 with unit diagonal, clongdouble)``.
+    def _normalized_grams(self, points: np.ndarray, turn):
+        """The normalized Gram from one extended-precision build on the (m, n)
+        node rows ``points``, as ``(complex128 with unit diagonal,
+        clongdouble, half diagonal logs log K(p, p) / 2)``.
 
-        Only the upper triangle, diagonal included, is exponentiated; the
-        strict lower triangle is its exact conjugate mirror, so the rounded
-        Gram is exactly Hermitian.  The build runs row by row in the
-        log-kernel buffer: triangle fancy indexing would need three more
-        half-size extended temporaries.  The two half diagonal logs are
-        subtracted one after the other; subtracting their rounded sum made
-        the refined nodal residual six times larger.  The extended Gram
-        keeps its computed diagonal ``exp(logk_ii - dl_i)``, the one the
-        nodal evaluation in ``MinNormInterpolant`` sees.
+        ``turn`` is ``_quarter_turn(points)``.  When it is a permutation ``R``,
+        the Gram satisfies ``G[R q, R j] = G[q, j]`` (the kernel depends on
+        ``z . conj(w)`` only), so only the rows of one representative ``q``
+        per four-point orbit (and of the origin) are built: with ``s_t[q, q']
+        = G[q, R^t q']``, the extended log-kernel covers ``t = 0, 1, 2``, and
+        only the upper triangles of the Hermitian ``s_0`` and ``s_2`` and the
+        whole of ``s_1`` are exponentiated, about m^2 / 8 entries against the
+        triangle's m^2 / 2.  The lower triangles are conjugate mirrors, ``s_3
+        = s_1^H``, and one gather fills the whole Gram from the ``s_t``, so it
+        is exactly Hermitian and exactly R-invariant by construction.  Any
+        other node set exponentiates the upper triangle, diagonal included,
+        row by row in the log-kernel buffer (triangle fancy indexing would
+        need three more half-size extended temporaries); its strict lower
+        triangle is the exact conjugate mirror.
+
+        The two half diagonal logs are subtracted one after the other, the
+        larger first on the orbit rows, so an orbit entry depends on its
+        pair of points only; subtracting their rounded sum made the refined
+        nodal residual six times larger.  The extended Gram keeps its
+        computed diagonal ``exp(logk_ii - dl_i)``, the one the nodal
+        evaluation in ``MinNormInterpolant`` sees.
         """
-        gram_ld = self.log_kernel(points, points, dtype=np.clongdouble)
         half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
-        for i in range(len(half)):
-            row = gram_ld[i, i:]
-            row -= half[i]
-            row -= half[i:]
-            np.exp(row, out=row)
-            gram_ld[i + 1:, i] = row[1:].conj()
+        if turn is None:
+            gram_ld = self.log_kernel(points, points, dtype=np.clongdouble)
+            for i in range(len(half)):
+                row = gram_ld[i, i:]
+                row -= half[i]
+                row -= half[i:]
+                np.exp(row, out=row)
+                gram_ld[i + 1:, i] = row[1:].conj()
+        else:
+            gram_ld = self._orbit_gram(points, half, turn)
         g = gram_ld.astype(complex)
         np.fill_diagonal(g, 1.0)
-        return g, gram_ld
+        return g, gram_ld, half
+
+    def _orbit_gram(self, points, half, turn):
+        """The extended normalized Gram of a quarter-turn-closed node set from
+        its representative rows (see ``_normalized_grams``)."""
+        powers, reps, fixed = _orbits(turn)
+        r, w = len(reps), len(reps) + len(fixed)
+        rows = np.concatenate([reps, fixed])
+        cols = np.concatenate([powers[0, reps], powers[1, reps], powers[2, reps], fixed])
+        logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
+        logk -= np.maximum.outer(half[rows], half[cols])
+        logk -= np.minimum.outer(half[rows], half[cols])
+        # src[q, t, q'] = s_t[q, q'] = G[q, R^t q']; the origin, when present,
+        # is index r on both sides, and its row and column are the same in
+        # every t.  Only what src holds once is exponentiated.
+        src = np.empty((w, 4, w), dtype=logk.dtype)
+        upper, lower = np.triu_indices(r), np.tril_indices(r, -1)
+        for t in (0, 2):
+            s = src[:r, t, :r]
+            s[upper] = np.exp(logk[:r, t * r:(t + 1) * r][upper])
+            s[lower] = s.T[lower].conj()
+        src[:r, 1, :r] = np.exp(logk[:r, r:2 * r])
+        src[:r, 3, :r] = src[:r, 1, :r].conj().T
+        if len(fixed):
+            column = np.exp(logk[:, 3 * r])  # G[q, o] and G[o, o]
+            src[:r, :, r] = column[:r, None]
+            src[r, :, :r] = column[:r].conj()
+            src[r, :, r] = column[r]
+        # node R^a q sits at row q, turn a: G[R^a q, R^b q'] = src[q, b - a, q']
+        rep, shift = np.empty(len(turn), dtype=np.intp), np.zeros(len(turn), dtype=np.intp)
+        for t in range(4):
+            rep[powers[t, reps]] = np.arange(r)
+            shift[powers[t, reps]] = t
+        rep[fixed] = r
+        flat = (shift - np.arange(4)[:, None]) % 4 * w + rep
+        return np.take(src.reshape(-1), (4 * w * rep)[:, None] + flat[shift])
 
 
 def _as_matrix(z, dtype=complex) -> np.ndarray:
@@ -138,7 +190,10 @@ class GramDiagnostic:
 
     ``gram`` is always the full normalized Gram; ``eig_min`` and ``eig_max``
     are its extreme eigenvalues, from its quarter-turn character blocks when
-    the node set is closed under ``z -> i z`` (see ``_diagnose``).
+    the node set is closed under ``z -> i z`` (see ``_diagnose``).  Such a
+    Gram is built from its orbit representatives and is exactly invariant
+    under the turn (see ``KernelSpace._normalized_grams``), so the blocks
+    diagonalize it exactly.
     """
 
     gram: np.ndarray
@@ -160,7 +215,8 @@ def gram_matrix(space: KernelSpace, pts: pointset.PointSet,
     otherwise (see ``_diagnose``).
     """
     _check_size(pts, size_guard)
-    return _diagnose(space.normalized_gram(pts.points), pts.points)
+    turn = _quarter_turn(pts.points)
+    return _diagnose(space._normalized_grams(pts.points, turn)[0], turn)
 
 
 def _check_size(pts: pointset.PointSet, size_guard: int) -> None:
@@ -171,14 +227,14 @@ def _check_size(pts: pointset.PointSet, size_guard: int) -> None:
         raise SizeGuardError(f"{m} points exceed the gram size guard ({size_guard})")
 
 
-def _diagnose(g: np.ndarray, points: np.ndarray) -> GramDiagnostic:
-    """Extreme eigenvalues of the normalized Gram ``g`` on the node rows
-    ``points``.
+def _diagnose(g: np.ndarray, turn) -> GramDiagnostic:
+    """Extreme eigenvalues of the normalized Gram ``g`` on node rows whose
+    quarter-turn permutation is ``turn`` (``_quarter_turn`` of the rows).
 
     Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
-    closed under the quarter turn ``z -> i z`` (a permutation ``R``, see
-    ``_quarter_turn``) the Gram commutes with ``R``.  It is then unitarily
-    block-diagonal over the characters ``k = 0..3`` of ``R``: with one
+    closed under the quarter turn ``z -> i z`` (a permutation ``R``) the Gram
+    commutes with ``R``.  It is then unitarily block-diagonal over the
+    characters ``k = 0..3`` of ``R``: with one
     representative ``q`` per four-point orbit, ``B_k[q, q'] = sum_t i^(k t)
     G[q, R^t q']``, and the origin, the only possible fixed point, adds one
     row to ``B_0`` with off-diagonal ``(1/2) sum_t G[o, R^t q']``.  The
@@ -186,7 +242,6 @@ def _diagnose(g: np.ndarray, points: np.ndarray) -> GramDiagnostic:
     eigensolve cost.  A kernel that is not a function of ``z . conj(w)`` must
     not take this path.  Any other node set gets one full ``eigvalsh``.
     """
-    turn = _quarter_turn(points)
     blocks = [g] if turn is None else _character_blocks(g, turn)
     spectra = [np.linalg.eigvalsh(b) for b in blocks if b.size]
     eig_min = float(min(ev[0] for ev in spectra))
@@ -219,21 +274,27 @@ def _quarter_turn(points: np.ndarray):
     return turn
 
 
-def _character_blocks(g: np.ndarray, turn: np.ndarray) -> list:
-    """The four blocks ``B_k``, ``k = 0..3``, of ``g`` under the quarter-turn
-    permutation ``turn`` (see ``_diagnose``), gathered from ``g``."""
+def _orbits(turn: np.ndarray):
+    """``(powers, reps, fixed)`` of the quarter-turn permutation ``turn``:
+    ``powers[t, j] = R^t j``, one representative per four-point orbit (its
+    smallest index) and the fixed indices (the origin, or none)."""
     powers = [np.arange(len(turn))]
     for _ in range(3):
         powers.append(turn[powers[-1]])
     powers = np.stack(powers)
-    # one representative per orbit: its smallest index; the origin is fixed
-    reps = np.flatnonzero((powers.min(axis=0) == powers[0]) & (turn != powers[0]))
+    moved = turn != powers[0]
+    return powers, np.flatnonzero((powers.min(axis=0) == powers[0]) & moved), np.flatnonzero(~moved)
+
+
+def _character_blocks(g: np.ndarray, turn: np.ndarray) -> list:
+    """The four blocks ``B_k``, ``k = 0..3``, of ``g`` under the quarter-turn
+    permutation ``turn`` (see ``_diagnose``), gathered from ``g``."""
+    powers, reps, fixed = _orbits(turn)
     orbits = powers[:, reps]
     s = g[reps[None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
     even, odd = s[0] + s[2], s[1] + s[3]
     alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
     b0 = even + odd
-    fixed = np.flatnonzero(turn == powers[0])
     if len(fixed):
         o = fixed[0]
         b0 = np.block([[b0, 0.5 * g[orbits, o].sum(axis=0)[:, None]],
@@ -254,13 +315,13 @@ class MinNormInterpolant:
     """
 
     def __init__(self, space: KernelSpace, pts: pointset.PointSet,
-                 normalized_coeff: np.ndarray, diag_log: np.ndarray, norm_sq: float,
+                 normalized_coeff: np.ndarray, half_diag_log: np.ndarray, norm_sq: float,
                  diagnostic: GramDiagnostic, weighted_residuals: np.ndarray,
                  raw_residuals: np.ndarray):
         self.space = space
         self.points = pts
         self._y = normalized_coeff  # clongdouble, one per node
-        self._dl = diag_log  # clongdouble log K(p, p), one per node
+        self._half = half_diag_log  # log K(p, p) / 2 in extended precision, one per node
         self.norm_sq = norm_sq
         self.diagnostic = diagnostic
         #: nodal residuals ``|f(p) - a| e^{-Phi(p)/2} = |G y - a e^{-Phi/2}|``
@@ -273,14 +334,14 @@ class MinNormInterpolant:
     @property
     def coefficients(self) -> np.ndarray:
         """Raw kernel coefficients c with f = sum_j c_j K(., p_j)."""
-        return (self._y * np.exp(-0.5 * self._dl)).astype(complex)
+        return (self._y * np.exp(-self._half)).astype(complex)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
         logk = self.space.log_kernel(zs, self.points.points, dtype=np.clongdouble)
-        out = (np.exp(logk - 0.5 * self._dl[None, :]) @ self._y).astype(complex)
+        out = (np.exp(logk - self._half[None, :]) @ self._y).astype(complex)
         return complex(out[0]) if scalar else out.reshape(z.shape if self.space.n == 1 else z.shape[:-1])
 
     def residuals(self) -> np.ndarray:
@@ -315,8 +376,9 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     if pts.values is None:
         raise DomainError("interpolation needs target values")
     _check_size(pts, SIZE_GUARD)
-    g, gram_ld = space._normalized_grams(pts.points)
-    diag = _diagnose(g, pts.points)
+    turn = _quarter_turn(pts.points)
+    g, gram_ld, half = space._normalized_grams(pts.points, turn)
+    diag = _diagnose(g, turn)
     if not diag.eig_min >= condition_guard:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {condition_guard:.1e}",
@@ -325,8 +387,7 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     # K = D G D with D = diag(exp(diag_log/2)); solve in the normalized
     # scale, then iterate refinement against the extended-precision Gram so
     # the strongly graded right-hand side keeps componentwise accuracy.
-    dl = space.diag_log(pts.points, dtype=np.clongdouble)
-    b = pts.values.astype(np.clongdouble) * np.exp(-0.5 * dl)
+    b = pts.values.astype(np.clongdouble) * np.exp(-half)
     lu = scipy.linalg.lu_factor(g)
     y = scipy.linalg.lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
@@ -335,10 +396,10 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
     abs_residual = np.abs(gram_ld @ y - b)
     weighted = abs_residual.astype(float)
-    raw = (np.exp(0.5 * dl.real) * abs_residual).astype(float)
-    coeff = (y * np.exp(-0.5 * dl)).astype(complex)
+    raw = (np.exp(half) * abs_residual).astype(float)
+    coeff = (y * np.exp(-half)).astype(complex)
     norm_sq = float(np.real(np.vdot(coeff, pts.values)))
-    return MinNormInterpolant(space, pts, y, dl, norm_sq, diag, weighted, raw)
+    return MinNormInterpolant(space, pts, y, half, norm_sq, diag, weighted, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +434,34 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     primary truncation radius).  Extra radii expose truncation drift.
 
     One normalized Gram is built per spacing, on the lattice at the largest
-    radius (which the size guard checks).  A normalized entry depends only
-    on its pair of points, so each radius's Gram is the principal submatrix
-    on its lattice's points, found by exact value in the order
-    ``square_lattice`` returns them: bit-identical to building it anew.
+    radius (which the size guard checks), from its quarter-turn orbit
+    representatives: every lattice here is closed under ``z -> i z``.  A
+    normalized entry depends only on its pair of points, so each smaller
+    radius's Gram is the principal submatrix on its lattice's points, found
+    by exact value in the order ``square_lattice`` returns them:
+    bit-identical to building it anew.  Each lattice's quarter turn is found
+    once and serves both its build and its eigensolve.
     """
     if space.n != 1:
         raise DomainError("the lattice sweep is defined on one complex variable")
     spacings = sorted(set(float(s) for s in spacings), reverse=True)
     radii = [float(radius)] + [float(r) for r in extra_radii]
+    r_max = max(radii)
     rows = []
     primary = {}
     for s in spacings:
-        largest = pointset.square_lattice(s, radius=max(radii))
+        largest = pointset.square_lattice(s, radius=r_max)
         _check_size(largest, SIZE_GUARD)
-        gram = space.normalized_gram(largest.points)
+        turn = _quarter_turn(largest.points)
+        gram = space._normalized_grams(largest.points, turn)[0]
         index = {z: i for i, z in enumerate(largest.points[:, 0].tolist())}
         for r in radii:
-            lattice = pointset.square_lattice(s, radius=r)
-            sub = np.array([index[z] for z in lattice.points[:, 0].tolist()])
-            diag = _diagnose(gram[np.ix_(sub, sub)], lattice.points)
+            if r == r_max:
+                lattice, diag = largest, _diagnose(gram, turn)
+            else:
+                lattice = pointset.square_lattice(s, radius=r)
+                sub = np.array([index[z] for z in lattice.points[:, 0].tolist()])
+                diag = _diagnose(gram[np.ix_(sub, sub)], _quarter_turn(lattice.points))
             row = SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice))
             rows.append(row)
             if r == radii[0]:

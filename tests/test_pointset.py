@@ -591,13 +591,26 @@ class TestDensityTerm:
         with pytest.raises(DomainError, match="cutoff must be finite"):
             hi.sup_density(space, pts, rows, cutoff=cutoff)
 
-    def test_node_off_the_ball_adds_zero(self, disk):
-        # seip_density validates the grid, not the nodes: a node off the
-        # ball (w < 0) and one on the rim (w = 0) add exactly 0
-        pts = pointset.PointSet(np.array([[0.5 + 0j], [1.5 + 0j], [-1.0 + 0j]]))
-        kept = pointset.PointSet(pts.points[:1])
+    @pytest.mark.parametrize("bad", [1.5 + 0j, -1.0 + 0j, 1j, 3.0 - 4.0j])
+    def test_node_off_the_ball_refused(self, disk, bad):
+        # a node off the ball or on its rim is refused by the density and
+        # the ball count alike, as a sample there is
+        pts = pointset.PointSet(np.array([[0.5 + 0j], [bad]]))
         rows = np.array([[0j], [0.2 - 0.1j]])
-        assert np.array_equal(hi.seip_density(disk, pts, rows), hi.seip_density(disk, kept, rows))
+        with pytest.raises(DomainError, match="outside the open ball"):
+            hi.seip_density(disk, pts, rows)
+        with pytest.raises(DomainError, match="outside the open ball"):
+            hi.count_in_ball(disk, pts, rows, 0.5)
+        with pytest.raises(DomainError, match="outside the open ball"):
+            hi.sup_density(disk, pts, rows[:, 0])
+
+    def test_empty_set_is_not_validated(self):
+        # an empty PointSet is stored as (0, 1) whatever the dimension; it
+        # counts and adds nothing on the n = 2 ball as on the disk
+        ball2, empty = hi.hyperbolic_ball(1.0, n=2), pointset.PointSet(np.zeros((0, 2), complex))
+        rows = np.array([[0j, 0.5 + 0j], [0.1j, 0j]])
+        assert hi.count_in_ball(ball2, empty, rows, 1.0).tolist() == [0, 0]
+        assert hi.seip_density(ball2, empty, rows).tolist() == [0.0, 0.0]
 
 
 class TestSupDensity:

@@ -17,6 +17,11 @@ def golden_spiral(r0, r1, m):
     return np.linspace(r0, r1, m) * np.exp(2.399963229728653j * np.arange(m))
 
 
+def quarter_turns(z):
+    """``z`` times 1, i, -1 and -i: a set exactly closed under z -> i z."""
+    return np.concatenate([z * u for u in (1, 1j, -1, -1j)])
+
+
 def mp_normalized_gram(log_k, z):
     """50-digit ``exp(log K(p,q) - log K(p,p)/2 - log K(q,q)/2)``."""
     with mpmath.workdps(50):
@@ -103,15 +108,21 @@ class TestGram:
         # bergman nodes up to 0.005 from the rim
         (rkhs.bergman_kernel(3.0), golden_spiral(0.9, 0.995, 30),
          lambda p, q: -5 * mpmath.log(1 - p * mpmath.conj(q))),
+        # the same ranges closed under the quarter turn: the orbit build
+        (rkhs.fock_kernel(1.0), quarter_turns(golden_spiral(0.5, 20.0, 12)),
+         lambda p, q: p * mpmath.conj(q)),
+        (rkhs.bergman_kernel(3.0), quarter_turns(golden_spiral(0.9, 0.995, 9)),
+         lambda p, q: -5 * mpmath.log(1 - p * mpmath.conj(q))),
     ]
+    GRADED_IDS = ["fock", "bergman", "fock_closed", "bergman_closed"]
 
-    @pytest.mark.parametrize("space,z,log_k", GRADED, ids=["fock", "bergman"])
+    @pytest.mark.parametrize("space,z,log_k", GRADED, ids=GRADED_IDS)
     def test_normalized_gram_exactly_hermitian(self, space, z, log_k):
         g = space.normalized_gram(z)
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.diag(g) == 1.0)
 
-    @pytest.mark.parametrize("space,z,log_k", GRADED, ids=["fock", "bergman"])
+    @pytest.mark.parametrize("space,z,log_k", GRADED, ids=GRADED_IDS)
     def test_normalized_gram_matches_mpmath(self, space, z, log_k):
         g = space.normalized_gram(z)
         ref = mp_normalized_gram(log_k, z)
@@ -171,7 +182,7 @@ class TestMinNormInterpolant:
         assert res.tobytes() == per_point.tobytes()
 
     def test_one_extended_build_and_one_factorization(self, monkeypatch):
-        calls = {"log_kernel": 0, "lu_factor": 0, "solve": 0}
+        calls = {"log_kernel": 0, "diag_log": 0, "lu_factor": 0, "solve": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -181,12 +192,14 @@ class TestMinNormInterpolant:
 
         monkeypatch.setattr(rkhs.KernelSpace, "log_kernel",
                             counting("log_kernel", rkhs.KernelSpace.log_kernel))
+        monkeypatch.setattr(rkhs.KernelSpace, "diag_log",
+                            counting("diag_log", rkhs.KernelSpace.diag_log))
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting("lu_factor", scipy.linalg.lu_factor))
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         lat = pointset.square_lattice(2.0, half_extent=4.0)
         rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
                                   pointset.PointSet(lat.points, np.ones(len(lat), complex)))
-        assert calls == {"log_kernel": 1, "lu_factor": 1, "solve": 0}
+        assert calls == {"log_kernel": 1, "diag_log": 1, "lu_factor": 1, "solve": 0}
 
     @staticmethod
     def residual_sets():
@@ -327,7 +340,7 @@ class TestQuarterTurnBlocks:
         assert np.array_equal(z[turn], 1j * z)
         g = space.normalized_gram(z)
         ev = np.linalg.eigvalsh(g)
-        diag = rkhs._diagnose(g, z)
+        diag = rkhs._diagnose(g, turn)
         assert diag.gram is g
         assert abs(diag.eig_min - ev[0]) <= 1e-12
         assert abs(diag.eig_max - ev[-1]) <= 1e-12
@@ -383,6 +396,74 @@ class TestQuarterTurnBlocks:
         with pytest.raises(ConditioningError) as exc:
             rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, np.ones(len(z))))
         assert exc.value.eig_min < 1e-10
+
+
+class TestOrbitGram:
+    """The Gram of a quarter-turn-closed set, built from one representative
+    row per orbit, against the triangle build of the same rows."""
+
+    CLOSED = TestQuarterTurnBlocks.CLOSED + [
+        (space, z.reshape(-1, 1)) for space, z, _ in TestGram.GRADED[2:]]
+    IDS = TestQuarterTurnBlocks.IDS + ["fock_graded", "bergman_graded"]
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_exact_hermitian_unit_diagonal_and_turn_invariant(self, space, z):
+        turn = rkhs._quarter_turn(z)
+        assert turn is not None
+        g, gram_ld, _ = space._normalized_grams(z, turn)
+        assert np.array_equal(space.normalized_gram(z), g)
+        assert np.all(np.diag(g) == 1.0)
+        for m in (g, gram_ld):
+            assert np.array_equal(m, m.conj().T)
+            assert m[np.ix_(turn, turn)].tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_agrees_with_the_triangle_build(self, space, z):
+        # the two builds round the exponent x = log K - dl_p/2 - dl_q/2 in a
+        # different order: relative gaps of a few eps_ld |x| before rounding
+        # to complex128, at most one unit in the last place after it
+        g, gram_ld, half = space._normalized_grams(z, rkhs._quarter_turn(z))
+        g_tri, gram_tri, half_tri = space._normalized_grams(z, None)
+        assert np.array_equal(half, half_tri)
+        eps_ld = np.finfo(np.longdouble).eps
+        scale = 1 + np.abs(half)[:, None] + np.abs(half)[None, :]
+        assert np.all(np.abs(gram_ld - gram_tri) <= 4 * eps_ld * scale * np.abs(gram_tri))
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        assert np.all(np.abs(g - g_tri) <= eps * np.abs(g_tri) + tiny)
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_representative_rows_only(self, space, z, monkeypatch):
+        shapes = []
+        real = rkhs.KernelSpace.log_kernel
+
+        def recording(self, a, b, dtype=complex):
+            out = real(self, a, b, dtype)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(rkhs.KernelSpace, "log_kernel", recording)
+        space.normalized_gram(z)
+        origin = int(np.any(np.all(z == 0, axis=1)))
+        reps = (len(z) - origin) // 4
+        assert shapes == [(reps + origin, 3 * reps + origin)]
+
+    def test_one_quarter_turn_per_node_set(self, monkeypatch):
+        sets = []
+        real = rkhs._quarter_turn
+
+        def recording(points):
+            sets.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(rkhs, "_quarter_turn", recording)
+        lat = pointset.square_lattice(2.0, radius=6.0)  # 29 points
+        rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
+        rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), lat.with_values(np.ones(len(lat))))
+        assert sets == [29, 29]
+        sets.clear()
+        rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0])
+        assert sets == [len(pointset.square_lattice(s, radius=r))
+                        for s in (3.0, 2.0) for r in (6.0, 4.0)]
 
 
 class TestFeasibilitySweep:
@@ -445,13 +526,13 @@ class TestFeasibilitySweep:
 
     def test_one_gram_per_spacing(self, monkeypatch):
         sizes = []
-        real = rkhs.KernelSpace.normalized_gram
+        real = rkhs.KernelSpace._normalized_grams
 
-        def counting(self, points):
+        def counting(self, points, turn):
             sizes.append(len(points))
-            return real(self, points)
+            return real(self, points, turn)
 
-        monkeypatch.setattr(rkhs.KernelSpace, "normalized_gram", counting)
+        monkeypatch.setattr(rkhs.KernelSpace, "_normalized_grams", counting)
         rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0, 2.0])
         assert sizes == [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
 
