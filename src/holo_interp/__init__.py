@@ -39,7 +39,6 @@ from .construction import (
     AuxiliaryWeight,
     GluedExtension,
     auxiliary_curvature_check,
-    auxiliary_weight_value,
     cutoff,
     dbar_energy,
     evaluate_extension,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry, pointset, weights
-from .errors import DomainError, NumericalGuardError, SizeGuardError, SpaceMismatchError
+from .errors import DomainError, NumericalGuardError, SpaceMismatchError
 from .reporting import report_envelope
 
 BOS = "bos"
@@ -98,11 +98,7 @@ def _finalize(criterion, eps, rho, samples, warnings, extras=None) -> Certificat
 
 
 def _separation_warning(space, pts) -> list:
-    try:
-        rep = pointset.separation(space, pts)
-    except SizeGuardError:
-        return ["separation not verified: pair guard exceeded"]
-    if len(pts) >= 2 and not rep.min_pairwise_distance > 0.0:
+    if len(pts) >= 2 and not pointset.separation(space, pts).min_pairwise_distance > 0.0:
         return ["separation not confirmed positive"]
     return []
 

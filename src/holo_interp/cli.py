@@ -128,7 +128,7 @@ def _cmd_separation(args) -> int:
     r0 = math.inf
     if args.weight:
         r0 = _load_weight(args).r0
-    rep = pointset.separation(space, pts, r0=r0, bucketed=args.bucketed)
+    rep = pointset.separation(space, pts, r0=r0)
     body = {
         "min_pairwise_distance": rep.min_pairwise_distance,
         "arg_pair": list(rep.arg_pair) if rep.arg_pair else None,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separation", help="minimum pairwise distance report")
     common(p, weight=True, points=True, space=True)
     p.add_argument("--bucketed", action="store_true",
-                   help="lift the pair guard (flat spaces only); the search is the same")
+                   help="accepted for old scripts; no effect (every set gets the exact search)")
     p.set_defaults(func=_cmd_separation)
 
     p = sub.add_parser("density", help="hyperbolic density over a grid")

@@ -70,27 +70,6 @@ def cutoff_derivative(t):
 # ---------------------------------------------------------------------------
 # local sections and gluing
 
-def _nodes_within(space: geometry.ModelSpace, nodes: np.ndarray, zs: np.ndarray,
-                  radius: float) -> np.ndarray:
-    """Indices, in order, of the nodes that can lie within ``radius`` of some
-    row of ``zs``.
-
-    For the anchor ``z0 = zs[0]`` and ``reach = max d(z0, zs)``, the triangle
-    inequality gives ``d(z, q) >= d(z0, q) - reach``, so nodes with
-    ``d(z0, q) > radius + reach`` are out of reach of every row (the 1e-12
-    slack absorbs rounding in the distances).  Every node is kept when the
-    anchor or a distance is not finite.
-    """
-    if len(nodes) == 0 or zs.shape[0] == 0 or not np.isfinite(zs[0]).all():
-        return np.arange(len(nodes))
-    z0 = zs[0]
-    reach = float(np.max(geometry.geodesic_distances(space, zs, z0)))
-    d0 = geometry.geodesic_distances(space, nodes, z0)
-    if not math.isfinite(reach):
-        return np.arange(len(nodes))
-    return np.nonzero(d0 <= (radius + reach) * (1.0 + 1e-12))[0]
-
-
 def local_section(w: weights.HermitianWeight, space: geometry.ModelSpace,
                   p, a_p: complex, z, delta0: float):
     """Normal-frame holomorphic section ``a_p exp(exponent_p(z))`` on the
@@ -119,7 +98,6 @@ class GluedExtension:
     weight: weights.HermitianWeight
     points: pointset.PointSet
     delta0: float
-    separation_report: Optional[pointset.SeparationReport] = None
 
     def __post_init__(self):
         if self.delta0 <= 0:
@@ -147,37 +125,29 @@ def glued_extension(space: geometry.ModelSpace, w: weights.HermitianWeight,
         raise DomainError(
             f"2*delta0 = {2 * delta0:.6g} exceeds min(separation, r0) = {bound:.6g}"
         )
-    return GluedExtension(space, w, pts, float(delta0), rep)
+    return GluedExtension(space, w, pts, float(delta0))
 
 
 def evaluate_extension(ext: GluedExtension, z):
     """F(z) for a single point (complex) or a (G, n) array of points (array).
 
     At most one node contributes at each point; F(p) = a(p) exactly on the
-    set.  One node-batched pass: the distances from the nodes that can reach
-    the points to every point, in blocks of about ``QUAD_BLOCK`` distances,
-    give the (node, point) pairs inside a delta0-ball in node-major order;
-    the cutoff and the normal-frame section are evaluated once over all
-    pairs, and ``np.add.at`` adds the terms in node order (a point that
-    rounding puts in two touching balls sums them as a per-node loop would).
+    set.  One pass over the (point, node) pairs of ``pointset.near_pairs``
+    inside a delta0-ball: the cutoff and the normal-frame section are
+    evaluated once over all pairs, and ``np.add.at`` adds each point's terms
+    in node order (a point that rounding puts in two touching balls sums
+    them as a per-node loop would).
     """
     zs, single = ext.space.validate_rows(z)
-    idx = _nodes_within(ext.space, ext.points.points, zs, ext.delta0)
-    nodes = ext.points.points[idx]
-    per_block = max(1, QUAD_BLOCK // max(1, zs.shape[0]))
-    node, pt, dist = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for lo in range(0, len(idx), per_block):
-        d = geometry.geodesic_distances(ext.space, zs, nodes[lo:lo + per_block, None, :])
-        i, j = np.nonzero(d < ext.delta0)
-        node.append(lo + i)
-        pt.append(j)
-        dist.append(d[i, j])
-    node, pt, dist = (np.concatenate(x) for x in (node, pt, dist))
     out = np.zeros(zs.shape[0], dtype=complex)
-    if pt.size:
+    if len(ext.points):
+        nodes = ext.points.points
+        pt, node, dist = pointset.near_pairs(ext.space, nodes, zs, ext.delta0)
+        inside = dist < ext.delta0
+        pt, node, dist = pt[inside], node[inside], dist[inside]
         chi = cutoff(dist ** 2 / ext.delta0 ** 2)
         expo = weights.normal_frame_exponent(ext.weight, nodes[node], zs[pt])
-        np.add.at(out, pt, ext.values()[idx[node]] * np.exp(expo) * chi)
+        np.add.at(out, pt, ext.values()[node] * np.exp(expo) * chi)
     return complex(out[0]) if single else out
 
 
@@ -209,30 +179,33 @@ class AuxiliaryWeight:
     def value_grid(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized values over an (m, n) array of points.
 
-        Finite rows are validated; a non-finite row adds nothing.  Only
-        nodes whose rho-ball can reach a point are visited (see
-        ``_nodes_within``); every skipped node would add exactly 0.0, so the
-        values equal the sum over all nodes bit for bit.
+        Finite rows are validated; a non-finite row adds nothing.  Only the
+        (point, node) pairs of ``pointset.near_pairs`` are visited, and each
+        point adds its terms in node order; every skipped pair would add
+        exactly 0.0, so the values equal the sum over all nodes bit for bit.
         """
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim == 1:
             zs = zs[:, None]
-        self.space.validate_points(zs[np.isfinite(zs).all(axis=1)])
+        rows = np.nonzero(np.isfinite(zs).all(axis=1))[0]
+        self.space.validate_points(zs[rows])
         out = np.zeros(zs.shape[0])
-        nodes = self.points.points
-        for q in nodes[_nodes_within(self.space, nodes, zs, self.rho)]:
-            self._add_node(out, geometry.geodesic_distances(self.space, zs, q))
+        if len(self.points):
+            i, _, d = pointset.near_pairs(self.space, self.points.points, zs[rows], self.rho)
+            term, pole = self._terms(d)
+            np.add.at(out, rows[i], term)
+            out[rows[i[pole]]] = -math.inf
         return out
 
-    def _add_node(self, out: np.ndarray, d: np.ndarray) -> None:
-        """Add one node's term at the distances ``d`` to ``out`` in place."""
+    def _terms(self, d: np.ndarray):
+        """A node's term at the distances ``d`` (exactly 0.0 outside its
+        rho-ball and at the node) and the mask of the poles ``d == 0``."""
         pole = d == 0.0
         u = d ** 2 / self.rho ** 2
         inside = (~pole) & (u < 1.0)
-        term = np.zeros_like(out)
+        term = np.zeros_like(d)
         term[inside] = self.n * (1.0 - u[inside] + np.log(u[inside]))
-        out += term
-        out[pole] = -math.inf
+        return term, pole
 
     def _annulus_values(self, idx: np.ndarray, zs: np.ndarray, reach: float) -> np.ndarray:
         """Values on rows of points (n = 1): row ``r`` of ``zs`` (b, Q) lies
@@ -251,17 +224,12 @@ class AuxiliaryWeight:
         out = np.zeros(zs.shape)
         for r in range(int(rank.max(initial=-1)) + 1):
             at = rank == r
-            rows = out[row[at]]
-            d = geometry.geodesic_distances(self.space, zs[row[at]][..., None],
-                                            nodes[q[at]][:, None, :])
-            self._add_node(rows, d)
+            term, pole = self._terms(geometry.geodesic_distances(
+                self.space, zs[row[at]][..., None], nodes[q[at]][:, None, :]))
+            rows = out[row[at]] + term
+            rows[pole] = -math.inf
             out[row[at]] = rows
         return out
-
-
-def auxiliary_weight_value(aux: AuxiliaryWeight, z) -> float:
-    """v(z); realises the -inf sentinel at the poles."""
-    return aux.value(z)
 
 
 def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> float:
@@ -283,9 +251,8 @@ def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> 
 # ---------------------------------------------------------------------------
 # quadrature
 
-#: Quadrature points per block of annuli (node-to-point distances per block
-#: in ``evaluate_extension``): the nodes of a block share one array pass,
-#: and a block's temporaries stay in cache.
+#: Quadrature points per block of annuli in ``_annulus_sums``: the nodes of
+#: a block share one array pass, and a block's temporaries stay in cache.
 QUAD_BLOCK = 2 ** 12
 
 

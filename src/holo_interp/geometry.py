@@ -203,16 +203,6 @@ def hessian_comparison_factor(k: float, rho: float) -> float:
     return 1.0 + x / math.tanh(x)
 
 
-_SURFACE_CACHE: dict = {}
-
-
-def _sphere_surface(dim: int) -> float:
-    # surface area of the unit sphere S^{dim-1}
-    if dim not in _SURFACE_CACHE:
-        _SURFACE_CACHE[dim] = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-    return _SURFACE_CACHE[dim]
-
-
 def ball_volume_bound(k: float, rho: float, dim: int) -> float:
     """Volume of the radius-``rho`` ball in the space form of curvature
     ``-k^2`` and real dimension ``dim``.
@@ -226,7 +216,7 @@ def ball_volume_bound(k: float, rho: float, dim: int) -> float:
         raise DomainError("curvature magnitude k must be nonnegative")
     if dim < 1 or int(dim) != dim:
         raise DomainError("dim must be a positive integer")
-    surf = _sphere_surface(int(dim))
+    surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)  # area of S^(dim-1)
     if k == 0.0:
         return surf * rho ** dim / dim
     val, _err = integrate.quad(
@@ -234,11 +224,6 @@ def ball_volume_bound(k: float, rho: float, dim: int) -> float:
         epsabs=0.0, epsrel=1e-10,
     )
     return surf * val
-
-
-def euclidean_ball_volume(radius: float, dim: int) -> float:
-    """Euclidean ball volume; convenience wrapper used by mean-value bounds."""
-    return ball_volume_bound(0.0, radius, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .errors import DomainError, SizeGuardError, SpaceMismatchError
-
-PAIR_GUARD = 10_000_000
+from .errors import DomainError, SpaceMismatchError
 
 #: Literal cutoff in the density sum: nodes at distance >= 1 contribute.
 DENSITY_CUTOFF = 1.0
@@ -182,27 +180,13 @@ class SeparationReport:
     r0: float = math.inf
 
 
-def separation(space: geometry.ModelSpace, pts: PointSet, r0: float = math.inf,
-               pair_guard: int = PAIR_GUARD, bucketed: bool = False) -> SeparationReport:
+def separation(space: geometry.ModelSpace, pts: PointSet, r0: float = math.inf) -> SeparationReport:
     """Exact minimum pairwise distance and its first minimising pair in
-    lexicographic order (``_tree_min_pair``).
-
-    The nodes are validated first.  Beyond ``pair_guard`` pairs a
-    ``SizeGuardError`` is raised unless ``bucketed=True``, which lifts the
-    guard on flat spaces and is refused on the ball; it selects no algorithm.
-    """
-    m = len(pts)
-    if m <= 1:
+    lexicographic order (``_tree_min_pair``), for any number of nodes; the
+    nodes are validated first."""
+    if len(pts) <= 1:
         return SeparationReport(math.inf, None, min(math.inf, r0) / 2.0, r0)
     space.validate_points(pts.points)
-    n_pairs = m * (m - 1) // 2
-    if n_pairs > pair_guard and not bucketed:
-        raise SizeGuardError(
-            f"{n_pairs} pairs exceed the guard ({pair_guard}); "
-            "pass bucketed=True (flat spaces) or reduce the set"
-        )
-    if bucketed and not space.is_flat:
-        raise SizeGuardError("bucketed separation is implemented for flat spaces only")
     dmin, pair = _tree_min_pair(space, pts.points)
     return SeparationReport(dmin, pair, min(dmin, r0) / 2.0, r0)
 
@@ -213,25 +197,41 @@ def _tree_min_pair(space, points):
     it is infinite; NaN, from a node on the rim to rounding, counts as inf).
 
     A k-d tree's Euclidean nearest neighbours bound the minimum by ``U``.
-    Only the pairs within the Euclidean reach of ``U`` (``_reach``) get
-    exact distances; the closed form is symmetric to the bit, so the minimum
-    is the all-pairs one to the bit.
+    Only the pairs ``near_pairs`` gives for ``U`` get exact distances; the
+    closed form is symmetric to the bit, so the minimum is the all-pairs one
+    to the bit.
     """
-    m = points.shape[0]
     tree = cKDTree(_tree_coords(points))
-    rows = np.arange(m)
+    rows = np.arange(points.shape[0])
     nearest = tree.query(tree.data, k=2)[1]
     nearest = np.where(nearest[:, 1] == rows, nearest[:, 0], nearest[:, 1])
-    radii = _reach(space, points, np.min(_pair_distances(space, points, rows, nearest)))
-    found = tree.query_ball_point(tree.data, radii, return_sorted=True)
-    i = np.repeat(rows, [len(js) for js in found])
-    j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
-    i, j = i[j > i], j[j > i]
-    d = _pair_distances(space, points, i, j)
-    if d.min() == math.inf:
-        return math.inf, None
+    bound = np.fmin.reduce(geometry.geodesic_distances(space, points[nearest], points))
+    i, j, d = near_pairs(space, points, points, bound, tree)
+    d = np.where((j > i) & ~np.isnan(d), d, math.inf)
     k = int(np.argmin(d))
+    if d[k] == math.inf:
+        return math.inf, None
     return float(d[k]), (int(i[k]), int(j[k]))
+
+
+def near_pairs(space: geometry.ModelSpace, nodes: np.ndarray, xs: np.ndarray, dist,
+               tree: Optional[cKDTree] = None):
+    """The (sample, node) pairs that may lie within geodesic distance
+    ``dist``, as arrays ``(i, j, d)``: every pair with ``d(xs[i], nodes[j])
+    <= dist`` is among them, in sample-major order with ``j`` ascending,
+    and ``d`` is ``geometry.geodesic_distances`` of each pair.
+
+    A k-d tree over the nodes (``tree``, when the caller has built it from
+    ``_tree_coords(nodes)``) gives each sample's nodes within its Euclidean
+    reach (``_reach``); no dense node-by-sample array is built.  Neither
+    array is validated, and each caller applies its own exact test to ``d``.
+    """
+    if tree is None:
+        tree = cKDTree(_tree_coords(nodes))
+    found = tree.query_ball_point(_tree_coords(xs), _reach(space, xs, dist), return_sorted=True)
+    i = np.repeat(np.arange(len(xs)), [len(js) for js in found])
+    j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
+    return i, j, geometry.geodesic_distances(space, nodes[j], xs[i])
 
 
 def _tree_coords(points):
@@ -254,12 +254,6 @@ def _reach(space, points, dist):
         return np.where(radii >= 0.0, radii * (1.0 + 1e-9) + 1e-150, math.inf)
 
 
-def _pair_distances(space, points, i, j):
-    d = geometry.geodesic_distances(space, points[j], points[i])
-    d[np.isnan(d)] = math.inf
-    return d
-
-
 # ---------------------------------------------------------------------------
 # counting and density
 
@@ -268,10 +262,8 @@ def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float):
 
     ``z`` is one point (an ``int`` result) or an (m, n) grid (an (m,) int
     array).  The nodes and the samples are validated; a node off the ball
-    raises ``DomainError``.  A k-d tree over the nodes gives each sample's
-    candidates within its Euclidean reach (``_reach``); only they get the
-    strict test ``d < rho``, with the distances ``geometry.distances_from``
-    gives.
+    raises ``DomainError``.  Only the candidates of ``near_pairs`` get the
+    strict test ``d < rho``.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
@@ -279,12 +271,8 @@ def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float):
     counts = np.zeros(len(xs), dtype=np.intp)
     if len(pts):
         space.validate_points(pts.points)
-        found = cKDTree(_tree_coords(pts.points)).query_ball_point(
-            _tree_coords(xs), _reach(space, xs, rho))
-        i = np.repeat(np.arange(len(xs)), [len(js) for js in found])
-        j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
-        inside = geometry.geodesic_distances(space, pts.points[j], xs[i]) < rho
-        counts = np.bincount(i[inside], minlength=len(xs))
+        i, _, d = near_pairs(space, pts.points, xs, rho)
+        counts = np.bincount(i[d < rho], minlength=len(xs))
     return int(counts[0]) if single else counts
 
 

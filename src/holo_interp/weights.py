@@ -439,7 +439,7 @@ def mean_value_constant(w: HermitianWeight, center, radius: float) -> float:
     """
     osc = local_oscillation(w, center, radius)
     expo = float(np.sum(osc ** 2)) + 0.5 * w.m2 * (2 * w.n) ** 2 * radius ** 2 / w.mu ** 2
-    return math.exp(expo) / geometry.euclidean_ball_volume(radius, 2 * w.n)
+    return math.exp(expo) / geometry.ball_volume_bound(0.0, radius, 2 * w.n)
 
 
 def phi_def_second_derivative_max(w: HermitianWeight, center, radius: float,

@@ -345,12 +345,21 @@ class TestNodeBatchedExtension:
         assert got[:len(ext.points)].tolist() == ext.values().tolist()
         assert np.count_nonzero(got[len(ext.points):]) > 50
 
-    @pytest.mark.parametrize("rows", [1, 3, 7])
-    def test_block_boundaries(self, rows, rng, monkeypatch):
-        # 1, 3 and 7 node rows per block of distances: 3 and 7 leave a short last block
-        for ext, zs in extension_setups(rng):
-            monkeypatch.setattr(construction, "QUAD_BLOCK", rows * zs.shape[0])
-            assert hi.evaluate_extension(ext, zs).tobytes() == reference_extension(ext, zs).tobytes()
+    def test_disk_nodes_near_the_rim(self, disk, rng):
+        # rings of nodes at 1 - |p| = 1e-2, 1e-4, 1e-6; rows in their
+        # delta0-balls, on the ball boundaries, and at random near the rim
+        ring = np.exp(2j * np.pi * np.arange(8) / 8)
+        nodes = np.concatenate([(1.0 - gap) * ring for gap in (1e-2, 1e-4, 1e-6)])[:, None]
+        vals = rng.normal(size=len(nodes)) + 1j * rng.normal(size=len(nodes))
+        ext = hi.glued_extension(disk, hi.bergman_weight(3.0), pointset.PointSet(nodes, vals))
+        inner = [geometry.geodesic_point(disk, p, ext.delta0 * r, th) for p in nodes
+                 for r in (0.1, 0.5, 0.9, 1.0) for th in rng.uniform(0.0, 2.0 * np.pi, 4)]
+        rim = (1.0 - 10.0 ** -rng.uniform(1.0, 7.0, 300)) * np.exp(2j * np.pi * rng.random(300))
+        zs = np.concatenate([nodes[:, 0], inner, rim])[:, None]
+        got = hi.evaluate_extension(ext, zs)
+        assert got.tobytes() == reference_extension(ext, zs).tobytes()
+        assert got[:len(nodes)].tolist() == vals.tolist()
+        assert np.count_nonzero(got[len(nodes):]) > 50
 
     @pytest.mark.parametrize("nudge", [0.0, 1e-13])
     def test_point_between_touching_balls(self, fock1, flat1, nudge):
@@ -440,12 +449,12 @@ class TestAuxiliaryWeight:
         return vals
 
     def _patches(self, aux, zs_list):
-        # every patch is checked; at least one must actually skip nodes
+        # every patch is checked; on at least one the search must skip pairs
         culled = False
         for zs in zs_list:
             self._assert_matches_reference(aux, zs, [])
-            kept = construction._nodes_within(aux.space, aux.points.points, zs, aux.rho)
-            culled |= kept.size < len(aux.points)
+            pairs = pointset.near_pairs(aux.space, aux.points.points, zs, aux.rho)[0]
+            culled |= pairs.size < len(aux.points) * len(zs)
         assert culled
 
     def test_culled_matches_reference_flat_n1(self, flat1, rng):

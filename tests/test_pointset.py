@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import holo_interp as hi
 from holo_interp import geometry, pointset
-from holo_interp.errors import DomainError, SizeGuardError, SpaceMismatchError
+from holo_interp.errors import DomainError, SpaceMismatchError
 
 LOG4 = 1.3862943611198906
 
@@ -18,28 +18,31 @@ def brute_count(space, pts, z, rho):
     return sum(1 for p in pts.points if hi.distance(space, p, z) < rho)
 
 
-def all_pairs_min(space, pts):
-    """Independent reference: the closed-form distance matrix minimised over
-    i < j in row-major order, so the first minimiser comes first; NaN counts
-    as inf."""
+def all_pairs_min(space, pts, block=256):
+    """Independent reference: the closed-form distance matrix, ``block`` rows
+    at a time, minimised over i < j in row-major order, so the first
+    minimiser comes first; NaN counts as inf."""
     z = pts.points
     m = z.shape[0]
-    diff_sq = np.sum(np.abs(z[None, :, :] - z[:, None, :]) ** 2, axis=-1)
-    if space.is_flat:
-        d = np.sqrt(diff_sq)
-    else:
-        kap2 = space.kappa * space.kappa
-        room = kap2 - np.sum(np.abs(z) ** 2, axis=-1)
-        d = 2.0 * space.kappa * np.arcsinh(np.sqrt(kap2 * diff_sq / (room[None, :] * room[:, None])))
-    d = np.where(np.triu(np.ones((m, m), bool), 1) & ~np.isnan(d), d, math.inf)
-    k = int(np.argmin(d))
-    if d.flat[k] == math.inf:
-        return math.inf, None
-    return float(d.flat[k]), (k // m, k % m)
+    kap2 = None if space.is_flat else space.kappa * space.kappa
+    room = None if space.is_flat else kap2 - np.sum(np.abs(z) ** 2, axis=-1)
+    best, pair = math.inf, None
+    for lo in range(0, m, block):
+        rows = np.arange(lo, min(lo + block, m))
+        diff_sq = np.sum(np.abs(z[None, :, :] - z[rows, None, :]) ** 2, axis=-1)
+        if space.is_flat:
+            d = np.sqrt(diff_sq)
+        else:
+            d = 2.0 * space.kappa * np.arcsinh(np.sqrt(kap2 * diff_sq / (room[None, :] * room[rows, None])))
+        d = np.where((np.arange(m)[None, :] > rows[:, None]) & ~np.isnan(d), d, math.inf)
+        k = int(np.argmin(d))
+        if d.flat[k] < best:
+            best, pair = float(d.flat[k]), (lo + k // m, k % m)
+    return best, pair
 
 
-def assert_matches_all_pairs(space, pts, **kw):
-    rep = hi.separation(space, pts, **kw)
+def assert_matches_all_pairs(space, pts):
+    rep = hi.separation(space, pts)
     dmin, pair = all_pairs_min(space, pts)
     assert np.float64(rep.min_pairwise_distance).tobytes() == np.float64(dmin).tobytes()
     assert rep.arg_pair == pair
@@ -52,6 +55,17 @@ SPACES = [("flat", 1, None), ("flat", 2, None)] + [
 def make_space(spec):
     kind, n, kap = spec
     return hi.flat_space(n) if kind == "flat" else hi.hyperbolic_ball(kap, n=n)
+
+
+def random_rows(rng, spec, m, rim_exponent):
+    """m normal points of C^n; on the ball, rescaled so 1 - |z|/kappa lies in
+    (0, 1] scaled down by up to 10^-rim_exponent."""
+    n = spec[1]
+    z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    if spec[0] == "ball":
+        frac = 1.0 - (1.0 - rng.random(m)) * 10.0 ** -rng.uniform(0.0, rim_exponent, m)
+        z *= (spec[2] * frac / np.linalg.norm(z, axis=1))[:, None]
+    return z
 
 
 class TestPointSet:
@@ -176,27 +190,10 @@ class TestSeparation:
         rep = hi.separation(flat1, lat, r0=10.0)
         assert rep.delta0 == 1.0  # separation binds
 
-    def test_pair_guard(self, flat1):
-        lat = pointset.square_lattice(1.0, half_extent=3.0)
-        with pytest.raises(SizeGuardError, match="bucketed"):
-            hi.separation(flat1, lat, pair_guard=10)
-
-    def test_bucketed_matches_brute_force(self, flat1, rng):
-        pts = pointset.PointSet(rng.uniform(-5, 5, (300, 1)) + 1j * rng.uniform(-5, 5, (300, 1)))
-        brute = hi.separation(flat1, pts)
-        fast = hi.separation(flat1, pts, bucketed=True)
-        assert fast.min_pairwise_distance == brute.min_pairwise_distance
-        assert fast.arg_pair == brute.arg_pair
-
-    def test_bucketed_hyperbolic_refused(self, disk):
-        pts = pointset.PointSet(np.array([[0j], [0.1 + 0j]]))
-        with pytest.raises(SizeGuardError):
-            hi.separation(disk, pts, bucketed=True)
-
-    def test_node_outside_ball_refused_before_pair_guard(self, disk):
+    def test_node_outside_ball_refused(self, disk):
         pts = pointset.PointSet(np.array([[0j], [0.5 + 0j], [1.5 + 0j]]))
         with pytest.raises(DomainError):
-            hi.separation(disk, pts, pair_guard=1)
+            hi.separation(disk, pts)
 
 
 class TestTreeSeparation:
@@ -208,16 +205,14 @@ class TestTreeSeparation:
            seed=st.integers(0, 2 ** 32 - 1), rim_exponent=st.floats(0.0, 12.0))
     def test_random_sets(self, spec, m, seed, rim_exponent):
         rng = np.random.default_rng(seed)
-        n = spec[1]
-        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        if spec[0] == "ball":
-            # 1 - |z|/kappa in (0, 1], scaled down by up to 10^-rim_exponent
-            frac = 1.0 - (1.0 - rng.random(m)) * 10.0 ** -rng.uniform(0.0, rim_exponent, m)
-            z *= (spec[2] * frac / np.linalg.norm(z, axis=1))[:, None]
-        space, pts = make_space(spec), pointset.PointSet(z)
-        assert_matches_all_pairs(space, pts)
-        if spec[0] == "flat":
-            assert_matches_all_pairs(space, pts, bucketed=True)
+        assert_matches_all_pairs(make_space(spec), pointset.PointSet(random_rows(rng, spec, m, rim_exponent)))
+
+    def test_ball_set_beyond_the_old_pair_guard(self):
+        # 4500 nodes make 10_122_750 pairs, past the 10**7 the ball used to refuse
+        rng = np.random.default_rng(4474)
+        spec = ("ball", 1, 1.0)
+        pts = pointset.PointSet(random_rows(rng, spec, 4500, 8.0))
+        assert_matches_all_pairs(make_space(spec), pts)
 
     @pytest.mark.parametrize("spec", SPACES)
     def test_lattice_ties(self, spec, rng):
@@ -273,6 +268,30 @@ class TestTreeSeparation:
             rep = hi.separation(flat1, pts)
             assert (rep.min_pairwise_distance, rep.arg_pair) == (1e-3, (3, 4))
             assert_matches_all_pairs(flat1, pointset.PointSet(pts.points[:3]))
+
+
+class TestNearPairs:
+    """``near_pairs`` against the dense sample-by-node distance matrix."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(spec=st.sampled_from(SPACES), m=st.integers(0, 40), g=st.integers(0, 30),
+           seed=st.integers(0, 2 ** 32 - 1), rim_exponent=st.floats(0.0, 12.0),
+           dist=st.floats(1e-3, 6.0), tie=st.booleans())
+    def test_against_all_pairs(self, spec, m, g, seed, rim_exponent, dist, tie):
+        rng = np.random.default_rng(seed)
+        space = make_space(spec)
+        nodes, xs = random_rows(rng, spec, m, rim_exponent), random_rows(rng, spec, g, rim_exponent)
+        full = geometry.geodesic_distances(space, nodes[None, :, :], xs[:, None, :])
+        if tie and full.size:  # a distance that occurs: the closed ball keeps it
+            dist = float(full.flat[rng.integers(full.size)])
+        i, j, d = pointset.near_pairs(space, nodes, xs, dist)
+        assert i.dtype.kind == j.dtype.kind == "i"
+        # sample-major with j ascending: strictly increasing (i, j) keys
+        assert np.all(np.diff(i * max(m, 1) + j) > 0)
+        assert d.tobytes() == full[i, j].tobytes()
+        found = np.zeros(full.shape, bool)
+        found[i, j] = True
+        assert not np.any((full <= dist) & ~found)
 
 
 class TestCountInBall:
