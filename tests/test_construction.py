@@ -361,6 +361,17 @@ class TestNodeBatchedExtension:
         assert got[:len(nodes)].tolist() == vals.tolist()
         assert np.count_nonzero(got[len(nodes):]) > 50
 
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_block_boundaries(self, rows, rng):
+        # the points taken 1, 3 or 7 rows per call give the values of one call
+        # bit for bit: no row's value depends on the other rows of its batch
+        for ext, zs in extension_setups(rng):
+            whole = hi.evaluate_extension(ext, zs)
+            blocks = np.concatenate([hi.evaluate_extension(ext, zs[lo:lo + rows])
+                                     for lo in range(0, zs.shape[0], rows)])
+            assert blocks.tobytes() == whole.tobytes()
+            assert whole.tobytes() == reference_extension(ext, zs).tobytes()
+
     @pytest.mark.parametrize("nudge", [0.0, 1e-13])
     def test_point_between_touching_balls(self, fock1, flat1, nudge):
         # nodes exactly 2*delta0 apart: their midpoint is on both ball
