@@ -190,10 +190,10 @@ class GramDiagnostic:
 
     ``gram`` is always the full normalized Gram; ``eig_min`` and ``eig_max``
     are its extreme eigenvalues, from its quarter-turn character blocks when
-    the node set is closed under ``z -> i z`` (see ``_diagnose``).  Such a
-    Gram is built from its orbit representatives and is exactly invariant
-    under the turn (see ``KernelSpace._normalized_grams``), so the blocks
-    diagonalize it exactly.
+    the node set is closed under ``z -> i z`` (see ``_character_blocks``).
+    Such a Gram is built from its orbit representatives and is exactly
+    invariant under the turn (see ``KernelSpace._normalized_grams``), so the
+    blocks diagonalize it exactly.
     """
 
     gram: np.ndarray
@@ -212,11 +212,12 @@ def gram_matrix(space: KernelSpace, pts: pointset.PointSet,
 
     Deterministic dense eigensolves: four quarter-size character blocks when
     the node set is closed under the quarter turn, one full ``eigvalsh``
-    otherwise (see ``_diagnose``).
+    otherwise (see ``_character_blocks``).
     """
     _check_size(pts, size_guard)
     turn = _quarter_turn(pts.points)
-    return _diagnose(space._normalized_grams(pts.points, turn)[0], turn)
+    g = space._normalized_grams(pts.points, turn)[0]
+    return _diagnose(g, _character_blocks(g, turn)[0])
 
 
 def _check_size(pts: pointset.PointSet, size_guard: int) -> None:
@@ -227,22 +228,12 @@ def _check_size(pts: pointset.PointSet, size_guard: int) -> None:
         raise SizeGuardError(f"{m} points exceed the gram size guard ({size_guard})")
 
 
-def _diagnose(g: np.ndarray, turn) -> GramDiagnostic:
-    """Extreme eigenvalues of the normalized Gram ``g`` on node rows whose
-    quarter-turn permutation is ``turn`` (``_quarter_turn`` of the rows).
-
-    Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
-    closed under the quarter turn ``z -> i z`` (a permutation ``R``) the Gram
-    commutes with ``R``.  It is then unitarily block-diagonal over the
-    characters ``k = 0..3`` of ``R``: with one
-    representative ``q`` per four-point orbit, ``B_k[q, q'] = sum_t i^(k t)
-    G[q, R^t q']``, and the origin, the only possible fixed point, adds one
-    row to ``B_0`` with off-diagonal ``(1/2) sum_t G[o, R^t q']``.  The
-    extremes of the four blocks are the Gram's, for about a sixteenth of the
-    eigensolve cost.  A kernel that is not a function of ``z . conj(w)`` must
-    not take this path.  Any other node set gets one full ``eigvalsh``.
+def _diagnose(g: np.ndarray, blocks: list) -> GramDiagnostic:
+    """Extreme eigenvalues of the normalized Gram ``g`` from its diagonal
+    blocks (``_character_blocks``): four quarter-size eigensolves, about a
+    sixteenth of the cost, when the node set is closed under the quarter
+    turn, one full ``eigvalsh`` otherwise.
     """
-    blocks = [g] if turn is None else _character_blocks(g, turn)
     spectra = [np.linalg.eigvalsh(b) for b in blocks if b.size]
     eig_min = float(min(ev[0] for ev in spectra))
     eig_max = float(max(ev[-1] for ev in spectra))
@@ -286,9 +277,35 @@ def _orbits(turn: np.ndarray):
     return powers, np.flatnonzero((powers.min(axis=0) == powers[0]) & moved), np.flatnonzero(~moved)
 
 
-def _character_blocks(g: np.ndarray, turn: np.ndarray) -> list:
-    """The four blocks ``B_k``, ``k = 0..3``, of ``g`` under the quarter-turn
-    permutation ``turn`` (see ``_diagnose``), gathered from ``g``."""
+#: ``_DFT[k, t] = i^(-k t)``, the 4-point DFT of an orbit's entries
+_DFT = np.array([1, -1j, -1, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
+
+
+def _character_blocks(g: np.ndarray, turn):
+    """The normalized Gram ``g`` as diagonal blocks, with the node basis
+    they act in: ``(blocks, orbits, fixed)``.
+
+    Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
+    closed under the quarter turn ``z -> i z`` (``turn`` a permutation ``R``,
+    see ``_quarter_turn``) the Gram commutes with ``R`` and is unitarily
+    block-diagonal over the characters ``k = 0..3`` of ``R``.  ``orbits[t,
+    q] = R^t q`` for one representative ``q`` per four-point orbit (its
+    smallest index), and ``fixed`` holds the origin, the only possible fixed
+    point, or nothing.  In the basis ``v_k^q = sum_t i^(k t) e_{R^t q}`` the
+    Gram acts as ``B_k[q, q'] = sum_t i^(k t) G[q, R^t q']``; a vector ``x``
+    has the coordinates ``beta_k[q] = (1/4) sum_t i^(-k t) x[R^t q]``, and
+    ``x[R^t q] = sum_k i^(k t) beta_k[q]`` maps them back.  The origin
+    belongs to ``k = 0`` with the basis vector ``2 e_o``, which makes its row
+    and column of ``B_0`` ``(1/2) sum_t G[o, R^t q']`` and its conjugate, so
+    ``B_0`` stays Hermitian, and its coordinate ``x[o] / 2``.  A kernel that
+    is not a function of ``z . conj(w)`` must not take this path.
+
+    Any other node set (``turn`` None) is one block, ``[g]``, in the node
+    basis itself: ``orbits`` is the one row ``arange(m)`` and ``fixed`` is
+    empty, and ``_DFT[:1, :1]`` is the identity.
+    """
+    if turn is None:
+        return [g], np.arange(len(g))[None, :], np.empty(0, dtype=np.intp)
     powers, reps, fixed = _orbits(turn)
     orbits = powers[:, reps]
     s = g[reps[None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
@@ -299,7 +316,23 @@ def _character_blocks(g: np.ndarray, turn: np.ndarray) -> list:
         o = fixed[0]
         b0 = np.block([[b0, 0.5 * g[orbits, o].sum(axis=0)[:, None]],
                        [0.5 * g[o, orbits].sum(axis=0)[None, :], g[o, o]]])
-    return [b0, alt + alt_i, even - odd, alt - alt_i]
+    return [b0, alt + alt_i, even - odd, alt - alt_i], orbits, fixed
+
+
+def _block_solve(lus: list, orbits: np.ndarray, fixed: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve ``G x = rhs`` (complex128) from the LU factors ``lus`` of the
+    blocks of ``_character_blocks``: ``rhs`` into the block coordinates, one
+    solve per block, and the solutions back into the node basis."""
+    c, r = orbits.shape
+    dft = _DFT[:c, :c]
+    beta = dft @ rhs[orbits] / c
+    beta = [np.concatenate([beta[0], rhs[fixed] / 2]), *beta[1:]]
+    u = [scipy.linalg.lu_solve(lu, v) for lu, v in zip(lus, beta)]
+    x = np.empty_like(rhs)
+    x[orbits] = dft.conj() @ np.stack([u[0][:r], *u[1:]])
+    x[fixed] = 2 * u[0][r:]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +405,24 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
 
     Refuses near-singular normalized Grams (``eig_min < condition_guard``)
     with a ``ConditioningError`` carrying the offending eigenvalue.
+
+    The rounded Gram is LU-factored once, block by block over the blocks of
+    ``_character_blocks`` that also give its eigenvalues: on nodes closed
+    under ``z -> i z`` the four quarter-size character blocks, otherwise
+    the one m x m block.  Each solve maps the right-hand side ``x`` into the
+    block coordinates, ``beta_k[q] = (1/4) sum_t i^(-k t) x[R^t q]`` plus
+    ``x[o] / 2`` for the origin as the last entry of ``beta_0``, solves
+    ``B_k u_k = beta_k``, and maps back, ``y[R^t q] = sum_k i^(k t) u_k[q]``
+    and ``y[o] = 2 u_0[-1]``.  The three refinement residuals and the
+    reported residuals are taken against the full extended Gram.
     """
     if pts.values is None:
         raise DomainError("interpolation needs target values")
     _check_size(pts, SIZE_GUARD)
     turn = _quarter_turn(pts.points)
     g, gram_ld, half = space._normalized_grams(pts.points, turn)
-    diag = _diagnose(g, turn)
+    blocks, orbits, fixed = _character_blocks(g, turn)
+    diag = _diagnose(g, blocks)
     if not diag.eig_min >= condition_guard:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {condition_guard:.1e}",
@@ -388,11 +432,11 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     # scale, then iterate refinement against the extended-precision Gram so
     # the strongly graded right-hand side keeps componentwise accuracy.
     b = pts.values.astype(np.clongdouble) * np.exp(-half)
-    lu = scipy.linalg.lu_factor(g)
-    y = scipy.linalg.lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
+    lus = [scipy.linalg.lu_factor(block) for block in blocks]
+    y = _block_solve(lus, orbits, fixed, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
         residual = b - gram_ld @ y
-        y = y + scipy.linalg.lu_solve(lu, residual.astype(complex)).astype(np.clongdouble)
+        y = y + _block_solve(lus, orbits, fixed, residual.astype(complex)).astype(np.clongdouble)
     # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
     abs_residual = np.abs(gram_ld @ y - b)
     weighted = abs_residual.astype(float)
@@ -457,11 +501,12 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
         index = {z: i for i, z in enumerate(largest.points[:, 0].tolist())}
         for r in radii:
             if r == r_max:
-                lattice, diag = largest, _diagnose(gram, turn)
+                lattice, g, g_turn = largest, gram, turn
             else:
                 lattice = pointset.square_lattice(s, radius=r)
                 sub = np.array([index[z] for z in lattice.points[:, 0].tolist()])
-                diag = _diagnose(gram[np.ix_(sub, sub)], _quarter_turn(lattice.points))
+                g, g_turn = gram[np.ix_(sub, sub)], _quarter_turn(lattice.points)
+            diag = _diagnose(g, _character_blocks(g, g_turn)[0])
             row = SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice))
             rows.append(row)
             if r == radii[0]:
