@@ -213,39 +213,32 @@ class AuxiliaryWeight:
 
         By the triangle inequality only nodes ``q`` with ``d(p, q) <= rho +
         reach`` can add to a row around ``p`` (the 1e-12 slack absorbs
-        rounding).  Each row adds them in node order, so it equals
-        ``value_grid`` on its points bit for bit.
+        rounding).  Their terms are added and the poles set as in
+        ``value_grid``, each row in node order, so it equals ``value_grid``
+        on its points bit for bit.
         """
         nodes = self.points.points
         near = geometry.geodesic_distances(self.space, nodes[idx][:, None, :], nodes[None, :, :]) \
             <= (self.rho + reach) * (1.0 + 1e-12)
         row, q = np.nonzero(near)
-        rank = np.arange(row.size) - np.searchsorted(row, row)
+        term, pole = self._terms(geometry.geodesic_distances(
+            self.space, zs[row][..., None], nodes[q][:, None, :]))
         out = np.zeros(zs.shape)
-        for r in range(int(rank.max(initial=-1)) + 1):
-            at = rank == r
-            term, pole = self._terms(geometry.geodesic_distances(
-                self.space, zs[row[at]][..., None], nodes[q[at]][:, None, :]))
-            rows = out[row[at]] + term
-            rows[pole] = -math.inf
-            out[row[at]] = rows
+        np.add.at(out, row, term)
+        at, col = np.nonzero(pole)
+        out[row[at], col] = -math.inf
         return out
 
 
 def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> float:
-    """Hyperbolic pole weight ``n sum_p log tanh^2(d(p, z)/(2 kappa))``."""
-    if space.is_flat:
-        raise SpaceMismatchError("the tanh pole weight requires a hyperbolic ball")
-    if len(pts) == 0:
-        return 0.0
-    d = geometry.distances_from(space, pts.points, z)
-    if np.any(d == 0.0):
-        return -math.inf
-    vals = 2.0 * space.n * np.log(np.tanh(d / (2.0 * space.kappa)))
-    total = float(np.sum(vals))
-    if not math.isfinite(total):
-        raise QuadratureError("tanh pole weight sum failed to converge", region=None)
-    return total
+    """Hyperbolic pole weight ``n sum_p log tanh^2(d(p, z)/(2 kappa))``.
+
+    Each term is minus a term of ``pointset.seip_density``, so this is
+    ``-n`` times the density with no cutoff: ``-inf`` on a node, and
+    ``SpaceMismatchError`` on flat space and ``DomainError`` for a node or
+    ``z`` off the ball, as the density raises them.
+    """
+    return 0.0 - space.n * pointset.seip_density(space, pts, z, cutoff=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -70,24 +70,23 @@ class ModelSpace:
         return self.kind == FLAT
 
     def contains(self, z) -> bool:
+        """Whether the point passes ``validate_point``; a malformed point
+        raises ``DomainError``."""
         z = as_point(z, self.n)
-        if self.is_flat:
-            return True
-        return float(np.linalg.norm(z)) < self.kappa
+        try:
+            self.validate_point(z)
+        except DomainError:
+            return False
+        return True
 
     def validate_point(self, z) -> np.ndarray:
-        z = as_point(z, self.n)
-        if self.is_flat:
-            if not np.isfinite(z).all():
-                raise DomainError("point has a non-finite coordinate")
-        elif not float(np.linalg.norm(z)) < self.kappa:  # NaN and inf fail here too
-            raise DomainError(
-                f"point with |z| = {np.linalg.norm(z):.6g} outside the open ball of radius {self.kappa}"
-            )
-        return z
+        """One point as a length-n coordinate vector, by ``validate_points``."""
+        return self.validate_points(as_point(z, self.n)[None, :])[0]
 
     def validate_points(self, zs) -> np.ndarray:
-        """Vectorized ``validate_point`` for an (m, n) array of points."""
+        """An (m, n) array of points, refused with ``DomainError`` when a
+        coordinate is not finite or, on the ball, a point has ``|z| >=
+        kappa``; the one membership rule of the space."""
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim != 2 or zs.shape[1] != self.n:
             raise DomainError(f"expected an (m, {self.n}) array of points, got shape {zs.shape}")
@@ -266,8 +265,7 @@ def _complex_hessian_once(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
     return (hxx + hyy + 1j * (hxy - hxy.T)) / 4.0
 
 
-def complex_hessian_fd(f: Callable, z, step: Optional[float] = None,
-                       richardson: bool = True) -> np.ndarray:
+def complex_hessian_fd(f: Callable, z, step: Optional[float] = None) -> np.ndarray:
     """Central-difference matrix ``[d^2 f / dz_j dzbar_m](z)``, symmetrized.
 
     ``f`` maps a length-n complex vector to a real scalar.  The default step
@@ -278,9 +276,7 @@ def complex_hessian_fd(f: Callable, z, step: Optional[float] = None,
     h = default_fd_step(z) if step is None else float(step)
     if h <= 0:
         raise DomainError("step must be positive")
-    H = _complex_hessian_once(f, z, h)
-    if richardson:
-        H = (4.0 * _complex_hessian_once(f, z, h / 2.0) - H) / 3.0
+    H = (4.0 * _complex_hessian_once(f, z, h / 2.0) - _complex_hessian_once(f, z, h)) / 3.0
     return 0.5 * (H + H.conj().T)
 
 

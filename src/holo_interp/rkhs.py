@@ -90,18 +90,19 @@ class KernelSpace:
         points = _as_matrix(points)
         return self._normalized_grams(points, _quarter_turn(points))[0]
 
-    def _normalized_grams(self, points: np.ndarray, turn):
+    def _normalized_grams(self, points: np.ndarray, quarter):
         """The normalized Gram from one extended-precision build on the (m, n)
         node rows ``points``, as ``(complex128 with unit diagonal,
         clongdouble, half diagonal logs log K(p, p) / 2)``.
 
-        ``turn`` is ``_quarter_turn(points)``.  When it is a permutation ``R``,
-        the Gram satisfies ``G[R q, R j] = G[q, j]`` (the kernel depends on
-        ``z . conj(w)`` only), so only the rows of one representative ``q``
-        per four-point orbit (and of the origin) are built: with ``s_t[q, q']
-        = G[q, R^t q']``, the extended log-kernel covers ``t = 0, 1, 2``, and
-        only the upper triangles of the Hermitian ``s_0`` and ``s_2`` and the
-        whole of ``s_1`` are exponentiated, about m^2 / 8 entries against the
+        ``quarter`` is ``_quarter_turn(points)``.  When the rows are closed
+        under the quarter turn ``R``, the Gram satisfies ``G[R q, R j] = G[q,
+        j]`` (the kernel depends on ``z . conj(w)`` only), so only the rows of
+        one representative ``q`` per four-point orbit (and of the origin) are
+        built (``_orbit_gram``): with ``s_t[q, q'] = G[q, R^t q']``, the
+        extended log-kernel covers ``t = 0, 1, 2``, and only the upper
+        triangles of the Hermitian ``s_0`` and ``s_2`` and the whole of
+        ``s_1`` are exponentiated, about m^2 / 8 entries against the
         triangle's m^2 / 2.  The lower triangles are conjugate mirrors, ``s_3
         = s_1^H``, and one gather fills the whole Gram from the ``s_t``, so it
         is exactly Hermitian and exactly R-invariant by construction.  Any
@@ -118,7 +119,7 @@ class KernelSpace:
         evaluation in ``MinNormInterpolant`` sees.
         """
         half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
-        if turn is None:
+        if quarter is None:
             gram_ld = self.log_kernel(points, points, dtype=np.clongdouble)
             for i in range(len(half)):
                 row = gram_ld[i, i:]
@@ -127,18 +128,20 @@ class KernelSpace:
                 np.exp(row, out=row)
                 gram_ld[i + 1:, i] = row[1:].conj()
         else:
-            gram_ld = self._orbit_gram(points, half, turn)
+            gram_ld = self._orbit_gram(points, half, *quarter)
         g = gram_ld.astype(complex)
         np.fill_diagonal(g, 1.0)
         return g, gram_ld, half
 
-    def _orbit_gram(self, points, half, turn):
+    def _orbit_gram(self, points, half, orbits, fixed):
         """The extended normalized Gram of a quarter-turn-closed node set from
-        its representative rows (see ``_normalized_grams``)."""
-        powers, reps, fixed = _orbits(turn)
-        r, w = len(reps), len(reps) + len(fixed)
-        rows = np.concatenate([reps, fixed])
-        cols = np.concatenate([powers[0, reps], powers[1, reps], powers[2, reps], fixed])
+        its representative rows ``orbits[0]`` and ``fixed``, with ``orbits``
+        and ``fixed`` as ``_quarter_turn`` gives them (see
+        ``_normalized_grams``)."""
+        m, r = len(points), orbits.shape[1]
+        w = r + len(fixed)
+        rows = np.concatenate([orbits[0], fixed])
+        cols = np.concatenate([*orbits[:3], fixed])
         logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
         logk -= np.maximum.outer(half[rows], half[cols])
         logk -= np.minimum.outer(half[rows], half[cols])
@@ -159,11 +162,9 @@ class KernelSpace:
             src[r, :, :r] = column[:r].conj()
             src[r, :, r] = column[r]
         # node R^a q sits at row q, turn a: G[R^a q, R^b q'] = src[q, b - a, q']
-        rep, shift = np.empty(len(turn), dtype=np.intp), np.zeros(len(turn), dtype=np.intp)
-        for t in range(4):
-            rep[powers[t, reps]] = np.arange(r)
-            shift[powers[t, reps]] = t
-        rep[fixed] = r
+        rep, shift = np.full(m, r), np.zeros(m, dtype=np.intp)
+        rep[orbits] = np.arange(r)
+        shift[orbits] = np.arange(4)[:, None]
         flat = (shift - np.arange(4)[:, None]) % 4 * w + rep
         return np.take(src.reshape(-1), (4 * w * rep)[:, None] + flat[shift])
 
@@ -206,26 +207,25 @@ class GramDiagnostic:
         return self.gram.shape[0]
 
 
-def gram_matrix(space: KernelSpace, pts: pointset.PointSet,
-                size_guard: int = SIZE_GUARD) -> GramDiagnostic:
+def gram_matrix(space: KernelSpace, pts: pointset.PointSet) -> GramDiagnostic:
     """Normalized Gram with its extreme eigenvalues.
 
     Deterministic dense eigensolves: four quarter-size character blocks when
     the node set is closed under the quarter turn, one full ``eigvalsh``
     otherwise (see ``_character_blocks``).
     """
-    _check_size(pts, size_guard)
-    turn = _quarter_turn(pts.points)
-    g = space._normalized_grams(pts.points, turn)[0]
-    return _diagnose(g, _character_blocks(g, turn)[0])
+    _check_size(pts)
+    quarter = _quarter_turn(pts.points)
+    g = space._normalized_grams(pts.points, quarter)[0]
+    return _diagnose(g, _character_blocks(g, quarter)[0])
 
 
-def _check_size(pts: pointset.PointSet, size_guard: int) -> None:
+def _check_size(pts: pointset.PointSet) -> None:
     m = len(pts)
     if m == 0:
         raise DomainError("gram matrix of an empty point set")
-    if m > size_guard:
-        raise SizeGuardError(f"{m} points exceed the gram size guard ({size_guard})")
+    if m > SIZE_GUARD:
+        raise SizeGuardError(f"{m} points exceed the gram size guard ({SIZE_GUARD})")
 
 
 def _diagnose(g: np.ndarray, blocks: list) -> GramDiagnostic:
@@ -242,8 +242,14 @@ def _diagnose(g: np.ndarray, blocks: list) -> GramDiagnostic:
 
 
 def _quarter_turn(points: np.ndarray):
-    """Index permutation ``R`` with ``points[R[j]] == 1j * points[j]``, or
-    None unless the rows are distinct and exactly closed under it.
+    """The orbits of the quarter turn ``R``, ``points[R j] == 1j *
+    points[j]``, as ``(orbits, fixed)``, or None unless the rows are
+    distinct and exactly closed under it.
+
+    ``orbits[t, q] = R^t q`` (shape (4, r)) for one representative ``q`` per
+    four-point orbit, its smallest index, in ascending order; ``fixed``
+    holds the origin, the only possible fixed point, or nothing.  The Gram
+    build, the character blocks and the block solve all read these.
 
     Multiplying by ``1j`` only swaps and negates coordinates, so matching by
     exact value is reliable.  The rows and their turns are each sorted
@@ -262,36 +268,24 @@ def _quarter_turn(points: np.ndarray):
         return None
     turn = np.empty(len(rows), dtype=np.intp)
     turn[by_turned] = by_row
-    return turn
-
-
-def _orbits(turn: np.ndarray):
-    """``(powers, reps, fixed)`` of the quarter-turn permutation ``turn``:
-    ``powers[t, j] = R^t j``, one representative per four-point orbit (its
-    smallest index) and the fixed indices (the origin, or none)."""
-    powers = [np.arange(len(turn))]
-    for _ in range(3):
-        powers.append(turn[powers[-1]])
-    powers = np.stack(powers)
-    moved = turn != powers[0]
-    return powers, np.flatnonzero((powers.min(axis=0) == powers[0]) & moved), np.flatnonzero(~moved)
+    j = np.arange(len(turn))
+    orbit = np.stack([j, turn, turn[turn], turn[turn[turn]]])  # orbit[t, j] = R^t j
+    return orbit[:, (orbit.min(axis=0) == j) & (turn != j)], np.flatnonzero(turn == j)
 
 
 #: ``_DFT[k, t] = i^(-k t)``, the 4-point DFT of an orbit's entries
 _DFT = np.array([1, -1j, -1, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
 
 
-def _character_blocks(g: np.ndarray, turn):
+def _character_blocks(g: np.ndarray, quarter):
     """The normalized Gram ``g`` as diagonal blocks, with the node basis
     they act in: ``(blocks, orbits, fixed)``.
 
     Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
-    closed under the quarter turn ``z -> i z`` (``turn`` a permutation ``R``,
-    see ``_quarter_turn``) the Gram commutes with ``R`` and is unitarily
-    block-diagonal over the characters ``k = 0..3`` of ``R``.  ``orbits[t,
-    q] = R^t q`` for one representative ``q`` per four-point orbit (its
-    smallest index), and ``fixed`` holds the origin, the only possible fixed
-    point, or nothing.  In the basis ``v_k^q = sum_t i^(k t) e_{R^t q}`` the
+    closed under the quarter turn ``R: z -> i z`` (``quarter`` is the
+    ``(orbits, fixed)`` of ``_quarter_turn``, returned as they are) the Gram
+    commutes with ``R`` and is unitarily block-diagonal over the characters
+    ``k = 0..3`` of ``R``.  In the basis ``v_k^q = sum_t i^(k t) e_{R^t q}`` the
     Gram acts as ``B_k[q, q'] = sum_t i^(k t) G[q, R^t q']``; a vector ``x``
     has the coordinates ``beta_k[q] = (1/4) sum_t i^(-k t) x[R^t q]``, and
     ``x[R^t q] = sum_k i^(k t) beta_k[q]`` maps them back.  The origin
@@ -300,15 +294,14 @@ def _character_blocks(g: np.ndarray, turn):
     ``B_0`` stays Hermitian, and its coordinate ``x[o] / 2``.  A kernel that
     is not a function of ``z . conj(w)`` must not take this path.
 
-    Any other node set (``turn`` None) is one block, ``[g]``, in the node
+    Any other node set (``quarter`` None) is one block, ``[g]``, in the node
     basis itself: ``orbits`` is the one row ``arange(m)`` and ``fixed`` is
     empty, and ``_DFT[:1, :1]`` is the identity.
     """
-    if turn is None:
+    if quarter is None:
         return [g], np.arange(len(g))[None, :], np.empty(0, dtype=np.intp)
-    powers, reps, fixed = _orbits(turn)
-    orbits = powers[:, reps]
-    s = g[reps[None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
+    orbits, fixed = quarter
+    s = g[orbits[0][None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
     even, odd = s[0] + s[2], s[1] + s[3]
     alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
     b0 = even + odd
@@ -399,11 +392,10 @@ class MinNormInterpolant:
         }
 
 
-def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
-                         condition_guard: float = CONDITION_GUARD) -> MinNormInterpolant:
+def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormInterpolant:
     """Solve the kernel system for the nodal values.
 
-    Refuses near-singular normalized Grams (``eig_min < condition_guard``)
+    Refuses near-singular normalized Grams (``eig_min < CONDITION_GUARD``)
     with a ``ConditioningError`` carrying the offending eigenvalue.
 
     The rounded Gram is LU-factored once, block by block over the blocks of
@@ -418,14 +410,14 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet,
     """
     if pts.values is None:
         raise DomainError("interpolation needs target values")
-    _check_size(pts, SIZE_GUARD)
-    turn = _quarter_turn(pts.points)
-    g, gram_ld, half = space._normalized_grams(pts.points, turn)
-    blocks, orbits, fixed = _character_blocks(g, turn)
+    _check_size(pts)
+    quarter = _quarter_turn(pts.points)
+    g, gram_ld, half = space._normalized_grams(pts.points, quarter)
+    blocks, orbits, fixed = _character_blocks(g, quarter)
     diag = _diagnose(g, blocks)
-    if not diag.eig_min >= condition_guard:
+    if not diag.eig_min >= CONDITION_GUARD:
         raise ConditioningError(
-            f"normalized gram eig_min = {diag.eig_min:.3e} below guard {condition_guard:.1e}",
+            f"normalized gram eig_min = {diag.eig_min:.3e} below guard {CONDITION_GUARD:.1e}",
             eig_min=diag.eig_min,
         )
     # K = D G D with D = diag(exp(diag_log/2)); solve in the normalized
@@ -495,18 +487,18 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     primary = {}
     for s in spacings:
         largest = pointset.square_lattice(s, radius=r_max)
-        _check_size(largest, SIZE_GUARD)
-        turn = _quarter_turn(largest.points)
-        gram = space._normalized_grams(largest.points, turn)[0]
+        _check_size(largest)
+        quarter = _quarter_turn(largest.points)
+        gram = space._normalized_grams(largest.points, quarter)[0]
         index = {z: i for i, z in enumerate(largest.points[:, 0].tolist())}
         for r in radii:
             if r == r_max:
-                lattice, g, g_turn = largest, gram, turn
+                lattice, g, g_quarter = largest, gram, quarter
             else:
                 lattice = pointset.square_lattice(s, radius=r)
                 sub = np.array([index[z] for z in lattice.points[:, 0].tolist()])
-                g, g_turn = gram[np.ix_(sub, sub)], _quarter_turn(lattice.points)
-            diag = _diagnose(g, _character_blocks(g, g_turn)[0])
+                g, g_quarter = gram[np.ix_(sub, sub)], _quarter_turn(lattice.points)
+            diag = _diagnose(g, _character_blocks(g, g_quarter)[0])
             row = SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice))
             rows.append(row)
             if r == radii[0]:

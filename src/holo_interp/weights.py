@@ -22,6 +22,30 @@ from .errors import DomainError, SpaceMismatchError
 # ---------------------------------------------------------------------------
 # polynomials
 
+def _evaluate(terms: dict, x: np.ndarray, dtype) -> np.ndarray:
+    """``sum coeff * prod_k x[..., k] ** e_k`` over a term dict mapping
+    exponent tuples to coefficients, at each (..., d) row of ``x``."""
+    out = np.zeros(x.shape[:-1], dtype=dtype)
+    for powers, coeff in terms.items():
+        mono = np.ones(x.shape[:-1], dtype=dtype)
+        for k, e in enumerate(powers):
+            if e:
+                mono = mono * x[..., k] ** e
+        out = out + coeff * mono
+    return out
+
+
+def _derivative(terms: dict, k: int) -> dict:
+    """The term dict of the derivative in variable ``k``."""
+    out = {}
+    for powers, coeff in terms.items():
+        e = powers[k]
+        if e:
+            key = powers[:k] + (e - 1,) + powers[k + 1:]
+            out[key] = out.get(key, 0.0) + coeff * e
+    return out
+
+
 class Polynomial:
     """Holomorphic polynomial in n complex variables with exact derivatives.
 
@@ -42,26 +66,11 @@ class Polynomial:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 1
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for powers, coeff in self.terms.items():
-            mono = np.ones(z.shape[:-1], dtype=complex)
-            for k, e in enumerate(powers):
-                if e:
-                    mono = mono * z[..., k] ** e
-            out = out + coeff * mono
-        return complex(out) if scalar else out
+        out = _evaluate(self.terms, z, complex)
+        return complex(out) if z.ndim == 1 else out
 
     def dz(self, k: int) -> "Polynomial":
-        terms = {}
-        for powers, coeff in self.terms.items():
-            e = powers[k]
-            if e:
-                new = list(powers)
-                new[k] = e - 1
-                key = tuple(new)
-                terms[key] = terms.get(key, 0.0) + coeff * e
-        return Polynomial(terms, self.n)
+        return Polynomial(_derivative(self.terms, k), self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -94,32 +103,13 @@ class RealPolynomial:
             if len(k) != 2 * self.n or any(e < 0 for e in k):
                 raise DomainError("bad exponent tuple in real polynomial term")
 
-    def _coords(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.concatenate([z.real, z.imag], axis=-1)
-
     def value(self, z):
-        x = self._coords(z)
-        scalar = x.ndim == 1
-        out = np.zeros(x.shape[:-1])
-        for powers, coeff in self.terms.items():
-            mono = np.ones(x.shape[:-1])
-            for k, e in enumerate(powers):
-                if e:
-                    mono = mono * x[..., k] ** e
-            out = out + coeff * mono
-        return float(out) if scalar else out
+        z = np.asarray(z, dtype=complex)
+        out = _evaluate(self.terms, np.concatenate([z.real, z.imag], axis=-1), float)
+        return float(out) if z.ndim == 1 else out
 
     def _partial(self, k: int) -> "RealPolynomial":
-        terms = {}
-        for powers, coeff in self.terms.items():
-            e = powers[k]
-            if e:
-                new = list(powers)
-                new[k] = e - 1
-                key = tuple(new)
-                terms[key] = terms.get(key, 0.0) + coeff * e
-        return RealPolynomial(terms, self.n)
+        return RealPolynomial(_derivative(self.terms, k), self.n)
 
     def ddbar(self, z) -> np.ndarray:
         """Exact ``[d^2/dz_j dzbar_m]`` at each (..., n) point, shape (..., n, n):
@@ -382,20 +372,16 @@ def frame_norm_bound_check(w: HermitianWeight, p, samples,
     ``m2`` or ``mu``.
     """
     p = geometry.as_point(p, w.n)
-    pts = [geometry.as_point(s, w.n) for s in samples]
-    if not pts:
+    zs = np.array([geometry.as_point(s, w.n) for s in samples], dtype=complex).reshape(-1, w.n)
+    if not len(zs):
         raise DomainError("need at least one sample")
-    dists = [float(np.linalg.norm(s - p)) for s in pts]
+    reach = float(np.max(np.linalg.norm(zs - p, axis=1)))
     if delta0 is None:
-        delta0 = w.mu * max(dists)
-    if max(dists) > delta0 / w.mu * (1 + 1e-12):
+        delta0 = w.mu * reach
+    if reach > delta0 / w.mu * (1 + 1e-12):
         raise DomainError("samples must lie within the delta0-ball around p")
     bound = w.frame_bound_constant(delta0)
-    phi_p = weight_value(w, p)
-    ratios = np.empty(len(pts))
-    for i, s in enumerate(pts):
-        log_ratio = 2.0 * normal_frame_exponent(w, p, s).real + phi_p - weight_value(w, s)
-        ratios[i] = math.exp(log_ratio)
+    ratios = np.exp(2.0 * normal_frame_exponent(w, p, zs).real + weight_value(w, p) - w.value(zs))
     worst = int(np.argmax(ratios))
     return FrameBoundReport(
         passed=bool(ratios[worst] <= bound * (1 + 1e-12)),
@@ -451,25 +437,16 @@ def phi_def_second_derivative_max(w: HermitianWeight, center, radius: float,
     c = geometry.as_point(center, w.n)
     rng = np.random.default_rng(seed)
     h = 1e-5 * max(1.0, float(np.linalg.norm(c)))
+
+    def phi(x):  # Phi_def at the real coordinates (x_1..x_n, y_1..y_n)
+        return float(w.phi_def_value(x[: w.n] + 1j * x[w.n:]))
+
     worst = 0.0
-    dim = 2 * w.n
     for _ in range(n_samples):
-        u = rng.normal(size=dim)
+        u = rng.normal(size=2 * w.n)
         u *= radius * rng.random() / np.linalg.norm(u)
-        z = c + u[: w.n] + 1j * u[w.n:]
-        for i in range(dim):
-            ei = np.zeros(w.n, dtype=complex)
-            ei[i % w.n] = h if i < w.n else 1j * h
-            for j in range(i, dim):
-                ej = np.zeros(w.n, dtype=complex)
-                ej[j % w.n] = h if j < w.n else 1j * h
-                if i == j:
-                    v = (w.phi_def_value(z + ei) - 2 * w.phi_def_value(z)
-                         + w.phi_def_value(z - ei)) / h ** 2
-                else:
-                    v = (w.phi_def_value(z + ei + ej) - w.phi_def_value(z + ei - ej)
-                         - w.phi_def_value(z - ei + ej) + w.phi_def_value(z - ei - ej)) / (4 * h ** 2)
-                worst = max(worst, abs(float(v)))
+        x = np.concatenate([c.real, c.imag]) + u
+        worst = max(worst, float(np.max(np.abs(geometry._real_hessian(phi, x, h)))))
     return worst
 
 

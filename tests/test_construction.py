@@ -532,6 +532,11 @@ class TestSeipWeight:
         with pytest.raises(SpaceMismatchError):
             hi.seip_weight_value(flat1, pointset.PointSet(np.array([[0j]])), 1.0)
 
+    def test_node_off_the_disk_refused(self, disk):
+        pts = pointset.PointSet(np.array([[0.5 + 0j], [1.5 + 0j]]))
+        with pytest.raises(DomainError, match="outside the open ball"):
+            hi.seip_weight_value(disk, pts, 0.0)
+
     def test_decomposes_into_density_and_near_terms(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [0.1 + 0.1j], [-0.6j]]))
         x = 0.02 - 0.03j

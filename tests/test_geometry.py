@@ -283,6 +283,24 @@ class TestValidatePoints:
         with pytest.raises(DomainError):
             hi.flat_space(1).validate_points(np.zeros(3, complex))
 
+    def test_one_membership_rule_at_the_rim(self, disk):
+        # points whose |z| rounds to either side of kappa depending on how the
+        # norm is taken: every test of the space gives the validate_points verdict
+        inside = np.array([0.7837755087521135 + 0.6210442430941338j])
+        assert disk.validate_points(inside[None, :]).shape == (1, 1)
+        assert np.array_equal(disk.validate_point(inside), inside)
+        assert disk.contains(inside)
+        assert math.isfinite(hi.distance(disk, inside, 0.0))
+        ball2 = hi.hyperbolic_ball(1.0, n=2)
+        outside = np.array([0.48090435075256605 - 0.39278464191801304j,
+                            -0.7052889907336295 + 0.3420799176369893j])
+        for check in (lambda: ball2.validate_points(outside[None, :]),
+                      lambda: ball2.validate_point(outside),
+                      lambda: hi.distance(ball2, outside, np.zeros(2))):
+            with pytest.raises(DomainError, match="outside the open ball"):
+                check()
+        assert not ball2.contains(outside)
+
     def test_rejects_non_finite_coordinates(self, disk, flat1):
         for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)):
             for sp in (disk, flat1):

@@ -22,6 +22,16 @@ def quarter_turns(z):
     return np.concatenate([z * u for u in (1, 1j, -1, -1j)])
 
 
+def turn_of(z):
+    """The quarter-turn permutation ``R`` of a closed node set, rebuilt from
+    its orbits: ``R (R^t q) = R^(t+1) q``, and the origin is fixed."""
+    orbits, fixed = rkhs._quarter_turn(z)
+    turn = np.empty(len(z), dtype=np.intp)
+    turn[orbits] = np.roll(orbits, -1, axis=0)
+    turn[fixed] = fixed
+    return turn
+
+
 def mp_normalized_gram(log_k, z):
     """50-digit ``exp(log K(p,q) - log K(p,p)/2 - log K(q,q)/2)``."""
     with mpmath.workdps(50):
@@ -129,10 +139,11 @@ class TestGram:
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         assert np.all(np.abs(g - ref) <= 4 * eps * np.abs(ref) + tiny)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(rkhs, "SIZE_GUARD", 10)
         lat = pointset.square_lattice(1.0, half_extent=2.0)
         with pytest.raises(SizeGuardError):
-            rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat, size_guard=10)
+            rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -349,12 +360,11 @@ class TestQuarterTurnBlocks:
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
     def test_block_extremes_equal_full_eigvalsh(self, space, z):
-        turn = rkhs._quarter_turn(z)
-        assert turn is not None
+        turn = turn_of(z)
         assert np.array_equal(z[turn], 1j * z)
         g = space.normalized_gram(z)
         ev = np.linalg.eigvalsh(g)
-        blocks = rkhs._character_blocks(g, turn)[0]
+        blocks = rkhs._character_blocks(g, rkhs._quarter_turn(z))[0]
         diag = rkhs._diagnose(g, blocks)
         assert diag.gram is g
         assert abs(diag.eig_min - ev[0]) <= 1e-12
@@ -422,9 +432,9 @@ class TestOrbitGram:
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
     def test_exact_hermitian_unit_diagonal_and_turn_invariant(self, space, z):
-        turn = rkhs._quarter_turn(z)
-        assert turn is not None
-        g, gram_ld, _ = space._normalized_grams(z, turn)
+        turn = turn_of(z)
+        assert np.array_equal(z[turn], 1j * z)
+        g, gram_ld, _ = space._normalized_grams(z, rkhs._quarter_turn(z))
         assert np.array_equal(space.normalized_gram(z), g)
         assert np.all(np.diag(g) == 1.0)
         for m in (g, gram_ld):
@@ -547,9 +557,9 @@ class TestBlockSolve:
         # origin, and gives the permuted solution
         a = self.values(z)
         perm = np.random.default_rng(7).permutation(len(z))
-        _, reps, fixed = rkhs._orbits(rkhs._quarter_turn(z))
-        _, reps_p, fixed_p = rkhs._orbits(rkhs._quarter_turn(z[perm]))
-        assert not np.array_equal(np.sort(perm[reps_p]), reps)
+        orbits, fixed = rkhs._quarter_turn(z)
+        orbits_p, fixed_p = rkhs._quarter_turn(z[perm])
+        assert not np.array_equal(np.sort(perm[orbits_p[0]]), orbits[0])
         assert np.array_equal(perm[fixed_p], fixed)
         assert len(fixed) == 0 or fixed_p[0] != fixed[0]
         itp = rkhs.min_norm_interpolant(space, pointset.PointSet(z, a))

@@ -249,6 +249,19 @@ class TestFrameNormBound:
         assert not rep.passed
         assert rep.worst_ratio > rep.bound
 
+    def test_ratios_match_per_sample_evaluation(self, rng):
+        # one batched evaluation over the samples against the scalar formula
+        # at each sample; np.exp and math.exp may differ in the last bit
+        phi = RealPolynomial({(2, 0): -1.0, (1, 1): 0.3}, 1)
+        w = weights.HermitianWeight((Polynomial.from_coeffs([0.1, 1.0, 0.05j]),), phi,
+                                    m2=2.0, r0=1.0, mu=1.0, n=1)
+        p = 0.1 - 0.05j
+        samples = [p + complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(40)]
+        rep = hi.frame_norm_bound_check(w, p, samples, delta0=0.5)
+        ref = [math.exp(2.0 * hi.normal_frame_exponent(w, p, s).real
+                        + weights.weight_value(w, p) - weights.weight_value(w, s)) for s in samples]
+        assert np.allclose(rep.ratios, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+
     def test_samples_outside_ball_rejected(self, fock1):
         with pytest.raises(DomainError):
             hi.frame_norm_bound_check(fock1, 0.0, [1.0 + 0j], delta0=0.5)
