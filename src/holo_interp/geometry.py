@@ -85,8 +85,9 @@ class ModelSpace:
 
     def validate_points(self, zs) -> np.ndarray:
         """An (m, n) array of points, refused with ``DomainError`` when a
-        coordinate is not finite or, on the ball, a point has ``|z| >=
-        kappa``; the one membership rule of the space."""
+        coordinate is not finite or, on the ball, a point's room ``kappa^2 -
+        sum |z_k|^2``, rounded as in ``geodesic_distances``, is not positive;
+        the one membership rule of the space."""
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim != 2 or zs.shape[1] != self.n:
             raise DomainError(f"expected an (m, {self.n}) array of points, got shape {zs.shape}")
@@ -94,12 +95,11 @@ class ModelSpace:
             bad = np.nonzero(~np.isfinite(zs).all(axis=1))[0][0]
             raise DomainError(f"point {bad} has a non-finite coordinate")
         if not self.is_flat:
-            r = np.linalg.norm(zs, axis=1)
-            outside = np.nonzero(r >= self.kappa)[0]
+            room = self.kappa * self.kappa - np.sum(np.abs(zs) ** 2, axis=-1)
+            outside = np.nonzero(room <= 0)[0]
             if outside.size:
-                raise DomainError(
-                    f"point with |z| = {r[outside[0]]:.6g} outside the open ball of radius {self.kappa}"
-                )
+                raise DomainError(f"point with |z| = {np.linalg.norm(zs[outside[0]]):.6g} "
+                                  f"outside the open ball of radius {self.kappa}")
         return zs
 
     def validate_rows(self, z):

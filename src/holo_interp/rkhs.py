@@ -88,85 +88,95 @@ class KernelSpace:
     def normalized_gram(self, points: np.ndarray) -> np.ndarray:
         """Gram of the unit-normalized kernels; unit diagonal, exactly Hermitian."""
         points = _as_matrix(points)
-        return self._normalized_grams(points, _quarter_turn(points))[0]
+        quarter = _quarter_turn(points)
+        return _unfold(self._normalized_grams(points, quarter)[0], quarter)
 
     def _normalized_grams(self, points: np.ndarray, quarter):
         """The normalized Gram from one extended-precision build on the (m, n)
-        node rows ``points``, as ``(complex128 with unit diagonal,
-        clongdouble, half diagonal logs log K(p, p) / 2)``.
+        node rows ``points``, as ``(complex128 table with unit diagonal,
+        clongdouble table, half diagonal logs log K(p, p) / 2)``.
 
-        ``quarter`` is ``_quarter_turn(points)``.  When the rows are closed
-        under the quarter turn ``R``, the Gram satisfies ``G[R q, R j] = G[q,
-        j]`` (the kernel depends on ``z . conj(w)`` only), so only the rows of
-        one representative ``q`` per four-point orbit (and of the origin) are
-        built (``_orbit_gram``): with ``s_t[q, q'] = G[q, R^t q']``, the
-        extended log-kernel covers ``t = 0, 1, 2``, and only the upper
-        triangles of the Hermitian ``s_0`` and ``s_2`` and the whole of
-        ``s_1`` are exponentiated, about m^2 / 8 entries against the
-        triangle's m^2 / 2.  The lower triangles are conjugate mirrors, ``s_3
-        = s_1^H``, and one gather fills the whole Gram from the ``s_t``, so it
-        is exactly Hermitian and exactly R-invariant by construction.  Any
-        other node set exponentiates the upper triangle, diagonal included,
-        row by row in the log-kernel buffer (triangle fancy indexing would
-        need three more half-size extended temporaries); its strict lower
-        triangle is the exact conjugate mirror.
+        ``quarter`` is ``_quarter_turn(points)``.  On rows closed under the
+        quarter turn the table is the orbit table of ``_orbit_gram``, which
+        the character blocks are formed from and the m x m Gram is unfolded
+        from (``_unfold``) only where a caller needs it.  Any other node
+        set's table is its m x m Gram: the upper triangle, diagonal
+        included, is exponentiated row by row in the log-kernel buffer
+        (triangle fancy indexing would need three more half-size extended
+        temporaries), the strict lower triangle is its conjugate mirror.
 
-        The two half diagonal logs are subtracted one after the other, the
-        larger first on the orbit rows, so an orbit entry depends on its
-        pair of points only; subtracting their rounded sum made the refined
-        nodal residual six times larger.  The extended Gram keeps its
-        computed diagonal ``exp(logk_ii - dl_i)``, the one the nodal
-        evaluation in ``MinNormInterpolant`` sees.
+        The two real half diagonal logs are subtracted from the real parts
+        one after the other, the larger first on the orbit rows, so an
+        orbit entry depends on its pair of points only; subtracting their
+        rounded sum made the refined nodal residual six times larger.  The
+        extended table keeps its computed diagonal ``exp(logk_ii - dl_i)``,
+        the one the nodal evaluation in ``MinNormInterpolant`` sees.
         """
         half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
         if quarter is None:
-            gram_ld = self.log_kernel(points, points, dtype=np.clongdouble)
+            table_ld = self.log_kernel(points, points, dtype=np.clongdouble)
             for i in range(len(half)):
-                row = gram_ld[i, i:]
-                row -= half[i]
-                row -= half[i:]
+                row = table_ld[i, i:]
+                row.real -= half[i]
+                row.real -= half[i:]
                 np.exp(row, out=row)
-                gram_ld[i + 1:, i] = row[1:].conj()
+                table_ld[i + 1:, i] = row[1:].conj()
         else:
-            gram_ld = self._orbit_gram(points, half, *quarter)
-        g = gram_ld.astype(complex)
-        np.fill_diagonal(g, 1.0)
-        return g, gram_ld, half
+            table_ld = self._orbit_gram(points, half, *quarter)
+        table = table_ld.astype(complex)
+        np.fill_diagonal(table if quarter is None else table[:, 0], 1.0)
+        return table, table_ld, half
 
     def _orbit_gram(self, points, half, orbits, fixed):
-        """The extended normalized Gram of a quarter-turn-closed node set from
-        its representative rows ``orbits[0]`` and ``fixed``, with ``orbits``
-        and ``fixed`` as ``_quarter_turn`` gives them (see
-        ``_normalized_grams``)."""
-        m, r = len(points), orbits.shape[1]
-        w = r + len(fixed)
+        """The extended (w, 4, w) orbit table ``src[q, t, q'] = s_t[q, q'] =
+        G[q, R^t q']`` of a quarter-turn-closed node set (``orbits`` and
+        ``fixed`` from ``_quarter_turn``): one row per representative
+        ``orbits[0]`` and, last, the origin, whose row and column are the
+        same in every ``t``.  The log-kernel covers ``t = 0, 1, 2``; only the
+        upper triangles of the Hermitian ``s_0``, ``s_2`` and all of ``s_1``
+        are exponentiated, about m^2 / 8 entries against the triangle's m^2
+        / 2, and ``s_3 = s_1^H``.  The Gram kernel depends on ``z . conj(w)``
+        only, so ``G[R q, R j] = G[q, j]`` and every Gram entry is one table
+        entry: the unfolded Gram is exactly Hermitian and R-invariant.
+        """
+        r, w = orbits.shape[1], orbits.shape[1] + len(fixed)
         rows = np.concatenate([orbits[0], fixed])
         cols = np.concatenate([*orbits[:3], fixed])
         logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
-        logk -= np.maximum.outer(half[rows], half[cols])
-        logk -= np.minimum.outer(half[rows], half[cols])
-        # src[q, t, q'] = s_t[q, q'] = G[q, R^t q']; the origin, when present,
-        # is index r on both sides, and its row and column are the same in
-        # every t.  Only what src holds once is exponentiated.
-        src = np.empty((w, 4, w), dtype=logk.dtype)
-        upper, lower = np.triu_indices(r), np.tril_indices(r, -1)
+        logk.real -= np.maximum.outer(half[rows], half[cols])
+        logk.real -= np.minimum.outer(half[rows], half[cols])
+        # in place, logk freed before the (numpy-buffered) strided conjugate
+        upper = np.triu(np.ones((r, r), dtype=bool))
         for t in (0, 2):
-            s = src[:r, t, :r]
-            s[upper] = np.exp(logk[:r, t * r:(t + 1) * r][upper])
-            s[lower] = s.T[lower].conj()
-        src[:r, 1, :r] = np.exp(logk[:r, r:2 * r])
-        src[:r, 3, :r] = src[:r, 1, :r].conj().T
+            block = (slice(r), slice(t * r, (t + 1) * r))
+            logk[block][upper] = np.exp(logk[block][upper])
+            logk[block][~upper] = logk[block].T[~upper].conj()
+        np.exp(logk[:r, r:2 * r], out=logk[:r, r:2 * r])
+        src = np.empty((w, 4, w), dtype=logk.dtype)
+        src[:r, :3, :r] = logk[:r, :3 * r].reshape(r, 3, r)
         if len(fixed):
             column = np.exp(logk[:, 3 * r])  # G[q, o] and G[o, o]
             src[:r, :, r] = column[:r, None]
             src[r, :, :r] = column[:r].conj()
             src[r, :, r] = column[r]
-        # node R^a q sits at row q, turn a: G[R^a q, R^b q'] = src[q, b - a, q']
-        rep, shift = np.full(m, r), np.zeros(m, dtype=np.intp)
-        rep[orbits] = np.arange(r)
-        shift[orbits] = np.arange(4)[:, None]
-        flat = (shift - np.arange(4)[:, None]) % 4 * w + rep
-        return np.take(src.reshape(-1), (4 * w * rep)[:, None] + flat[shift])
+        del logk
+        np.conjugate(src[:r, 1, :r].T, out=src[:r, 3, :r])
+        return src
+
+
+def _unfold(table: np.ndarray, quarter) -> np.ndarray:
+    """The m x m Gram from a ``KernelSpace._normalized_grams`` table: an open
+    set's as it is, an orbit table gathered in node order (node ``R^a q`` is
+    row ``q``, turn ``a``: ``G[R^a q, R^b q'] = src[q, b - a, q']``)."""
+    if quarter is None:
+        return table
+    orbits, fixed = quarter
+    w, r, m = len(table), orbits.shape[1], orbits.size + len(fixed)
+    rep, shift = np.full(m, r), np.zeros(m, dtype=np.intp)
+    rep[orbits] = np.arange(r)
+    shift[orbits] = np.arange(4)[:, None]
+    flat = (shift - np.arange(4)[:, None]) % 4 * w + rep
+    return np.take(table.reshape(-1), (4 * w * rep)[:, None] + flat[shift])
 
 
 def _as_matrix(z, dtype=complex) -> np.ndarray:
@@ -192,9 +202,9 @@ class GramDiagnostic:
     ``gram`` is always the full normalized Gram; ``eig_min`` and ``eig_max``
     are its extreme eigenvalues, from its quarter-turn character blocks when
     the node set is closed under ``z -> i z`` (see ``_character_blocks``).
-    Such a Gram is built from its orbit representatives and is exactly
-    invariant under the turn (see ``KernelSpace._normalized_grams``), so the
-    blocks diagonalize it exactly.
+    Such a Gram is unfolded from its orbit table and is exactly invariant
+    under the turn (see ``KernelSpace._normalized_grams``), so the blocks
+    diagonalize it exactly.
     """
 
     gram: np.ndarray
@@ -216,8 +226,8 @@ def gram_matrix(space: KernelSpace, pts: pointset.PointSet) -> GramDiagnostic:
     """
     _check_size(pts)
     quarter = _quarter_turn(pts.points)
-    g = space._normalized_grams(pts.points, quarter)[0]
-    return _diagnose(g, _character_blocks(g, quarter)[0])
+    table = space._normalized_grams(pts.points, quarter)[0]
+    return _diagnose(_unfold(table, quarter), _character_blocks(table, quarter)[0])
 
 
 def _check_size(pts: pointset.PointSet) -> None:
@@ -229,16 +239,18 @@ def _check_size(pts: pointset.PointSet) -> None:
 
 
 def _diagnose(g: np.ndarray, blocks: list) -> GramDiagnostic:
-    """Extreme eigenvalues of the normalized Gram ``g`` from its diagonal
-    blocks (``_character_blocks``): four quarter-size eigensolves, about a
-    sixteenth of the cost, when the node set is closed under the quarter
-    turn, one full ``eigvalsh`` otherwise.
-    """
-    spectra = [np.linalg.eigvalsh(b) for b in blocks if b.size]
-    eig_min = float(min(ev[0] for ev in spectra))
-    eig_max = float(max(ev[-1] for ev in spectra))
+    """The diagnostic of the normalized Gram ``g`` from its blocks."""
+    eig_min, eig_max = _extremes(blocks)
     cond = math.inf if eig_min <= 0 else eig_max / eig_min
     return GramDiagnostic(g, eig_min, eig_max, cond)
+
+
+def _extremes(blocks: list):
+    """``(eig_min, eig_max)`` of the normalized Gram from its blocks: four
+    quarter-size eigensolves, about a sixteenth of the cost, on a
+    quarter-turn-closed set, one full ``eigvalsh`` otherwise."""
+    spectra = [np.linalg.eigvalsh(b) for b in blocks if b.size]
+    return float(min(ev[0] for ev in spectra)), float(max(ev[-1] for ev in spectra))
 
 
 def _quarter_turn(points: np.ndarray):
@@ -277,9 +289,10 @@ def _quarter_turn(points: np.ndarray):
 _DFT = np.array([1, -1j, -1, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
 
 
-def _character_blocks(g: np.ndarray, quarter):
-    """The normalized Gram ``g`` as diagonal blocks, with the node basis
-    they act in: ``(blocks, orbits, fixed)``.
+def _character_blocks(table: np.ndarray, quarter):
+    """The normalized Gram as diagonal blocks, with the node basis they act
+    in: ``(blocks, orbits, fixed)``, from the complex128 ``table`` of
+    ``KernelSpace._normalized_grams`` (rounded, unit diagonal).
 
     Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
     closed under the quarter turn ``R: z -> i z`` (``quarter`` is the
@@ -294,21 +307,24 @@ def _character_blocks(g: np.ndarray, quarter):
     ``B_0`` stays Hermitian, and its coordinate ``x[o] / 2``.  A kernel that
     is not a function of ``z . conj(w)`` must not take this path.
 
-    Any other node set (``quarter`` None) is one block, ``[g]``, in the node
-    basis itself: ``orbits`` is the one row ``arange(m)`` and ``fixed`` is
-    empty, and ``_DFT[:1, :1]`` is the identity.
+    The ``s_t`` are read from the orbit table, so no m x m Gram is formed;
+    a principal sub-block on whole orbits sums the same entries in the same
+    order as the blocks built on those nodes alone.  Any other node set
+    (``quarter`` None) is one block, its Gram ``[table]``, in the node basis
+    itself: ``orbits`` is the one row ``arange(m)`` and ``fixed`` is empty,
+    and ``_DFT[:1, :1]`` is the identity.
     """
     if quarter is None:
-        return [g], np.arange(len(g))[None, :], np.empty(0, dtype=np.intp)
+        return [table], np.arange(len(table))[None, :], np.empty(0, dtype=np.intp)
     orbits, fixed = quarter
-    s = g[orbits[0][None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
+    r = orbits.shape[1]
+    s = table[:r, :, :r].transpose(1, 0, 2)  # s[t, q, q'] = G[q, R^t q']
     even, odd = s[0] + s[2], s[1] + s[3]
     alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
     b0 = even + odd
     if len(fixed):
-        o = fixed[0]
-        b0 = np.block([[b0, 0.5 * g[orbits, o].sum(axis=0)[:, None]],
-                       [0.5 * g[o, orbits].sum(axis=0)[None, :], g[o, o]]])
+        b0 = np.block([[b0, 0.5 * table[:r, :, r].sum(axis=1)[:, None]],
+                       [0.5 * table[r, :, :r].sum(axis=0)[None, :], table[r, 0, r]]])
     return [b0, alt + alt_i, even - odd, alt - alt_i], orbits, fixed
 
 
@@ -367,7 +383,8 @@ class MinNormInterpolant:
         scalar = z.ndim == 0
         zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
         logk = self.space.log_kernel(zs, self.points.points, dtype=np.clongdouble)
-        out = (np.exp(logk - self._half[None, :]) @ self._y).astype(complex)
+        logk.real -= self._half
+        out = np.dot(np.exp(logk, out=logk), self._y).astype(complex)
         return complex(out[0]) if scalar else out.reshape(z.shape if self.space.n == 1 else z.shape[:-1])
 
     def residuals(self) -> np.ndarray:
@@ -412,9 +429,9 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
         raise DomainError("interpolation needs target values")
     _check_size(pts)
     quarter = _quarter_turn(pts.points)
-    g, gram_ld, half = space._normalized_grams(pts.points, quarter)
-    blocks, orbits, fixed = _character_blocks(g, quarter)
-    diag = _diagnose(g, blocks)
+    table, table_ld, half = space._normalized_grams(pts.points, quarter)
+    blocks, orbits, fixed = _character_blocks(table, quarter)
+    diag = _diagnose(_unfold(table, quarter), blocks)
     if not diag.eig_min >= CONDITION_GUARD:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {CONDITION_GUARD:.1e}",
@@ -424,13 +441,14 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     # scale, then iterate refinement against the extended-precision Gram so
     # the strongly graded right-hand side keeps componentwise accuracy.
     b = pts.values.astype(np.clongdouble) * np.exp(-half)
+    gram_ld = _unfold(table_ld, quarter)
     lus = [scipy.linalg.lu_factor(block) for block in blocks]
     y = _block_solve(lus, orbits, fixed, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
-        residual = b - gram_ld @ y
+        residual = b - np.dot(gram_ld, y)
         y = y + _block_solve(lus, orbits, fixed, residual.astype(complex)).astype(np.clongdouble)
     # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
-    abs_residual = np.abs(gram_ld @ y - b)
+    abs_residual = np.abs(np.dot(gram_ld, y) - b)
     weighted = abs_residual.astype(float)
     raw = (np.exp(half) * abs_residual).astype(float)
     coeff = (y * np.exp(-half)).astype(complex)
@@ -469,14 +487,14 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     whether ``eig_min`` was nonincreasing as the spacing decreased (at the
     primary truncation radius).  Extra radii expose truncation drift.
 
-    One normalized Gram is built per spacing, on the lattice at the largest
-    radius (which the size guard checks), from its quarter-turn orbit
-    representatives: every lattice here is closed under ``z -> i z``.  A
-    normalized entry depends only on its pair of points, so each smaller
-    radius's Gram is the principal submatrix on its lattice's points, found
-    by exact value in the order ``square_lattice`` returns them:
-    bit-identical to building it anew.  Each lattice's quarter turn is found
-    once and serves both its build and its eigensolve.
+    One orbit table and its character blocks are built per spacing, on the
+    lattice at the largest radius (which the size guard checks), and no m x
+    m Gram is formed.  A normalized entry depends only on its pair of
+    points and ``square_lattice`` keeps its a-major order at every radius,
+    so each radius's lattice, found by exact value, is whole orbits with
+    the same representatives in the same order, and its blocks are the
+    principal sub-blocks on those (and the origin, last in ``B_0``):
+    bit-identical to building them anew.
     """
     if space.n != 1:
         raise DomainError("the lattice sweep is defined on one complex variable")
@@ -489,20 +507,21 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
         largest = pointset.square_lattice(s, radius=r_max)
         _check_size(largest)
         quarter = _quarter_turn(largest.points)
-        gram = space._normalized_grams(largest.points, quarter)[0]
-        index = {z: i for i, z in enumerate(largest.points[:, 0].tolist())}
+        table = space._normalized_grams(largest.points, quarter)[0]
+        blocks, orbits, fixed = _character_blocks(table, quarter)
         for r in radii:
-            if r == r_max:
-                lattice, g, g_quarter = largest, gram, quarter
-            else:
-                lattice = pointset.square_lattice(s, radius=r)
-                sub = np.array([index[z] for z in lattice.points[:, 0].tolist()])
-                g, g_quarter = gram[np.ix_(sub, sub)], _quarter_turn(lattice.points)
-            diag = _diagnose(g, _character_blocks(g, g_quarter)[0])
-            row = SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice))
-            rows.append(row)
+            lattice = largest if r == r_max else pointset.square_lattice(s, radius=r)
+            inside = np.isin(largest.points[:, 0], lattice.points[:, 0])
+            kept = inside[orbits]
+            assert inside.sum() == len(lattice) and (kept == kept[0]).all(), \
+                "a truncated lattice is whole orbits of the largest one"
+            reps = np.flatnonzero(kept[0])
+            reps_0 = np.concatenate([reps, orbits.shape[1] + np.flatnonzero(inside[fixed])])
+            subs = [b[np.ix_(k, k)] for b, k in zip(blocks, [reps_0, reps, reps, reps])]
+            eig_min, eig_max = _extremes(subs)
+            rows.append(SweepRow(s, eig_min, eig_max, r, len(lattice)))
             if r == radii[0]:
-                primary[s] = diag.eig_min
+                primary[s] = eig_min
     ordered = [primary[s] for s in spacings]
     monotone = all(ordered[i + 1] <= ordered[i] + 1e-12 for i in range(len(ordered) - 1))
     return SweepResult(tuple(rows), monotone)

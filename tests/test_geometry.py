@@ -301,6 +301,30 @@ class TestValidatePoints:
                 check()
         assert not ball2.contains(outside)
 
+    def test_refuses_points_without_room(self, disk):
+        # |z| < 1 as np.linalg.norm takes it, but 1 - |z|^2 as the distances
+        # round it is negative (a NaN distance) or zero (an infinite one)
+        for z in (-0.9976583203713225 - 0.06839499831034074j,
+                  0.426909766723684 - 0.9042942281558196j):
+            assert np.linalg.norm([z]) < 1.0
+            for check in (lambda: disk.validate_point(z), lambda: hi.distance(disk, z, 0.0)):
+                with pytest.raises(DomainError, match="outside the open ball"):
+                    check()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_accepted_rim_points_have_finite_distances(self, n):
+        # unit-sphere points with every coordinate moved by up to 3 ulps
+        rng = np.random.default_rng(20 + n)
+        ball = hi.hyperbolic_ball(1.0, n=n)
+        u = rng.normal(size=(4000, 2 * n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u += rng.integers(-3, 4, u.shape) * np.spacing(u)
+        zs = u[:, :n] + 1j * u[:, n:]
+        accepted = np.array([ball.contains(z) for z in zs])
+        assert 0 < accepted.sum() < len(zs)
+        d = geometry.geodesic_distances(ball, zs[accepted], np.zeros(n))
+        assert np.all(np.isfinite(d))
+
     def test_rejects_non_finite_coordinates(self, disk, flat1):
         for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)):
             for sp in (disk, flat1):

@@ -235,23 +235,32 @@ class TestTreeSeparation:
             assert_matches_all_pairs(make_space(spec), pointset.PointSet(z))
 
     def test_rim_nodes_to_rounding(self, disk):
-        # |z| < 1, but |z|^2 rounds to 1: every distance from such a node is inf
+        # |z| < 1, but |z|^2 rounds to 1 (n = 1) or above it (n = 2): every
+        # distance from such a node would be inf or NaN, so the node is refused
         rim = [-0.783814003152143 - 0.6209956589724377j, -0.9626681429324231 - 0.2706844040262379j]
         assert np.all(np.abs(rim) ** 2 == 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rep = hi.separation(disk, pointset.PointSet(np.array(rim)[:, None]))
-            assert (rep.min_pairwise_distance, rep.arg_pair) == (math.inf, None)
-            pts = pointset.PointSet(np.array([rim[0], 0.3, rim[1], 0.5j, 0.1 - 0.2j])[:, None])
-            assert_matches_all_pairs(disk, pts)
-            assert hi.separation(disk, pts).arg_pair == (1, 4)
-        # n = 2: |z|^2 rounds above kappa^2, so distances from the node are NaN
         ball2 = hi.hyperbolic_ball(1.0, n=2)
         beyond = [0.5625185766301471 + 0.13528470549487323j, 0.4290346420040747 + 0.6936859342422866j]
-        pts = pointset.PointSet(np.array([[0.1j, 0.2], beyond, [0.3, -0.1j]]))
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(hi.distance(ball2, beyond, [0.1j, 0.2]))
-            assert_matches_all_pairs(ball2, pts)
-            assert hi.separation(ball2, pts).arg_pair == (0, 2)
+        for space, z in ((disk, np.array(rim)[:, None]), (ball2, np.array([[0.1j, 0.2], beyond]))):
+            with pytest.raises(DomainError, match="outside the open ball"):
+                hi.separation(space, pointset.PointSet(z))
+
+        def inward(z):
+            """``z`` moved toward 0 one ulp per coordinate until it has room."""
+            z = np.array(z, dtype=complex)
+            while not 1.0 - np.sum(np.abs(z) ** 2) > 0:
+                z = np.nextafter(z.real, 0) + 1j * np.nextafter(z.imag, 0)
+            return z
+
+        # the same nodes with the least room: finite distances, and the tree
+        # search still matches all pairs
+        near = [inward([c])[0] for c in rim]
+        rep = hi.separation(disk, pointset.PointSet(np.array(near)[:, None]))
+        assert math.isfinite(rep.min_pairwise_distance) and rep.arg_pair == (0, 1)
+        assert_matches_all_pairs(disk, pointset.PointSet(
+            np.array([near[0], 0.3, near[1], 0.5j, 0.1 - 0.2j])[:, None]))
+        assert_matches_all_pairs(ball2, pointset.PointSet(
+            np.array([[0.1j, 0.2], inward(beyond), [0.3, -0.1j]])))
 
     def test_underflowing_squares(self, flat1):
         # squared differences near 1e-316 are subnormal and round differently

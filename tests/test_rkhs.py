@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -364,13 +365,35 @@ class TestQuarterTurnBlocks:
         assert np.array_equal(z[turn], 1j * z)
         g = space.normalized_gram(z)
         ev = np.linalg.eigvalsh(g)
-        blocks = rkhs._character_blocks(g, rkhs._quarter_turn(z))[0]
+        quarter = rkhs._quarter_turn(z)
+        blocks = rkhs._character_blocks(space._normalized_grams(z, quarter)[0], quarter)[0]
         diag = rkhs._diagnose(g, blocks)
         assert diag.gram is g
         assert abs(diag.eig_min - ev[0]) <= 1e-12
         assert abs(diag.eig_max - ev[-1]) <= 1e-12
         spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks if b.size]))
         assert np.max(np.abs(spectrum - ev)) <= 1e-12
+
+    @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
+    def test_table_blocks_equal_the_gather_from_the_gram(self, space, z):
+        # the blocks gathered from the rounded m x m Gram, inlined as the
+        # reference: the table gives them bit for bit
+        quarter = rkhs._quarter_turn(z)
+        orbits, fixed = quarter
+        g = space.normalized_gram(z)
+        s = g[orbits[0][None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
+        even, odd = s[0] + s[2], s[1] + s[3]
+        alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
+        b0 = even + odd
+        if len(fixed):
+            o = fixed[0]
+            b0 = np.block([[b0, 0.5 * g[orbits, o].sum(axis=0)[:, None]],
+                           [0.5 * g[o, orbits].sum(axis=0)[None, :], g[o, o]]])
+        want = [b0, alt + alt_i, even - odd, alt - alt_i]
+        table = space._normalized_grams(z, quarter)[0]
+        got, got_orbits, got_fixed = rkhs._character_blocks(table, quarter)
+        assert got_orbits is orbits and got_fixed is fixed
+        assert [(b.shape, b.tobytes()) for b in got] == [(b.shape, b.tobytes()) for b in want]
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
     def test_quarter_size_eigensolves(self, space, z, eig_sizes):
@@ -434,7 +457,9 @@ class TestOrbitGram:
     def test_exact_hermitian_unit_diagonal_and_turn_invariant(self, space, z):
         turn = turn_of(z)
         assert np.array_equal(z[turn], 1j * z)
-        g, gram_ld, _ = space._normalized_grams(z, rkhs._quarter_turn(z))
+        quarter = rkhs._quarter_turn(z)
+        table, table_ld, _ = space._normalized_grams(z, quarter)
+        g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
         assert np.array_equal(space.normalized_gram(z), g)
         assert np.all(np.diag(g) == 1.0)
         for m in (g, gram_ld):
@@ -446,7 +471,10 @@ class TestOrbitGram:
         # the two builds round the exponent x = log K - dl_p/2 - dl_q/2 in a
         # different order: relative gaps of a few eps_ld |x| before rounding
         # to complex128, at most one unit in the last place after it
-        g, gram_ld, half = space._normalized_grams(z, rkhs._quarter_turn(z))
+        quarter = rkhs._quarter_turn(z)
+        table, table_ld, half = space._normalized_grams(z, quarter)
+        g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
+        # an open set's tables are its m x m Grams
         g_tri, gram_tri, half_tri = space._normalized_grams(z, None)
         assert np.array_equal(half, half_tri)
         eps_ld = np.finfo(np.longdouble).eps
@@ -485,9 +513,10 @@ class TestOrbitGram:
         rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), lat.with_values(np.ones(len(lat))))
         assert sets == [29, 29]
         sets.clear()
+        # one per spacing, on the largest lattice: the smaller radius takes
+        # the same orbits
         rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0])
-        assert sets == [len(pointset.square_lattice(s, radius=r))
-                        for s in (3.0, 2.0) for r in (6.0, 4.0)]
+        assert sets == [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
 
 
 class TestBlockSolve:
@@ -516,7 +545,9 @@ class TestBlockSolve:
     @staticmethod
     def full_lu(space, pts):
         """``(y, weighted residuals)`` from one LU of the whole Gram."""
-        g, gram_ld, half = space._normalized_grams(pts.points, rkhs._quarter_turn(pts.points))
+        quarter = rkhs._quarter_turn(pts.points)
+        table, table_ld, half = space._normalized_grams(pts.points, quarter)
+        g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
         b = pts.values.astype(np.clongdouble) * np.exp(-half)
         lu = scipy.linalg.lu_factor(g)
         y = scipy.linalg.lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
@@ -539,6 +570,17 @@ class TestBlockSolve:
     def values(z):
         rng = np.random.default_rng(len(z))
         return rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+
+    @pytest.mark.parametrize("space,z", [SETS[4], (SETS[2][0], SETS[2][1][1:])],
+                             ids=["fock_317", "bergman_open"])
+    def test_residuals_bit_identical_to_the_matmul_formula(self, space, z):
+        # the audit evaluation against its plain formula, inlined: one
+        # subtraction of the half logs and a clongdouble matmul
+        a = self.values(z)
+        itp = rkhs.min_norm_interpolant(space, pointset.PointSet(z, a))
+        logk = space.log_kernel(z, z, dtype=np.clongdouble)
+        want = np.abs((np.exp(logk - itp._half[None, :]) @ itp._y).astype(complex) - a)
+        assert itp.residuals().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("space,z", SETS, ids=IDS)
     def test_equals_the_full_lu(self, space, z):
@@ -638,16 +680,34 @@ class TestFeasibilitySweep:
         assert got == want
 
     def test_one_gram_per_spacing(self, monkeypatch):
-        sizes = []
-        real = rkhs.KernelSpace._normalized_grams
+        # one orbit table per spacing, on the lattice at the largest radius:
+        # one row per orbit representative and one for the origin
+        shapes = []
+        real = rkhs.KernelSpace._orbit_gram
 
-        def counting(self, points, turn):
-            sizes.append(len(points))
-            return real(self, points, turn)
+        def counting(self, points, *rest):
+            out = real(self, points, *rest)
+            shapes.append(out.shape)
+            return out
 
-        monkeypatch.setattr(rkhs.KernelSpace, "_normalized_grams", counting)
+        monkeypatch.setattr(rkhs.KernelSpace, "_orbit_gram", counting)
         rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0, 2.0])
-        assert sizes == [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
+        sizes = [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
+        assert shapes == [((m - 1) // 4 + 1, 4, (m - 1) // 4 + 1) for m in sizes]
+
+    def test_no_m_by_m_array(self):
+        # the 441-node lattice, whose m x m extended Gram alone is 6.2 MB: the
+        # blocks come from the (111, 4, 111) orbit table
+        m = len(pointset.square_lattice(1.0, radius=12.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [1.0], 12.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * np.dtype(complex).itemsize
 
     def test_largest_lattice_over_size_guard_refused(self):
         # the primary lattice fits; the extra radius's has 2121 > SIZE_GUARD points
