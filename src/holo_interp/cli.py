@@ -272,6 +272,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_geometry(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     space = _load_space(args)
     rng = np.random.default_rng(args.seed)
     checks = []

@@ -308,10 +308,14 @@ def _annulus_sums(ext: GluedExtension, d_lo: float, nr: int, ntheta: int,
     the block's node indices, its node rows (b, 1, 1), its annulus points
     (b, Q) and the normal-frame log factor ``2 Re exponent_p - Phi`` there,
     and returns the (b, Q) integrand without the area Jacobian.  The first
-    node with a non-finite total raises ``QuadratureError``.
+    node with a non-finite total raises ``QuadratureError``; fewer than one
+    radius or angle raises ``DomainError``.
     """
     if ext.space.n != 1:
         raise SpaceMismatchError(f"{what} quadrature is implemented for n = 1")
+    if nr < 1 or ntheta < 1:
+        raise DomainError(f"{what} quadrature needs nr >= 1 and ntheta >= 1, "
+                          f"got nr = {nr}, ntheta = {ntheta}")
     nodes, vals = ext.points.points, ext.values()
     out = np.zeros(len(nodes))
     per_block = max(1, QUAD_BLOCK // (nr * ntheta))

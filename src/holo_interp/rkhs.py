@@ -96,81 +96,73 @@ class KernelSpace:
         node rows ``points``, as ``(complex128 table with unit diagonal,
         clongdouble table, half diagonal logs log K(p, p) / 2)``.
 
-        ``quarter`` is ``_quarter_turn(points)``.  On rows closed under the
-        quarter turn the table is the orbit table of ``_orbit_gram``, which
-        the character blocks are formed from and the m x m Gram is unfolded
-        from (``_unfold``) only where a caller needs it.  Any other node
-        set's table is its m x m Gram: the upper triangle, diagonal
-        included, is exponentiated row by row in the log-kernel buffer
-        (triangle fancy indexing would need three more half-size extended
-        temporaries), the strict lower triangle is its conjugate mirror.
-
-        The two real half diagonal logs are subtracted from the real parts
-        one after the other, the larger first on the orbit rows, so an
-        orbit entry depends on its pair of points only; subtracting their
-        rounded sum made the refined nodal residual six times larger.  The
-        extended table keeps its computed diagonal ``exp(logk_ii - dl_i)``,
-        the one the nodal evaluation in ``MinNormInterpolant`` sees.
+        ``quarter`` is ``_quarter_turn(points)``; every node set's table is
+        the orbit table of ``_orbit_gram``, which the character blocks are
+        formed from and the m x m Gram is unfolded from (``_unfold``) only
+        where a caller needs it.  The extended table keeps its computed
+        diagonal ``exp(logk_ii - dl_i)``, the one the nodal evaluation in
+        ``MinNormInterpolant`` sees.  Rows not in C^n raise ``DomainError``.
         """
+        if points.shape[1] != self.n:
+            raise DomainError(f"{self.kind} kernel on C^{self.n} given nodes "
+                              f"in C^{points.shape[1]}")
         half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
-        if quarter is None:
-            table_ld = self.log_kernel(points, points, dtype=np.clongdouble)
-            for i in range(len(half)):
-                row = table_ld[i, i:]
-                row.real -= half[i]
-                row.real -= half[i:]
-                np.exp(row, out=row)
-                table_ld[i + 1:, i] = row[1:].conj()
-        else:
-            table_ld = self._orbit_gram(points, half, *quarter)
+        table_ld = self._orbit_gram(points, half, *quarter)
         table = table_ld.astype(complex)
-        np.fill_diagonal(table if quarter is None else table[:, 0], 1.0)
+        np.fill_diagonal(table[:, 0], 1.0)
         return table, table_ld, half
 
     def _orbit_gram(self, points, half, orbits, fixed):
-        """The extended (w, 4, w) orbit table ``src[q, t, q'] = s_t[q, q'] =
-        G[q, R^t q']`` of a quarter-turn-closed node set (``orbits`` and
-        ``fixed`` from ``_quarter_turn``): one row per representative
-        ``orbits[0]`` and, last, the origin, whose row and column are the
-        same in every ``t``.  The log-kernel covers ``t = 0, 1, 2``; only the
-        upper triangles of the Hermitian ``s_0``, ``s_2`` and all of ``s_1``
-        are exponentiated, about m^2 / 8 entries against the triangle's m^2
-        / 2, and ``s_3 = s_1^H``.  The Gram kernel depends on ``z . conj(w)``
-        only, so ``G[R q, R j] = G[q, j]`` and every Gram entry is one table
-        entry: the unfolded Gram is exactly Hermitian and R-invariant.
+        """The extended (w, c, w) orbit table ``src[q, t, q'] = s_t[q, q'] =
+        G[q, R^t q']`` (``orbits``, shape (c, r), and ``fixed`` from
+        ``_quarter_turn``): one row per representative ``orbits[0]`` and,
+        last, the origin, whose row and column are the same in every ``t``.
+        An open set's one-row orbits (c = 1) give ``s_0 = G`` alone.  The
+        log-kernel covers ``t < min(c, 3)``; only the upper triangles of the
+        Hermitian ``s_0``, ``s_2`` and all of ``s_1`` are exponentiated, on
+        a closed set about m^2 / 8 entries, and ``s_3 = s_1^H``.  The Gram
+        kernel depends on ``z . conj(w)`` only, so ``G[R q, R j] = G[q, j]``
+        and every Gram entry is one table entry: the unfolded Gram is
+        exactly Hermitian and R-invariant.  The two real half diagonal logs
+        are subtracted from the real parts one after the other, the larger
+        first, so an entry depends on its pair of points only; subtracting
+        their rounded sum made the refined nodal residual six times larger.
         """
-        r, w = orbits.shape[1], orbits.shape[1] + len(fixed)
+        c, r = orbits.shape
+        k, w = min(c, 3), r + len(fixed)
         rows = np.concatenate([orbits[0], fixed])
-        cols = np.concatenate([*orbits[:3], fixed])
+        cols = np.concatenate([*orbits[:k], fixed])
         logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
         logk.real -= np.maximum.outer(half[rows], half[cols])
         logk.real -= np.minimum.outer(half[rows], half[cols])
         # in place, logk freed before the (numpy-buffered) strided conjugate
         upper = np.triu(np.ones((r, r), dtype=bool))
-        for t in (0, 2):
+        for t in range(0, k, 2):
             block = (slice(r), slice(t * r, (t + 1) * r))
             logk[block][upper] = np.exp(logk[block][upper])
             logk[block][~upper] = logk[block].T[~upper].conj()
-        np.exp(logk[:r, r:2 * r], out=logk[:r, r:2 * r])
-        src = np.empty((w, 4, w), dtype=logk.dtype)
-        src[:r, :3, :r] = logk[:r, :3 * r].reshape(r, 3, r)
+        for t in range(1, k, 2):
+            np.exp(logk[:r, r:2 * r], out=logk[:r, r:2 * r])
+        src = np.empty((w, c, w), dtype=logk.dtype)
+        src[:r, :k, :r] = logk[:r, :k * r].reshape(r, k, r)
         if len(fixed):
             column = np.exp(logk[:, 3 * r])  # G[q, o] and G[o, o]
             src[:r, :, r] = column[:r, None]
             src[r, :, :r] = column[:r].conj()
             src[r, :, r] = column[r]
         del logk
-        np.conjugate(src[:r, 1, :r].T, out=src[:r, 3, :r])
+        for t in range(1, k, 2):
+            np.conjugate(src[:r, 1, :r].T, out=src[:r, 3, :r])
         return src
 
 
 def _unfold(table: np.ndarray, quarter) -> np.ndarray:
-    """The m x m Gram from a ``KernelSpace._normalized_grams`` table: an open
-    set's as it is, an orbit table gathered in node order (node ``R^a q`` is
-    row ``q``, turn ``a``: ``G[R^a q, R^b q'] = src[q, b - a, q']``)."""
-    if quarter is None:
-        return table
+    """The m x m Gram from a ``KernelSpace._normalized_grams`` table: a view
+    of an open set's one slice, an orbit table gathered in node order (node
+    ``R^a q`` is row ``q``, turn ``a``: ``G[R^a q, R^b q'] = src[q, b - a, q']``)."""
     orbits, fixed = quarter
+    if len(orbits) == 1:
+        return table[:, 0]
     w, r, m = len(table), orbits.shape[1], orbits.size + len(fixed)
     rep, shift = np.full(m, r), np.zeros(m, dtype=np.intp)
     rep[orbits] = np.arange(r)
@@ -199,12 +191,12 @@ def bergman_kernel(a: float, kappa: float = 1.0) -> KernelSpace:
 class GramDiagnostic:
     """Riesz bounds of the normalized kernel system on a finite node set.
 
-    ``gram`` is always the full normalized Gram; ``eig_min`` and ``eig_max``
-    are its extreme eigenvalues, from its quarter-turn character blocks when
-    the node set is closed under ``z -> i z`` (see ``_character_blocks``).
-    Such a Gram is unfolded from its orbit table and is exactly invariant
-    under the turn (see ``KernelSpace._normalized_grams``), so the blocks
-    diagonalize it exactly.
+    ``gram`` is always the full normalized Gram, unfolded from the orbit
+    table of ``KernelSpace._normalized_grams``; ``eig_min`` and ``eig_max``
+    are its extreme eigenvalues, from the blocks of ``_character_blocks``:
+    the quarter-turn character blocks when the node set is closed under ``z
+    -> i z``, which diagonalize its exactly turn-invariant Gram, otherwise
+    the Gram itself.
     """
 
     gram: np.ndarray
@@ -220,14 +212,15 @@ class GramDiagnostic:
 def gram_matrix(space: KernelSpace, pts: pointset.PointSet) -> GramDiagnostic:
     """Normalized Gram with its extreme eigenvalues.
 
-    Deterministic dense eigensolves: four quarter-size character blocks when
-    the node set is closed under the quarter turn, one full ``eigvalsh``
-    otherwise (see ``_character_blocks``).
+    Deterministic dense eigensolves of the one orbit table's blocks: four
+    quarter-size character blocks on nodes closed under the quarter turn,
+    one full ``eigvalsh`` otherwise (``_character_blocks``).  Nodes not in
+    C^n for ``n = space.n`` raise ``DomainError``.
     """
     _check_size(pts)
     quarter = _quarter_turn(pts.points)
     table = space._normalized_grams(pts.points, quarter)[0]
-    return _diagnose(_unfold(table, quarter), _character_blocks(table, quarter)[0])
+    return _diagnose(_unfold(table, quarter), _character_blocks(table, quarter))
 
 
 def _check_size(pts: pointset.PointSet) -> None:
@@ -255,13 +248,14 @@ def _extremes(blocks: list):
 
 def _quarter_turn(points: np.ndarray):
     """The orbits of the quarter turn ``R``, ``points[R j] == 1j *
-    points[j]``, as ``(orbits, fixed)``, or None unless the rows are
-    distinct and exactly closed under it.
+    points[j]``, as ``(orbits, fixed)``.
 
     ``orbits[t, q] = R^t q`` (shape (4, r)) for one representative ``q`` per
     four-point orbit, its smallest index, in ascending order; ``fixed``
-    holds the origin, the only possible fixed point, or nothing.  The Gram
-    build, the character blocks and the block solve all read these.
+    holds the origin, the only possible fixed point, or nothing.  Rows not
+    distinct and exactly closed under ``R`` are the one-row orbits
+    ``arange(m)[None, :]`` with no fixed point.  The Gram build, the
+    character blocks and the block solve all read these.
 
     Multiplying by ``1j`` only swaps and negates coordinates, so matching by
     exact value is reliable.  The rows and their turns are each sorted
@@ -274,10 +268,9 @@ def _quarter_turn(points: np.ndarray):
     by_row = np.lexsort(rows.T[::-1])
     by_turned = np.lexsort(turned.T[::-1])
     ranked = rows[by_row]
-    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
-        return None
-    if not np.array_equal(ranked, turned[by_turned]):
-        return None
+    if (np.any(np.all(ranked[1:] == ranked[:-1], axis=1))
+            or not np.array_equal(ranked, turned[by_turned])):
+        return np.arange(len(rows))[None, :], np.empty(0, dtype=np.intp)
     turn = np.empty(len(rows), dtype=np.intp)
     turn[by_turned] = by_row
     j = np.arange(len(turn))
@@ -289,15 +282,15 @@ def _quarter_turn(points: np.ndarray):
 _DFT = np.array([1, -1j, -1, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
 
 
-def _character_blocks(table: np.ndarray, quarter):
-    """The normalized Gram as diagonal blocks, with the node basis they act
-    in: ``(blocks, orbits, fixed)``, from the complex128 ``table`` of
-    ``KernelSpace._normalized_grams`` (rounded, unit diagonal).
+def _character_blocks(table: np.ndarray, quarter) -> list:
+    """The normalized Gram as diagonal blocks, from the complex128 ``table``
+    of ``KernelSpace._normalized_grams`` (rounded, unit diagonal), in the
+    node basis given by ``quarter``, the ``(orbits, fixed)`` of
+    ``_quarter_turn``.
 
     Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
-    closed under the quarter turn ``R: z -> i z`` (``quarter`` is the
-    ``(orbits, fixed)`` of ``_quarter_turn``, returned as they are) the Gram
-    commutes with ``R`` and is unitarily block-diagonal over the characters
+    closed under the quarter turn ``R: z -> i z`` the Gram commutes with
+    ``R`` and is unitarily block-diagonal over the characters
     ``k = 0..3`` of ``R``.  In the basis ``v_k^q = sum_t i^(k t) e_{R^t q}`` the
     Gram acts as ``B_k[q, q'] = sum_t i^(k t) G[q, R^t q']``; a vector ``x``
     has the coordinates ``beta_k[q] = (1/4) sum_t i^(-k t) x[R^t q]``, and
@@ -309,14 +302,14 @@ def _character_blocks(table: np.ndarray, quarter):
 
     The ``s_t`` are read from the orbit table, so no m x m Gram is formed;
     a principal sub-block on whole orbits sums the same entries in the same
-    order as the blocks built on those nodes alone.  Any other node set
-    (``quarter`` None) is one block, its Gram ``[table]``, in the node basis
-    itself: ``orbits`` is the one row ``arange(m)`` and ``fixed`` is empty,
-    and ``_DFT[:1, :1]`` is the identity.
+    order as the blocks built on those nodes alone.  Any other node set is
+    one block, its Gram ``[table[:, 0]]``, in the node basis itself: its
+    ``orbits`` are the one row ``arange(m)``, ``fixed`` is empty, and
+    ``_DFT[:1, :1]`` is the identity.
     """
-    if quarter is None:
-        return [table], np.arange(len(table))[None, :], np.empty(0, dtype=np.intp)
     orbits, fixed = quarter
+    if len(orbits) == 1:
+        return [table[:, 0]]
     r = orbits.shape[1]
     s = table[:r, :, :r].transpose(1, 0, 2)  # s[t, q, q'] = G[q, R^t q']
     even, odd = s[0] + s[2], s[1] + s[3]
@@ -325,7 +318,7 @@ def _character_blocks(table: np.ndarray, quarter):
     if len(fixed):
         b0 = np.block([[b0, 0.5 * table[:r, :, r].sum(axis=1)[:, None]],
                        [0.5 * table[r, :, :r].sum(axis=0)[None, :], table[r, 0, r]]])
-    return [b0, alt + alt_i, even - odd, alt - alt_i], orbits, fixed
+    return [b0, alt + alt_i, even - odd, alt - alt_i]
 
 
 def _block_solve(lus: list, orbits: np.ndarray, fixed: np.ndarray,
@@ -413,14 +406,16 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     """Solve the kernel system for the nodal values.
 
     Refuses near-singular normalized Grams (``eig_min < CONDITION_GUARD``)
-    with a ``ConditioningError`` carrying the offending eigenvalue.
+    with a ``ConditioningError`` carrying the offending eigenvalue, and
+    nodes not in C^n for ``n = space.n`` with a ``DomainError``.
 
     The rounded Gram is LU-factored once, block by block over the blocks of
-    ``_character_blocks`` that also give its eigenvalues: on nodes closed
-    under ``z -> i z`` the four quarter-size character blocks, otherwise
-    the one m x m block.  Each solve maps the right-hand side ``x`` into the
-    block coordinates, ``beta_k[q] = (1/4) sum_t i^(-k t) x[R^t q]`` plus
-    ``x[o] / 2`` for the origin as the last entry of ``beta_0``, solves
+    the one orbit table (``_character_blocks``) that also give its
+    eigenvalues: on nodes closed under ``z -> i z`` the four quarter-size
+    character blocks, otherwise the one m x m block.  Each solve maps the
+    right-hand side ``x`` into the block coordinates, ``beta_k[q] = (1/4)
+    sum_t i^(-k t) x[R^t q]`` plus ``x[o] / 2`` for the origin as the last
+    entry of ``beta_0``, solves
     ``B_k u_k = beta_k``, and maps back, ``y[R^t q] = sum_k i^(k t) u_k[q]``
     and ``y[o] = 2 u_0[-1]``.  The three refinement residuals and the
     reported residuals are taken against the full extended Gram.
@@ -430,7 +425,7 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     _check_size(pts)
     quarter = _quarter_turn(pts.points)
     table, table_ld, half = space._normalized_grams(pts.points, quarter)
-    blocks, orbits, fixed = _character_blocks(table, quarter)
+    blocks = _character_blocks(table, quarter)
     diag = _diagnose(_unfold(table, quarter), blocks)
     if not diag.eig_min >= CONDITION_GUARD:
         raise ConditioningError(
@@ -443,10 +438,10 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     b = pts.values.astype(np.clongdouble) * np.exp(-half)
     gram_ld = _unfold(table_ld, quarter)
     lus = [scipy.linalg.lu_factor(block) for block in blocks]
-    y = _block_solve(lus, orbits, fixed, b.astype(complex)).astype(np.clongdouble)
+    y = _block_solve(lus, *quarter, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
         residual = b - np.dot(gram_ld, y)
-        y = y + _block_solve(lus, orbits, fixed, residual.astype(complex)).astype(np.clongdouble)
+        y = y + _block_solve(lus, *quarter, residual.astype(complex)).astype(np.clongdouble)
     # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
     abs_residual = np.abs(np.dot(gram_ld, y) - b)
     weighted = abs_residual.astype(float)
@@ -508,7 +503,8 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
         _check_size(largest)
         quarter = _quarter_turn(largest.points)
         table = space._normalized_grams(largest.points, quarter)[0]
-        blocks, orbits, fixed = _character_blocks(table, quarter)
+        blocks = _character_blocks(table, quarter)
+        orbits, fixed = quarter
         for r in radii:
             lattice = largest if r == r_max else pointset.square_lattice(s, radius=r)
             inside = np.isin(largest.points[:, 0], lattice.points[:, 0])

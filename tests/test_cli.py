@@ -92,6 +92,29 @@ class TestExitCodes:
                         "--nr", "4", "--ntheta", "8", "--out", "/dev/null"])
         assert code == 2
 
+    @pytest.mark.parametrize("counts", [["--nr", "0"], ["--ntheta", "0"], ["--nr", "-4"]])
+    def test_construct_quadrature_count_below_one_exits_two(self, sparse_points, counts, capsys):
+        code = cli.run(["construct", "--space", FLAT, "--weight", FOCK,
+                        "--points", sparse_points, "--rho", "1", "--grid=-1:1:3",
+                        *counts, "--out", "/dev/null"])
+        assert code == 2
+        assert "nr >= 1 and ntheta >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_geometry_without_samples_exits_two(self, samples, capsys):
+        code = cli.run(["verify-geometry", "--space", DISK, "--samples", samples,
+                        "--out", "/dev/null"])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_interpolate_nodes_outside_the_kernel_dimension_exit_two(self, capsys):
+        # the Bergman kernel lives on the disk in C^1; these nodes are in C^2
+        code = cli.run(["interpolate", "--weight", '{"builtin": "bergman", "A": 4.0}',
+                        "--points", '{"points": [[[0.1, 0], [0.2, 0]], [[0, 0.3], [-0.1, 0.1]]],'
+                                    ' "values": [[1, 0], [0, 1]]}', "--out", "/dev/null"])
+        assert code == 2
+        assert "given nodes in C^2" in capsys.readouterr().err
+
     def test_density_node_outside_disk_exits_two(self, capsys):
         code = cli.run(["density", "--space", DISK,
                         "--points", '{"points": [[0.5, 0.0], [1.5, 0.0]]}',

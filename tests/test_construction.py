@@ -571,6 +571,18 @@ class TestDbarEnergy:
         e2 = hi.dbar_energy(ext2, aux, nr=8, ntheta=16)
         assert e2 == 4.0 * e1
 
+    @pytest.mark.parametrize("nr,ntheta", [(0, 8), (4, 0), (-4, 8)])
+    def test_quadrature_counts_below_one_refused(self, fock1, flat1, nr, ntheta):
+        # nr = 0 would divide by zero; a negative count would sum no annulus to 0.0
+        pts = lattice_with_values()
+        ext = hi.glued_extension(flat1, fock1, pts)
+        aux = construction.AuxiliaryWeight(flat1, pts, 1.0)
+        for quadrature in (lambda: hi.dbar_energy(ext, aux, nr, ntheta),
+                           lambda: construction.dbar_energy_report(ext, aux, nr, ntheta),
+                           lambda: construction.extension_norm_sq(ext, nr, ntheta)):
+            with pytest.raises(DomainError, match="nr >= 1 and ntheta >= 1"):
+                quadrature()
+
     def test_non_finite_energy_raises(self, fock1, flat1):
         pts = pointset.PointSet(np.array([[0j], [3.0 + 0j]]), np.array([1.0 + 0j, 1e200 + 0j]))
         ext = hi.glued_extension(flat1, fock1, pts)

@@ -33,6 +33,13 @@ def turn_of(z):
     return turn
 
 
+def one_row_orbits(z):
+    """Whether ``_quarter_turn`` gives ``z`` the one-row orbits of an open
+    set: ``arange(m)[None, :]`` and no fixed point."""
+    orbits, fixed = rkhs._quarter_turn(z)
+    return np.array_equal(orbits, np.arange(len(z))[None, :]) and fixed.size == 0
+
+
 def mp_normalized_gram(log_k, z):
     """50-digit ``exp(log K(p,q) - log K(p,p)/2 - log K(q,q)/2)``."""
     with mpmath.workdps(50):
@@ -149,6 +156,19 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             rkhs.gram_matrix(rkhs.fock_kernel(1.0), pointset.PointSet(np.zeros((0, 1), complex)))
+
+    @pytest.mark.parametrize("space,z", [
+        (rkhs.fock_kernel(1.0), [[0.1, 0.2], [0.3j, -0.1 + 0.1j]]),
+        (rkhs.bergman_kernel(4.0), [[0.1, 0.2], [0.3j, -0.1 + 0.1j]]),
+        (rkhs.fock_kernel(1.0, n=2), [[0.1], [0.3j]]),
+    ], ids=["fock_c2_nodes", "bergman_c2_nodes", "fock_n2_c1_nodes"])
+    def test_node_width_other_than_n_refused(self, space, z):
+        pts = pointset.PointSet(np.array(z, dtype=complex), np.ones(len(z), complex))
+        for build in (rkhs.gram_matrix, rkhs.min_norm_interpolant):
+            with pytest.raises(DomainError, match=r"given nodes in C\^"):
+                build(space, pts)
+        with pytest.raises(DomainError, match=r"given nodes in C\^"):
+            space.normalized_gram(pts.points)
 
 
 class TestMinNormInterpolant:
@@ -366,7 +386,7 @@ class TestQuarterTurnBlocks:
         g = space.normalized_gram(z)
         ev = np.linalg.eigvalsh(g)
         quarter = rkhs._quarter_turn(z)
-        blocks = rkhs._character_blocks(space._normalized_grams(z, quarter)[0], quarter)[0]
+        blocks = rkhs._character_blocks(space._normalized_grams(z, quarter)[0], quarter)
         diag = rkhs._diagnose(g, blocks)
         assert diag.gram is g
         assert abs(diag.eig_min - ev[0]) <= 1e-12
@@ -391,8 +411,7 @@ class TestQuarterTurnBlocks:
                            [0.5 * g[o, orbits].sum(axis=0)[None, :], g[o, o]]])
         want = [b0, alt + alt_i, even - odd, alt - alt_i]
         table = space._normalized_grams(z, quarter)[0]
-        got, got_orbits, got_fixed = rkhs._character_blocks(table, quarter)
-        assert got_orbits is orbits and got_fixed is fixed
+        got = rkhs._character_blocks(table, quarter)
         assert [(b.shape, b.tobytes()) for b in got] == [(b.shape, b.tobytes()) for b in want]
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
@@ -408,7 +427,7 @@ class TestQuarterTurnBlocks:
         keep = np.ones(len(z), bool)
         keep[np.flatnonzero(np.any(z != 0, axis=1))[0]] = False
         z = z[keep]
-        assert rkhs._quarter_turn(z) is None
+        assert one_row_orbits(z)
         diag = rkhs.gram_matrix(space, pointset.PointSet(z))
         assert eig_sizes == [len(z)]
         ev = np.linalg.eigvalsh(space.normalized_gram(z))
@@ -431,8 +450,8 @@ class TestQuarterTurnBlocks:
         # the doubled orbit is closed as a multiset; the turn is not a
         # permutation of distinct points
         orbit = [1.0, 1j, -1.0, -1j]
-        assert rkhs._quarter_turn(np.array([0j, *orbit, *orbit]).reshape(-1, 1)) is None
-        assert rkhs._quarter_turn(np.array([0j, *orbit, 1.0]).reshape(-1, 1)) is None
+        assert one_row_orbits(np.array([0j, *orbit, *orbit]).reshape(-1, 1))
+        assert one_row_orbits(np.array([0j, *orbit, 1.0]).reshape(-1, 1))
 
     def test_near_coincident_orbit_refused(self):
         # {+-1e-9, +-1e-9 i} beside the origin of a spacing-2 lattice: a
@@ -447,7 +466,8 @@ class TestQuarterTurnBlocks:
 
 class TestOrbitGram:
     """The Gram of a quarter-turn-closed set, built from one representative
-    row per orbit, against the triangle build of the same rows."""
+    row per orbit, against the one-orbit build of the same rows, which
+    exponentiates the upper triangle of the m x m Gram and mirrors it."""
 
     CLOSED = TestQuarterTurnBlocks.CLOSED + [
         (space, z.reshape(-1, 1)) for space, z, _ in TestGram.GRADED[2:]]
@@ -468,14 +488,17 @@ class TestOrbitGram:
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
     def test_agrees_with_the_triangle_build(self, space, z):
-        # the two builds round the exponent x = log K - dl_p/2 - dl_q/2 in a
-        # different order: relative gaps of a few eps_ld |x| before rounding
-        # to complex128, at most one unit in the last place after it
+        # both builds subtract the larger half log first; the bounds allow a
+        # turned pair's exponent x = log K - dl_p/2 - dl_q/2 relative gaps of
+        # a few eps_ld |x| before rounding to complex128, at most one unit in
+        # the last place after it
         quarter = rkhs._quarter_turn(z)
         table, table_ld, half = space._normalized_grams(z, quarter)
         g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
-        # an open set's tables are its m x m Grams
-        g_tri, gram_tri, half_tri = space._normalized_grams(z, None)
+        # the rows taken as an open set: their one-orbit tables
+        open_set = (np.arange(len(z))[None, :], np.empty(0, dtype=np.intp))
+        table_tri, table_tri_ld, half_tri = space._normalized_grams(z, open_set)
+        g_tri, gram_tri = rkhs._unfold(table_tri, open_set), rkhs._unfold(table_tri_ld, open_set)
         assert np.array_equal(half, half_tri)
         eps_ld = np.finfo(np.longdouble).eps
         scale = 1 + np.abs(half)[:, None] + np.abs(half)[None, :]
@@ -613,7 +636,7 @@ class TestBlockSolve:
     def test_open_set_is_the_full_lu(self, space, z):
         # one orbit point removed: one block, the node basis itself
         z = z[1:]
-        assert rkhs._quarter_turn(z) is None
+        assert one_row_orbits(z)
         pts = pointset.PointSet(z, self.values(z))
         itp = rkhs.min_norm_interpolant(space, pts)
         y, weighted = self.full_lu(space, pts)
