@@ -31,29 +31,29 @@ THEOREM1 = "theorem1"
 THEOREM2 = "theorem2"
 
 
-@dataclass(frozen=True)
-class SampleMargin:
-    point: np.ndarray
-    required: float
-    available: float
-
-    @property
-    def margin(self) -> float:
-        return self.available - self.required
-
-
 @dataclass
 class CertificateReport:
-    """Pass/fail with per-sample margins; ``passed`` iff ``worst_margin >= 0``."""
+    """Pass/fail with per-sample margins; ``passed`` iff ``worst_margin >= 0``.
+
+    ``points`` holds the (m, n) sample rows and ``required``/``available``
+    the two sides of the criterion at each of them, as arrays of length m.
+    """
 
     criterion: str
     passed: bool
     epsilon: float
     rho: Optional[float]
-    per_sample: list
+    points: np.ndarray
+    required: np.ndarray
+    available: np.ndarray
     worst_margin: float
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def per_sample(self) -> np.ndarray:
+        """Margin ``available - required`` at each sample."""
+        return self.available - self.required
 
     def to_dict(self) -> dict:
         body = {
@@ -63,37 +63,41 @@ class CertificateReport:
             "rho": self.rho,
             "worst_margin": self.worst_margin,
             "warnings": list(self.warnings),
-            "n_samples": len(self.per_sample),
+            "n_samples": len(self.points),
         }
         body.update(self.extras)
         return report_envelope("certificate", body)
 
-    def csv_rows(self):
+    def csv_columns(self):
+        """Header and columns of the per-sample CSV (first coordinate only)."""
+        z = self.points[:, 0]
         header = ["index", "re", "im", "required", "available", "margin"]
-        rows = []
-        for i, s in enumerate(self.per_sample):
-            z = s.point[0]
-            rows.append([i, z.real, z.imag, s.required, s.available, s.margin])
-        return header, rows
+        return header, [np.arange(len(z)), z.real, z.imag, self.required, self.available,
+                        self.per_sample]
 
 
-def _finalize(criterion, eps, rho, samples, warnings, extras=None) -> CertificateReport:
-    if not samples:
+def _finalize(criterion, eps, rho, zs, required, available, warnings, extras=None,
+              extra_margins=()) -> CertificateReport:
+    """The report over sample rows ``zs``: the worst margin is the minimum of
+    the per-sample margins ``available - required`` and ``extra_margins``
+    (clauses checked once, not per sample); every margin must be finite."""
+    if not len(zs):
         raise DomainError("certificate grid must be nonempty")
-    extras = dict(extras or {})
-    margins = [s.margin for s in samples] + list(extras.pop("extra_margins", []))
-    if not all(map(math.isfinite, margins)):
+    margins = np.concatenate([available - required, extra_margins])
+    if not np.isfinite(margins).all():
         raise NumericalGuardError("a certificate margin is not finite")
-    worst = min(margins)
+    worst = float(np.min(margins))
     return CertificateReport(
         criterion=criterion,
-        passed=bool(worst >= 0.0),
+        passed=worst >= 0.0,
         epsilon=eps,
         rho=rho,
-        per_sample=samples,
-        worst_margin=float(worst),
+        points=zs,
+        required=required,
+        available=available,
+        worst_margin=worst,
         warnings=warnings,
-        extras=extras,
+        extras=extras or {},
     )
 
 
@@ -104,28 +108,24 @@ def _separation_warning(space, pts) -> list:
 
 
 def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
-                    rho: float, eps: float, grid: Sequence,
-                    space: Optional[geometry.ModelSpace] = None,
-                    map_fn=map) -> CertificateReport:
-    """Flat one-dimensional Laplacian-versus-counting criterion.
+                    rho: float, eps: float, grid: Sequence, map_fn=map) -> CertificateReport:
+    """Flat one-dimensional Laplacian-versus-counting criterion, on C^1.
 
     ``map_fn`` may be a thread-pool map; it runs the one whole-grid ball
     count, so output is the same either way.
     """
-    if space is None:
-        space = geometry.flat_space(1)
-    if not space.is_flat or space.n != 1:
-        raise SpaceMismatchError("the bos certificate applies to flat C^1 only")
-    if w.n != space.n:
-        raise SpaceMismatchError(f"weight of dimension {w.n} on a space of dimension {space.n}")
+    if w.n != 1:
+        raise SpaceMismatchError(f"the bos certificate applies to flat C^1 only; "
+                                 f"the weight has dimension {w.n}")
     if not (0.0 < rho < math.inf and 0.0 < eps < math.inf):
         raise DomainError("rho and eps must be positive and finite")
+    space = geometry.flat_space(1)
     zs = pointset.grid_rows(space, grid)
     laplacian = 4.0 * w.ddbar(zs)[:, 0, 0].real
     # one whole-grid count, mapped so `--threads 2` runs it on a worker (bench/smoke.py)
     [counts] = map_fn(lambda rows: pointset.count_in_ball(space, pts, rows, rho), [zs])
-    samples = list(map(SampleMargin, zs, counts / rho ** 2 + eps, laplacian))
-    return _finalize(BOS, eps, rho, samples, _separation_warning(space, pts))
+    return _finalize(BOS, eps, rho, zs, counts / rho ** 2 + eps, laplacian,
+                     _separation_warning(space, pts))
 
 
 def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
@@ -139,8 +139,8 @@ def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
     zs = pointset.grid_rows(space, grid)
     available = weights.curvature_eigen_min(w, space, zs)
     [counts] = map_fn(lambda rows: pointset.count_in_ball(space, pts, rows, rho), [zs])
-    samples = list(map(SampleMargin, zs, space.n * (counts / rho ** 2) * factor + eps, available))
-    return _finalize(THEOREM1, eps, rho, samples, _separation_warning(space, pts),
+    return _finalize(THEOREM1, eps, rho, zs, space.n * (counts / rho ** 2) * factor + eps,
+                     available, _separation_warning(space, pts),
                      {"comparison_factor": factor, "k": space.k})
 
 
@@ -152,18 +152,19 @@ def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
 
     The density clause reports a grid supremum (finite by construction);
     the pass threshold is user-set (``inf`` for none) and flagged as such.
+    A threshold of ``-inf`` or NaN is refused: no density could meet it.
     """
     if space.is_flat:
         raise SpaceMismatchError("the theorem2 certificate requires a hyperbolic ball")
     if not 0.0 < eps < math.inf:
         raise DomainError("eps must be positive and finite")
-    if math.isnan(density_threshold):
-        raise DomainError("density threshold must be a number or inf")
+    if not -math.inf < density_threshold <= math.inf:
+        raise DomainError(f"density threshold must be a number or inf (none), "
+                          f"got {density_threshold}")
     if not math.isfinite(cutoff):
         raise DomainError(f"density cutoff must be finite, got {cutoff}")
     zs = pointset.grid_rows(space, grid)
     available = weights.curvature_eigen_min(w, space, zs)
-    samples = list(map(SampleMargin, zs, np.full(len(zs), eps), available))
     sup = pointset.sup_density(space, pts, zs, cutoff=cutoff) if len(pts) else None
     density_sup = 0.0 if sup is None else sup.value
     extras = {
@@ -171,8 +172,9 @@ def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
         "density_threshold_user_set": density_threshold,
         "density_cutoff": cutoff,
         "density_argmax_index": (None if sup is None else sup.index),
-        "extra_margins": [density_threshold - density_sup] if math.isfinite(density_threshold) else [],
     }
+    threshold_margin = [density_threshold - density_sup] if density_threshold < math.inf else []
     warnings = _separation_warning(space, pts)
     warnings.append("density bound is a grid supremum against a user-set threshold")
-    return _finalize(THEOREM2, eps, None, samples, warnings, extras)
+    return _finalize(THEOREM2, eps, None, zs, np.full(len(zs), eps), available, warnings,
+                     extras, threshold_margin)

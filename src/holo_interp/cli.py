@@ -153,14 +153,13 @@ def _cmd_density(args) -> int:
         "note": "grid supremum, not a supremum over the space",
     }
     header = ["index", "re", "im", "density"]
-    rows = [[i, z.real, z.imag, v] for i, (z, v) in enumerate(zip(grid, vals))]
-    _emit(args, report_envelope("density", body), dump_csv(header, rows))
+    columns = [np.arange(len(vals)), grid.real, grid.imag, vals]
+    _emit(args, report_envelope("density", body), dump_csv(header, columns))
     return EXIT_OK
 
 
 def _emit_certificate(args, report) -> int:
-    header, rows = report.csv_rows()
-    _emit(args, report.to_dict(), dump_csv(header, rows))
+    _emit(args, report.to_dict(), dump_csv(*report.csv_columns()))
     return EXIT_OK if report.passed else EXIT_CRITERION_FAIL
 
 
@@ -213,7 +212,7 @@ def _cmd_construct(args) -> int:
     aux = construction.AuxiliaryWeight(space, pts, args.rho)
     energy = construction.dbar_energy_report(ext, aux, nr=args.nr, ntheta=args.ntheta)
     grid = _parse_grid(args.grid)
-    samples = construction.evaluate_extension(ext, grid[:, None]).tolist()
+    samples = construction.evaluate_extension(ext, grid[:, None])
     body = {
         "delta0": ext.delta0,
         "rho": args.rho,
@@ -221,8 +220,8 @@ def _cmd_construct(args) -> int:
         "n_grid": len(samples),
     }
     header = ["index", "re", "im", "F_re", "F_im"]
-    rows = [[i, z.real, z.imag, f.real, f.imag] for i, (z, f) in enumerate(zip(grid, samples))]
-    _emit(args, report_envelope("construct", body), dump_csv(header, rows))
+    columns = [np.arange(len(grid)), grid.real, grid.imag, samples.real, samples.imag]
+    _emit(args, report_envelope("construct", body), dump_csv(header, columns))
     return EXIT_OK
 
 

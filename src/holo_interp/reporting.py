@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 #: Embedded in every report so emitted numbers are self-describing.
@@ -28,24 +30,17 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def _cell_format(t: type) -> str:
-    """``%`` code of a CSV cell of type ``t``: integers (and booleans, as 1/0)
-    exactly, strings as they are, every other number to 17 significant digits."""
-    if issubclass(t, int):
-        return "%d"
-    return "%s" if issubclass(t, str) else "%.17g"
+def dump_csv(header, columns) -> str:
+    """CSV text from equally long columns, one ``%`` operation per row.
 
-
-def dump_csv(header, rows) -> str:
-    """CSV text with one ``%`` operation per row; the row format is built
-    once per sequence of cell types."""
+    A column of integer or boolean dtype is written exactly (booleans as
+    1/0), every other column to 17 significant digits; a cell that is not
+    a real number raises ``TypeError``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns)
     lines = [",".join(header)]
-    formats: dict = {}
-    for row in rows:
-        row = tuple(row)
-        key = tuple(map(type, row))
-        f = formats.get(key)
-        if f is None:
-            f = formats[key] = ",".join(map(_cell_format, key))
-        lines.append(f % row)
+    lines.extend(map(row.__mod__, zip(*(c.tolist() for c in columns))))
     return "\n".join(lines) + "\n"

@@ -373,6 +373,9 @@ class MinNormInterpolant:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
+        if self.space.n > 1 and z.shape[-1:] != (self.space.n,):
+            raise DomainError(f"evaluation points of shape {z.shape}: the trailing axis "
+                              f"must have length n = {self.space.n}")
         scalar = z.ndim == 0
         zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
         logk = self.space.log_kernel(zs, self.points.points, dtype=np.clongdouble)
@@ -470,8 +473,8 @@ class SweepResult:
 
     def to_csv(self) -> str:
         header = ["s", "eig_min", "eig_max", "R", "n_points"]
-        rows = [[r.spacing, r.eig_min, r.eig_max, r.radius, r.n_points] for r in self.rows]
-        return dump_csv(header, rows)
+        fields = ("spacing", "eig_min", "eig_max", "radius", "n_points")
+        return dump_csv(header, [[getattr(r, f) for r in self.rows] for f in fields])
 
 
 def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: float,

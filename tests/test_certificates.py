@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import holo_interp as hi
-from holo_interp import pointset, weights
+from holo_interp import pointset, reporting, weights
 from holo_interp.errors import DomainError, NumericalGuardError, SpaceMismatchError
 
 EMPTY = pointset.PointSet(np.zeros((0, 1), complex))
@@ -20,7 +20,7 @@ class TestBos:
     def test_empty_set_margin_one_everywhere(self, fock1):
         rep = hi.bos_certificate(fock1, EMPTY, rho=1.0, eps=3.0, grid=small_grid())
         assert rep.passed
-        assert all(s.margin == 1.0 for s in rep.per_sample)
+        assert np.all(rep.per_sample == 1.0)
         assert rep.worst_margin == 1.0
 
     def test_dense_lattice_fails(self, fock1, flat1):
@@ -42,11 +42,10 @@ class TestBos:
         assert max(counts) == 1
         assert rep.worst_margin == pytest.approx(0.75, abs=0)
 
-    def test_wrong_space_rejected(self, fock1, disk):
-        with pytest.raises(SpaceMismatchError):
-            hi.bos_certificate(fock1, EMPTY, 1.0, 1.0, [0.0], space=disk)
-        with pytest.raises(SpaceMismatchError):
-            hi.bos_certificate(fock1, EMPTY, 1.0, 1.0, [np.zeros(2)], space=hi.flat_space(2))
+    def test_wrong_space_rejected(self):
+        # the criterion lives on flat C^1: a weight on C^2 is refused
+        with pytest.raises(SpaceMismatchError, match="flat C\\^1"):
+            hi.bos_certificate(hi.fock_weight(1.0, n=2), EMPTY, 1.0, 1.0, [np.zeros(2)])
 
     def test_parameter_domain(self, fock1):
         with pytest.raises(DomainError):
@@ -149,8 +148,8 @@ class TestCrossCriterionConsistency:
             rep_t1 = hi.theorem1_certificate(fock1, flat1, lat, 1.0, eps_t1, grid)
             rep_bos = hi.bos_certificate(fock1, lat, 1.0, 2.0 * eps_t1, grid)
             assert rep_bos.passed == rep_t1.passed
-            for s_bos, s_t1 in zip(rep_bos.per_sample, rep_t1.per_sample):
-                assert s_bos.margin == pytest.approx(2.0 * s_t1.margin, abs=1e-14)
+            np.testing.assert_allclose(rep_bos.per_sample, 2.0 * rep_t1.per_sample,
+                                       rtol=0, atol=1e-14)
 
     def test_enlarging_set_never_flips_fail_to_pass(self, fock1, flat1):
         grid = small_grid(2.0, 9)
@@ -186,10 +185,46 @@ class TestReportShape:
         d = rep.to_dict()
         assert d["schema_version"] == 1
         assert "conventions" in d and "delta_phi_factor" in d["conventions"]
-        header, rows = rep.csv_rows()
+        header, columns = rep.csv_columns()
         assert header == ["index", "re", "im", "required", "available", "margin"]
-        assert len(rows) == 2
-        assert rows[1][0] == 1
+        assert [len(c) for c in columns] == [2] * 6
+        assert list(columns[0]) == [0, 1]
+        assert d["n_samples"] == len(rep.per_sample) == 2
+
+    @pytest.mark.parametrize("criterion", ["bos", "theorem1", "theorem2"])
+    def test_csv_margin_is_available_minus_required(self, criterion):
+        # read back from the CSV text: 17 digits round-trip every double, so
+        # the margin column must be the difference of the two columns bit for bit
+        lat = pointset.square_lattice(0.7, half_extent=2.0)
+        if criterion == "bos":
+            rep = hi.bos_certificate(hi.fock_weight(1.0), lat, 1.3, 0.3, small_grid(2.0, 7))
+        elif criterion == "theorem1":
+            rep = hi.theorem1_certificate(hi.fock_weight(0.7), hi.flat_space(1), lat, 1.3, 0.3,
+                                          small_grid(2.0, 7))
+        else:
+            disk = hi.hyperbolic_ball(1.0)
+            nodes = pointset.PointSet(np.array([[0.5 + 0j], [-0.3 + 0.4j]]))
+            rep = hi.theorem2_certificate(hi.bergman_weight(4.3), disk, nodes, 0.3,
+                                          small_grid(0.6, 7), density_threshold=5.0)
+        header, columns = rep.csv_columns()
+        table = np.loadtxt(reporting.dump_csv(header, columns).splitlines(), delimiter=",",
+                           skiprows=1, ndmin=2)
+        required, available, margin = table[:, 3], table[:, 4], table[:, 5]
+        assert (available - required).tobytes() == margin.tobytes()
+        assert margin.tobytes() == rep.per_sample.tobytes()
+        assert np.any(margin != np.round(margin))  # the check sees non-integer margins
+
+    def test_worst_margin_is_min_of_samples_and_threshold(self, disk):
+        w = hi.bergman_weight(4.0)
+        nodes = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0j]]))
+        grid = [0.0 + 0j, 0.25 + 0j, 0.1 + 0.2j]
+        for threshold in (0.1, 2.0, 3.5, 50.0, math.inf):
+            rep = hi.theorem2_certificate(w, disk, nodes, 0.5, grid, density_threshold=threshold)
+            threshold_margin = threshold - rep.extras["density_grid_sup"]
+            assert rep.worst_margin == min(np.min(rep.per_sample), threshold_margin)
+            assert rep.passed == (rep.worst_margin >= 0.0)
+        rep = hi.bos_certificate(hi.fock_weight(1.0), nodes, 0.3, 0.5, grid)
+        assert rep.worst_margin == np.min(rep.per_sample)
 
 
 class TestNonFiniteInputs:
@@ -202,6 +237,14 @@ class TestNonFiniteInputs:
         lat = pointset.square_lattice(2.0, half_extent=4.0)
         with pytest.raises(DomainError):
             hi.theorem1_certificate(fock1, flat1, lat, rho=math.inf, eps=1.0, grid=[0.0])
+
+    @pytest.mark.parametrize("threshold", [-math.inf, math.nan])
+    def test_theorem2_threshold_no_density_meets_refused(self, disk, threshold):
+        # -inf once dropped out as "no threshold" and let the clause pass
+        nodes = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0j]]))
+        with pytest.raises(DomainError, match="density threshold"):
+            hi.theorem2_certificate(hi.bergman_weight(4.0), disk, nodes, eps=0.5,
+                                    grid=[0.0 + 0j], density_threshold=threshold)
 
     def test_theorem2_nan_sample_rejected(self, disk):
         with pytest.raises(DomainError):

@@ -168,6 +168,20 @@ class TestExitCodes:
         # the reproducer below is a failing certificate when the cutoff is a number
         assert cli.run([*self.T2_DENSITY, "--points", disk_points, "--out", "/dev/null"]) == 1
 
+    def test_t2_threshold_below_density_sup_exits_one(self, tmp_path, disk_points):
+        # the grid-sup 2 log 4 at the origin against the threshold 2
+        out = tmp_path / "t2.json"
+        code = cli.run([*self.T2_DENSITY[:-1], "2", "--points", disk_points, "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["worst_margin"] == -0.7725887222397811
+
+    @pytest.mark.parametrize("threshold", ["-inf", "nan"])
+    def test_t2_threshold_no_density_meets_exits_two(self, threshold, disk_points, capsys):
+        # -inf once dropped out as "no threshold" and passed with exit 0
+        argv = [*self.T2_DENSITY[:-2], f"--density-threshold={threshold}"]
+        assert cli.run([*argv, "--points", disk_points, "--out", "/dev/null"]) == 2
+        assert "density threshold must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [
         T2_DENSITY,

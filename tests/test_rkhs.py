@@ -212,6 +212,10 @@ class TestMinNormInterpolant:
         assert float(np.max(res)) <= 1e-10 * float(np.max(np.abs(a)))
         per_point = np.abs(np.array([itp(p) for p in z]) - a)
         assert res.tobytes() == per_point.tobytes()
+        # points whose trailing axis is not n = 2 are refused, not reshaped
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 1)), 0.5):
+            with pytest.raises(DomainError, match="trailing axis"):
+                itp(bad)
 
     def test_one_extended_build_and_one_factorization(self, monkeypatch):
         # the Gram is factored once: as its four character blocks on a closed
