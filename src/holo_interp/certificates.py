@@ -34,10 +34,8 @@ THEOREM2 = "theorem2"
 @dataclass
 class CertificateReport:
     """Pass/fail with per-sample margins; ``passed`` iff ``worst_margin >= 0``.
-
-    ``points`` holds the (m, n) sample rows and ``required``/``available``
-    the two sides of the criterion at each of them, as arrays of length m.
-    """
+    ``points`` holds the (m, n) sample rows, ``required`` and ``available``
+    the two sides of the criterion at each of them (arrays of length m)."""
 
     criterion: str
     passed: bool
@@ -71,9 +69,8 @@ class CertificateReport:
     def csv_columns(self):
         """Header and columns of the per-sample CSV (first coordinate only)."""
         z = self.points[:, 0]
-        header = ["index", "re", "im", "required", "available", "margin"]
-        return header, [np.arange(len(z)), z.real, z.imag, self.required, self.available,
-                        self.per_sample]
+        return (["index", "re", "im", "required", "available", "margin"],
+                [np.arange(len(z)), z.real, z.imag, self.required, self.available, self.per_sample])
 
 
 def _finalize(criterion, eps, rho, zs, required, available, warnings, extras=None,
@@ -115,8 +112,7 @@ def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
     count, so output is the same either way.
     """
     if w.n != 1:
-        raise SpaceMismatchError(f"the bos certificate applies to flat C^1 only; "
-                                 f"the weight has dimension {w.n}")
+        raise SpaceMismatchError(f"the bos certificate applies to flat C^1 only, not to n = {w.n}")
     if not (0.0 < rho < math.inf and 0.0 < eps < math.inf):
         raise DomainError("rho and eps must be positive and finite")
     space = geometry.flat_space(1)
@@ -159,8 +155,7 @@ def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
     if not 0.0 < eps < math.inf:
         raise DomainError("eps must be positive and finite")
     if not -math.inf < density_threshold <= math.inf:
-        raise DomainError(f"density threshold must be a number or inf (none), "
-                          f"got {density_threshold}")
+        raise DomainError(f"density threshold must be a number or inf, got {density_threshold}")
     if not math.isfinite(cutoff):
         raise DomainError(f"density cutoff must be finite, got {cutoff}")
     zs = pointset.grid_rows(space, grid)

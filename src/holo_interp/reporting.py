@@ -33,14 +33,21 @@ def dump_json(obj) -> str:
 def dump_csv(header, columns) -> str:
     """CSV text from equally long columns, one ``%`` operation per row.
 
-    A column of integer or boolean dtype is written exactly (booleans as
-    1/0), every other column to 17 significant digits; a cell that is not
-    a real number raises ``TypeError``.
+    Integer and boolean columns are written exactly (booleans as 1/0), as
+    is a column of Python integers beyond int64 (numpy holds it as objects);
+    other columns go to 17 significant digits.  A cell that is not a real
+    number, or such an integer among other cells, raises ``TypeError``.
     """
     columns = [np.asarray(c) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
-    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns)
-    lines = [",".join(header)]
-    lines.extend(map(row.__mod__, zip(*(c.tolist() for c in columns))))
-    return "\n".join(lines) + "\n"
+    row = ",".join(map(_column_format, columns))
+    return "\n".join([",".join(header), *map(row.__mod__, zip(*(c.tolist() for c in columns)))]) + "\n"
+
+
+def _column_format(c) -> str:
+    if c.dtype.kind == "O" and any(isinstance(x, (int, np.integer, np.bool_)) for x in c.flat):
+        if not all(isinstance(x, (int, np.integer, np.bool_)) for x in c.flat):
+            raise TypeError("CSV column mixes integers beyond int64 with other cells")
+        return "%d"
+    return "%d" if c.dtype.kind in "biu" else "%.17g"

@@ -12,7 +12,7 @@ finite (and minimal) weighted norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -374,8 +374,7 @@ class MinNormInterpolant:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if self.space.n > 1 and z.shape[-1:] != (self.space.n,):
-            raise DomainError(f"evaluation points of shape {z.shape}: the trailing axis "
-                              f"must have length n = {self.space.n}")
+            raise DomainError(f"points of shape {z.shape}: trailing axis is not n = {self.space.n}")
         scalar = z.ndim == 0
         zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
         logk = self.space.log_kernel(zs, self.points.points, dtype=np.clongdouble)
@@ -473,8 +472,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         header = ["s", "eig_min", "eig_max", "R", "n_points"]
-        fields = ("spacing", "eig_min", "eig_max", "radius", "n_points")
-        return dump_csv(header, [[getattr(r, f) for r in self.rows] for f in fields])
+        return dump_csv(header, zip(*map(astuple, self.rows)))
 
 
 def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: float,

@@ -21,6 +21,7 @@ def per_cell_csv(header, rows):
 
 COLUMNS = [
     [0, -7, 2 ** 40, 12, 3, 0, 1, 5],
+    [0, -7, 2 ** 70, -2 ** 70, True, np.int64(-3), np.bool_(False), 5],
     [True, False, True, True, False, False, True, False],
     np.array([-3, 2 ** 62 + 1, 9, 0, -1, 7, 2 ** 63 - 1, -2 ** 63], np.int64),
     np.array([200, 0, 1, 255, 2, 3, 4, 5], np.uint8),
@@ -54,6 +55,12 @@ class TestDumpCsv:
         for bad in (None, 1j, [1.0], "label"):
             with pytest.raises(TypeError):
                 reporting.dump_csv(["x"], [[bad]])
+
+    def test_integers_beyond_int64_exact(self):
+        text = reporting.dump_csv(["x", "y"], [[2 ** 70], [0.1]])
+        assert text == "x,y\n1180591620717411303424,0.10000000000000001\n"
+        with pytest.raises(TypeError, match="mixes integers"):
+            reporting.dump_csv(["x"], [[2 ** 70, 1.5]])
 
     def test_unequal_columns_refused(self):
         with pytest.raises(ValueError, match="differ in length"):
