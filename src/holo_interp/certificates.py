@@ -98,12 +98,6 @@ def _finalize(criterion, eps, rho, zs, required, available, warnings, extras=Non
     )
 
 
-def _separation_warning(space, pts) -> list:
-    if len(pts) >= 2 and not pointset.separation(space, pts).min_pairwise_distance > 0.0:
-        return ["separation not confirmed positive"]
-    return []
-
-
 def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
                     rho: float, eps: float, grid: Sequence, map_fn=map) -> CertificateReport:
     """Flat one-dimensional Laplacian-versus-counting criterion, on C^1.
@@ -120,8 +114,7 @@ def bos_certificate(w: weights.HermitianWeight, pts: pointset.PointSet,
     laplacian = 4.0 * w.ddbar(zs)[:, 0, 0].real
     # one whole-grid count, mapped so `--threads 2` runs it on a worker (bench/smoke.py)
     [counts] = map_fn(lambda rows: pointset.count_in_ball(space, pts, rows, rho), [zs])
-    return _finalize(BOS, eps, rho, zs, counts / rho ** 2 + eps, laplacian,
-                     _separation_warning(space, pts))
+    return _finalize(BOS, eps, rho, zs, counts / rho ** 2 + eps, laplacian, [])
 
 
 def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
@@ -136,8 +129,7 @@ def theorem1_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
     available = weights.curvature_eigen_min(w, space, zs)
     [counts] = map_fn(lambda rows: pointset.count_in_ball(space, pts, rows, rho), [zs])
     return _finalize(THEOREM1, eps, rho, zs, space.n * (counts / rho ** 2) * factor + eps,
-                     available, _separation_warning(space, pts),
-                     {"comparison_factor": factor, "k": space.k})
+                     available, [], {"comparison_factor": factor, "k": space.k})
 
 
 def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
@@ -169,7 +161,6 @@ def theorem2_certificate(w: weights.HermitianWeight, space: geometry.ModelSpace,
         "density_argmax_index": (None if sup is None else sup.index),
     }
     threshold_margin = [density_threshold - density_sup] if density_threshold < math.inf else []
-    warnings = _separation_warning(space, pts)
-    warnings.append("density bound is a grid supremum against a user-set threshold")
-    return _finalize(THEOREM2, eps, None, zs, np.full(len(zs), eps), available, warnings,
+    return _finalize(THEOREM2, eps, None, zs, np.full(len(zs), eps), available,
+                     ["density bound is a grid supremum against a user-set threshold"],
                      extras, threshold_margin)

@@ -100,7 +100,7 @@ class GluedExtension:
     delta0: float
 
     def __post_init__(self):
-        if self.delta0 <= 0:
+        if not self.delta0 > 0:
             raise DomainError("delta0 must be positive")
         if len(self.points) and self.points.values is None:
             raise DomainError("glued extension needs target values on the node set")
@@ -118,8 +118,6 @@ def glued_extension(space: geometry.ModelSpace, w: weights.HermitianWeight,
     rep = pointset.separation(space, pts, r0=w.r0)
     if delta0 is None:
         delta0 = rep.delta0
-    if not delta0 > 0:
-        raise DomainError("delta0 must be positive (coincident nodes?)")
     bound = min(rep.min_pairwise_distance, w.r0)
     if 2.0 * delta0 > bound * (1.0 + 1e-12):
         raise DomainError(
@@ -145,7 +143,7 @@ def evaluate_extension(ext: GluedExtension, z):
         pt, node, dist = pointset.near_pairs(ext.space, nodes, zs, ext.delta0)
         inside = dist < ext.delta0
         pt, node, dist = pt[inside], node[inside], dist[inside]
-        chi = cutoff(dist ** 2 / ext.delta0 ** 2)
+        chi = cutoff((dist / ext.delta0) ** 2)
         expo = weights.normal_frame_exponent(ext.weight, nodes[node], zs[pt])
         np.add.at(out, pt, ext.values()[node] * np.exp(expo) * chi)
     return complex(out[0]) if single else out
@@ -277,8 +275,7 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
         mod = np.abs(phase)
         unit = np.divide(phase, mod, out=np.zeros_like(phase), where=mod > 0)
         dbar_dsq = 2.0 * kap2 * d * unit / (kap2 - np.abs(zs) ** 2)
-    d0sq = ext.delta0 ** 2
-    return cutoff_derivative(d ** 2 / d0sq) * dbar_dsq / d0sq
+    return cutoff_derivative((d / ext.delta0) ** 2) * dbar_dsq / ext.delta0 / ext.delta0
 
 
 def _annulus_nodes(space, p, d_lo, d_hi, nr, ntheta):
@@ -391,7 +388,7 @@ def extension_norm_sq(ext: GluedExtension, nr: int = 48, ntheta: int = 96) -> fl
     """Quadrature of ``||F||^2_h`` over the union of the delta0-balls (n = 1)."""
     def integrand(idx, p, zs, frame):
         d = geometry.geodesic_distances(ext.space, zs[..., None], p)
-        return np.exp(frame) * cutoff(d ** 2 / ext.delta0 ** 2) ** 2
+        return np.exp(frame) * cutoff((d / ext.delta0) ** 2) ** 2
 
     return float(sum(_annulus_sums(ext, 0.0, nr, ntheta, integrand, "norm").tolist()))
 

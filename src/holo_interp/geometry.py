@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,8 +59,8 @@ class ModelSpace:
             if self.kappa is not None:
                 raise DomainError("flat space has no curvature upper bound kappa")
         else:
-            if self.kappa is None or not 0.0 < self.kappa < math.inf:
-                raise DomainError("hyperbolic ball requires a finite kappa > 0")
+            if self.kappa is None or not 2.0 ** -511 <= self.kappa < 2.0 ** 512:
+                raise DomainError("kappa^2 must be a normal float: 2**-511 <= kappa < 2**512")
             if not 1.0 / self.kappa <= self.k < math.inf:
                 raise DomainError(
                     "curvature lower bound must lie below the upper bound: k >= 1/kappa"
@@ -95,8 +96,7 @@ class ModelSpace:
             bad = np.nonzero(~np.isfinite(zs).all(axis=1))[0][0]
             raise DomainError(f"point {bad} has a non-finite coordinate")
         if not self.is_flat:
-            room = self.kappa * self.kappa - np.sum(np.abs(zs) ** 2, axis=-1)
-            outside = np.nonzero(room <= 0)[0]
+            outside = np.nonzero(_room(self, zs) <= 0)[0]
             if outside.size:
                 raise DomainError(f"point with |z| = {np.linalg.norm(zs[outside[0]]):.6g} "
                                   f"outside the open ball of radius {self.kappa}")
@@ -152,19 +152,28 @@ def space_from_dict(d: dict) -> ModelSpace:
 # ---------------------------------------------------------------------------
 # distances
 
+def _room(space: ModelSpace, z) -> np.ndarray:
+    """``kappa^2 - sum |z_k|^2`` at each (..., n) point: the ball's one room."""
+    return space.kappa * space.kappa - np.sum(np.abs(z) ** 2, axis=-1)
+
+
 def geodesic_distances(space: ModelSpace, a, b) -> np.ndarray:
     """Geodesic distances between the rows of ``a`` and ``b``, (..., n)
     arrays that broadcast against each other; no row is validated.
 
-    Flat: ``|a - b|``.  Ball: ``2 kappa asinh(sqrt(u))`` with ``u = kappa^2
-    |a-b|^2 / ((kappa^2 - |a|^2)(kappa^2 - |b|^2))``.
+    No difference is squared (Blue, ACM TOMS 4, 1978): distinct rows are at a
+    positive distance, and none overflows unless a coordinate difference
+    does (flat coordinates 1e308 and -1e308).  Flat: ``h = |a - b|``, a ``hypot``
+    chain.  Ball: ``x = kappa sinh(d/2kappa) = h (kappa/sqrt(room_a)) (kappa/
+    sqrt(room_b)) >= h`` (``_room``) and ``d = 2 kappa asinh(x/kappa)``, or
+    ``2x`` where ``x/kappa < 2**-27`` (asinh is the identity, x/kappa may underflow).
     """
-    diff_sq = np.sum(np.abs(np.subtract(a, b)) ** 2, axis=-1)
+    h = functools.reduce(np.hypot, np.moveaxis(np.abs(np.subtract(a, b)), -1, 0))
     if space.is_flat:
-        return np.sqrt(diff_sq)
-    kap2 = space.kappa * space.kappa
-    q = (kap2 - np.sum(np.abs(a) ** 2, axis=-1)) * (kap2 - np.sum(np.abs(b) ** 2, axis=-1))
-    return 2.0 * space.kappa * np.arcsinh(np.sqrt(kap2 * diff_sq / q))
+        return h
+    kap = space.kappa
+    x = h * ((kap / np.sqrt(_room(space, a))) * (kap / np.sqrt(_room(space, b))))
+    return np.where(x < 2.0 ** -27 * kap, 2.0 * x, 2.0 * kap * np.arcsinh(x / kap))
 
 
 def distance(space: ModelSpace, x, y) -> float:

@@ -181,53 +181,49 @@ class SeparationReport:
 
 
 def separation(space: geometry.ModelSpace, pts: PointSet, r0: float = math.inf) -> SeparationReport:
-    """Exact minimum pairwise distance and its first minimising pair in
-    lexicographic order (``_tree_min_pair``), for any number of nodes; the
-    nodes are validated first."""
+    """Exact minimum pairwise distance over the pairs i < j of the validated
+    nodes, any number of them, and the first pair attaining it in
+    lexicographic order (None when it is infinite: flat coordinates whose
+    difference overflows).
+
+    A k-d tree's Euclidean nearest neighbours bound the minimum by ``U``; the
+    tree gives every pair within ``U`` (flat: one ``query_pairs`` pass at the
+    one ``_reach``; ball: each node's own reach, which shrinks towards the
+    rim), and a ``lexsort`` on their exact ``(d, i, j)`` the first.  The
+    closed form is symmetric to the bit: this is the all-pairs minimum.
+    """
     if len(pts) <= 1:
         return SeparationReport(math.inf, None, min(math.inf, r0) / 2.0, r0)
-    space.validate_points(pts.points)
-    dmin, pair = _tree_min_pair(space, pts.points)
+    points = space.validate_points(pts.points)
+    tree = cKDTree(_tree_coords(points))
+    nearest = tree.query(tree.data, k=2)[1]
+    nearest = np.where(nearest[:, 1] == np.arange(len(points)), nearest[:, 0], nearest[:, 1])
+    reach = _reach(space, points, np.fmin.reduce(
+        geometry.geodesic_distances(space, points[nearest], points)))
+    if space.is_flat:
+        i, j = tree.query_pairs(float(reach), output_type="ndarray").T
+    else:
+        found = tree.query_ball_point(tree.data, reach)
+        i = np.repeat(np.arange(len(points)), [len(js) for js in found])
+        j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
+        i, j = i[j > i], j[j > i]
+    d = geometry.geodesic_distances(space, points[i], points[j])
+    k = np.lexsort((j, i, d))[0]
+    dmin, pair = (float(d[k]), (int(i[k]), int(j[k]))) if d[k] < math.inf else (math.inf, None)
     return SeparationReport(dmin, pair, min(dmin, r0) / 2.0, r0)
 
 
-def _tree_min_pair(space, points):
-    """Minimum distance over the pairs i < j of m >= 2 valid, distinct (m, n)
-    nodes and the first pair attaining it in lexicographic order (None when
-    it is infinite; NaN, from a node on the rim to rounding, counts as inf).
-
-    A k-d tree's Euclidean nearest neighbours bound the minimum by ``U``.
-    Only the pairs ``near_pairs`` gives for ``U`` get exact distances; the
-    closed form is symmetric to the bit, so the minimum is the all-pairs one
-    to the bit.
-    """
-    tree = cKDTree(_tree_coords(points))
-    rows = np.arange(points.shape[0])
-    nearest = tree.query(tree.data, k=2)[1]
-    nearest = np.where(nearest[:, 1] == rows, nearest[:, 0], nearest[:, 1])
-    bound = np.fmin.reduce(geometry.geodesic_distances(space, points[nearest], points))
-    i, j, d = near_pairs(space, points, points, bound, tree)
-    d = np.where((j > i) & ~np.isnan(d), d, math.inf)
-    k = int(np.argmin(d))
-    if d[k] == math.inf:
-        return math.inf, None
-    return float(d[k]), (int(i[k]), int(j[k]))
-
-
-def near_pairs(space: geometry.ModelSpace, nodes: np.ndarray, xs: np.ndarray, dist,
-               tree: Optional[cKDTree] = None):
+def near_pairs(space: geometry.ModelSpace, nodes: np.ndarray, xs: np.ndarray, dist):
     """The (sample, node) pairs that may lie within geodesic distance
     ``dist``, as arrays ``(i, j, d)``: every pair with ``d(xs[i], nodes[j])
     <= dist`` is among them, in sample-major order with ``j`` ascending,
     and ``d`` is ``geometry.geodesic_distances`` of each pair.
 
-    A k-d tree over the nodes (``tree``, when the caller has built it from
-    ``_tree_coords(nodes)``) gives each sample's nodes within its Euclidean
+    A k-d tree over the nodes gives each sample's nodes within its Euclidean
     reach (``_reach``); no dense node-by-sample array is built.  Neither
     array is validated, and each caller applies its own exact test to ``d``.
     """
-    if tree is None:
-        tree = cKDTree(_tree_coords(nodes))
+    tree = cKDTree(_tree_coords(nodes))
     found = tree.query_ball_point(_tree_coords(xs), _reach(space, xs, dist), return_sorted=True)
     i = np.repeat(np.arange(len(xs)), [len(js) for js in found])
     j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
@@ -235,22 +231,22 @@ def near_pairs(space: geometry.ModelSpace, nodes: np.ndarray, xs: np.ndarray, di
 
 
 def _tree_coords(points):
-    """(m, n) complex points as the real (m, 2n) rows of a k-d tree, clipped
-    to +-2**500: clipping shortens no distance and keeps the squares finite."""
+    """(m, n) complex points as the real (m, 2n) rows of a k-d tree, which
+    squares coordinate differences: clipping to +-2**500 shortens no distance
+    and keeps those squares finite, and a square that underflows admits more."""
     return np.clip(np.ascontiguousarray(points).view(float), -2.0 ** 500, 2.0 ** 500)
 
 
 def _reach(space, points, dist):
     """Euclidean radius about each (m, n) point holding every point within
-    geodesic distance ``dist``: ``dist`` flat, ``sqrt(kappa^2 - |z|^2)
-    sinh(dist/2kappa)`` on the ball (``|z-w|^2 = q sinh^2(d/2kappa)/kappa^2``),
-    widened past rounding; NaN (0 * inf, a rim point) and overflow are inf."""
+    geodesic distance ``dist``: ``dist`` flat, ``sqrt(room) sinh(dist/2kappa)``
+    on the ball (``|z-w| = x sqrt(room_z room_w) / kappa^2`` with ``x``, the
+    room and ``room_w <= kappa^2`` as in ``geometry.geodesic_distances``),
+    widened past rounding and underflowing squares; NaN and overflow are inf."""
     radii = dist
     with np.errstate(over="ignore", invalid="ignore"):
-        if not space.is_flat:  # room as rounded in geometry.geodesic_distances
-            kap = space.kappa
-            room = kap * kap - np.sum(np.abs(points) ** 2, axis=-1)
-            radii = np.sqrt(room) * np.sinh(dist / (2.0 * kap))
+        if not space.is_flat:
+            radii = np.sqrt(geometry._room(space, points)) * np.sinh(dist / (2.0 * space.kappa))
         return np.where(radii >= 0.0, radii * (1.0 + 1e-9) + 1e-150, math.inf)
 
 
@@ -289,11 +285,12 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
     ``x`` is one point (a float result) or an (m, n) grid (an (m,) array).
     Requires a hyperbolic ball; each contributing term is positive and
     decreases to 0 as the node recedes.  It is ``log1p(w)``, ``w = 1/u`` with
-    ``u`` as in ``geometry.geodesic_distances``; ``d >= cutoff`` is ``w <=
-    1/sinh^2(cutoff/2kappa)``.  A sample on a node (``w = inf``, kept only for
-    ``cutoff <= 0``), NaN and a node whose ``kappa^2 - |p|^2`` rounds to 0
-    or below (``w <= 0``) add exactly 0.  A non-finite ``cutoff`` and a node
-    or sample off the ball are refused with ``DomainError``.
+    ``u`` as in ``geometry.geodesic_distances``, every length over kappa; ``d
+    >= cutoff`` is ``w <= 1/sinh^2(cutoff/2kappa)``.  Where ``|x-p|^2/kappa^2``
+    is not a normal float, ``d/2kappa < 1e-138`` and the term is ``2 log(2
+    kappa/d)``, kept for ``d >= cutoff``: ``inf`` only on a node.  NaN and a
+    ``w <= 0`` add exactly 0.  A non-finite ``cutoff`` and a node or sample
+    off the ball are refused with ``DomainError``.
     """
     if space.is_flat:
         raise SpaceMismatchError("the density is defined on the hyperbolic ball only")
@@ -303,18 +300,22 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
     out = np.zeros(len(xs))
     if len(pts):
         space.validate_points(pts.points)
-        kap2 = space.kappa * space.kappa
-        with np.errstate(divide="ignore", over="ignore"):
-            w_max = math.inf if cutoff <= 0 else min(
-                1.0 / np.sinh(cutoff / (2.0 * space.kappa)) ** 2, np.finfo(float).max)
-        room_p = kap2 - np.sum(np.abs(pts.points) ** 2, axis=-1)
-        room_x = kap2 - np.sum(np.abs(xs) ** 2, axis=-1)
+        kap, tiny = space.kappa, np.finfo(float).tiny
+        room_p = geometry._room(space, pts.points) / (kap * kap)
+        room_x = geometry._room(space, xs) / (kap * kap)
+        nodes, samples = pts.points / kap, xs / kap
         step = max(1, DENSITY_BLOCK // len(pts))
-        for i in range(0, len(xs), step):
-            diff_sq = np.sum(np.abs(pts.points - xs[i:i + step, None]) ** 2, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = room_x[i:i + step, None] * room_p / (kap2 * diff_sq)
-            out[i:i + step] = np.sum(np.log1p(np.where((w >= 0.0) & (w <= w_max), w, 0.0)), axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w_max = 1.0 / np.sinh(max(cutoff, 0.0) / (2.0 * kap)) ** 2
+            for i in range(0, len(xs), step):
+                diff_sq = np.sum(np.abs(nodes - samples[i:i + step, None]) ** 2, axis=-1)
+                w = room_x[i:i + step, None] * room_p / diff_sq
+                terms = np.log1p(np.where((w >= 0.0) & (w <= w_max), w, 0.0))
+                if diff_sq.min() < tiny:
+                    r, c = np.nonzero(diff_sq < tiny)
+                    d = geometry.geodesic_distances(space, pts.points[c], xs[i + r])
+                    terms[r, c] = np.where(d >= cutoff, 2.0 * (math.log(2.0 * kap) - np.log(d)), 0.0)
+                out[i:i + step] = np.sum(terms, axis=1)
     return float(out[0]) if single else out
 
 

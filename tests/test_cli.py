@@ -77,6 +77,14 @@ class TestExitCodes:
                         "--points", sparse_points])
         assert code == 2
 
+    @pytest.mark.parametrize("kappa", ["1e200", "1e-200"])
+    def test_kappa_square_beyond_normal_floats_exits_two(self, kappa, capsys):
+        space = '{"kind": "hyperbolic_ball", "n": 1, "kappa": %s}' % kappa
+        code = cli.run(["separation", "--space", space, "--points", '{"points": [[0.0, 0.0]]}',
+                        "--out", "/dev/null"])
+        assert code == 2
+        assert "normal float" in capsys.readouterr().err
+
     def test_conditioning_guard_exits_three(self, tmp_path, capsys):
         pts = {"points": [[0.0, 0.0], [1e-9, 0.0]], "values": [[1.0, 0.0], [1.0, 0.0]]}
         path = tmp_path / "close.json"
@@ -276,6 +284,17 @@ class TestCommands:
         assert rep["min_pairwise_distance"] == 5.0
         assert rep["delta0"] == 0.5
         assert rep["conventions"]["ball_openness"].startswith("ball counts")
+
+    @pytest.mark.parametrize("space", [FLAT, DISK])
+    def test_separation_of_nodes_1e_200_apart(self, tmp_path, space):
+        out = tmp_path / "sep.json"
+        code = cli.run(["separation", "--space", space, "--out", str(out),
+                        "--points", '{"points": [[1e-200, 0.0], [2e-200, 0.0]]}'])
+        assert code == 0
+        # the disk's conformal factor at the origin is 2
+        scale = 1.0 if space == FLAT else 2.0
+        assert json.loads(out.read_text())["min_pairwise_distance"] == scale * 1e-200
+        assert '"min_pairwise_distance": %r' % (scale * 1e-200) in out.read_text()
 
     def test_density_empty_set(self, tmp_path):
         pts = tmp_path / "empty.json"

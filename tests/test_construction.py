@@ -208,6 +208,17 @@ class TestGluedExtension:
         ext = hi.glued_extension(flat1, fock1, pts)
         assert ext.delta0 == 0.5  # min(1.5, r0=1)/2
 
+    def test_nodes_1e_200_apart_accepted(self, fock1, flat1):
+        # their squared difference underflows, but their distance does not
+        # (nor the cutoff's argument, (d/delta0)^2): F(p) = a(p) on the set
+        pts = pointset.PointSet(np.array([[1e-200 + 0j], [2e-200 + 0j]]), np.array([1.0, 1j]))
+        ext = hi.glued_extension(flat1, fock1, pts)
+        assert ext.delta0 == 5e-201
+        assert hi.evaluate_extension(ext, pts.points).tolist() == [1.0, 1j]
+        assert hi.evaluate_extension(ext, 1.4e-200) == pytest.approx(hi.cutoff(0.64), rel=1e-12)
+        dbar = construction._cutoff_dbar_grid(ext, pts.points[0], np.array([1.3e-200 + 0j]))
+        assert np.isfinite(dbar).all() and dbar[0] != 0
+
     def test_reproduces_values_exactly(self, fock1, flat1):
         pts = lattice_with_values()
         ext = hi.glued_extension(flat1, fock1, pts)
@@ -527,6 +538,25 @@ class TestSeipWeight:
         assert hi.seip_weight_value(disk, pts, 0.5 + 0j) == -math.inf
         empty = pointset.PointSet(np.zeros((0, 1), complex))
         assert hi.seip_weight_value(disk, empty, 0.1) == 0.0
+
+    def test_node_next_to_the_sample_against_mpmath(self, disk):
+        # each term 2 log tanh(d/2) with d = 2 atanh(|p|) from the origin:
+        # 2 log |p|, finite below the 1e-154 where |p|^2 leaves the normal floats
+        mpmath.mp.dps = 30
+        for p in (1e-150, 1e-154, 1e-160, 1e-200, 5e-324):
+            v = hi.seip_weight_value(disk, pointset.PointSet(np.array([[complex(p)]])), 0.0)
+            ref = float(2 * mpmath.log(mpmath.mpf(p)))
+            assert abs(v - ref) <= 4 * np.spacing(abs(ref)), p
+
+    @pytest.mark.parametrize("kappa", [1e-150, 3.0, 1e150])
+    def test_scaled_ball(self, disk, kappa):
+        # the kappa-ball is the unit disk scaled by kappa: the same weight
+        p = np.array([[0.5 + 0j], [-0.3j], [0.1 + 0.2j], [1e-100 + 0j]])
+        x = np.array([[0.2 + 0.1j], [0.6j], [1e-100 + 1e-120j]])
+        unit = [hi.seip_weight_value(disk, pointset.PointSet(p), z) for z in x]
+        ball = hi.hyperbolic_ball(kappa)
+        scaled = [hi.seip_weight_value(ball, pointset.PointSet(kappa * p), kappa * z) for z in x]
+        assert np.allclose(scaled, unit, rtol=1e-14, atol=0)
 
     def test_flat_rejected(self, flat1):
         with pytest.raises(SpaceMismatchError):

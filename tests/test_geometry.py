@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,15 @@ class TestModelSpace:
             geometry.ModelSpace(geometry.HYPERBOLIC_BALL, n=1, k=0.4, kappa=2.0)  # k < 1/kappa
         sp = hi.hyperbolic_ball(2.0)
         assert sp.k == 0.5
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e-200, 1.4e154, 1.4e-154, -1.0])
+    def test_kappa_square_must_be_a_normal_float(self, kappa):
+        with pytest.raises(DomainError, match="normal float"):
+            hi.hyperbolic_ball(kappa)
+        with pytest.raises(DomainError, match="normal float"):
+            geometry.space_from_dict({"kind": geometry.HYPERBOLIC_BALL, "kappa": kappa})
+        for edge in (1.3e154, 1.5e-154):
+            assert hi.hyperbolic_ball(edge).kappa == edge
 
     def test_membership(self, disk):
         assert disk.contains(0.99)
@@ -90,6 +100,106 @@ class TestDistance:
         d = geometry.distances_from(disk, pts, z)
         for i in range(50):
             assert d[i] == pytest.approx(hi.distance(disk, pts[i], z), rel=1e-14)
+
+
+def mp_room(space, z):
+    """``kappa^2 - |z|^2`` at 40 digits on the exact values of the float row."""
+    mpmath.mp.dps = 40
+    return mpmath.mpf(space.kappa) ** 2 - sum(abs(mpmath.mpc(complex(c))) ** 2 for c in z)
+
+
+def mp_distance(space, a, b):
+    """The closed form at 40 digits on the exact values of the float rows."""
+    mpmath.mp.dps = 40
+    h = mpmath.sqrt(sum(abs(mpmath.mpc(complex(x)) - mpmath.mpc(complex(y))) ** 2
+                        for x, y in zip(a, b)))
+    if space.is_flat:
+        return h
+    kap = mpmath.mpf(space.kappa)
+    return 2 * kap * mpmath.asinh(kap * h / mpmath.sqrt(mp_room(space, a) * mp_room(space, b)))
+
+
+def assert_ulps(space, pairs, ulps, per_room=0.0):
+    """Each distance within ``ulps`` of mpmath's, plus ``per_room`` ulps per
+    unit of ``kappa^2/room_a + kappa^2/room_b`` on the ball: the rooms are
+    rounded from rounded squares, which costs that many ulps at the rim."""
+    a, b = (np.array(z) for z in zip(*pairs))
+    d = geometry.geodesic_distances(space, a, b)
+    for u, (x, y) in zip(d, pairs):
+        r = mp_distance(space, x, y)
+        err = abs(mpmath.mpf(float(u)) - r) / np.spacing(float(r))
+        cond = 0 if space.is_flat else sum(mpmath.mpf(space.kappa) ** 2 / mp_room(space, z)
+                                           for z in (x, y))
+        assert err <= ulps + per_room * cond, (x, y)
+
+
+def scaled_pairs(rng, n, radius, scales, m=20):
+    """For each ``c`` in ``scales``: pairs of random rows of modulus below
+    ``c``, and pairs of a row of modulus below ``radius`` and that row moved
+    by less than ``1e-3 c``."""
+    def rows(r):
+        return (rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))) * r / math.sqrt(2 * n)
+    pairs = []
+    for c in scales:
+        a = rows(radius)
+        pairs += list(zip(rows(c), rows(c))) + list(zip(a, a + rows(1e-3 * c)))
+    return pairs
+
+
+def rim_pairs(rng, n, kappa, m=12):
+    """Pairs of rows at ``1 - |z|/kappa = t`` for t = 1e-3 down to 1e-12:
+    with random rows inside ``0.9 kappa``, with random rows at the same t,
+    with the row turned by about ``t`` and with the row moved in by less
+    than ``t kappa / 2``."""
+    def rows(r):
+        z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        return z * (r / np.linalg.norm(z, axis=1))[:, None]
+    pairs = []
+    for t in (1e-3, 1e-6, 1e-9, 1e-12):
+        rim = rows(kappa * (1.0 - t))
+        pairs += list(zip(rim, rows(kappa * rng.uniform(0.0, 0.9))))
+        pairs += list(zip(rim, rows(kappa * (1.0 - t))))
+        pairs += list(zip(rim, rim * np.exp(1j * t * rng.uniform(0.1, 10.0, (m, 1)))))
+        pairs += list(zip(rim, rim * (1.0 - t * rng.uniform(0.01, 0.5, (m, 1)))))
+    return pairs
+
+
+@pytest.mark.filterwarnings("error")
+class TestScaledDistances:
+    """``geodesic_distances`` against mpmath where squared differences would
+    underflow or overflow."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_flat(self, n, scale):
+        rng = np.random.default_rng(7 + n)
+        assert_ulps(hi.flat_space(n), scaled_pairs(rng, n, scale, [scale]), 4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kappa", [1e-150, 1.0, 1e150])
+    def test_ball(self, n, kappa):
+        # |z| <= 0.7 kappa; differences from kappa down to 1e-200 kappa while
+        # they stay normal floats
+        rng = np.random.default_rng(11 + n)
+        scales = [0.69 * kappa * 10.0 ** -e for e in (0, 8, 50, 100, 200)]
+        pairs = scaled_pairs(rng, n, 0.69 * kappa, [c for c in scales if c > 1e-290])
+        assert_ulps(hi.hyperbolic_ball(kappa, n=n), pairs, 8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kappa", [1e-150, 1.0, 3.7, 1e150])
+    def test_ball_rim(self, n, kappa):
+        # rows out to 1e-12 kappa from the rim, where the room carries about
+        # kappa^2/room ulps of rounding: 8 ulps plus 4 per unit of that
+        # (1.7 measured)
+        rng = np.random.default_rng(5 + n)
+        assert_ulps(hi.hyperbolic_ball(kappa, n=n), rim_pairs(rng, n, kappa), 8, per_room=4.0)
+
+    def test_item_reproductions(self):
+        flat1 = hi.flat_space(1)
+        assert hi.distance(flat1, 1e-200, 3e-200) == 2e-200
+        assert hi.distance(flat1, 0.0, 1e200) == 1e200
+        assert hi.distance(hi.flat_space(2), [1e200, 0], [0, 1e200]) == math.sqrt(2.0) * 1e200
+        assert hi.distance(hi.hyperbolic_ball(1.0), 1e-200, 2e-200) == 2e-200
 
 
 class TestComparisonFactor:

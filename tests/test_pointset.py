@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import holo_interp as hi
@@ -19,21 +19,16 @@ def brute_count(space, pts, z, rho):
 
 
 def all_pairs_min(space, pts, block=256):
-    """Independent reference: the closed-form distance matrix, ``block`` rows
-    at a time, minimised over i < j in row-major order, so the first
-    minimiser comes first; NaN counts as inf."""
+    """Independent search: the dense ``geodesic_distances`` matrix, ``block``
+    rows at a time, minimised over i < j in row-major order, so the first
+    minimiser comes first; NaN counts as inf.  The closed form itself is
+    checked against mpmath in TestScaledDistances (test_geometry.py)."""
     z = pts.points
     m = z.shape[0]
-    kap2 = None if space.is_flat else space.kappa * space.kappa
-    room = None if space.is_flat else kap2 - np.sum(np.abs(z) ** 2, axis=-1)
     best, pair = math.inf, None
     for lo in range(0, m, block):
         rows = np.arange(lo, min(lo + block, m))
-        diff_sq = np.sum(np.abs(z[None, :, :] - z[rows, None, :]) ** 2, axis=-1)
-        if space.is_flat:
-            d = np.sqrt(diff_sq)
-        else:
-            d = 2.0 * space.kappa * np.arcsinh(np.sqrt(kap2 * diff_sq / (room[None, :] * room[rows, None])))
+        d = geometry.geodesic_distances(space, z[None, :, :], z[rows, None, :])
         d = np.where((np.arange(m)[None, :] > rows[:, None]) & ~np.isnan(d), d, math.inf)
         k = int(np.argmin(d))
         if d.flat[k] < best:
@@ -263,20 +258,40 @@ class TestTreeSeparation:
             np.array([[0.1j, 0.2], inward(beyond), [0.3, -0.1j]])))
 
     def test_underflowing_squares(self, flat1):
-        # squared differences near 1e-316 are subnormal and round differently
-        # in the tree and in the distance formula
+        # squared differences near 1e-316 are subnormal in the tree, which
+        # squares them; the distances take the unsquared norm
         z = [-3.9701224820124056e-159 - 1.1910367446037217e-158j, 7.940244964024811e-159 + 0j,
              -3.1664737313258105e-161 - 1.5832368656629052e-161j, -1.5832368656629052e-161j]
         for pts in (z[:2], z[2:], z):
             assert_matches_all_pairs(flat1, pointset.PointSet(np.array(pts)[:, None]))
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_flat_coordinates(self, flat1):
-        # squared differences overflow to inf in the distance formula
+        # squared differences would overflow; the scaled norm does not
         pts = pointset.PointSet(np.array([[1e200 + 0j], [-1e200 + 0j], [1e200j], [0j], [1e-3 + 0j]]))
-        with np.errstate(over="ignore"):
-            rep = hi.separation(flat1, pts)
-            assert (rep.min_pairwise_distance, rep.arg_pair) == (1e-3, (3, 4))
-            assert_matches_all_pairs(flat1, pointset.PointSet(pts.points[:3]))
+        rep = hi.separation(flat1, pts)
+        assert (rep.min_pairwise_distance, rep.arg_pair) == (1e-3, (3, 4))
+        assert_matches_all_pairs(flat1, pointset.PointSet(pts.points[:3]))
+        rep = hi.separation(flat1, pointset.PointSet(np.array([[0j], [1e200 + 0j]])))
+        assert (rep.min_pairwise_distance, rep.arg_pair) == (1e200, (0, 1))
+
+    @pytest.mark.parametrize("spec", SPACES)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_distinct_pairs_are_separated(self, spec, data):
+        # coordinates of every scale, down to subnormal, as fractions of kappa
+        # on the ball: every distinct valid pair is at a positive distance
+        space = make_space(spec)
+        coord = st.floats(-1e300, 1e300)
+        if not space.is_flat:
+            coord = st.floats(-1.0, 1.0).map(lambda t: t * space.kappa * 0.7 / math.sqrt(space.n))
+        point = st.lists(st.builds(complex, coord, coord), min_size=space.n, max_size=space.n)
+        a, b = (np.array(data.draw(point)) for _ in range(2))
+        assume(not np.array_equal(a, b))
+        d = geometry.geodesic_distances(space, a, b)
+        assert d > 0.0 and d == geometry.geodesic_distances(space, b, a)
+        rep = hi.separation(space, pointset.PointSet(np.array([a, b])))
+        assert rep.min_pairwise_distance == d
 
 
 class TestNearPairs:
@@ -427,6 +442,15 @@ class TestGridCounts:
         assert hi.count_in_ball(flat1, pts, 4 * big, 1.0) == 1
         # the node -2**500 lies exactly at 2**450 from its sample: excluded
         assert hi.count_in_ball(flat1, pts, rows, 2.0 ** 450).tolist() == [2, 0, 1, 0, 1]
+
+    def test_tiny_radius_is_strict(self, flat1, disk):
+        # the node is 1e-200 (disks: 2e-200) from the sample: outside the
+        # radius-1e-250 ball (its squared distance underflows to 0), inside
+        # the radius-3e-200 one
+        for space in (flat1, disk, hi.hyperbolic_ball(1e150)):
+            node = pointset.PointSet(np.array([[1e-200 + 0j]]))
+            assert hi.count_in_ball(space, node, 0.0, 1e-250) == 0
+            assert hi.count_in_ball(space, node, 0.0, 3e-200) == 1
 
     def test_empty_set_and_one_row_grid(self, flat1, disk):
         empty = pointset.PointSet(np.zeros((0, 1), complex))
