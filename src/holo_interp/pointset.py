@@ -127,9 +127,10 @@ def _pairs_array(raw: list, depth: int) -> Optional[np.ndarray]:
     ``int``/``float`` entries; ``None`` otherwise, and for an empty list.
 
     Every check is a C-level pass over one level (``map`` and
-    ``chain.from_iterable``), and the float array is viewed as complex, so
-    ``[-0.0, -0.0]`` keeps both signs as ``complex(re, im)`` does.  A ``None``
-    sends the caller to the per-entry parser, which names what is wrong.
+    ``chain.from_iterable``); the flattened last level becomes the float
+    array, viewed as complex, so ``[-0.0, -0.0]`` keeps both signs as
+    ``complex(re, im)`` does.  A ``None`` sends the caller to the per-entry
+    parser, which names what is wrong.
     """
     level = raw
     for _ in range(depth):
@@ -139,7 +140,7 @@ def _pairs_array(raw: list, depth: int) -> Optional[np.ndarray]:
         level = list(chain.from_iterable(level))
     if width != 2 or not set(map(type, level)) <= {int, float}:
         return None
-    return np.array(raw, dtype=float).view(complex).reshape(len(raw), -1)
+    return np.array(level, dtype=float).view(complex).reshape(len(raw), -1)
 
 
 def _is_pair(c) -> bool:

@@ -119,41 +119,112 @@ class KernelSpace:
         last, the origin, whose row and column are the same in every ``t``.
         An open set's one-row orbits (c = 1) give ``s_0 = G`` alone.  The
         log-kernel covers ``t < min(c, 3)``; only the upper triangles of the
-        Hermitian ``s_0``, ``s_2`` and all of ``s_1`` are exponentiated, on
-        a closed set about m^2 / 8 entries, and ``s_3 = s_1^H``.  The Gram
+        Hermitian ``s_0``, ``s_2``, all of ``s_1`` and the origin's column
+        are exponent entries, on a closed set about m^2 / 8 of them, the
+        lower triangles are their mirrors, and ``s_3 = s_1^H``.  The Gram
         kernel depends on ``z . conj(w)`` only, so ``G[R q, R j] = G[q, j]``
         and every Gram entry is one table entry: the unfolded Gram is
-        exactly Hermitian and R-invariant.  The two real half diagonal logs
-        are subtracted from the real parts one after the other, the larger
-        first, so an entry depends on its pair of points only; subtracting
-        their rounded sum made the refined nodal residual six times larger.
+        exactly Hermitian and R-invariant.
+
+        Both kernels also satisfy ``K(conj z, conj w) = conj K(z, w)`` (alpha,
+        A and kappa are real, and the Bergman log stays off its cut), so on
+        a set closed under conjugation (``_conjugation``) the exponent
+        entries pair up as ``_exponent_classes`` finds, and one of each pair
+        is exponentiated.  The two real half diagonal logs are subtracted
+        from the real parts of the exponentiated entries only, one after the
+        other, the larger first, so an entry depends on its pair of points
+        only; subtracting their rounded sum made the refined nodal residual
+        six times larger.  The table is bit for bit the one that
+        exponentiates every exponent entry.
         """
         c, r = orbits.shape
         k, w = min(c, 3), r + len(fixed)
         rows = np.concatenate([orbits[0], fixed])
         cols = np.concatenate([*orbits[:k], fixed])
         logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
-        logk.real -= np.maximum.outer(half[rows], half[cols])
-        logk.real -= np.minimum.outer(half[rows], half[cols])
+        _exponentiate(logk, half[rows], half[cols],
+                      *_exponent_classes(orbits, fixed, _conjugation(points)))
         # in place, logk freed before the (numpy-buffered) strided conjugate
-        upper = np.triu(np.ones((r, r), dtype=bool))
+        lower = np.tri(r, k=-1, dtype=bool)
         for t in range(0, k, 2):
             block = (slice(r), slice(t * r, (t + 1) * r))
-            logk[block][upper] = np.exp(logk[block][upper])
-            logk[block][~upper] = logk[block].T[~upper].conj()
-        for t in range(1, k, 2):
-            np.exp(logk[:r, r:2 * r], out=logk[:r, r:2 * r])
+            logk[block][lower] = logk[block].T[lower].conj()
         src = np.empty((w, c, w), dtype=logk.dtype)
         src[:r, :k, :r] = logk[:r, :k * r].reshape(r, k, r)
         if len(fixed):
-            column = np.exp(logk[:, 3 * r])  # G[q, o] and G[o, o]
-            src[:r, :, r] = column[:r, None]
-            src[r, :, :r] = column[:r].conj()
-            src[r, :, r] = column[r]
+            src[:, :, r] = logk[:, 3 * r, None]  # G[q, o] and G[o, o]
+            src[r, :, :r] = logk[:r, 3 * r].conj()
         del logk
         for t in range(1, k, 2):
             np.conjugate(src[:r, 1, :r].T, out=src[:r, 3, :r])
         return src
+
+
+def _exponent_classes(orbits, fixed, sigma):
+    """Which entries of its (w, k r + len(fixed)) log-kernel ``logk``
+    ``_orbit_gram`` exponentiates, as ``(lead, follow, source, flip)``:
+    ``lead`` and ``follow`` are masks of ``logk``'s shape, the ``lead``
+    entries are exponentiated, and the ``follow`` entries, in row-major
+    order, are copies of the ``lead`` entries at the flat indices ``source``,
+    conjugated where ``flip``.
+
+    The exponent entries are ``(q, t, q')`` for ``s_t[q, q']``: the upper
+    triangles of ``s_0`` and ``s_2``, all of ``s_1`` and the origin's
+    column.  Without ``sigma`` they all lead.  With the conjugation
+    permutation ``sigma`` of ``_conjugation``, ``sigma(q) = R^u_q pi(q)`` on
+    representatives, and ``K(conj z, conj w) = conj K(z, w)`` gives
+    ``s_t[q, q'] = conj s_t_c[pi q, pi q']``, ``t_c = u_q' - u_q - t (mod
+    4)``; with the Hermitian mirror, also ``s_t[q, q'] = s_(-t_c)[pi q',
+    pi q]``.  Each exponent entry's partner is that unconjugated one when it
+    is an exponent entry itself, otherwise the conjugated one, which then
+    is; of a pair, the one first in ``logk`` leads.  Self-partnered entries
+    lead, as does the origin's column.
+    """
+    c, r = orbits.shape
+    k, o = min(c, 3), len(fixed)
+    n_cols = k * r + o
+    lead = np.zeros((r + o, n_cols), dtype=bool)
+    follow = np.zeros_like(lead)
+    lead[:, k * r:] = True
+    entry = lead[:r, :k * r].reshape(r, k, r)  # view: entry[q, t, q'] for s_t[q, q']
+    q = np.arange(r, dtype=np.int32)[:, None, None]
+    t = np.arange(k, dtype=np.int32)[:, None]
+    q2 = np.arange(r, dtype=np.int32)
+    entry[...] = (t == 1) | (q <= q2)
+    if sigma is None:
+        return lead, follow, np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
+    rep, turn = np.empty((2, len(sigma)), dtype=np.int32)
+    rep[orbits] = np.arange(r)
+    turn[orbits] = np.arange(c)[:, None]
+    pi, u = rep[sigma[orbits[0]]], turn[sigma[orbits[0]]]
+    t_c = (u[q2] - u[q] - t) % 4
+    t_h = -t_c % 4
+    copy = (t_h == 1) | ((t_h != 3) & (pi[q2] <= pi[q]))
+    partner = np.where(copy, pi[q2] * n_cols + t_h * r + pi[q],
+                       pi[q] * n_cols + t_c * r + pi[q2])
+    later = entry & (q * n_cols + t * r + q2 > partner)
+    follow[:r, :k * r].reshape(r, k, r)[...] = later
+    entry &= ~later
+    return lead, follow, partner[later], ~copy[later]
+
+
+def _exponentiate(logk, half_rows, half_cols, lead, follow, source, flip):
+    """The normalized kernel in place of the log-kernel ``logk`` at the
+    masks ``lead`` and ``follow`` of ``_exponent_classes``: ``lead``
+    exponentiated less the half diagonal logs of its row and column, larger
+    first, and ``follow`` copied from the flat indices ``source``,
+    conjugated where ``flip`` unless its own exponent is real: a partner's
+    exponent is its leader's conjugate, or, where its imaginary part is a
+    zero, the same with the same sign."""
+    x = logk[lead]
+    h_row = np.broadcast_to(half_rows[:, None], logk.shape)[lead]
+    h_col = np.broadcast_to(half_cols, logk.shape)[lead]
+    x.real -= np.maximum(h_row, h_col)
+    x.real -= np.minimum(h_row, h_col)
+    logk[lead] = np.exp(x, out=x)
+    x = logk.reshape(-1)[source]
+    np.negative(x.imag, out=x.imag, where=flip & (logk[follow].imag != 0))
+    logk[follow] = x
 
 
 def _unfold(table: np.ndarray, quarter) -> np.ndarray:
@@ -258,24 +329,50 @@ def _quarter_turn(points: np.ndarray):
     character blocks and the block solve all read these.
 
     Multiplying by ``1j`` only swaps and negates coordinates, so matching by
-    exact value is reliable.  The rows and their turns are each sorted
-    lexicographically (signed zeros compare equal); the set is closed when
-    the two sorted lists agree.
+    exact value is reliable (``_permutation_onto``).
     """
     points = np.ascontiguousarray(points, dtype=complex)
-    rows = points.view(float)
-    turned = (1j * points).view(float)
-    by_row = np.lexsort(rows.T[::-1])
-    by_turned = np.lexsort(turned.T[::-1])
-    ranked = rows[by_row]
-    if (np.any(np.all(ranked[1:] == ranked[:-1], axis=1))
-            or not np.array_equal(ranked, turned[by_turned])):
-        return np.arange(len(rows))[None, :], np.empty(0, dtype=np.intp)
-    turn = np.empty(len(rows), dtype=np.intp)
-    turn[by_turned] = by_row
+    turn = _permutation_onto(points, 1j * points)
+    if turn is None:
+        return np.arange(len(points))[None, :], np.empty(0, dtype=np.intp)
     j = np.arange(len(turn))
     orbit = np.stack([j, turn, turn[turn], turn[turn[turn]]])  # orbit[t, j] = R^t j
     return orbit[:, (orbit.min(axis=0) == j) & (turn != j)], np.flatnonzero(turn == j)
+
+
+def _conjugation(points: np.ndarray):
+    """The conjugation ``sigma``, ``points[sigma[j]] == conj(points[j])``
+    in every coordinate, or ``None`` when the rows are not distinct and
+    exactly closed under it.
+
+    Both kernels satisfy ``K(conj z, conj w) = conj K(z, w)``: alpha, A and
+    kappa are real, and the Bergman kernel's principal log is taken at
+    ``1 - z conj(w) / kappa^2``, whose real part is positive, away from the
+    cut.  ``_orbit_gram`` exponentiates one of each pair of Gram entries
+    this relates.  Conjugating only negates coordinates, so matching by
+    exact value is reliable (``_permutation_onto``).
+    """
+    points = np.ascontiguousarray(points, dtype=complex)
+    return _permutation_onto(points, points.conj())
+
+
+def _permutation_onto(points: np.ndarray, image: np.ndarray):
+    """The permutation ``p`` with ``points[p[j]] == image[j]``, or ``None``
+    when the rows of the (m, n) ``points`` are not distinct or ``image`` is
+    not a rearrangement of them.  The rows and their images are each sorted
+    lexicographically (signed zeros compare equal); ``image`` is a
+    rearrangement when the two sorted lists agree.
+    """
+    rows, images = points.view(float), image.view(float)
+    by_row = np.lexsort(rows.T[::-1])
+    by_image = np.lexsort(images.T[::-1])
+    ranked = rows[by_row]
+    if (np.any(np.all(ranked[1:] == ranked[:-1], axis=1))
+            or not np.array_equal(ranked, images[by_image])):
+        return None
+    p = np.empty(len(rows), dtype=np.intp)
+    p[by_image] = by_row
+    return p
 
 
 #: ``_DFT[k, t] = i^(-k t)``, the 4-point DFT of an orbit's entries

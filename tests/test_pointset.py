@@ -132,6 +132,19 @@ class TestPointFileParse:
         else:
             assert got.values.shape == vals.shape and got.values.tobytes() == vals.tobytes()
 
+    @pytest.mark.parametrize("raw,depth", [
+        ([[1, -0.0], [-0.0, 2], [0, 0.0], [2 ** 70, -3.5], [-1, -0.0]], 1),
+        ([[[1, -0.0], [0.5, -2]], [[-0.0, -0.0], [7, 0]], [[0, 0.0], [-0.0, 1e-300]]], 2),
+    ], ids=["depth1", "depth2"])
+    def test_pairs_array_bytes(self, raw, depth):
+        # the nested list converted whole, and complex(re, im) pair by pair
+        got = pointset._pairs_array(raw, depth)
+        whole = np.array(raw, dtype=float).view(complex).reshape(len(raw), -1)
+        rows = raw if depth == 2 else [[pair] for pair in raw]
+        each = np.array([[complex(*pair) for pair in row] for row in rows])
+        assert got.shape == whole.shape == each.shape
+        assert got.tobytes() == whole.tobytes() == each.tobytes()
+
     def test_empty_sets(self):
         for d in ({"points": []}, {"points": [], "values": []}, {}):
             got = pointset.pointset_from_dict(d)

@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holo_interp import pointset, rkhs
 from holo_interp.errors import ConditioningError, DomainError, SizeGuardError
@@ -468,10 +470,61 @@ class TestQuarterTurnBlocks:
         assert exc.value.eig_min < 1e-10
 
 
+def triangle_build(space, points, half, orbits, fixed):
+    """The orbit table that exponentiates every exponent entry: the upper
+    triangles of ``s_0`` and ``s_2``, all of ``s_1`` and the origin's
+    column, the half logs subtracted through ``maximum.outer`` and
+    ``minimum.outer``, then the Hermitian mirror (the build before the
+    conjugation classes, inlined as the reference)."""
+    c, r = orbits.shape
+    k, w = min(c, 3), r + len(fixed)
+    rows = np.concatenate([orbits[0], fixed])
+    cols = np.concatenate([*orbits[:k], fixed])
+    logk = space.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
+    logk.real -= np.maximum.outer(half[rows], half[cols])
+    logk.real -= np.minimum.outer(half[rows], half[cols])
+    upper = np.triu(np.ones((r, r), dtype=bool))
+    for t in range(0, k, 2):
+        block = (slice(r), slice(t * r, (t + 1) * r))
+        logk[block][upper] = np.exp(logk[block][upper])
+        logk[block][~upper] = logk[block].T[~upper].conj()
+    for t in range(1, k, 2):
+        np.exp(logk[:r, r:2 * r], out=logk[:r, r:2 * r])
+    src = np.empty((w, c, w), dtype=logk.dtype)
+    src[:r, :k, :r] = logk[:r, :k * r].reshape(r, k, r)
+    if len(fixed):
+        column = np.exp(logk[:, 3 * r])
+        src[:r, :, r] = column[:r, None]
+        src[r, :, :r] = column[:r].conj()
+        src[r, :, r] = column[r]
+    for t in range(1, k, 2):
+        src[:r, 3, :r] = src[:r, 1, :r].T.conj()
+    return src
+
+
+def assert_same_bits(a, b):
+    """``a`` and ``b`` bit for bit: equal values and equal signs, zeros
+    included.  An x87 long double leaves six of its sixteen bytes unset, so
+    ``tobytes`` of an extended array is not reproducible; the rounded
+    complex128 arrays are compared with ``tobytes``."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+    assert a.astype(complex).tobytes() == b.astype(complex).tobytes()
+
+
+def conjugate_pairs(z):
+    """``z`` and its conjugates: a set exactly closed under z -> conj z."""
+    return np.concatenate([z, z.conj()])
+
+
 class TestOrbitGram:
     """The Gram of a quarter-turn-closed set, built from one representative
     row per orbit, against the one-orbit build of the same rows, which
-    exponentiates the upper triangle of the m x m Gram and mirrors it."""
+    exponentiates the upper triangle of the m x m Gram and mirrors it; and
+    the table with one exponential per conjugate pair against the one that
+    exponentiates every exponent entry (``triangle_build``)."""
 
     CLOSED = TestQuarterTurnBlocks.CLOSED + [
         (space, z.reshape(-1, 1)) for space, z, _ in TestGram.GRADED[2:]]
@@ -525,6 +578,131 @@ class TestOrbitGram:
         origin = int(np.any(np.all(z == 0, axis=1)))
         reps = (len(z) - origin) // 4
         assert shapes == [(reps + origin, 3 * reps + origin)]
+
+    W = [2.5, 2.5j] @ np.random.default_rng(221).normal(size=(2, 9))
+    #: (space, nodes, closed under the turn, closed under conjugation)
+    BUILDS = [
+        (rkhs.fock_kernel(1.0), pointset.square_lattice(1.5, radius=9.0).points, True, True),
+        (rkhs.fock_kernel(0.8), half_shifted_lattice(1.2, 5), True, True),
+        (rkhs.bergman_kernel(2.0), pointset.square_lattice(0.15, radius=0.9).points, True, True),
+        (rkhs.fock_kernel(1.0, n=2), fock_product_set(), True, True),
+        # the rectangle lattice a + 2 b i: conjugate pairs, no quarter turn
+        (rkhs.fock_kernel(0.7), (np.arange(-3, 4)[:, None] + 2j * np.arange(-2, 3)).reshape(-1, 1),
+         False, True),
+        # pairs up to 560 apart: entries far below the long double range,
+        # zeros that keep the sign of their exponent's imaginary part
+        (rkhs.fock_kernel(1.0), conjugate_pairs(40 * W).reshape(-1, 1), False, True),
+        (rkhs.bergman_kernel(3.0), conjugate_pairs(0.3 * W / np.abs(W).max()).reshape(-1, 1),
+         False, True),
+        (rkhs.fock_kernel(1.0), quarter_turns(W).reshape(-1, 1), True, False),
+        (rkhs.fock_kernel(1.0), np.concatenate([[0], quarter_turns(W)]).reshape(-1, 1), True, False),
+        (rkhs.fock_kernel(0.6), W.reshape(-1, 1), False, False),
+    ]
+    BUILD_IDS = ["fock_origin", "fock_half_shifted", "bergman_disk", "fock_n2", "rectangle",
+                 "far_pairs", "bergman_pairs", "turned_random", "turned_random_origin",
+                 "open_random"]
+
+    @pytest.fixture
+    def exp_sizes(self, monkeypatch):
+        """Sizes of the extended-precision arrays passed to ``np.exp``."""
+        sizes = []
+        real = np.exp
+
+        def counting(x, *args, **kwargs):
+            if np.asarray(x).dtype == np.clongdouble:
+                sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        return sizes
+
+    @staticmethod
+    def tables(space, z):
+        """The tables of ``_orbit_gram`` and of ``triangle_build`` on ``z``."""
+        quarter = rkhs._quarter_turn(z)
+        half = 0.5 * space.diag_log(z, dtype=np.clongdouble)
+        return space._orbit_gram(z, half, *quarter), triangle_build(space, z, half, *quarter)
+
+    @pytest.mark.parametrize("space,z,turned,conjugated", BUILDS, ids=BUILD_IDS)
+    def test_bit_identical_to_the_triangle_build(self, space, z, turned, conjugated):
+        quarter = rkhs._quarter_turn(z)
+        assert (len(quarter[0]) == 4) == turned
+        assert (rkhs._conjugation(z) is not None) == conjugated
+        got, want = self.tables(space, z)
+        assert_same_bits(got, want)
+        want = want.astype(complex)
+        np.fill_diagonal(want[:, 0], 1.0)
+        assert space._normalized_grams(z, quarter)[0].tobytes() == want.tobytes()
+
+    @staticmethod
+    def entry_classes(z, conjugate):
+        """The number of classes of Gram entries ``G[a, b]`` on the nodes
+        ``z`` under the turn ``(a, b) -> (R a, R b)`` (on a turn-closed
+        set), the mirror ``(a, b) -> (b, a)`` and, with ``conjugate``,
+        ``(a, b) -> (conj a, conj b)`` where neither is the origin: one
+        exponential each."""
+        m = len(z)
+        orbits, fixed = rkhs._quarter_turn(z)
+        turn = turn_of(z) if len(orbits) == 4 else np.arange(m)
+        where = {tuple(row): j for j, row in enumerate(z.tolist())}
+        if conjugate:
+            conj = np.array([where[tuple(c.conjugate() for c in row)] for row in z.tolist()])
+        a, b = np.divmod(np.arange(m * m), m)
+        origin = np.isin(a, fixed) | np.isin(b, fixed)
+        least = a * m + b
+        for _ in range(4):
+            a, b = turn[a], turn[b]
+            for x, y in ((a, b), (b, a)):
+                least = np.minimum(least, x * m + y)
+                if conjugate:
+                    least = np.minimum(least, np.where(origin, least, conj[x] * m + conj[y]))
+        return len(np.unique(least))
+
+    @pytest.mark.parametrize("space,z,turned,conjugated", BUILDS, ids=BUILD_IDS)
+    def test_one_exponential_per_class(self, space, z, turned, conjugated, exp_sizes):
+        space.normalized_gram(z)
+        assert sum(exp_sizes) == self.entry_classes(z, conjugated)
+        if not conjugated:
+            # the triangle build's count: on a turn-closed set the upper
+            # triangles of s_0 and s_2, all of s_1 and the origin's column
+            orbits, fixed = rkhs._quarter_turn(z)
+            r, w = orbits.shape[1], orbits.shape[1] + len(fixed)
+            assert sum(exp_sizes) == (r * (r + 1) + r * r + len(fixed) * w if turned
+                                      else r * (r + 1) // 2)
+
+    def test_half_the_exponentials_at_441_nodes(self, exp_sizes):
+        lattice = pointset.square_lattice(1.0, radius=12.0).points
+        rkhs.fock_kernel(1.0).normalized_gram(lattice)
+        closed = sum(exp_sizes)
+        assert self.entry_classes(lattice, False) == 110 * 111 + 110 * 110 + 111 == 24421
+        assert closed == self.entry_classes(lattice, True) <= 0.52 * 24421
+        # the lattice turned by 0.1 rad is still closed under the quarter
+        # turn, but not under conjugation
+        orbits, _ = rkhs._quarter_turn(lattice)
+        turned = np.concatenate([[0], quarter_turns(np.exp(0.1j) * lattice[orbits[0], 0])])
+        assert rkhs._conjugation(turned.reshape(-1, 1)) is None
+        exp_sizes.clear()
+        rkhs.fock_kernel(1.0).normalized_gram(turned)
+        assert sum(exp_sizes) == 24421
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), kind=st.sampled_from(["fock", "bergman"]),
+           turned=st.booleans(), origin=st.booleans())
+    def test_conjugate_pairs_property(self, data, kind, turned, origin):
+        # {w, conj w} for random w off the real axis, optionally turned
+        # through the quarter turn and with the origin: bit for bit the
+        # triangle build
+        scale = 0.7 if kind == "bergman" else 6.0
+        re, im = st.floats(-scale, scale), st.floats(scale / 100, scale)
+        w = np.array(data.draw(st.lists(st.tuples(re, im), min_size=1, max_size=6, unique=True)))
+        z = conjugate_pairs(w[:, 0] + 1j * w[:, 1])
+        if turned:
+            z = quarter_turns(z)
+        if origin:
+            z = np.concatenate([[0], z])
+        space = (rkhs.fock_kernel(data.draw(st.floats(0.1, 3.0))) if kind == "fock"
+                 else rkhs.bergman_kernel(data.draw(st.floats(-1.5, 6.0))))
+        assert_same_bits(*self.tables(space, z.reshape(-1, 1)))
 
     def test_one_quarter_turn_per_node_set(self, monkeypatch):
         sets = []
