@@ -25,7 +25,7 @@ class PointSet:
     """A finite set of points with optional complex target values.
 
     ``points`` has shape (m, n); ``values`` (when present) shape (m,).
-    Points must be finite and pairwise distinct.
+    Points must be finite and pairwise distinct, values finite.
     """
 
     points: np.ndarray
@@ -44,6 +44,8 @@ class PointSet:
             vals = np.asarray(self.values, dtype=complex).reshape(-1)
             if vals.size != pts.shape[0]:
                 raise DomainError("values length must equal the number of points")
+            if not np.all(np.isfinite(vals)):
+                raise DomainError("values must be finite")
             self.values = vals
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must have finite coordinates")

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from . import pointset
-from .errors import ConditioningError, DomainError, SizeGuardError
+from .errors import ConditioningError, DomainError, NumericalGuardError, SizeGuardError
 from .reporting import dump_csv
 
 SIZE_GUARD = 2000
@@ -97,11 +97,13 @@ class KernelSpace:
         clongdouble table, half diagonal logs log K(p, p) / 2)``.
 
         ``quarter`` is ``_quarter_turn(points)``; every node set's table is
-        the orbit table of ``_orbit_gram``, which the character blocks are
-        formed from and the m x m Gram is unfolded from (``_unfold``) only
-        where a caller needs it.  The extended table keeps its computed
-        diagonal ``exp(logk_ii - dl_i)``, the one the nodal evaluation in
-        ``MinNormInterpolant`` sees.  Rows not in C^n raise ``DomainError``.
+        the orbit table of ``_orbit_gram``.  The character blocks are formed
+        from the complex128 table, the refinement mat-vecs of
+        ``min_norm_interpolant`` read the extended one (``_table_matvec``),
+        and only ``normalized_gram`` unfolds the m x m Gram (``_unfold``).
+        The extended table keeps its computed diagonal ``exp(logk_ii -
+        dl_i)``, the one the nodal evaluation in ``MinNormInterpolant``
+        sees.  Rows not in C^n raise ``DomainError``.
         """
         if points.shape[1] != self.n:
             raise DomainError(f"{self.kind} kernel on C^{self.n} given nodes "
@@ -228,9 +230,10 @@ def _exponentiate(logk, half_rows, half_cols, lead, follow, source, flip):
 
 
 def _unfold(table: np.ndarray, quarter) -> np.ndarray:
-    """The m x m Gram from a ``KernelSpace._normalized_grams`` table: a view
-    of an open set's one slice, an orbit table gathered in node order (node
-    ``R^a q`` is row ``q``, turn ``a``: ``G[R^a q, R^b q'] = src[q, b - a, q']``)."""
+    """The m x m Gram of ``KernelSpace.normalized_gram`` from its table: a
+    view of an open set's one slice, an orbit table gathered in node order
+    (node ``R^a q`` is row ``q``, turn ``a``: ``G[R^a q, R^b q'] = src[q, b -
+    a, q']``)."""
     orbits, fixed = quarter
     if len(orbits) == 1:
         return table[:, 0]
@@ -262,36 +265,32 @@ def bergman_kernel(a: float, kappa: float = 1.0) -> KernelSpace:
 class GramDiagnostic:
     """Riesz bounds of the normalized kernel system on a finite node set.
 
-    ``gram`` is always the full normalized Gram, unfolded from the orbit
-    table of ``KernelSpace._normalized_grams``; ``eig_min`` and ``eig_max``
-    are its extreme eigenvalues, from the blocks of ``_character_blocks``:
-    the quarter-turn character blocks when the node set is closed under ``z
-    -> i z``, which diagonalize its exactly turn-invariant Gram, otherwise
-    the Gram itself.
+    ``eig_min`` and ``eig_max`` are the extreme eigenvalues of the
+    normalized Gram, from the blocks of ``_character_blocks``: the
+    quarter-turn character blocks when the node set is closed under ``z ->
+    i z``, which diagonalize its exactly turn-invariant Gram, otherwise the
+    Gram itself.  The Gram is not kept: ``KernelSpace.normalized_gram``
+    unfolds it.
     """
 
-    gram: np.ndarray
     eig_min: float
     eig_max: float
     condition: float
 
-    @property
-    def size(self) -> int:
-        return self.gram.shape[0]
-
 
 def gram_matrix(space: KernelSpace, pts: pointset.PointSet) -> GramDiagnostic:
-    """Normalized Gram with its extreme eigenvalues.
+    """Extreme eigenvalues of the normalized Gram.
 
     Deterministic dense eigensolves of the one orbit table's blocks: four
     quarter-size character blocks on nodes closed under the quarter turn,
-    one full ``eigvalsh`` otherwise (``_character_blocks``).  Nodes not in
-    C^n for ``n = space.n`` raise ``DomainError``.
+    one full ``eigvalsh`` otherwise (``_character_blocks``); no m x m Gram
+    is unfolded.  Nodes not in C^n for ``n = space.n`` raise
+    ``DomainError``.
     """
     _check_size(pts)
     quarter = _quarter_turn(pts.points)
     table = space._normalized_grams(pts.points, quarter)[0]
-    return _diagnose(_unfold(table, quarter), _character_blocks(table, quarter))
+    return _diagnose(_character_blocks(table, quarter))
 
 
 def _check_size(pts: pointset.PointSet) -> None:
@@ -302,11 +301,11 @@ def _check_size(pts: pointset.PointSet) -> None:
         raise SizeGuardError(f"{m} points exceed the gram size guard ({SIZE_GUARD})")
 
 
-def _diagnose(g: np.ndarray, blocks: list) -> GramDiagnostic:
-    """The diagnostic of the normalized Gram ``g`` from its blocks."""
+def _diagnose(blocks: list) -> GramDiagnostic:
+    """The diagnostic of the normalized Gram from its blocks."""
     eig_min, eig_max = _extremes(blocks)
     cond = math.inf if eig_min <= 0 else eig_max / eig_min
-    return GramDiagnostic(g, eig_min, eig_max, cond)
+    return GramDiagnostic(eig_min, eig_max, cond)
 
 
 def _extremes(blocks: list):
@@ -434,6 +433,39 @@ def _block_solve(lus: list, orbits: np.ndarray, fixed: np.ndarray,
     return x
 
 
+def _table_matvec(table: np.ndarray, quarter):
+    """The product ``y -> G y`` with the Gram of the (w, c, w) orbit
+    ``table`` of ``KernelSpace._normalized_grams`` (``quarter`` its
+    ``(orbits, fixed)``), read from the table: no m x m Gram is unfolded.
+
+    Node ``R^a q`` is row ``q``, turn ``a``, and ``G[R^a q, R^b q'] =
+    src[q, b - a, q']``, so ``(G y)[R^a q] = sum_(t, q') src[q, t, q'] y[R^(a
+    + t) q']`` plus ``src[q, 0, o] y[o]`` for the origin.  With ``Y[a, t,
+    q'] = y[R^(a + t) q']``, ``y[o]`` in the origin's ``t = 0`` slot and
+    zeros in its others, that is ``np.dot(Y, table.reshape(w, c w).T)[a,
+    q]``, about m^2 products as in the unfolded ``G @ y``; the origin's own
+    row is ``a = 0``.  On an open set (c = 1) the sum is ``np.dot(G, y)``
+    bit for bit.
+    """
+    orbits, fixed = quarter
+    c, r = orbits.shape
+    w, m = len(table), orbits.size + len(fixed)
+    take = np.full((c, c, w), m)  # index m: a zero appended to y
+    take[:, :, :r] = orbits[(np.arange(c)[:, None] + np.arange(c)) % c]
+    take[:, 0, r:] = fixed
+    take = take.reshape(c, c * w)
+    flat_t = table.reshape(w, c * w).T
+
+    def matvec(y):
+        prod = np.dot(np.append(y, 0)[take], flat_t)
+        out = np.empty_like(y)
+        out[orbits] = prod[:, :r]
+        out[fixed] = prod[0, r:]
+        return out
+
+    return matvec
+
+
 # ---------------------------------------------------------------------------
 # minimal-norm interpolation
 
@@ -505,8 +537,10 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     """Solve the kernel system for the nodal values.
 
     Refuses near-singular normalized Grams (``eig_min < CONDITION_GUARD``)
-    with a ``ConditioningError`` carrying the offending eigenvalue, and
-    nodes not in C^n for ``n = space.n`` with a ``DomainError``.
+    with a ``ConditioningError`` carrying the offending eigenvalue, a
+    solution whose ``norm_sq``, coefficients or residuals are not finite
+    with a ``NumericalGuardError``, and nodes not in C^n for ``n =
+    space.n`` with a ``DomainError``.
 
     The rounded Gram is LU-factored once, block by block over the blocks of
     the one orbit table (``_character_blocks``) that also give its
@@ -517,7 +551,9 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     entry of ``beta_0``, solves
     ``B_k u_k = beta_k``, and maps back, ``y[R^t q] = sum_k i^(k t) u_k[q]``
     and ``y[o] = 2 u_0[-1]``.  The three refinement residuals and the
-    reported residuals are taken against the full extended Gram.
+    reported residuals are taken against the extended orbit table
+    (``_table_matvec``), every entry of the Gram read from it; no m x m
+    Gram is formed.
     """
     if pts.values is None:
         raise DomainError("interpolation needs target values")
@@ -525,7 +561,7 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     quarter = _quarter_turn(pts.points)
     table, table_ld, half = space._normalized_grams(pts.points, quarter)
     blocks = _character_blocks(table, quarter)
-    diag = _diagnose(_unfold(table, quarter), blocks)
+    diag = _diagnose(blocks)
     if not diag.eig_min >= CONDITION_GUARD:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {CONDITION_GUARD:.1e}",
@@ -535,18 +571,20 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     # scale, then iterate refinement against the extended-precision Gram so
     # the strongly graded right-hand side keeps componentwise accuracy.
     b = pts.values.astype(np.clongdouble) * np.exp(-half)
-    gram_ld = _unfold(table_ld, quarter)
+    times_gram = _table_matvec(table_ld, quarter)
     lus = [scipy.linalg.lu_factor(block) for block in blocks]
     y = _block_solve(lus, *quarter, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
-        residual = b - np.dot(gram_ld, y)
+        residual = b - times_gram(y)
         y = y + _block_solve(lus, *quarter, residual.astype(complex)).astype(np.clongdouble)
     # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
-    abs_residual = np.abs(np.dot(gram_ld, y) - b)
+    abs_residual = np.abs(times_gram(y) - b)
     weighted = abs_residual.astype(float)
     raw = (np.exp(half) * abs_residual).astype(float)
     coeff = (y * np.exp(-half)).astype(complex)
     norm_sq = float(np.real(np.vdot(coeff, pts.values)))
+    if not all(np.all(np.isfinite(v)) for v in (norm_sq, coeff, weighted, raw)):
+        raise NumericalGuardError(f"non-finite interpolant: norm_sq = {norm_sq:.3e}")
     return MinNormInterpolant(space, pts, y, half, norm_sq, diag, weighted, raw)
 
 

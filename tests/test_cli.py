@@ -93,6 +93,24 @@ class TestExitCodes:
         assert code == 3
         assert "eig_min" in capsys.readouterr().err
 
+    def test_overflowing_interpolant_exits_three(self, capsys):
+        # the solve's norm_sq overflows to NaN: no non-finite number in a report
+        pts = ('{"points": [[0.0, 0.0], [2.0, 0.0]],'
+               ' "values": [[1e308, 1e308], [1.0, 0.0]]}')
+        code = cli.run(["interpolate", "--weight", FOCK, "--points", pts, "--out", "/dev/null"])
+        assert code == 3
+        assert "non-finite interpolant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("argv", [
+        ["interpolate"],
+        ["construct", "--space", FLAT, "--rho", "1", "--grid=-1:1:3", "--nr", "4", "--ntheta", "8"]])
+    def test_non_finite_value_exits_two(self, argv, value, capsys):
+        pts = f'{{"points": [[0.0, 0.0], [3.0, 0.0]], "values": [[{value}, 0.0], [0.0, 1.0]]}}'
+        code = cli.run([*argv, "--weight", FOCK, "--points", pts, "--out", "/dev/null"])
+        assert code == 2
+        assert "values must be finite" in capsys.readouterr().err
+
     def test_construct_grid_outside_disk_exits_two(self, disk_points):
         code = cli.run(["construct", "--space", DISK,
                         "--weight", '{"builtin": "bergman", "A": 3.0, "kappa": 1.0}',

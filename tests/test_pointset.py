@@ -78,6 +78,13 @@ class TestPointSet:
         with pytest.raises(DomainError):
             pointset.PointSet(np.array([[0j], [1j]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_values_rejected(self, bad, part):
+        value = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+        with pytest.raises(DomainError, match="values must be finite"):
+            pointset.PointSet(np.array([[0j], [1j]]), np.array([1.0, value]))
+
     def test_json_round_trip(self):
         pts = pointset.PointSet(np.array([[1 + 2j], [3 - 1j]]), np.array([1j, 2 + 0j]))
         d = pointset.pointset_to_dict(pts, hi.flat_space(1))

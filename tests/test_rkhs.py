@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo_interp import pointset, rkhs
-from holo_interp.errors import ConditioningError, DomainError, SizeGuardError
+from holo_interp.errors import (ConditioningError, DomainError, NumericalGuardError,
+                                SizeGuardError)
 
 # frozen dense-eigensolve oracle: 5x5 lattice, spacing 2, fock(1)
 FIVE_BY_FIVE_S2_EIG_MIN = 0.6160426662500302
@@ -96,15 +97,17 @@ class TestKernels:
 class TestGram:
     def test_singleton(self):
         diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([0.3 + 0.4j]))
-        assert diag.gram.shape == (1, 1)
-        assert diag.gram[0, 0] == 1.0
+        g = rkhs.fock_kernel(1.0).normalized_gram(np.array([[0.3 + 0.4j]]))
+        assert g.shape == (1, 1)
+        assert g[0, 0] == 1.0
         assert diag.eig_min == pytest.approx(1.0) and diag.eig_max == pytest.approx(1.0)
 
     @pytest.mark.parametrize("s", [0.8, 1.5, 2.5])
     def test_symmetric_pair_closed_form(self, s):
         diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([s, -s]))
         off = math.exp(-2.0 * s * s)
-        assert diag.gram[0, 1] == pytest.approx(off, rel=1e-14)
+        g = rkhs.fock_kernel(1.0).normalized_gram(np.array([[s], [-s]], dtype=complex))
+        assert g[0, 1] == pytest.approx(off, rel=1e-14)
         assert diag.eig_min == pytest.approx(1.0 - off, rel=1e-12)
         assert diag.eig_max == pytest.approx(1.0 + off, rel=1e-12)
 
@@ -118,7 +121,7 @@ class TestGram:
         for trial in range(5):
             z = rng.uniform(-2, 2, (30, 1)) + 1j * rng.uniform(-2, 2, (30, 1))
             diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pointset.PointSet(z))
-            assert np.allclose(np.diag(diag.gram), 1.0)
+            assert np.allclose(np.diag(rkhs.fock_kernel(1.0).normalized_gram(z)), 1.0)
             assert diag.eig_min >= -1e-10
 
     GRADED = [
@@ -299,13 +302,20 @@ class TestMinNormInterpolant:
     def test_conditioning_guard_refuses_nan_eigenvalue(self, monkeypatch):
         real = rkhs._diagnose
 
-        def nan_min(g, *rest):
-            d = real(g, *rest)
-            return rkhs.GramDiagnostic(d.gram, math.nan, d.eig_max, math.nan)
+        def nan_min(blocks):
+            d = real(blocks)
+            return rkhs.GramDiagnostic(math.nan, d.eig_max, math.nan)
 
         monkeypatch.setattr(rkhs, "_diagnose", nan_min)
         with pytest.raises(ConditioningError):
             rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of([0.0, 3.0], [1.0, 1.0]))
+
+    def test_overflowing_solution_refused(self):
+        # a value near the top of the double range: the coefficients are
+        # finite, norm_sq overflows
+        with pytest.raises(NumericalGuardError, match="non-finite interpolant"):
+            rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
+                                      pts_of([0.0, 2.0], [1e308 + 1e308j, 1.0]))
 
     def test_near_coincident_conditioning_error(self):
         with pytest.raises(ConditioningError) as exc:
@@ -393,8 +403,7 @@ class TestQuarterTurnBlocks:
         ev = np.linalg.eigvalsh(g)
         quarter = rkhs._quarter_turn(z)
         blocks = rkhs._character_blocks(space._normalized_grams(z, quarter)[0], quarter)
-        diag = rkhs._diagnose(g, blocks)
-        assert diag.gram is g
+        diag = rkhs._diagnose(blocks)
         assert abs(diag.eig_min - ev[0]) <= 1e-12
         assert abs(diag.eig_max - ev[-1]) <= 1e-12
         spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks if b.size]))
@@ -813,6 +822,53 @@ class TestBlockSolve:
         itp_p = rkhs.min_norm_interpolant(space, pointset.PointSet(z[perm], a[perm]))
         bound = self.FLOOR * itp.diagnostic.condition * self.EPS_LD
         self.assert_close(itp_p, itp._y[perm], itp.coefficients[perm], bound)
+
+    #: the table mat-vec against the unfolded Gram's, in units of eps_ld m
+    #: max|y|; on these sets and random y the gap is below 0.09 of that
+    MATVEC = 2.0
+
+    @staticmethod
+    def matvecs(space, z):
+        """``(table mat-vec, np.dot of the unfolded Gram)`` of the extended
+        Gram on ``z`` with a random clongdouble ``y``, and ``y``."""
+        quarter = rkhs._quarter_turn(z)
+        table_ld = space._normalized_grams(z, quarter)[1]
+        rng = np.random.default_rng(len(z))
+        y = (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))).astype(np.clongdouble)
+        return rkhs._table_matvec(table_ld, quarter)(y), np.dot(rkhs._unfold(table_ld, quarter), y), y
+
+    @pytest.mark.parametrize("space,z", SETS, ids=IDS)
+    def test_table_matvec_is_the_unfolded_product(self, space, z):
+        got, want, y = self.matvecs(space, z)
+        assert got.dtype == np.clongdouble and got.shape == (len(z),)
+        bound = self.MATVEC * self.EPS_LD * len(z) * float(np.max(np.abs(y)))
+        assert float(np.max(np.abs(got - want))) <= bound
+
+    @pytest.mark.parametrize("space,z", SETS, ids=IDS)
+    def test_table_matvec_bit_identical_on_open_sets(self, space, z):
+        z = z[1:]
+        assert one_row_orbits(z)
+        got, want, _ = self.matvecs(space, z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    def test_no_m_by_m_array(self):
+        # the 441-node lattice, whose m x m extended Gram alone is 6.2 MB:
+        # the refinement reads the (111, 4, 111) orbit table
+        lat = pointset.square_lattice(2.0, radius=24.0)
+        m = len(lat)
+        assert m == 441
+        pts = pointset.PointSet(lat.points, self.values(lat.points))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * np.dtype(np.clongdouble).itemsize
 
     @pytest.mark.parametrize("space,z", SETS, ids=IDS)
     def test_open_set_is_the_full_lu(self, space, z):
