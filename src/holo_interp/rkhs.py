@@ -77,27 +77,36 @@ class KernelSpace:
         return complex(np.exp(self.log_kernel(z, w))[0, 0])
 
     def diag_log(self, z: np.ndarray, dtype=complex) -> np.ndarray:
-        z = _as_matrix(z, dtype)
-        s = np.sum(np.abs(z) ** 2, axis=1)
+        s = self._norms_sq(_as_matrix(z, dtype))
         if self.kind == "fock":
             return self.alpha * s
-        if np.any(s >= self.kappa ** 2):
-            raise DomainError("points must lie inside the kappa-disk")
         return -(self.a_param + 2.0) * np.log(1.0 - s / self.kappa ** 2)
+
+    def _norms_sq(self, z: np.ndarray) -> np.ndarray:
+        """``sum_k |z_k|^2`` of each row of the (N, n) ``z``; a row that is not
+        finite or, for the Bergman kernel, not inside the kappa-disk raises
+        ``DomainError``: the domain of ``diag_log`` and of an interpolant."""
+        if not np.all(np.isfinite(z)):
+            raise DomainError("points must be finite")
+        s = np.sum(np.abs(z) ** 2, axis=1)
+        if self.kind == "bergman" and np.any(s >= self.kappa ** 2):
+            raise DomainError("points must lie inside the kappa-disk")
+        return s
 
     def normalized_gram(self, points: np.ndarray) -> np.ndarray:
         """Gram of the unit-normalized kernels; unit diagonal, exactly Hermitian."""
         points = _as_matrix(points)
         quarter = _quarter_turn(points)
-        return _unfold(self._normalized_grams(points, quarter)[0], quarter)
+        return _unfold(self._normalized_grams(points, quarter, _conjugation(points))[0], quarter)
 
-    def _normalized_grams(self, points: np.ndarray, quarter):
+    def _normalized_grams(self, points: np.ndarray, quarter, sigma):
         """The normalized Gram from one extended-precision build on the (m, n)
         node rows ``points``, as ``(complex128 table with unit diagonal,
         clongdouble table, half diagonal logs log K(p, p) / 2)``.
 
-        ``quarter`` is ``_quarter_turn(points)``; every node set's table is
-        the orbit table of ``_orbit_gram``.  The character blocks are formed
+        ``quarter`` is ``_quarter_turn(points)`` and ``sigma`` is
+        ``_conjugation(points)``; every node set's table is the orbit table
+        of ``_orbit_gram``.  The character blocks are formed
         from the complex128 table, the refinement mat-vecs of
         ``min_norm_interpolant`` read the extended one (``_table_matvec``),
         and only ``normalized_gram`` unfolds the m x m Gram (``_unfold``).
@@ -109,12 +118,12 @@ class KernelSpace:
             raise DomainError(f"{self.kind} kernel on C^{self.n} given nodes "
                               f"in C^{points.shape[1]}")
         half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
-        table_ld = self._orbit_gram(points, half, *quarter)
+        table_ld = self._orbit_gram(points, half, *quarter, sigma)
         table = table_ld.astype(complex)
         np.fill_diagonal(table[:, 0], 1.0)
         return table, table_ld, half
 
-    def _orbit_gram(self, points, half, orbits, fixed):
+    def _orbit_gram(self, points, half, orbits, fixed, sigma):
         """The extended (w, c, w) orbit table ``src[q, t, q'] = s_t[q, q'] =
         G[q, R^t q']`` (``orbits``, shape (c, r), and ``fixed`` from
         ``_quarter_turn``): one row per representative ``orbits[0]`` and,
@@ -130,7 +139,7 @@ class KernelSpace:
 
         Both kernels also satisfy ``K(conj z, conj w) = conj K(z, w)`` (alpha,
         A and kappa are real, and the Bergman log stays off its cut), so on
-        a set closed under conjugation (``_conjugation``) the exponent
+        a set closed under conjugation (``sigma``, from ``_conjugation``) the exponent
         entries pair up as ``_exponent_classes`` finds, and one of each pair
         is exponentiated.  The two real half diagonal logs are subtracted
         from the real parts of the exponentiated entries only, one after the
@@ -145,7 +154,7 @@ class KernelSpace:
         cols = np.concatenate([*orbits[:k], fixed])
         logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
         _exponentiate(logk, half[rows], half[cols],
-                      *_exponent_classes(orbits, fixed, _conjugation(points)))
+                      *_exponent_classes(orbits, fixed, sigma))
         # in place, logk freed before the (numpy-buffered) strided conjugate
         lower = np.tri(r, k=-1, dtype=bool)
         for t in range(0, k, 2):
@@ -195,10 +204,7 @@ def _exponent_classes(orbits, fixed, sigma):
     entry[...] = (t == 1) | (q <= q2)
     if sigma is None:
         return lead, follow, np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
-    rep, turn = np.empty((2, len(sigma)), dtype=np.int32)
-    rep[orbits] = np.arange(r)
-    turn[orbits] = np.arange(c)[:, None]
-    pi, u = rep[sigma[orbits[0]]], turn[sigma[orbits[0]]]
+    pi, u = _pairing(orbits, sigma)
     t_c = (u[q2] - u[q] - t) % 4
     t_h = -t_c % 4
     copy = (t_h == 1) | ((t_h != 3) & (pi[q2] <= pi[q]))
@@ -208,6 +214,20 @@ def _exponent_classes(orbits, fixed, sigma):
     follow[:r, :k * r].reshape(r, k, r)[...] = later
     entry &= ~later
     return lead, follow, partner[later], ~copy[later]
+
+
+def _pairing(orbits, sigma):
+    """The conjugation ``sigma`` of ``_conjugation`` on the representatives
+    ``orbits[0]`` of ``_quarter_turn``'s orbits, as ``(pi, u)`` with
+    ``sigma(q) = R^u_q pi(q)``: ``pi`` is a permutation of ``arange(r)``.
+    Conjugation reverses the turn, ``sigma R = R^-1 sigma``, so ``pi`` is an
+    involution and ``u_(pi q) = u_q``.  On an open set (one-row orbits)
+    ``pi`` is ``sigma`` and ``u`` is zero."""
+    c, r = orbits.shape
+    rep, turn = np.empty((2, len(sigma)), dtype=np.int32)
+    rep[orbits] = np.arange(r)
+    turn[orbits] = np.arange(c)[:, None]
+    return rep[sigma[orbits[0]]], turn[sigma[orbits[0]]]
 
 
 def _exponentiate(logk, half_rows, half_cols, lead, follow, source, flip):
@@ -266,11 +286,13 @@ class GramDiagnostic:
     """Riesz bounds of the normalized kernel system on a finite node set.
 
     ``eig_min`` and ``eig_max`` are the extreme eigenvalues of the
-    normalized Gram, from the blocks of ``_character_blocks``: the
-    quarter-turn character blocks when the node set is closed under ``z ->
-    i z``, which diagonalize its exactly turn-invariant Gram, otherwise the
-    Gram itself.  The Gram is not kept: ``KernelSpace.normalized_gram``
-    unfolds it.
+    normalized Gram, from the matrices of ``_riesz_forms``: the
+    quarter-turn character blocks of ``_character_blocks`` when the node
+    set is closed under ``z -> i z``, which diagonalize its exactly
+    turn-invariant Gram, otherwise the Gram itself; and when the node set
+    is also closed under ``z -> conj z``, real symmetric matrices unitarily
+    similar to those blocks (or to the Gram), one each.  The Gram is not
+    kept: ``KernelSpace.normalized_gram`` unfolds it.
     """
 
     eig_min: float
@@ -283,14 +305,15 @@ def gram_matrix(space: KernelSpace, pts: pointset.PointSet) -> GramDiagnostic:
 
     Deterministic dense eigensolves of the one orbit table's blocks: four
     quarter-size character blocks on nodes closed under the quarter turn,
-    one full ``eigvalsh`` otherwise (``_character_blocks``); no m x m Gram
-    is unfolded.  Nodes not in C^n for ``n = space.n`` raise
-    ``DomainError``.
+    one full ``eigvalsh`` otherwise (``_character_blocks``); on nodes also
+    closed under conjugation, each of them a real symmetric eigensolve of
+    the same order (``_riesz_forms``).  No m x m Gram is unfolded.  Nodes
+    not in C^n for ``n = space.n`` raise ``DomainError``.
     """
     _check_size(pts)
-    quarter = _quarter_turn(pts.points)
-    table = space._normalized_grams(pts.points, quarter)[0]
-    return _diagnose(_character_blocks(table, quarter))
+    quarter, sigma = _quarter_turn(pts.points), _conjugation(pts.points)
+    table = space._normalized_grams(pts.points, quarter, sigma)[0]
+    return _diagnose(_riesz_forms(_character_blocks(table, quarter), quarter, sigma)[0])
 
 
 def _check_size(pts: pointset.PointSet) -> None:
@@ -301,19 +324,24 @@ def _check_size(pts: pointset.PointSet) -> None:
         raise SizeGuardError(f"{m} points exceed the gram size guard ({SIZE_GUARD})")
 
 
-def _diagnose(blocks: list) -> GramDiagnostic:
-    """The diagnostic of the normalized Gram from its blocks."""
-    eig_min, eig_max = _extremes(blocks)
+def _diagnose(forms: list) -> GramDiagnostic:
+    """The diagnostic of the normalized Gram from the matrices of
+    ``_riesz_forms``."""
+    eig_min, eig_max = _extremes(forms)
     cond = math.inf if eig_min <= 0 else eig_max / eig_min
     return GramDiagnostic(eig_min, eig_max, cond)
 
 
-def _extremes(blocks: list):
-    """``(eig_min, eig_max)`` of the normalized Gram from its blocks: four
-    quarter-size eigensolves, about a sixteenth of the cost, on a
-    quarter-turn-closed set, one full ``eigvalsh`` otherwise."""
-    spectra = [np.linalg.eigvalsh(b) for b in blocks if b.size]
-    return float(min(ev[0] for ev in spectra)), float(max(ev[-1] for ev in spectra))
+def _extremes(forms: list):
+    """``(eig_min, eig_max)`` of the normalized Gram from the matrices (or
+    stacks of them) of ``_riesz_forms``, whose spectra together are the
+    Gram's: one ``eigvalsh`` each, empty ones skipped.  On a
+    quarter-turn-closed set the four quarter-size blocks cost about a
+    sixteenth of one full solve, and the real symmetric form of a block
+    about half of the block's own complex solve at these orders."""
+    spectra = [np.linalg.eigvalsh(f) for f in forms if f.size]
+    return (float(min(ev[..., 0].min() for ev in spectra)),
+            float(max(ev[..., -1].max() for ev in spectra)))
 
 
 def _quarter_turn(points: np.ndarray):
@@ -402,6 +430,11 @@ def _character_blocks(table: np.ndarray, quarter) -> list:
     one block, its Gram ``[table[:, 0]]``, in the node basis itself: its
     ``orbits`` are the one row ``arange(m)``, ``fixed`` is empty, and
     ``_DFT[:1, :1]`` is the identity.
+
+    On nodes also closed under ``z -> conj z`` each block carries an
+    antiunitary symmetry, ``B_k[pi q, pi q'] = conj(B_k[q, q']) i^(k (u_q' -
+    u_q))``, so ``_riesz_forms`` takes the eigenvalues from a real
+    symmetric form of each block.
     """
     orbits, fixed = quarter
     if len(orbits) == 1:
@@ -415,6 +448,93 @@ def _character_blocks(table: np.ndarray, quarter) -> list:
         b0 = np.block([[b0, 0.5 * table[:r, :, r].sum(axis=1)[:, None]],
                        [0.5 * table[r, :, :r].sum(axis=0)[None, :], table[r, 0, r]]])
     return [b0, alt + alt_i, even - odd, alt - alt_i]
+
+
+#: ``_ROOT[j] = e^(-i pi j / 4)``, a square root of ``i^(-j)``
+_ROOT = np.array([1, math.sqrt(0.5) * (1 - 1j), -1j, -math.sqrt(0.5) * (1 + 1j)])
+
+
+def _riesz_forms(blocks: list, quarter, sigma):
+    """The matrices whose spectra together make up the normalized Gram's,
+    from the ``blocks`` of ``_character_blocks`` on nodes with the ``(orbits,
+    fixed)`` of ``_quarter_turn`` and the conjugation ``sigma`` of
+    ``_conjugation``, as ``(forms, rows)``: ``rows[i][j]`` is the row of
+    ``blocks[i]`` (the origin's is the last of ``B_0``) that row ``j`` of
+    ``forms[i]`` is built on, so a principal sub-block of a form on whole
+    conjugate pairs of block rows is the form built on those rows alone,
+    bit for bit.  Without ``sigma`` the forms are the blocks.  With it they
+    are the real form of ``B_0`` (of the Gram on an open set) and, on a
+    quarter-turn-closed set, the forms of ``B_1``, ``B_2`` and ``B_3`` as one
+    (3, r, r) stack, with ``rows[1]`` for all three.
+
+    Write ``sigma(q) = R^u_q pi(q)`` on representatives
+    (``_pairing``).  Both kernels satisfy ``K(conj z, conj w) = conj K(z,
+    w)``, so the antiunitary ``x -> P_sigma conj(x)`` commutes with the Gram
+    and maps ``v_k^q`` to ``i^(-k u_q) v_k^(pi q)``: ``B_k[pi q, pi q'] =
+    conj(B_k[q, q']) i^(k (u_q' - u_q))``; the origin is fixed with ``u =
+    0``, and on an open set, the Gram its one block, ``pi = sigma`` and ``u =
+    0``.  A Hermitian matrix that commutes with an antiunitary involution is
+    unitarily similar to a real symmetric one.  Scaled as ``h = L^* B_k
+    L``, ``L`` diagonal with ``1`` on the first member ``a`` of each pair
+    ``(a, b = pi a)``, ``i^(-j)`` on ``b`` and ``_ROOT[j] = e^(-i pi j / 4)``
+    on a self-paired ``f``, ``j = k u mod 4``, the block satisfies ``h[pi
+    q, pi q'] = conj h[q, q']``; in the basis ``(e_a + e_b) / sqrt 2``, ``i
+    (e_a - e_b) / sqrt 2``, ``e_f`` it is the real symmetric ``[[Re(H1 +
+    H2), Im(H2 - H1), sqrt2 Re h3], [Im(H1 + H2), Re(H1 - H2), sqrt2 Im
+    h3], [sqrt2 Re hfa, -sqrt2 Im hfa, Re hff]]`` with ``H1 = h[a, a]``,
+    ``H2 = h[a, b]``, ``h3 = h[a, f]``, ``hfa = h[f, a]`` and ``hff = h[f,
+    f]``, read from the rows ``a`` and ``f`` alone.  It is symmetric
+    to rounding; ``eigvalsh`` reads its lower triangle.
+
+    Every block gets its form.  The symmetry is antiunitary and keeps each
+    character: it relates ``B_3`` to ``conj(B_3)``, not to ``B_1``.  The
+    linear reflection ``P_sigma`` does map character ``k`` to ``-k``, but it
+    takes ``G`` to ``P_sigma^T G P_sigma = conj(G)``, not to ``G``, so
+    ``B_3`` and ``B_1`` have different spectra in general; on the spacing-2
+    half-shifted lattice at alpha 0.6, ``B_3`` alone holds both extremes.
+    """
+    if sigma is None:
+        return blocks, [np.arange(len(b)) for b in blocks]
+    orbits, fixed = quarter
+    pi, u = _pairing(orbits, sigma)
+    q = np.arange(len(pi))
+    a, f = np.flatnonzero(q < pi), np.flatnonzero(q == pi)
+    p = len(a)
+    rows_af, cols_abf = np.concatenate([a, f]), np.concatenate([a, pi[a], f])
+    o = len(pi) + np.arange(len(fixed))
+    rows_0, cols_0 = np.concatenate([rows_af, o]), np.concatenate([cols_abf, o])
+    forms = [_real_form(blocks[0][rows_0[:, None], cols_0], p)]
+    if len(blocks) == 4:
+        turns = np.arange(1, 4)[:, None] * u % 4  # k u_q for k = 1, 2, 3
+        h = np.empty((3, len(rows_af), len(cols_abf)), dtype=complex)
+        for k in range(3):
+            h[k] = blocks[k + 1][rows_af[:, None], cols_abf]
+        # L on the columns b and f, L^* on the rows f; L is 1 on a
+        h[:, :, p:] *= np.concatenate([_DFT[1, turns[:, a]], _ROOT[turns[:, f]]], axis=1)[:, None]
+        h[:, p:] *= _ROOT[turns[:, f]].conj()[:, :, None]
+        forms.append(_real_form(h, p))
+    form_rows = np.concatenate([a, a, f])
+    return forms, [np.concatenate([form_rows, o]), form_rows][:len(forms)]
+
+
+def _real_form(h, p):
+    """The real symmetric form of ``_riesz_forms`` from the scaled rows ``a``
+    then ``f`` and columns ``a``, ``b``, ``f`` of ``h`` (``p`` pairs), over
+    its last two axes."""
+    root2 = math.sqrt(2)
+    pair, cross, self_ = slice(p), slice(p, 2 * p), slice(2 * p, None)
+    h1, h2, h3, hfa = h[..., :p, pair], h[..., :p, cross], h[..., :p, self_], h[..., p:, pair]
+    form = np.empty(h.shape[:-2] + (h.shape[-1],) * 2)
+    np.add(h1.real, h2.real, out=form[..., pair, pair])
+    np.subtract(h2.imag, h1.imag, out=form[..., pair, cross])
+    np.multiply(h3.real, root2, out=form[..., pair, self_])
+    np.add(h1.imag, h2.imag, out=form[..., cross, pair])
+    np.subtract(h1.real, h2.real, out=form[..., cross, cross])
+    np.multiply(h3.imag, root2, out=form[..., cross, self_])
+    np.multiply(hfa.real, root2, out=form[..., self_, pair])
+    np.multiply(hfa.imag, -root2, out=form[..., self_, cross])
+    form[..., self_, self_] = h[..., p:, self_].real
+    return form
 
 
 def _block_solve(lus: list, orbits: np.ndarray, fixed: np.ndarray,
@@ -501,11 +621,15 @@ class MinNormInterpolant:
         return (self._y * np.exp(-self._half)).astype(complex)
 
     def __call__(self, z):
+        """``f(z)`` at a point or an array of points (trailing axis n when n
+        > 1); points that are not finite or, for the Bergman kernel, not
+        inside the kappa-disk raise ``DomainError``."""
         z = np.asarray(z, dtype=complex)
         if self.space.n > 1 and z.shape[-1:] != (self.space.n,):
             raise DomainError(f"points of shape {z.shape}: trailing axis is not n = {self.space.n}")
         scalar = z.ndim == 0
         zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
+        self.space._norms_sq(zs)  # refuses points off the kernel's domain
         logk = self.space.log_kernel(zs, self.points.points, dtype=np.clongdouble)
         logk.real -= self._half
         out = np.dot(np.exp(logk, out=logk), self._y).astype(complex)
@@ -553,15 +677,17 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     and ``y[o] = 2 u_0[-1]``.  The three refinement residuals and the
     reported residuals are taken against the extended orbit table
     (``_table_matvec``), every entry of the Gram read from it; no m x m
-    Gram is formed.
+    Gram is formed.  The eigenvalues come from the forms of
+    ``_riesz_forms``: real symmetric ones on nodes closed under
+    conjugation.
     """
     if pts.values is None:
         raise DomainError("interpolation needs target values")
     _check_size(pts)
-    quarter = _quarter_turn(pts.points)
-    table, table_ld, half = space._normalized_grams(pts.points, quarter)
+    quarter, sigma = _quarter_turn(pts.points), _conjugation(pts.points)
+    table, table_ld, half = space._normalized_grams(pts.points, quarter, sigma)
     blocks = _character_blocks(table, quarter)
-    diag = _diagnose(blocks)
+    diag = _diagnose(_riesz_forms(blocks, quarter, sigma)[0])
     if not diag.eig_min >= CONDITION_GUARD:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {CONDITION_GUARD:.1e}",
@@ -616,40 +742,54 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
 
     Rows are emitted largest spacing first; ``monotone_in_spacing`` records
     whether ``eig_min`` was nonincreasing as the spacing decreased (at the
-    primary truncation radius).  Extra radii expose truncation drift.
+    primary truncation radius).  Extra radii expose truncation drift.  An
+    empty ``spacings`` and a negative radius raise ``DomainError``; radius
+    0 is the origin alone.
 
-    One orbit table and its character blocks are built per spacing, on the
-    lattice at the largest radius (which the size guard checks), and no m x
-    m Gram is formed.  A normalized entry depends only on its pair of
-    points and ``square_lattice`` keeps its a-major order at every radius,
-    so each radius's lattice, found by exact value, is whole orbits with
-    the same representatives in the same order, and its blocks are the
-    principal sub-blocks on those (and the origin, last in ``B_0``):
-    bit-identical to building them anew.
+    One orbit table, its character blocks and their Riesz forms
+    (``_riesz_forms``: real symmetric ones, every lattice being closed under
+    conjugation) are built per spacing, on the lattice at the largest
+    radius (which the size guard checks), and no m x m Gram is formed.  A
+    normalized entry depends only on its pair of points and
+    ``square_lattice`` keeps its a-major order at every radius, so each
+    radius's lattice, found by exact value, is whole orbits and whole
+    conjugate pairs with the same representatives in the same order, and
+    its forms are the principal sub-blocks on the rows of its
+    representatives (and the origin, last in ``B_0``): bit-identical to
+    building them anew.
     """
     if space.n != 1:
         raise DomainError("the lattice sweep is defined on one complex variable")
     spacings = sorted(set(float(s) for s in spacings), reverse=True)
+    if not spacings:
+        raise DomainError(f"the sweep needs at least one spacing, got {spacings}")
     radii = [float(radius)] + [float(r) for r in extra_radii]
+    for r in radii:
+        if r < 0:
+            raise DomainError(f"sweep radii must be nonnegative, got {r}")
     r_max = max(radii)
     rows = []
     primary = {}
     for s in spacings:
         largest = pointset.square_lattice(s, radius=r_max)
         _check_size(largest)
-        quarter = _quarter_turn(largest.points)
-        table = space._normalized_grams(largest.points, quarter)[0]
-        blocks = _character_blocks(table, quarter)
+        quarter, sigma = _quarter_turn(largest.points), _conjugation(largest.points)
+        table = space._normalized_grams(largest.points, quarter, sigma)[0]
+        forms, form_rows = _riesz_forms(_character_blocks(table, quarter), quarter, sigma)
         orbits, fixed = quarter
         for r in radii:
-            lattice = largest if r == r_max else pointset.square_lattice(s, radius=r)
-            inside = np.isin(largest.points[:, 0], lattice.points[:, 0])
-            kept = inside[orbits]
-            assert inside.sum() == len(lattice) and (kept == kept[0]).all(), \
-                "a truncated lattice is whole orbits of the largest one"
-            reps = np.flatnonzero(kept[0])
-            reps_0 = np.concatenate([reps, orbits.shape[1] + np.flatnonzero(inside[fixed])])
-            subs = [b[np.ix_(k, k)] for b, k in zip(blocks, [reps_0, reps, reps, reps])]
+            lattice, subs = largest, forms
+            if r != r_max:
+                lattice = pointset.square_lattice(s, radius=r)
+                inside = np.isin(largest.points[:, 0], lattice.points[:, 0])
+                kept = inside[orbits]
+                assert inside.sum() == len(lattice) and (kept == kept[0]).all(), \
+                    "a truncated lattice is whole orbits of the largest one"
+                assert sigma is None or np.array_equal(inside[sigma], inside), \
+                    "a truncated lattice is whole conjugate pairs of the largest one"
+                keeps = [np.concatenate([kept[0], inside[fixed]])] + [kept[0]] * 3
+                sels = [np.flatnonzero(keep[at]) for at, keep in zip(form_rows, keeps)]
+                subs = [form[..., sel[:, None], sel] for form, sel in zip(forms, sels)]
             eig_min, eig_max = _extremes(subs)
             rows.append(SweepRow(s, eig_min, eig_max, r, len(lattice)))
             if r == radii[0]:

@@ -240,6 +240,16 @@ class TestExitCodes:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["--spacings", ",", "--radius", "4"], "at least one spacing, got []"),
+        (["--spacings", "2", "--radius", "4", "--extra-radii", "-1"], "got -1.0"),
+        (["--spacings", "2", "--radius", "-1"], "got -1.0"),
+    ], ids=["no_spacing", "negative_extra_radius", "negative_radius"])
+    def test_sweep_that_checks_nothing_exits_two(self, args, message, capsys):
+        code = cli.run(["sweep", "--weight", FOCK, *args, "--out", "/dev/null"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestJsonArguments:
     @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from holo_interp.errors import (ConditioningError, DomainError, NumericalGuardEr
 
 # frozen dense-eigensolve oracle: 5x5 lattice, spacing 2, fock(1)
 FIVE_BY_FIVE_S2_EIG_MIN = 0.6160426662500302
+EPS = float(np.finfo(float).eps)
 
 
 def golden_spiral(r0, r1, m):
@@ -334,6 +335,37 @@ class TestMinNormInterpolant:
         itp = rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0), pts_of(z, a))
         assert float(np.max(itp.residuals())) <= 1e-10 * float(np.max(np.abs(a)))
 
+    @pytest.mark.parametrize("z", [1.0, 1.5, -3.0, 2.0, -1j, [0.2, 1.5]],
+                             ids=["rim", "outside", "far", "kappa_singular", "rim_imaginary",
+                                  "array"])
+    def test_bergman_evaluation_off_the_disk_refused(self, z):
+        itp = rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0),
+                                        pts_of([0.5, 0.5j, -0.5], [1, 1j, 1]))
+        assert np.isfinite(itp(0.99))
+        with pytest.raises(DomainError, match="inside the kappa-disk"):
+            itp(z)
+
+    def test_bergman_evaluation_on_a_wider_disk(self):
+        # the rule is sum |z|^2 < kappa^2: 1.5 is inside the disk of radius 2
+        itp = rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0, kappa=2.0),
+                                        pts_of([0.5, 0.5j, -0.5], [1, 1j, 1]))
+        assert np.isfinite(itp(1.5))
+        with pytest.raises(DomainError, match="inside the kappa-disk"):
+            itp(2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf),
+                                     complex(math.nan, 0)])
+    @pytest.mark.parametrize("space,nodes", [
+        (rkhs.fock_kernel(1.0), np.array([[0.0], [2.0]])),
+        (rkhs.bergman_kernel(2.0), np.array([[0.5], [-0.5]])),
+        (rkhs.fock_kernel(1.0, n=2), np.array([[0.0, 0.0], [2.0, 1.0]])),
+    ], ids=["fock", "bergman", "fock_n2"])
+    def test_non_finite_evaluation_refused(self, space, nodes, bad):
+        itp = rkhs.min_norm_interpolant(space, pointset.PointSet(nodes, np.ones(len(nodes))))
+        z = bad if space.n == 1 else [0.0, bad]
+        with pytest.raises(DomainError, match="finite"):
+            itp(z)
+
     def test_minimality_against_constrained_perturbations(self, rng):
         # perturb inside the span of an enlarged center set while keeping
         # the nodal values fixed; the solved interpolant must stay minimal
@@ -383,17 +415,20 @@ class TestQuarterTurnBlocks:
     IDS = ["fock_origin", "fock_half_shifted", "bergman_disk", "fock_n2"]
 
     @pytest.fixture
-    def eig_sizes(self, monkeypatch):
-        """Sizes of the matrices passed to ``np.linalg.eigvalsh``, in call order."""
-        sizes = []
+    def eigensolves(self, monkeypatch):
+        """``(dtype kind, shape)`` of the arrays passed to
+        ``np.linalg.eigvalsh``, in call order: ``"f"`` for a real symmetric
+        matrix, ``"c"`` for a complex Hermitian one, and a leading axis for
+        a stack."""
+        calls = []
         real = np.linalg.eigvalsh
 
         def counting(a):
-            sizes.append(a.shape[0])
+            calls.append((a.dtype.kind, a.shape))
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        return sizes
+        return calls
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
     def test_block_extremes_equal_full_eigvalsh(self, space, z):
@@ -402,7 +437,8 @@ class TestQuarterTurnBlocks:
         g = space.normalized_gram(z)
         ev = np.linalg.eigvalsh(g)
         quarter = rkhs._quarter_turn(z)
-        blocks = rkhs._character_blocks(space._normalized_grams(z, quarter)[0], quarter)
+        table = space._normalized_grams(z, quarter, rkhs._conjugation(z))[0]
+        blocks = rkhs._character_blocks(table, quarter)
         diag = rkhs._diagnose(blocks)
         assert abs(diag.eig_min - ev[0]) <= 1e-12
         assert abs(diag.eig_max - ev[-1]) <= 1e-12
@@ -425,37 +461,70 @@ class TestQuarterTurnBlocks:
             b0 = np.block([[b0, 0.5 * g[orbits, o].sum(axis=0)[:, None]],
                            [0.5 * g[o, orbits].sum(axis=0)[None, :], g[o, o]]])
         want = [b0, alt + alt_i, even - odd, alt - alt_i]
-        table = space._normalized_grams(z, quarter)[0]
+        table = space._normalized_grams(z, quarter, rkhs._conjugation(z))[0]
         got = rkhs._character_blocks(table, quarter)
         assert [(b.shape, b.tobytes()) for b in got] == [(b.shape, b.tobytes()) for b in want]
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
-    def test_quarter_size_eigensolves(self, space, z, eig_sizes):
+    def test_quarter_size_eigensolves(self, space, z, eigensolves):
+        # closed under conjugation too: the real forms of the four
+        # quarter-size blocks, B_1 to B_3 as one stack
+        assert rkhs._conjugation(z) is not None
         rkhs.gram_matrix(space, pointset.PointSet(z))
         origin = int(np.any(np.all(z == 0, axis=1)))
         quarter = (len(z) - origin) // 4
-        assert eig_sizes == [quarter + origin, quarter, quarter, quarter]
+        assert eigensolves == [("f", (quarter + origin,) * 2), ("f", (3, quarter, quarter))]
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
-    def test_one_orbit_point_removed_takes_the_full_path(self, space, z, eig_sizes):
+    def test_one_orbit_point_removed_takes_the_full_path(self, space, z, eigensolves):
         # drop the first point off the origin: its orbit is broken
         keep = np.ones(len(z), bool)
         keep[np.flatnonzero(np.any(z != 0, axis=1))[0]] = False
         z = z[keep]
         assert one_row_orbits(z)
         diag = rkhs.gram_matrix(space, pointset.PointSet(z))
-        assert eig_sizes == [len(z)]
+        calls = eigensolves.copy()
         ev = np.linalg.eigvalsh(space.normalized_gram(z))
+        if rkhs._conjugation(z) is None:
+            assert calls == [("c", (len(z), len(z)))]
+            assert (diag.eig_min, diag.eig_max) == (float(ev[0]), float(ev[-1]))
+        else:
+            # a point on the real axis went: one real form of the whole Gram,
+            # whose entries are at most 1
+            assert calls == [("f", (len(z), len(z)))]
+            bound = TestRealForms.FORM * EPS * len(z)
+            assert abs(diag.eig_min - ev[0]) <= bound and abs(diag.eig_max - ev[-1]) <= bound
+
+    def test_open_set_closed_under_neither_map(self, eigensolves):
+        z = golden_spiral(0.5, 4.0, 30).reshape(-1, 1)
+        assert one_row_orbits(z) and rkhs._conjugation(z) is None
+        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pointset.PointSet(z))
+        assert eigensolves == [("c", (30, 30))]
+        ev = np.linalg.eigvalsh(rkhs.fock_kernel(1.0).normalized_gram(z))
         assert (diag.eig_min, diag.eig_max) == (float(ev[0]), float(ev[-1]))
 
-    def test_interpolant_and_sweep_take_the_blocks(self, eig_sizes):
+    def test_turned_generic_orbits_take_the_complex_blocks(self, eigensolves):
+        # closed under the turn, not under conjugation: the four complex
+        # blocks, their extremes bit for bit (the reference inlined)
+        z = np.concatenate([[0], quarter_turns(golden_spiral(0.8, 3.0, 6))]).reshape(-1, 1)
+        assert not one_row_orbits(z) and rkhs._conjugation(z) is None
+        space = rkhs.fock_kernel(1.0)
+        diag = rkhs.gram_matrix(space, pointset.PointSet(z))
+        assert eigensolves == [("c", (7, 7))] + [("c", (6, 6))] * 3
+        quarter = rkhs._quarter_turn(z)
+        blocks = rkhs._character_blocks(space._normalized_grams(z, quarter, None)[0], quarter)
+        spectra = [np.linalg.eigvalsh(b) for b in blocks]
+        assert (diag.eig_min, diag.eig_max) == (float(min(ev[0] for ev in spectra)),
+                                                float(max(ev[-1] for ev in spectra)))
+
+    def test_interpolant_and_sweep_take_the_blocks(self, eigensolves):
         lat = pointset.square_lattice(2.0, radius=6.0)  # 29 points
         rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
                                   pointset.PointSet(lat.points, np.ones(len(lat), complex)))
-        assert eig_sizes == [8, 7, 7, 7]
-        eig_sizes.clear()
+        assert eigensolves == [("f", (8, 8)), ("f", (3, 7, 7))]
+        eigensolves.clear()
         rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [2.0], 6.0, extra_radii=[4.0])
-        assert eig_sizes == [8, 7, 7, 7, 4, 3, 3, 3]
+        assert eigensolves == [("f", (8, 8)), ("f", (3, 7, 7)), ("f", (4, 4)), ("f", (3, 3, 3))]
 
     def test_only_the_origin(self):
         diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([0.0]))
@@ -477,6 +546,113 @@ class TestQuarterTurnBlocks:
         with pytest.raises(ConditioningError) as exc:
             rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, np.ones(len(z))))
         assert exc.value.eig_min < 1e-10
+
+
+def blocks_and_forms(space, z):
+    """``(blocks, forms, rows)`` on the nodes ``z``: the character blocks and
+    ``_riesz_forms`` of them, the stack of ``B_1`` to ``B_3`` split in three."""
+    quarter, sigma = rkhs._quarter_turn(z), rkhs._conjugation(z)
+    blocks = rkhs._character_blocks(space._normalized_grams(z, quarter, sigma)[0], quarter)
+    forms, rows = rkhs._riesz_forms(blocks, quarter, sigma)
+    return blocks, [forms[0], *forms[1]] if len(forms) == 2 else forms, rows
+
+
+class TestRealForms:
+    """The real symmetric forms of the character blocks on node sets closed
+    under conjugation, against the spectra of the complex blocks."""
+
+    #: gap between a form's spectrum and its block's, in units of eps w
+    #: max|B| for a block of order w; on these sets at most 1.6
+    FORM = 4.0
+    DIAGONALS = np.concatenate([[0], quarter_turns(np.array(
+        [0.3, 0.25j, 0.2 + 0.2j, -0.35 + 0.35j, 0.4 + 0.1j, 0.4 - 0.1j]))]).reshape(-1, 1)
+    SETS = TestQuarterTurnBlocks.CLOSED + [
+        (rkhs.fock_kernel(1.0), pointset.square_lattice(2.0, radius=20.0).points),
+        (rkhs.fock_kernel(1.0), np.array([1, 1 + 1j, 1 - 1j, 2 + 0.5j, 2 - 0.5j]).reshape(-1, 1)),
+        (rkhs.bergman_kernel(3.0), DIAGONALS),
+    ]
+    IDS = TestQuarterTurnBlocks.IDS + ["fock_317", "conjugation_only", "bergman_diagonals"]
+
+    @pytest.mark.parametrize("space,z", SETS, ids=IDS)
+    def test_forms_are_real_symmetric_and_isospectral(self, space, z):
+        blocks, forms, _ = blocks_and_forms(space, z)
+        assert len(forms) == len(blocks)
+        for block, form in zip(blocks, forms):
+            assert form.dtype == float and form.shape == block.shape
+            scale = EPS * float(np.max(np.abs(block), initial=0.0))
+            assert np.all(np.abs(form - form.T) <= scale)
+            gap = np.abs(np.linalg.eigvalsh(form) - np.linalg.eigvalsh(block))
+            assert np.all(gap <= self.FORM * len(block) * scale)
+
+    @pytest.mark.parametrize("space,z", SETS, ids=IDS)
+    def test_pairing(self, space, z):
+        # sigma(q) = R^u_q pi(q) on representatives; pi an involution
+        orbits, _ = rkhs._quarter_turn(z)
+        sigma = rkhs._conjugation(z)
+        pi, u = rkhs._pairing(orbits, sigma)
+        assert np.array_equal(z[orbits[u, pi]], z[orbits[0]].conj())
+        assert np.array_equal(pi[pi], np.arange(len(pi))) and np.array_equal(u[pi], u)
+
+    def test_self_paired_entries_at_every_turn(self):
+        # the Bergman set has self-paired representatives with u = 0, 1, 2
+        # and 3: on the axes and the diagonals
+        orbits, _ = rkhs._quarter_turn(self.DIAGONALS)
+        pi, u = rkhs._pairing(orbits, rkhs._conjugation(self.DIAGONALS))
+        assert set(u[pi == np.arange(len(pi))]) == {0, 1, 2, 3}
+
+    def test_every_block_counts(self):
+        # B_3 and B_1 are not isospectral: on the spacing-2 half-shifted
+        # lattice at alpha 0.6, B_3 alone holds both extremes, and leaving it
+        # out would overstate eig_min thirtyfold, past the conditioning guard
+        space, z = rkhs.fock_kernel(0.6), half_shifted_lattice(2.0, 5)
+        blocks, forms, _ = blocks_and_forms(space, z)
+        spectra = [np.linalg.eigvalsh(f) for f in forms]
+        assert spectra[3][0] < min(ev[0] for ev in spectra[:3]) / 10
+        assert spectra[3][-1] > max(ev[-1] for ev in spectra[:3])
+        diag = rkhs.gram_matrix(space, pointset.PointSet(z))
+        ev = np.linalg.eigvalsh(space.normalized_gram(z))
+        bound = self.FORM * EPS * len(blocks[0])
+        assert abs(diag.eig_min - ev[0]) <= bound and abs(diag.eig_max - ev[-1]) <= bound
+        assert diag.eig_min < rkhs.CONDITION_GUARD < min(ev[0] for ev in spectra[:3])
+
+    @pytest.mark.parametrize("space,s,big,small", [
+        (rkhs.fock_kernel(1.0), 2.0, 6.0, 4.0),
+        (rkhs.fock_kernel(0.6), 1.6, 8.0, 4.8),
+        (rkhs.fock_kernel(1.0), 1.5, 7.5, 0.0),
+        (rkhs.bergman_kernel(2.0), 0.2, 0.9, 0.6),
+    ])
+    def test_sub_forms_are_forms_built_anew(self, space, s, big, small):
+        # the sweep's principal sub-blocks on the kept block rows, against the
+        # forms of the smaller lattice, bit for bit
+        largest = pointset.square_lattice(s, radius=big).points
+        lattice = pointset.square_lattice(s, radius=small).points
+        orbits, fixed = rkhs._quarter_turn(largest)
+        inside = np.isin(largest[:, 0], lattice[:, 0])
+        keep = [np.concatenate([inside[orbits[0]], inside[fixed]]), inside[orbits[0]]]
+        _, forms, rows = blocks_and_forms(space, largest)
+        _, want, _ = blocks_and_forms(space, lattice)
+        got = []
+        for form, k in zip(forms, [0, 1, 1, 1]):
+            sel = np.flatnonzero(keep[k][rows[k]])
+            got.append(form[np.ix_(sel, sel)])
+        assert [(f.shape, f.tobytes()) for f in got] == [(f.shape, f.tobytes()) for f in want]
+
+    def test_one_conjugation_per_node_set(self, monkeypatch):
+        sets = []
+        real = rkhs._conjugation
+
+        def recording(points):
+            sets.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(rkhs, "_conjugation", recording)
+        lat = pointset.square_lattice(2.0, radius=6.0)  # 29 points
+        rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
+        rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), lat.with_values(np.ones(len(lat))))
+        assert sets == [29, 29]
+        sets.clear()
+        rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0])
+        assert sets == [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
 
 
 def triangle_build(space, points, half, orbits, fixed):
@@ -544,7 +720,7 @@ class TestOrbitGram:
         turn = turn_of(z)
         assert np.array_equal(z[turn], 1j * z)
         quarter = rkhs._quarter_turn(z)
-        table, table_ld, _ = space._normalized_grams(z, quarter)
+        table, table_ld, _ = space._normalized_grams(z, quarter, rkhs._conjugation(z))
         g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
         assert np.array_equal(space.normalized_gram(z), g)
         assert np.all(np.diag(g) == 1.0)
@@ -559,11 +735,12 @@ class TestOrbitGram:
         # a few eps_ld |x| before rounding to complex128, at most one unit in
         # the last place after it
         quarter = rkhs._quarter_turn(z)
-        table, table_ld, half = space._normalized_grams(z, quarter)
+        table, table_ld, half = space._normalized_grams(z, quarter, rkhs._conjugation(z))
         g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
         # the rows taken as an open set: their one-orbit tables
         open_set = (np.arange(len(z))[None, :], np.empty(0, dtype=np.intp))
-        table_tri, table_tri_ld, half_tri = space._normalized_grams(z, open_set)
+        table_tri, table_tri_ld, half_tri = space._normalized_grams(z, open_set,
+                                                                    rkhs._conjugation(z))
         g_tri, gram_tri = rkhs._unfold(table_tri, open_set), rkhs._unfold(table_tri_ld, open_set)
         assert np.array_equal(half, half_tri)
         eps_ld = np.finfo(np.longdouble).eps
@@ -630,7 +807,8 @@ class TestOrbitGram:
         """The tables of ``_orbit_gram`` and of ``triangle_build`` on ``z``."""
         quarter = rkhs._quarter_turn(z)
         half = 0.5 * space.diag_log(z, dtype=np.clongdouble)
-        return space._orbit_gram(z, half, *quarter), triangle_build(space, z, half, *quarter)
+        return (space._orbit_gram(z, half, *quarter, rkhs._conjugation(z)),
+                triangle_build(space, z, half, *quarter))
 
     @pytest.mark.parametrize("space,z,turned,conjugated", BUILDS, ids=BUILD_IDS)
     def test_bit_identical_to_the_triangle_build(self, space, z, turned, conjugated):
@@ -641,7 +819,8 @@ class TestOrbitGram:
         assert_same_bits(got, want)
         want = want.astype(complex)
         np.fill_diagonal(want[:, 0], 1.0)
-        assert space._normalized_grams(z, quarter)[0].tobytes() == want.tobytes()
+        table = space._normalized_grams(z, quarter, rkhs._conjugation(z))[0]
+        assert table.tobytes() == want.tobytes()
 
     @staticmethod
     def entry_classes(z, conjugate):
@@ -760,7 +939,8 @@ class TestBlockSolve:
     def full_lu(space, pts):
         """``(y, weighted residuals)`` from one LU of the whole Gram."""
         quarter = rkhs._quarter_turn(pts.points)
-        table, table_ld, half = space._normalized_grams(pts.points, quarter)
+        table, table_ld, half = space._normalized_grams(pts.points, quarter,
+                                                        rkhs._conjugation(pts.points))
         g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
         b = pts.values.astype(np.clongdouble) * np.exp(-half)
         lu = scipy.linalg.lu_factor(g)
@@ -832,7 +1012,7 @@ class TestBlockSolve:
         """``(table mat-vec, np.dot of the unfolded Gram)`` of the extended
         Gram on ``z`` with a random clongdouble ``y``, and ``y``."""
         quarter = rkhs._quarter_turn(z)
-        table_ld = space._normalized_grams(z, quarter)[1]
+        table_ld = space._normalized_grams(z, quarter, rkhs._conjugation(z))[1]
         rng = np.random.default_rng(len(z))
         y = (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))).astype(np.clongdouble)
         return rkhs._table_matvec(table_ld, quarter)(y), np.dot(rkhs._unfold(table_ld, quarter), y), y
@@ -904,6 +1084,21 @@ class TestFeasibilitySweep:
         res = rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0], radius=4.0, extra_radii=[6.0])
         radii = sorted({r.radius for r in res.rows})
         assert radii == [4.0, 6.0]
+
+    @pytest.mark.parametrize("spacings,radius,extra,message", [
+        ([], 4.0, (), "at least one spacing, got []"),
+        ([2.0], -1.0, (), "got -1.0"),
+        ([2.0], 4.0, [6.0, -0.5], "got -0.5"),
+    ], ids=["no_spacing", "negative_radius", "negative_extra_radius"])
+    def test_sweep_that_checks_nothing_refused(self, spacings, radius, extra, message):
+        with pytest.raises(DomainError) as exc:
+            rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), spacings, radius, extra_radii=extra)
+        assert message in str(exc.value)
+
+    def test_radius_zero_is_the_origin(self):
+        res = rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [2.0], 0.0, extra_radii=[4.0, 0.0])
+        rows = [(r.radius, r.n_points, r.eig_min, r.eig_max) for r in res.rows]
+        assert rows[0] == rows[2] == (0.0, 1, 1.0, 1.0) and rows[1][:2] == (4.0, 13)
 
     def test_csv_schema(self):
         res = rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0], radius=4.0)
