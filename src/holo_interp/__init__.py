@@ -25,9 +25,7 @@ from .weights import (
     bergman_weight,
     curvature_eigen_min,
     fock_weight,
-    frame_norm_bound_check,
     normal_frame_exponent,
-    weight_value,
 )
 from .certificates import (
     CertificateReport,
@@ -44,7 +42,6 @@ from .construction import (
     evaluate_extension,
     glued_extension,
     local_section,
-    seip_weight_value,
 )
 from .rkhs import (
     GramDiagnostic,

@@ -227,9 +227,12 @@ def _cmd_construct(args) -> int:
 
 def _kernel_from_weight_spec(spec: dict) -> rkhs.KernelSpace:
     name = spec.get("builtin")
+    n = geometry._dimension(spec.get("n", 1))
     if name == "fock":
-        return rkhs.fock_kernel(float(spec.get("alpha", 1.0)), n=int(spec.get("n", 1)))
+        return rkhs.fock_kernel(float(spec.get("alpha", 1.0)), n=n)
     if name == "bergman":
+        if n != 1:
+            raise DomainError(f"the bergman kernel lives on the disk (n = 1), not n = {n}")
         return rkhs.bergman_kernel(float(spec.get("A", spec.get("a", 1.0))),
                                    kappa=float(spec.get("kappa", 1.0)))
     raise DomainError("interpolation kernels exist for the builtin weights only")

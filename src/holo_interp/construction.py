@@ -228,17 +228,6 @@ class AuxiliaryWeight:
         return out
 
 
-def seip_weight_value(space: geometry.ModelSpace, pts: pointset.PointSet, z) -> float:
-    """Hyperbolic pole weight ``n sum_p log tanh^2(d(p, z)/(2 kappa))``.
-
-    Each term is minus a term of ``pointset.seip_density``, so this is
-    ``-n`` times the density with no cutoff: ``-inf`` on a node, and
-    ``SpaceMismatchError`` on flat space and ``DomainError`` for a node or
-    ``z`` off the ball, as the density raises them.
-    """
-    return 0.0 - space.n * pointset.seip_density(space, pts, z, cutoff=0.0)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 

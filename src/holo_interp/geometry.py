@@ -70,16 +70,6 @@ class ModelSpace:
     def is_flat(self):
         return self.kind == FLAT
 
-    def contains(self, z) -> bool:
-        """Whether the point passes ``validate_point``; a malformed point
-        raises ``DomainError``."""
-        z = as_point(z, self.n)
-        try:
-            self.validate_point(z)
-        except DomainError:
-            return False
-        return True
-
     def validate_point(self, z) -> np.ndarray:
         """One point as a length-n coordinate vector, by ``validate_points``."""
         return self.validate_points(as_point(z, self.n)[None, :])[0]
@@ -129,23 +119,25 @@ def as_point(z, n: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def space_to_dict(space: ModelSpace) -> dict:
-    d = {"kind": space.kind, "n": space.n, "k": space.k}
-    if space.kappa is not None:
-        d["kappa"] = space.kappa
-    return d
+def _dimension(n) -> int:
+    """A complex dimension read from a JSON spec: a positive integral number
+    (``2`` or ``2.0``) as an ``int``.  A fraction, a boolean or a non-number
+    raises ``DomainError`` rather than being truncated."""
+    if type(n) not in (int, float) or not 1 <= n < math.inf or n != int(n):
+        raise DomainError(f"complex dimension n must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def space_from_dict(d: dict) -> ModelSpace:
     kind = d.get("kind")
     if kind == FLAT:
-        return ModelSpace(FLAT, n=int(d.get("n", 1)), k=float(d.get("k", 0.0)))
+        return ModelSpace(FLAT, n=_dimension(d.get("n", 1)), k=float(d.get("k", 0.0)))
     if kind == HYPERBOLIC_BALL:
         if "kappa" not in d:
             raise DomainError("hyperbolic_ball space spec requires 'kappa'")
         kappa = float(d["kappa"])
         k = float(d["k"]) if "k" in d else 1.0 / kappa
-        return ModelSpace(HYPERBOLIC_BALL, n=int(d.get("n", 1)), k=k, kappa=kappa)
+        return ModelSpace(HYPERBOLIC_BALL, n=_dimension(d.get("n", 1)), k=k, kappa=kappa)
     raise DomainError(f"space spec has unknown kind {kind!r}")
 
 

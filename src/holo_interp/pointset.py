@@ -54,13 +54,6 @@ class PointSet:
     def __len__(self):
         return self.points.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    def point(self, i: int) -> np.ndarray:
-        return self.points[i]
-
     def with_values(self, values) -> "PointSet":
         return PointSet(self.points.copy(), np.asarray(values, dtype=complex))
 
@@ -110,17 +103,6 @@ def pointset_from_dict(d: dict) -> PointSet:
             values = np.array([_parse_pair(v) for v in d["values"]], dtype=complex)
         values = values.reshape(-1)
     return PointSet(arr, values)
-
-
-def pointset_to_dict(pts: PointSet, space: Optional[geometry.ModelSpace] = None) -> dict:
-    out: dict = {}
-    if space is not None:
-        out["space"] = geometry.space_to_dict(space)
-    out["points"] = [[[c.real, c.imag] for c in row] if len(row) > 1 else [row[0].real, row[0].imag]
-                     for row in pts.points]
-    if pts.values is not None:
-        out["values"] = [[v.real, v.imag] for v in pts.values]
-    return out
 
 
 def _pairs_array(raw: list, depth: int) -> Optional[np.ndarray]:

@@ -72,21 +72,12 @@ class Polynomial:
     def dz(self, k: int) -> "Polynomial":
         return Polynomial(_derivative(self.terms, k), self.n)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"powers": list(p), "coeff": [c.real, c.imag]}
-                for p, c in sorted(self.terms.items())
-            ],
-        }
-
     @classmethod
     def from_dict(cls, d) -> "Polynomial":
         if isinstance(d, list):
             return cls.from_coeffs([complex(c[0], c[1]) for c in d])
         terms = {tuple(t["powers"]): complex(t["coeff"][0], t["coeff"][1]) for t in d["terms"]}
-        return cls(terms, d["n"])
+        return cls(terms, geometry._dimension(d["n"]))
 
 
 class RealPolynomial:
@@ -125,14 +116,6 @@ class RealPolynomial:
         point, shape (..., n)."""
         return np.stack([0.5 * (self._partial(k).value(z) - 1j * self._partial(self.n + k).value(z))
                          for k in range(self.n)], axis=-1)
-
-    def to_dict(self) -> dict:
-        return {
-            "real_poly": {
-                "n": self.n,
-                "terms": [{"powers": list(p), "coeff": c} for p, c in sorted(self.terms.items())],
-            }
-        }
 
 
 class BergmanDeformation:
@@ -191,12 +174,16 @@ class HermitianWeight:
     n: int = 1
 
     def __post_init__(self):
-        if self.r0 <= 0 or self.mu <= 0:
-            raise DomainError("frame radius r0 and distortion mu must be positive")
-        if self.m2 < 0:
-            raise DomainError("second-derivative bound m2 must be nonnegative")
-        if self.lam is not None and self.lam < self.mu:
-            raise DomainError("upper distortion lam must dominate mu")
+        # each test is written so that NaN fails it
+        if not self.r0 > 0:
+            raise DomainError(f"frame radius r0 must be positive, got {self.r0}")
+        if not 0 < self.mu < math.inf:
+            raise DomainError(f"distortion mu must be positive and finite, got {self.mu}")
+        if not 0 <= self.m2 < math.inf:
+            raise DomainError(f"second-derivative bound m2 must be nonnegative and finite, "
+                              f"got {self.m2}")
+        if self.lam is not None and not self.lam >= self.mu:
+            raise DomainError(f"upper distortion lam must dominate mu, got {self.lam}")
 
     # -- evaluation --------------------------------------------------------
     def sigma_values(self, z) -> np.ndarray:
@@ -287,14 +274,9 @@ def _bergman_second_derivative_bound(a: float, kappa: float, radius: float) -> f
 # ---------------------------------------------------------------------------
 # operations
 
-def weight_value(w: HermitianWeight, z) -> float:
-    """Phi(z) = sum |sigma_a(z)|^2 + Phi_def(z)."""
-    return float(w.value(geometry.as_point(z, w.n)))
-
-
 def h_norm_sq(w: HermitianWeight, z, value: complex) -> float:
     """Pointwise squared h-norm ``|value|^2 exp(-Phi(z))``."""
-    return abs(value) ** 2 * math.exp(-weight_value(w, z))
+    return abs(value) ** 2 * math.exp(-w.value(geometry.as_point(z, w.n)))
 
 
 def curvature_eigen_min(w: HermitianWeight, space: geometry.ModelSpace, z):
@@ -352,46 +334,6 @@ def normal_frame_exponent(w: HermitianWeight, p, z):
     return complex(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class FrameBoundReport:
-    """Outcome of checking ``||f_p(z)||_h^2 <= C ||a(p)||_h^2`` over samples."""
-
-    passed: bool
-    bound: float
-    worst_ratio: float
-    worst_index: int
-    ratios: np.ndarray
-
-
-def frame_norm_bound_check(w: HermitianWeight, p, samples,
-                           delta0: Optional[float] = None) -> FrameBoundReport:
-    """Verify the normal-frame norm bound with ``C = exp(m2 (2n)^2 d0^2 / (2 mu^2))``.
-
-    Samples must lie within Euclidean distance ``delta0/mu`` of ``p`` (the
-    chart image of the geodesic delta0-ball).  A violation signals a wrong
-    ``m2`` or ``mu``.
-    """
-    p = geometry.as_point(p, w.n)
-    zs = np.array([geometry.as_point(s, w.n) for s in samples], dtype=complex).reshape(-1, w.n)
-    if not len(zs):
-        raise DomainError("need at least one sample")
-    reach = float(np.max(np.linalg.norm(zs - p, axis=1)))
-    if delta0 is None:
-        delta0 = w.mu * reach
-    if reach > delta0 / w.mu * (1 + 1e-12):
-        raise DomainError("samples must lie within the delta0-ball around p")
-    bound = w.frame_bound_constant(delta0)
-    ratios = np.exp(2.0 * normal_frame_exponent(w, p, zs).real + weight_value(w, p) - w.value(zs))
-    worst = int(np.argmax(ratios))
-    return FrameBoundReport(
-        passed=bool(ratios[worst] <= bound * (1 + 1e-12)),
-        bound=bound,
-        worst_ratio=float(ratios[worst]),
-        worst_index=worst,
-        ratios=ratios,
-    )
-
-
 def local_oscillation(w: HermitianWeight, center, radius: float,
                       boundary_samples: int = 2048) -> np.ndarray:
     """Per-sigma oscillation sup_{|z-c|<=radius} |sigma(z) - sigma(c)|.
@@ -428,49 +370,28 @@ def mean_value_constant(w: HermitianWeight, center, radius: float) -> float:
     return math.exp(expo) / geometry.ball_volume_bound(0.0, radius, 2 * w.n)
 
 
-def phi_def_second_derivative_max(w: HermitianWeight, center, radius: float,
-                                  n_samples: int = 32, seed: int = 0) -> float:
-    """FD spot estimate of the largest second real derivative of Phi_def
-    on the ball of the given radius; used to audit a supplied m2."""
-    if w.phi_def is None:
-        return 0.0
-    c = geometry.as_point(center, w.n)
-    rng = np.random.default_rng(seed)
-    h = 1e-5 * max(1.0, float(np.linalg.norm(c)))
-
-    def phi(x):  # Phi_def at the real coordinates (x_1..x_n, y_1..y_n)
-        return float(w.phi_def_value(x[: w.n] + 1j * x[w.n:]))
-
-    worst = 0.0
-    for _ in range(n_samples):
-        u = rng.normal(size=2 * w.n)
-        u *= radius * rng.random() / np.linalg.norm(u)
-        x = np.concatenate([c.real, c.imag]) + u
-        worst = max(worst, float(np.max(np.abs(geometry._real_hessian(phi, x, h)))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 def weight_from_dict(d: dict) -> HermitianWeight:
+    n = geometry._dimension(d.get("n", 1))
     if "builtin" in d:
         name = d["builtin"]
         if name == "fock":
-            return fock_weight(float(d.get("alpha", 1.0)), n=int(d.get("n", 1)),
-                               r0=float(d.get("r0", 1.0)))
+            return fock_weight(float(d.get("alpha", 1.0)), n=n, r0=float(d.get("r0", 1.0)))
         if name == "bergman":
+            if n != 1:
+                raise DomainError(f"the bergman weight lives on the disk (n = 1), not n = {n}")
             return bergman_weight(float(d.get("A", d.get("a", 1.0))),
                                   kappa=float(d.get("kappa", 1.0)))
         raise DomainError(f"unknown builtin weight {name!r}")
-    n = int(d.get("n", 1))
     sigmas = tuple(Polynomial.from_dict(s) for s in d.get("sigmas", []))
     phi_def = None
     if d.get("phi_def"):
         spec = d["phi_def"]["real_poly"]
         terms = {tuple(t["powers"]): t["coeff"] for t in spec["terms"]}
-        phi_def = RealPolynomial(terms, spec["n"])
-        n = spec["n"]
+        n = geometry._dimension(spec["n"])
+        phi_def = RealPolynomial(terms, n)
     if sigmas:
         n = sigmas[0].n
     return HermitianWeight(
@@ -482,20 +403,3 @@ def weight_from_dict(d: dict) -> HermitianWeight:
         n=n,
     )
 
-
-def weight_to_dict(w: HermitianWeight) -> dict:
-    if w.builtin == "fock":
-        return {"builtin": "fock", "alpha": w.params[0], "n": w.n, "r0": w.r0}
-    if w.builtin == "bergman":
-        return {"builtin": "bergman", "A": w.params[0], "kappa": w.params[1]}
-    out = {
-        "sigmas": [s.to_dict() for s in w.sigmas],
-        "phi_def": (w.phi_def.to_dict() if isinstance(w.phi_def, RealPolynomial) else None),
-        "M2": w.m2,
-        "r0": w.r0,
-        "mu": w.mu,
-        "n": w.n,
-    }
-    if w.lam is not None:
-        out["lam"] = w.lam
-    return out

@@ -163,6 +163,45 @@ class TestExitCodes:
     def test_unknown_command_exits_two(self):
         assert cli.run(["frobnicate"]) == 2
 
+    def test_nan_frame_radius_exits_two(self, sparse_points, capsys):
+        # a NaN r0 used to pass the r0 <= 0 test and leave delta0 blind to r0
+        weight = '{"builtin": "fock", "alpha": 1, "r0": "nan"}'
+        code = cli.run(["separation", "--space", FLAT, "--weight", weight,
+                        "--points", sparse_points, "--out", "/dev/null"])
+        assert code == 2
+        assert "r0 must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ['"M2": "nan"', '"M2": "inf"', '"mu": "nan"',
+                                       '"mu": "inf"', '"lam": "nan"'])
+    def test_non_finite_frame_bound_exits_two(self, sparse_points, field, capsys):
+        # "M2": "nan" used to give a passing certificate
+        weight = '{"sigmas": [[[0.0, 0.0], [1.0, 0.0]]], %s}' % field
+        code = cli.run(["certify-bos", "--weight", weight, "--points", sparse_points,
+                        "--rho", "2", "--eps", "0.5", "--grid=-1:1:3", "--out", "/dev/null"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", ["1.9", "true", '"1"'])
+    def test_non_integer_space_dimension_exits_two(self, sparse_points, n, capsys):
+        # int() used to run these as n = 1
+        code = cli.run(["separation", "--space", '{"kind": "flat", "n": %s}' % n,
+                        "--points", sparse_points, "--out", "/dev/null"])
+        assert code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ['{"builtin": "fock", "alpha": 1.0, "n": 1.5}',
+                                        '{"builtin": "bergman", "A": 4.0, "n": 1.9}',
+                                        '{"builtin": "bergman", "A": 4.0, "n": 2}'])
+    @pytest.mark.parametrize("command", [["interpolate"],
+                                         ["certify-t2", "--space", DISK, "--eps", "0.5",
+                                          "--grid=-0.2:0.2:2"]])
+    def test_weight_dimension_exits_two(self, disk_points, command, weight, capsys):
+        # int() used to run n = 1.5 as 1, and the Bergman spec's n was not read
+        code = cli.run([*command, "--weight", weight, "--points", disk_points,
+                        "--out", "/dev/null"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("points", [
         '{"points": [["a", 1]]}',                           # non-numeric coordinate
         '{"points": [[0.1, 0.2], [0.3]]}',                  # ragged: a one-number point

@@ -44,7 +44,7 @@ def reference_node_energy(ext, aux, i, nr, ntheta):
     """Energy of node ``i``'s gluing annulus as one call chain per node, with
     public calls: the per-node loop the batched quadrature replaced, kept as
     the reference."""
-    sp, p, d0 = ext.space, ext.points.point(i), ext.delta0
+    sp, p, d0 = ext.space, ext.points.points[i], ext.delta0
     dd, dth = (d0 / 2.0) / nr, 2.0 * math.pi / ntheta
     ds = d0 / 2.0 + (np.arange(nr) + 0.5) * dd
     zs = geometry.geodesic_point(sp, p, ds[:, None],
@@ -151,7 +151,7 @@ class TestCutoffDbar:
         ts = np.array(self.TS)
         zs = geometry.geodesic_point(space, p, delta0 * np.sqrt(ts)[:, None],
                                      np.array([0.3, 1.9, 4.0])[None, :]).reshape(-1)
-        closed = construction._cutoff_dbar_grid(ext, node.point(0), zs)
+        closed = construction._cutoff_dbar_grid(ext, node.points[0], zs)
 
         def chi(t):
             return hi.cutoff(hi.distance(space, p, t) ** 2 / delta0 ** 2)
@@ -309,7 +309,7 @@ def reference_extension(ext, zs):
     the reference."""
     out = np.zeros(zs.shape[0], dtype=complex)
     for i in range(len(ext.points)):
-        p = ext.points.point(i)
+        p = ext.points.points[i]
         d = geometry.geodesic_distances(ext.space, zs, p)
         near = np.nonzero(d < ext.delta0)[0]
         if near.size:
@@ -528,23 +528,30 @@ class TestAuxiliaryWeight:
         assert (v1 - v2) / math.log(10) == pytest.approx(4.0, rel=1e-2)
 
 
+def seip_weight_value(space, pts, z):
+    """The tanh pole weight ``n sum_p log tanh^2(d(p, z)/(2 kappa))``: each
+    term is minus a term of the density, so it is ``-n`` times the density
+    with no cutoff."""
+    return -space.n * hi.seip_density(space, pts, z, cutoff=0.0)
+
+
 class TestSeipWeight:
     def test_single_node_value(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j]]))
-        assert hi.seip_weight_value(disk, pts, 0.0) == pytest.approx(LOG_QUARTER, abs=1e-12)
+        assert seip_weight_value(disk, pts, 0.0) == pytest.approx(LOG_QUARTER, abs=1e-12)
 
     def test_pole_and_empty(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j]]))
-        assert hi.seip_weight_value(disk, pts, 0.5 + 0j) == -math.inf
+        assert seip_weight_value(disk, pts, 0.5 + 0j) == -math.inf
         empty = pointset.PointSet(np.zeros((0, 1), complex))
-        assert hi.seip_weight_value(disk, empty, 0.1) == 0.0
+        assert seip_weight_value(disk, empty, 0.1) == 0.0
 
     def test_node_next_to_the_sample_against_mpmath(self, disk):
         # each term 2 log tanh(d/2) with d = 2 atanh(|p|) from the origin:
         # 2 log |p|, finite below the 1e-154 where |p|^2 leaves the normal floats
         mpmath.mp.dps = 30
         for p in (1e-150, 1e-154, 1e-160, 1e-200, 5e-324):
-            v = hi.seip_weight_value(disk, pointset.PointSet(np.array([[complex(p)]])), 0.0)
+            v = seip_weight_value(disk, pointset.PointSet(np.array([[complex(p)]])), 0.0)
             ref = float(2 * mpmath.log(mpmath.mpf(p)))
             assert abs(v - ref) <= 4 * np.spacing(abs(ref)), p
 
@@ -553,19 +560,19 @@ class TestSeipWeight:
         # the kappa-ball is the unit disk scaled by kappa: the same weight
         p = np.array([[0.5 + 0j], [-0.3j], [0.1 + 0.2j], [1e-100 + 0j]])
         x = np.array([[0.2 + 0.1j], [0.6j], [1e-100 + 1e-120j]])
-        unit = [hi.seip_weight_value(disk, pointset.PointSet(p), z) for z in x]
+        unit = [seip_weight_value(disk, pointset.PointSet(p), z) for z in x]
         ball = hi.hyperbolic_ball(kappa)
-        scaled = [hi.seip_weight_value(ball, pointset.PointSet(kappa * p), kappa * z) for z in x]
+        scaled = [seip_weight_value(ball, pointset.PointSet(kappa * p), kappa * z) for z in x]
         assert np.allclose(scaled, unit, rtol=1e-14, atol=0)
 
     def test_flat_rejected(self, flat1):
         with pytest.raises(SpaceMismatchError):
-            hi.seip_weight_value(flat1, pointset.PointSet(np.array([[0j]])), 1.0)
+            seip_weight_value(flat1, pointset.PointSet(np.array([[0j]])), 1.0)
 
     def test_node_off_the_disk_refused(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [1.5 + 0j]]))
         with pytest.raises(DomainError, match="outside the open ball"):
-            hi.seip_weight_value(disk, pts, 0.0)
+            seip_weight_value(disk, pts, 0.0)
 
     def test_decomposes_into_density_and_near_terms(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [0.1 + 0.1j], [-0.6j]]))
@@ -573,7 +580,7 @@ class TestSeipWeight:
         d = geometry.distances_from(disk, pts.points, x)
         near = d[d < 1.0]
         near_sum = float(np.sum(2.0 * np.log(np.tanh(near / 2.0))))
-        v = hi.seip_weight_value(disk, pts, x)
+        v = seip_weight_value(disk, pts, x)
         assert v == pytest.approx(-hi.seip_density(disk, pts, x) + near_sum, rel=1e-12)
 
 

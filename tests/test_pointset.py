@@ -85,12 +85,12 @@ class TestPointSet:
         with pytest.raises(DomainError, match="values must be finite"):
             pointset.PointSet(np.array([[0j], [1j]]), np.array([1.0, value]))
 
-    def test_json_round_trip(self):
-        pts = pointset.PointSet(np.array([[1 + 2j], [3 - 1j]]), np.array([1j, 2 + 0j]))
-        d = pointset.pointset_to_dict(pts, hi.flat_space(1))
-        back = pointset.pointset_from_dict(d)
-        assert np.array_equal(back.points, pts.points)
-        assert np.array_equal(back.values, pts.values)
+    def test_from_dict(self):
+        d = {"space": {"kind": "flat", "n": 1, "k": 0.0},
+             "points": [[1.0, 2.0], [3.0, -1.0]], "values": [[0.0, 1.0], [2.0, 0.0]]}
+        pts = pointset.pointset_from_dict(d)
+        assert np.array_equal(pts.points, np.array([[1 + 2j], [3 - 1j]]))
+        assert np.array_equal(pts.values, np.array([1j, 2 + 0j]))
 
     def test_json_n2(self):
         d = {"points": [[[0.0, 0.0], [1.0, 0.0]], [[2.0, 1.0], [0.0, -1.0]]]}

@@ -62,32 +62,32 @@ class TestPolynomials:
 
 class TestWeightValue:
     def test_fock(self, fock1):
-        assert hi.weight_value(fock1, 1 + 1j) == pytest.approx(2.0, rel=1e-15)
+        assert fock1.value(1 + 1j) == pytest.approx(2.0, rel=1e-15)
 
     def test_bergman_origin(self):
         w = hi.bergman_weight(2.0)
-        assert hi.weight_value(w, 0.0) == 0.0
+        assert w.value(0.0) == 0.0
 
     def test_bergman_substitution(self):
         w = hi.bergman_weight(2.0)
         z = math.sqrt(1.0 - 1.0 / math.e)
-        assert hi.weight_value(w, z) == pytest.approx(2.0, rel=1e-12)
+        assert w.value(z) == pytest.approx(2.0, rel=1e-12)
 
     def test_builtin_decomposition_consistent(self, fock1):
         # sum |sigma|^2 + phi_def recomputed by hand
         for z in (0.3 + 0.4j, -1.0 + 2.0j):
             sig = fock1.sigma_values(np.array([z]))
             manual = float(np.sum(np.abs(sig) ** 2)) + fock1.phi_def_value(np.array([z]))
-            assert hi.weight_value(fock1, z) == pytest.approx(manual, abs=1e-12)
+            assert fock1.value(z) == pytest.approx(manual, abs=1e-12)
 
     def test_fock_n2(self):
         w = hi.fock_weight(2.0, n=2)
-        assert hi.weight_value(w, [1.0, 1j]) == pytest.approx(4.0, rel=1e-14)
+        assert w.value([1.0, 1j]) == pytest.approx(4.0, rel=1e-14)
 
     def test_bergman_domain(self):
         w = hi.bergman_weight(2.0)
         with pytest.raises(DomainError):
-            hi.weight_value(w, 1.0)
+            w.value(1.0)
 
 
 class TestCurvature:
@@ -226,45 +226,51 @@ class TestNormalFrame:
             hi.normal_frame_exponent(fock1, np.zeros((5, 1, 2), dtype=complex), zs)
 
 
+def frame_ratios(w, p, samples):
+    """``||f_p(z)||_h^2 / ||a(p)||_h^2 = exp(2 Re exponent_p(z) + Phi(p) - Phi(z))``
+    at each sample ``z``: the left side of the normal-frame norm bound."""
+    zs = np.asarray(samples, dtype=complex).reshape(-1, w.n)
+    return np.exp(2.0 * hi.normal_frame_exponent(w, p, zs).real + w.value(p) - w.value(zs))
+
+
 class TestFrameNormBound:
+    # ||f_p(z)||_h^2 <= C ||a(p)||_h^2 on the delta0-ball, with C from
+    # HermitianWeight.frame_bound_constant
     def test_fock_pure_sigma_ratio_below_one(self, fock1, rng):
         samples = [complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(200)]
-        rep = hi.frame_norm_bound_check(fock1, 0.0, samples, delta0=0.6)
-        assert rep.passed
-        assert rep.bound == 1.0
-        assert rep.worst_ratio <= 1.0
+        assert fock1.frame_bound_constant(0.6) == 1.0
+        assert np.max(frame_ratios(fock1, 0.0, samples)) <= 1.0
 
     def test_deformation_with_honest_m2(self, rng):
         phi = RealPolynomial({(2, 0): -1.0}, 1)  # -x^2, second derivative magnitude 2
         w = weights.HermitianWeight((), phi, m2=2.0, r0=1.0, mu=1.0, n=1)
         samples = [complex(*rng.uniform(-0.35, 0.35, 2)) for _ in range(300)]
-        rep = hi.frame_norm_bound_check(w, 0.0, samples, delta0=0.5)
-        assert rep.passed
+        assert np.max(frame_ratios(w, 0.0, samples)) <= w.frame_bound_constant(0.5)
 
     def test_understated_m2_fails(self, rng):
         phi = RealPolynomial({(2, 0): -1.0}, 1)
         dishonest = weights.HermitianWeight((), phi, m2=0.2, r0=1.0, mu=1.0, n=1)
         samples = [complex(0.499, 0.0)] + [complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(50)]
-        rep = hi.frame_norm_bound_check(dishonest, 0.0, samples, delta0=0.5)
-        assert not rep.passed
-        assert rep.worst_ratio > rep.bound
+        assert np.max(frame_ratios(dishonest, 0.0, samples)) > dishonest.frame_bound_constant(0.5)
 
     def test_ratios_match_per_sample_evaluation(self, rng):
-        # one batched evaluation over the samples against the scalar formula
-        # at each sample; np.exp and math.exp may differ in the last bit
+        # one batched evaluation over the samples against the pointwise h-norm
+        # of the normal-frame section at each sample
         phi = RealPolynomial({(2, 0): -1.0, (1, 1): 0.3}, 1)
         w = weights.HermitianWeight((Polynomial.from_coeffs([0.1, 1.0, 0.05j]),), phi,
                                     m2=2.0, r0=1.0, mu=1.0, n=1)
         p = 0.1 - 0.05j
         samples = [p + complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(40)]
-        rep = hi.frame_norm_bound_check(w, p, samples, delta0=0.5)
-        ref = [math.exp(2.0 * hi.normal_frame_exponent(w, p, s).real
-                        + weights.weight_value(w, p) - weights.weight_value(w, s)) for s in samples]
-        assert np.allclose(rep.ratios, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+        ref = [weights.h_norm_sq(w, s, np.exp(hi.normal_frame_exponent(w, p, s)))
+               / weights.h_norm_sq(w, p, 1.0) for s in samples]
+        assert np.allclose(frame_ratios(w, p, samples), ref, rtol=1e-13, atol=0.0)
 
-    def test_samples_outside_ball_rejected(self, fock1):
-        with pytest.raises(DomainError):
-            hi.frame_norm_bound_check(fock1, 0.0, [1.0 + 0j], delta0=0.5)
+
+def max_second_partial(w, z, h):
+    """Largest central-difference second real partial of Phi_def at ``z`` (n = 1)."""
+    def phi(x):
+        return float(w.phi_def_value(x[:1] + 1j * x[1:]))
+    return float(np.max(np.abs(geometry._real_hessian(phi, np.array([z.real, z.imag]), h))))
 
 
 class TestMeanValueMachinery:
@@ -276,38 +282,67 @@ class TestMeanValueMachinery:
         c = weights.mean_value_constant(fock1, 0.0, 0.5)
         assert c == pytest.approx(math.exp(0.25) / (math.pi * 0.25), rel=1e-9)
 
-    def test_m2_spot_check(self):
-        phi = RealPolynomial({(2, 0): 1.0, (0, 2): 2.0}, 1)
-        w = weights.HermitianWeight((), phi, m2=4.0, r0=1.0, mu=1.0, n=1)
-        est = weights.phi_def_second_derivative_max(w, 0.0, 1.0)
-        assert est == pytest.approx(4.0, rel=1e-3)
-        assert est <= w.m2 * (1 + 1e-3)
-
-    def test_bergman_m2_closed_form_vs_fd_audit(self):
+    def test_bergman_m2_closed_form_vs_fd_audit(self, rng):
         w = hi.bergman_weight(3.0, kappa=2.0)
         # largest second real partial at the rim |z| = 0.9 kappa, by FD
-        rim = weights.phi_def_second_derivative_max(w, 1.8, 0.0, n_samples=1)
-        assert w.m2 == pytest.approx(1.05 * rim, rel=1e-6)
-        assert weights.phi_def_second_derivative_max(w, 0.0, 1.8) <= w.m2
+        assert w.m2 == pytest.approx(1.05 * max_second_partial(w, 1.8 + 0j, 1.8e-5), rel=1e-6)
+        for _ in range(32):
+            z = 1.8 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
+            assert max_second_partial(w, z, 1e-5 * max(1.0, abs(z))) <= w.m2
 
 
 class TestSerialization:
-    def test_builtin_round_trip(self):
-        for w in (hi.fock_weight(2.0), hi.bergman_weight(3.0, kappa=2.0)):
-            back = weights.weight_from_dict(weights.weight_to_dict(w))
-            assert back.builtin == w.builtin
-            assert back.params == w.params
+    def test_builtin_from_dict(self):
+        fock = weights.weight_from_dict({"builtin": "fock", "alpha": 2.0, "n": 2, "r0": 0.5})
+        assert (fock.builtin, fock.params, fock.n, fock.r0) == ("fock", (2.0,), 2, 0.5)
+        berg = weights.weight_from_dict({"builtin": "bergman", "A": 3.0, "kappa": 2.0})
+        assert (berg.builtin, berg.params, berg.n) == ("bergman", (3.0, 2.0), 1)
 
-    def test_custom_round_trip(self):
-        phi = RealPolynomial({(2, 0): 1.5}, 1)
-        w = weights.HermitianWeight(
-            (Polynomial.from_coeffs([0.0, 2.0]),), phi, m2=3.0, r0=0.8, mu=0.9, lam=1.1, n=1)
-        back = weights.weight_from_dict(weights.weight_to_dict(w))
-        assert back.m2 == w.m2 and back.r0 == w.r0 and back.mu == w.mu and back.lam == w.lam
+    def test_custom_from_dict(self):
+        w = weights.weight_from_dict({
+            "sigmas": [{"n": 1, "terms": [{"powers": [1], "coeff": [2.0, 0.0]}]}],
+            "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2, 0], "coeff": 1.5}]}},
+            "M2": 3.0, "r0": 0.8, "mu": 0.9, "lam": 1.1})
+        assert (w.m2, w.r0, w.mu, w.lam, w.n) == (3.0, 0.8, 0.9, 1.1, 1)
         z = 0.3 + 0.9j
-        assert hi.weight_value(back, z) == pytest.approx(hi.weight_value(w, z), rel=1e-14)
+        # |2 z|^2 + 1.5 x^2
+        assert w.value(z) == pytest.approx(4.0 * abs(z) ** 2 + 1.5 * 0.3 ** 2, rel=1e-14)
 
     def test_sigma_coefficient_list_form(self):
         w = weights.weight_from_dict(
             {"sigmas": [[[0.0, 0.0], [1.0, 0.0]]], "M2": 0.0, "r0": 1.0, "mu": 1.0})
-        assert hi.weight_value(w, 2.0) == pytest.approx(4.0)
+        assert w.value(2.0) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("spec", [
+        {"builtin": "fock", "alpha": 1.0, "r0": "nan"},
+        {"M2": "nan"}, {"M2": "inf"}, {"M2": -1.0},
+        {"mu": "nan"}, {"mu": "inf"}, {"mu": 0.0},
+        {"r0": "nan"}, {"r0": 0.0},
+        {"lam": "nan"}, {"mu": 2.0, "lam": 1.0},
+    ])
+    def test_frame_data_refused(self, spec):
+        # NaN fails every comparison, so each bound is tested the way NaN fails
+        with pytest.raises(DomainError):
+            weights.weight_from_dict(spec if "builtin" in spec else
+                                     {"sigmas": [[[0.0, 0.0], [1.0, 0.0]]], **spec})
+
+    def test_infinite_frame_radius_kept(self):
+        assert weights.HermitianWeight((), None, m2=0.0, r0=math.inf, mu=1.0).r0 == math.inf
+
+    @pytest.mark.parametrize("n", [1.5, 0.5, True, "2", None, [1], 0, -1, math.nan, math.inf])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        sigma = {"n": n, "terms": [{"powers": [1], "coeff": [1.0, 0.0]}]}
+        phi = {"real_poly": {"n": n, "terms": [{"powers": [2, 0], "coeff": 1.0}]}}
+        for spec in ({"builtin": "fock", "n": n}, {"builtin": "bergman", "A": 3.0, "n": n},
+                     {"n": n}, {"sigmas": [sigma]}, {"phi_def": phi}):
+            with pytest.raises(DomainError, match="positive integer"):
+                weights.weight_from_dict(spec)
+
+    def test_integral_float_dimension_accepted(self):
+        w = weights.weight_from_dict({"builtin": "fock", "n": 2.0})
+        assert w.n == 2 and type(w.n) is int
+
+    def test_bergman_weight_on_the_disk_only(self):
+        assert weights.weight_from_dict({"builtin": "bergman", "A": 3.0, "n": 1.0}).n == 1
+        with pytest.raises(DomainError, match="n = 1"):
+            weights.weight_from_dict({"builtin": "bergman", "A": 3.0, "n": 2})
