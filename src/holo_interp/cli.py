@@ -228,13 +228,14 @@ def _cmd_construct(args) -> int:
 def _kernel_from_weight_spec(spec: dict) -> rkhs.KernelSpace:
     name = spec.get("builtin")
     n = geometry._dimension(spec.get("n", 1))
+    number = functools.partial(geometry._spec_number, spec)
     if name == "fock":
-        return rkhs.fock_kernel(float(spec.get("alpha", 1.0)), n=n)
+        return rkhs.fock_kernel(number("alpha", 1.0), n=n)
     if name == "bergman":
         if n != 1:
             raise DomainError(f"the bergman kernel lives on the disk (n = 1), not n = {n}")
-        return rkhs.bergman_kernel(float(spec.get("A", spec.get("a", 1.0))),
-                                   kappa=float(spec.get("kappa", 1.0)))
+        return rkhs.bergman_kernel(number("A" if "A" in spec else "a", 1.0),
+                                   kappa=number("kappa", 1.0))
     raise DomainError("interpolation kernels exist for the builtin weights only")
 
 

@@ -162,8 +162,8 @@ class AuxiliaryWeight:
     rho: float
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError("rho must be positive")
+        if not 0 < self.rho < math.inf:  # NaN fails too
+            raise DomainError(f"rho must be positive and finite, got {self.rho}")
         if len(self.points):  # validated once: the per-node distances do not check
             self.space.validate_points(self.points.points)
 

@@ -128,15 +128,31 @@ def _dimension(n) -> int:
     return int(n)
 
 
+def _spec_number(spec: dict, key: str, default: float) -> float:
+    """The numeric field ``key`` of a JSON spec as a float, ``default`` when
+    the field is absent: a number, or a string that ``float`` parses
+    (``"nan"`` too, which the finiteness checks downstream refuse).
+    ``null``, a boolean, a list, an object or another string raises
+    ``DomainError`` rather than a ``TypeError`` or a silent 0 or 1."""
+    value = spec.get(key, default)
+    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
+        raise DomainError(f"spec field {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise DomainError(f"spec field {key!r} must be a number, got {value!r}") from None
+
+
 def space_from_dict(d: dict) -> ModelSpace:
     kind = d.get("kind")
     if kind == FLAT:
-        return ModelSpace(FLAT, n=_dimension(d.get("n", 1)), k=float(d.get("k", 0.0)))
+        return ModelSpace(FLAT, n=_dimension(d.get("n", 1)), k=_spec_number(d, "k", 0.0))
     if kind == HYPERBOLIC_BALL:
         if "kappa" not in d:
             raise DomainError("hyperbolic_ball space spec requires 'kappa'")
-        kappa = float(d["kappa"])
-        k = float(d["k"]) if "k" in d else 1.0 / kappa
+        kappa = _spec_number(d, "kappa", math.nan)
+        # kappa = 0 is refused by ModelSpace, not by a ZeroDivisionError here
+        k = _spec_number(d, "k", 1.0 / kappa if kappa else math.inf)
         return ModelSpace(HYPERBOLIC_BALL, n=_dimension(d.get("n", 1)), k=k, kappa=kappa)
     raise DomainError(f"space spec has unknown kind {kind!r}")
 

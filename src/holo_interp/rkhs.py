@@ -55,26 +55,30 @@ class KernelSpace:
 
     # -- raw kernel ---------------------------------------------------------
     def log_kernel(self, z: np.ndarray, w: np.ndarray, dtype=complex) -> np.ndarray:
-        """log K(z, w) entrywise (principal branch); stable at large |z|.
+        """log K(z, w) (principal branch) of the rows of the (..., n) arrays
+        ``z`` and ``w``, which broadcast against each other: the kernel of
+        ``sum_k z_k conj(w_k)`` (``sum(z * conj(w), axis=-1)``).  Pass
+        ``z[:, None]`` and ``w`` for the (N, M) matrix of all pairs, the
+        gathered rows of each pair for a list of pairs.
 
         Exponent arguments grow like alpha |z| |w|, so graded node sets are
         evaluated in extended precision (``dtype=np.clongdouble``) where
         phase rounding would otherwise dominate.
         """
-        z = _as_matrix(z, dtype)
-        w = _as_matrix(w, dtype)
-        pair = z @ w.conj().T
+        pair = np.sum(np.asarray(z, dtype=dtype) * np.asarray(w, dtype=dtype).conj(), axis=-1)
         if self.kind == "fock":
-            return self.alpha * pair
+            pair *= self.alpha
+            return pair
         arg = 1.0 - pair / self.kappa ** 2
         if np.any(np.abs(arg) == 0):
             raise DomainError("bergman kernel singular: z conj(w) = kappa^2")
         return -(self.a_param + 2.0) * np.log(arg)
 
     def kernel(self, z, w) -> complex:
-        z = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(1, -1)
-        w = np.atleast_1d(np.asarray(w, dtype=complex)).reshape(1, -1)
-        return complex(np.exp(self.log_kernel(z, w))[0, 0])
+        """K(z, w) at two points, through the extended log-kernel."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        w = np.atleast_1d(np.asarray(w, dtype=complex))
+        return complex(np.exp(self.log_kernel(z, w, dtype=np.clongdouble)))
 
     def diag_log(self, z: np.ndarray, dtype=complex) -> np.ndarray:
         s = self._norms_sq(_as_matrix(z, dtype))
@@ -128,92 +132,135 @@ class KernelSpace:
         G[q, R^t q']`` (``orbits``, shape (c, r), and ``fixed`` from
         ``_quarter_turn``): one row per representative ``orbits[0]`` and,
         last, the origin, whose row and column are the same in every ``t``.
-        An open set's one-row orbits (c = 1) give ``s_0 = G`` alone.  The
-        log-kernel covers ``t < min(c, 3)``; only the upper triangles of the
-        Hermitian ``s_0``, ``s_2``, all of ``s_1`` and the origin's column
-        are exponent entries, on a closed set about m^2 / 8 of them, the
-        lower triangles are their mirrors, and ``s_3 = s_1^H``.  The Gram
-        kernel depends on ``z . conj(w)`` only, so ``G[R q, R j] = G[q, j]``
-        and every Gram entry is one table entry: the unfolded Gram is
-        exactly Hermitian and R-invariant.
+        An open set's one-row orbits (c = 1) give ``s_0 = G`` alone.  Only
+        the upper triangles of the Hermitian ``s_0``, ``s_2`` (t < min(c,
+        3)), all of ``s_1`` and the origin's column are exponent entries, on
+        a closed set about m^2 / 8 of them, the lower triangles are their
+        mirrors, and ``s_3 = s_1^H``.  The Gram kernel depends on ``z .
+        conj(w)`` only, so ``G[R q, R j] = G[q, j]`` and every Gram entry is
+        one table entry: the unfolded Gram is exactly Hermitian and
+        R-invariant.
 
         Both kernels also satisfy ``K(conj z, conj w) = conj K(z, w)`` (alpha,
         A and kappa are real, and the Bergman log stays off its cut), so on
-        a set closed under conjugation (``sigma``, from ``_conjugation``) the exponent
-        entries pair up as ``_exponent_classes`` finds, and one of each pair
-        is exponentiated.  The two real half diagonal logs are subtracted
-        from the real parts of the exponentiated entries only, one after the
-        other, the larger first, so an entry depends on its pair of points
-        only; subtracting their rounded sum made the refined nodal residual
-        six times larger.  The table is bit for bit the one that
-        exponentiates every exponent entry.
+        a set closed under conjugation (``sigma``, from ``_conjugation``) the
+        exponent entries pair up as ``_exponent_classes`` finds.  The
+        extended log-kernel is evaluated once, on the gathered pairs of
+        points of the lead entries only, and written with the copies of the
+        followers straight into the table.  The two real half diagonal logs
+        ``h`` are subtracted from the real parts, one after the other, the
+        larger first, so an entry depends on its pair of points only;
+        subtracting their rounded sum made the refined nodal residual six
+        times larger.
+
+        The graded floor: a lead entry whose exponent ``x`` has ``Re x + |h_p
+        - h_q| < log u``, ``u = np.finfo(np.longdouble).epsneg`` (2^-64 on
+        x87), is exact zero and is not exponentiated; in kernel terms
+        ``|K(p, q)| < u min(K(p, p), K(q, q))``.  Its followers copy the
+        zero.  The dropped matrix ``E`` has ``|E[p, q]| < u`` off the
+        diagonal, so by Weyl the eigenvalues move by at most ``||E||_2 <=
+        (m - 1) u <= 1999 * 2^-64``, about 1.1e-16 at the size guard.  Dropped
+        terms add at most ``u sum_q |K(q, q) c_q|`` to each raw nodal
+        residual ``|f(p) - a_p|`` and at most ``u ||y||_1`` to each weighted
+        one.  The ``|h_p - h_q|`` term makes the raw bound hold: a floor on
+        ``|G[p, q]|`` alone drops ``|K(p, q)|`` up to ``u sqrt(K(p, p)
+        K(q, q))``, which leaves the node with the larger ``K(p, p)``
+        unbounded in the grading.  Every other entry is bit for bit the one
+        of the full build.
         """
         c, r = orbits.shape
-        k, w = min(c, 3), r + len(fixed)
-        rows = np.concatenate([orbits[0], fixed])
-        cols = np.concatenate([*orbits[:k], fixed])
-        logk = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
-        _exponentiate(logk, half[rows], half[cols],
-                      *_exponent_classes(orbits, fixed, sigma))
-        # in place, logk freed before the (numpy-buffered) strided conjugate
+        # node[t, q'] = R^t q' (the origin in every t): G[q, R^t q'] is the
+        # kernel of the rows node[0, q] and node[t, q']
+        node = np.concatenate([orbits, np.broadcast_to(fixed, (c, len(fixed)))], axis=1)
+        w = node.shape[1]
+        lead, follow, source, flip = _exponent_classes(orbits, fixed, sigma)
+        x, keep = self._floored_exponents(points, half, node[0][lead // (c * w)],
+                                          node.reshape(-1)[lead % (c * w)])
+        # a partner's exponent is its leader's conjugate, or, where its
+        # imaginary part is a zero, the same with the same sign
+        flip &= x.imag[source] != 0
+        x[keep] = np.exp(x[keep])
+        x[~keep] = 0
+        src = np.empty((w, c, w), dtype=x.dtype)
+        flat = src.reshape(-1)
+        flat[lead] = x
+        x = x[source]  # the followers' copies; the leads' array is freed
+        np.negative(x.imag, out=x.imag, where=flip)
+        flat[follow] = x
         lower = np.tri(r, k=-1, dtype=bool)
-        for t in range(0, k, 2):
-            block = (slice(r), slice(t * r, (t + 1) * r))
-            logk[block][lower] = logk[block].T[lower].conj()
-        src = np.empty((w, c, w), dtype=logk.dtype)
-        src[:r, :k, :r] = logk[:r, :k * r].reshape(r, k, r)
+        for t in range(0, min(c, 3), 2):
+            block = src[:r, t, :r]
+            block[lower] = block.T[lower].conj()
         if len(fixed):
-            src[:, :, r] = logk[:, 3 * r, None]  # G[q, o] and G[o, o]
-            src[r, :, :r] = logk[:r, 3 * r].conj()
-        del logk
-        for t in range(1, k, 2):
+            src[:, 1:, r] = src[:, :1, r]  # G[q, o] and G[o, o]
+            src[r, :, :r] = src[:r, 0, r].conj()
+        if c == 4:
             np.conjugate(src[:r, 1, :r].T, out=src[:r, 3, :r])
         return src
 
+    def _floored_exponents(self, points, half, rows, cols):
+        """The exponents ``x = log K(p, q) - h_p - h_q`` of the normalized
+        kernel at the node pairs ``(rows[i], cols[i])`` of ``points``, the
+        half logs ``half`` subtracted larger first, and the mask of the pairs
+        at or above the graded floor of ``_orbit_gram``: ``Re log K(p, q) >=
+        log u + 2 min(h_p, h_q)``, which is ``Re x + |h_p - h_q| >= log u``."""
+        x = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
+        h_row, h_col = half[rows], half[cols]
+        low = np.minimum(h_row, h_col)
+        keep = x.real >= 2 * low + _LOG_FLOOR
+        x.real -= np.maximum(h_row, h_col)
+        x.real -= low
+        return x, keep
+
+
+#: ``log u`` for the long double's ``u = epsneg``: the graded floor of
+#: ``KernelSpace._orbit_gram``
+_LOG_FLOOR = np.log(np.finfo(np.longdouble).epsneg)
+
 
 def _exponent_classes(orbits, fixed, sigma):
-    """Which entries of its (w, k r + len(fixed)) log-kernel ``logk``
-    ``_orbit_gram`` exponentiates, as ``(lead, follow, source, flip)``:
-    ``lead`` and ``follow`` are masks of ``logk``'s shape, the ``lead``
-    entries are exponentiated, and the ``follow`` entries, in row-major
-    order, are copies of the ``lead`` entries at the flat indices ``source``,
-    conjugated where ``flip``.
+    """The exponent entries of the (w, c, w) orbit table ``src`` of
+    ``_orbit_gram``, as flat indices into it: ``(lead, follow, source,
+    flip)``.  The ``lead`` entries are evaluated, and the ``follow``
+    entries are copies of ``lead[source]``, conjugated where ``flip``
+    (unless the exponent is real).
 
     The exponent entries are ``(q, t, q')`` for ``s_t[q, q']``: the upper
     triangles of ``s_0`` and ``s_2``, all of ``s_1`` and the origin's
-    column.  Without ``sigma`` they all lead.  With the conjugation
-    permutation ``sigma`` of ``_conjugation``, ``sigma(q) = R^u_q pi(q)`` on
-    representatives, and ``K(conj z, conj w) = conj K(z, w)`` gives
-    ``s_t[q, q'] = conj s_t_c[pi q, pi q']``, ``t_c = u_q' - u_q - t (mod
-    4)``; with the Hermitian mirror, also ``s_t[q, q'] = s_(-t_c)[pi q',
-    pi q]``.  Each exponent entry's partner is that unconjugated one when it
-    is an exponent entry itself, otherwise the conjugated one, which then
-    is; of a pair, the one first in ``logk`` leads.  Self-partnered entries
-    lead, as does the origin's column.
+    column, stored at ``t = 0``.  Without ``sigma`` they all lead.  With the
+    conjugation permutation ``sigma`` of ``_conjugation``, ``sigma(q) =
+    R^u_q pi(q)`` on representatives, and ``K(conj z, conj w) = conj K(z,
+    w)`` gives ``s_t[q, q'] = conj s_t_c[pi q, pi q']``, ``t_c = u_q' - u_q
+    - t (mod 4)``; with the Hermitian mirror, also ``s_t[q, q'] =
+    s_(-t_c)[pi q', pi q]``.  Each exponent entry's partner is that
+    unconjugated one when it is an exponent entry itself, otherwise the
+    conjugated one, which then is; of a pair, the one first in the table
+    leads.  Self-partnered entries lead, as does the origin's column.
     """
     c, r = orbits.shape
-    k, o = min(c, 3), len(fixed)
-    n_cols = k * r + o
-    lead = np.zeros((r + o, n_cols), dtype=bool)
-    follow = np.zeros_like(lead)
-    lead[:, k * r:] = True
-    entry = lead[:r, :k * r].reshape(r, k, r)  # view: entry[q, t, q'] for s_t[q, q']
+    k, w = min(c, 3), r + len(fixed)
+    row = c * w  # src[q, t, q'] is flat entry q row + t w + q'
     q = np.arange(r, dtype=np.int32)[:, None, None]
     t = np.arange(k, dtype=np.int32)[:, None]
     q2 = np.arange(r, dtype=np.int32)
-    entry[...] = (t == 1) | (q <= q2)
+    entry = (t == 1) | (q <= q2)  # entry[q, t, q'] for s_t[q, q']
+    at = q * row + t * w + q2
+    none = np.empty(0, dtype=np.int32)
+    origin = np.arange(w, dtype=np.int32) * row + r if len(fixed) else none
     if sigma is None:
-        return lead, follow, np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
+        return np.concatenate([at[entry], origin]), none, none, none.astype(bool)
     pi, u = _pairing(orbits, sigma)
     t_c = (u[q2] - u[q] - t) % 4
     t_h = -t_c % 4
     copy = (t_h == 1) | ((t_h != 3) & (pi[q2] <= pi[q]))
-    partner = np.where(copy, pi[q2] * n_cols + t_h * r + pi[q],
-                       pi[q] * n_cols + t_c * r + pi[q2])
-    later = entry & (q * n_cols + t * r + q2 > partner)
-    follow[:r, :k * r].reshape(r, k, r)[...] = later
+    partner = np.where(copy, pi[q2] * row + t_h * w + pi[q],
+                       pi[q] * row + t_c * w + pi[q2])
+    later = entry & (at > partner)
     entry &= ~later
-    return lead, follow, partner[later], ~copy[later]
+    lead = np.concatenate([at[entry], origin])
+    rank = np.empty(w * row, dtype=np.int32)  # rank[lead[i]] = i
+    rank[lead] = np.arange(len(lead), dtype=np.int32)
+    return lead, at[later], rank[partner[later]], ~copy[later]
 
 
 def _pairing(orbits, sigma):
@@ -228,25 +275,6 @@ def _pairing(orbits, sigma):
     rep[orbits] = np.arange(r)
     turn[orbits] = np.arange(c)[:, None]
     return rep[sigma[orbits[0]]], turn[sigma[orbits[0]]]
-
-
-def _exponentiate(logk, half_rows, half_cols, lead, follow, source, flip):
-    """The normalized kernel in place of the log-kernel ``logk`` at the
-    masks ``lead`` and ``follow`` of ``_exponent_classes``: ``lead``
-    exponentiated less the half diagonal logs of its row and column, larger
-    first, and ``follow`` copied from the flat indices ``source``,
-    conjugated where ``flip`` unless its own exponent is real: a partner's
-    exponent is its leader's conjugate, or, where its imaginary part is a
-    zero, the same with the same sign."""
-    x = logk[lead]
-    h_row = np.broadcast_to(half_rows[:, None], logk.shape)[lead]
-    h_col = np.broadcast_to(half_cols, logk.shape)[lead]
-    x.real -= np.maximum(h_row, h_col)
-    x.real -= np.minimum(h_row, h_col)
-    logk[lead] = np.exp(x, out=x)
-    x = logk.reshape(-1)[source]
-    np.negative(x.imag, out=x.imag, where=flip & (logk[follow].imag != 0))
-    logk[follow] = x
 
 
 def _unfold(table: np.ndarray, quarter) -> np.ndarray:
@@ -630,7 +658,7 @@ class MinNormInterpolant:
         scalar = z.ndim == 0
         zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
         self.space._norms_sq(zs)  # refuses points off the kernel's domain
-        logk = self.space.log_kernel(zs, self.points.points, dtype=np.clongdouble)
+        logk = self.space.log_kernel(zs[:, None], self.points.points, dtype=np.clongdouble)
         logk.real -= self._half
         out = np.dot(np.exp(logk, out=logk), self._y).astype(complex)
         return complex(out[0]) if scalar else out.reshape(z.shape if self.space.n == 1 else z.shape[:-1])

@@ -9,6 +9,7 @@ eigenvalues use.  Built-ins: ``fock(alpha)`` with weight ``alpha |z|^2`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -374,32 +375,41 @@ def mean_value_constant(w: HermitianWeight, center, radius: float) -> float:
 # serialization
 
 def weight_from_dict(d: dict) -> HermitianWeight:
+    """The weight of a JSON spec: a builtin (``fock``, ``bergman``) or
+    ``sigmas`` with an optional ``real_poly`` deformation.  Numeric fields
+    are read by ``geometry._spec_number``; the spec's ``n``, the sigmas'
+    and the deformation's dimensions must agree (``DomainError``)."""
+    number = functools.partial(geometry._spec_number, d)
     n = geometry._dimension(d.get("n", 1))
     if "builtin" in d:
         name = d["builtin"]
         if name == "fock":
-            return fock_weight(float(d.get("alpha", 1.0)), n=n, r0=float(d.get("r0", 1.0)))
+            return fock_weight(number("alpha", 1.0), n=n, r0=number("r0", 1.0))
         if name == "bergman":
             if n != 1:
                 raise DomainError(f"the bergman weight lives on the disk (n = 1), not n = {n}")
-            return bergman_weight(float(d.get("A", d.get("a", 1.0))),
-                                  kappa=float(d.get("kappa", 1.0)))
+            return bergman_weight(number("A" if "A" in d else "a", 1.0),
+                                  kappa=number("kappa", 1.0))
         raise DomainError(f"unknown builtin weight {name!r}")
     sigmas = tuple(Polynomial.from_dict(s) for s in d.get("sigmas", []))
     phi_def = None
     if d.get("phi_def"):
         spec = d["phi_def"]["real_poly"]
         terms = {tuple(t["powers"]): t["coeff"] for t in spec["terms"]}
-        n = geometry._dimension(spec["n"])
-        phi_def = RealPolynomial(terms, n)
-    if sigmas:
-        n = sigmas[0].n
+        phi_def = RealPolynomial(terms, geometry._dimension(spec["n"]))
+    dims = {s.n for s in sigmas}
+    if phi_def is not None:
+        dims.add(phi_def.n)
+    if "n" in d:
+        dims.add(n)
+    if len(dims) > 1:
+        raise DomainError(f"the weight's n, sigmas and deformation disagree on the "
+                          f"dimension: {sorted(dims)}")
     return HermitianWeight(
         sigmas, phi_def,
-        m2=float(d.get("M2", 0.0)),
-        r0=float(d.get("r0", 1.0)),
-        mu=float(d.get("mu", 1.0)),
-        lam=(float(d["lam"]) if d.get("lam") is not None else None),
-        n=n,
+        m2=number("M2", 0.0),
+        r0=number("r0", 1.0),
+        mu=number("mu", 1.0),
+        lam=None if d.get("lam") is None else number("lam", None),
+        n=dims.pop() if dims else n,
     )
-

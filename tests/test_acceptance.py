@@ -368,7 +368,7 @@ def test_criterion_9_kernel_engine():
     # minimality against 100 value-preserving perturbations in an enlarged span
     extras = rng.uniform(-2, 2, 10) + 1j * rng.uniform(-2, 2, 10)
     allpts = np.concatenate([z, extras]).reshape(-1, 1)
-    k_all = np.exp(k.log_kernel(allpts, allpts))
+    k_all = np.exp(k.log_kernel(allpts[:, None], allpts))
     from scipy.linalg import null_space
     basis = null_space(k_all[:20, :])
     c_full = np.concatenate([itp.coefficients, np.zeros(10, complex)])

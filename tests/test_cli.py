@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -288,6 +289,80 @@ class TestExitCodes:
         code = cli.run(["sweep", "--weight", FOCK, *args, "--out", "/dev/null"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        # sigmas in C^1 with a deformation in C^2: the (..., 2, 2) ddbar
+        # broadcast onto the (..., 1, 1) sigma term and the certificate passed
+        {"phi_def": {"real_poly": {"n": 2, "terms": [{"powers": [2, 0, 0, 0], "coeff": 1}]}}},
+        {"n": 2},
+        {"n": 1, "phi_def": {"real_poly": {"n": 2, "terms": []}}},
+    ], ids=["deformation", "spec_n", "spec_n_and_deformation"])
+    def test_weight_dimensions_that_disagree_exit_two(self, sparse_points, spec, capsys):
+        weight = json.dumps(dict({"sigmas": [[[0, 0], [1, 0]]]}, **spec))
+        code = cli.run(["certify-bos", "--weight", weight, "--points", sparse_points,
+                        "--rho", "1", "--eps", "0.5", "--grid=-1:1:2", "--out", "/dev/null"])
+        assert code == 2
+        assert "disagree on the dimension" in capsys.readouterr().err
+
+    #: a valid argv of each command with a float option
+    FLOAT_OPTION_ARGV = {
+        "density": ["--space", DISK, "--grid=-0.2:0.2:2"],
+        "certify-bos": ["--weight", FOCK, "--rho", "2", "--eps", "1", "--grid=-1:1:2"],
+        "certify-t1": ["--space", FLAT, "--weight", FOCK, "--rho", "2", "--eps", "1",
+                       "--grid=-1:1:2"],
+        "certify-t2": ["--space", DISK, "--weight", '{"builtin": "bergman", "A": 4.0}',
+                       "--eps", "0.5", "--grid=-0.2:0.2:2", "--density-threshold", "50"],
+        "construct": ["--space", FLAT, "--weight", FOCK, "--rho", "1", "--grid=-1:1:3",
+                      "--nr", "2", "--ntheta", "4"],
+        "sweep": ["--weight", FOCK, "--spacings", "3", "--radius", "2"],
+    }
+
+    @staticmethod
+    def float_options():
+        """``(command, option)`` for every ``type=float`` option of the parser."""
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return [(name, action.option_strings[0]) for name, p in sub.choices.items()
+                for action in p._actions if action.type is float]
+
+    def test_every_float_option_is_listed(self):
+        assert sorted({name for name, _ in self.float_options()}) == sorted(self.FLOAT_OPTION_ARGV)
+        assert len(self.float_options()) == 11
+
+    @pytest.mark.parametrize("command,option", float_options.__func__())
+    def test_nan_float_option_exits_two(self, command, option, tmp_path):
+        # construct --rho nan used to exit 0 and write "rho": NaN
+        pts = tmp_path / "pts.json"
+        pts.write_text('{"points": [[0.5, 0.0], [-0.5, 0.0]], "values": [[1, 0], [0, 1]]}')
+        argv = [command, *self.FLOAT_OPTION_ARGV[command], "--out", "/dev/null"]
+        if command != "sweep":
+            argv += ["--points", str(pts)]
+        assert cli.run(argv) in (0, 1)
+        assert cli.run([*argv, f"{option}=nan"]) == 2
+
+    @pytest.mark.parametrize("bad", ["null", "true", "[1.0]", '{"v": 1.0}', '"one"'])
+    @pytest.mark.parametrize("argv,field", [
+        (["interpolate", "--weight", '{"builtin": "fock", "alpha": %s}'], "alpha"),
+        (["interpolate", "--weight", '{"builtin": "bergman", "A": 2.0, "kappa": %s}'], "kappa"),
+        (["separation", "--weight", '{"builtin": "fock", "r0": %s}', "--space", FLAT], "r0"),
+        (["separation", "--space", '{"kind": "hyperbolic_ball", "n": 1, "kappa": %s}'], "kappa"),
+        (["separation", "--space", '{"kind": "hyperbolic_ball", "n": 1, "kappa": 1, "k": %s}'],
+         "k"),
+    ], ids=["kernel_alpha", "kernel_kappa", "weight_r0", "space_kappa", "space_k"])
+    def test_non_numeric_spec_field_exits_two(self, argv, field, bad, capsys):
+        # "alpha": null ended in a TypeError traceback and "kappa": true ran
+        # as kappa = 1
+        argv = [a % bad if "%s" in a else a for a in argv]
+        pts = '{"points": [[0.5, 0.0], [-0.5, 0.0]], "values": [[1, 0], [0, 1]]}'
+        assert cli.run([*argv, "--points", pts, "--out", "/dev/null"]) == 2
+        assert f"spec field {field!r} must be a number" in capsys.readouterr().err
+
+    def test_zero_kappa_without_k_exits_two(self, capsys):
+        # 1 / kappa used to raise ZeroDivisionError before the space check
+        code = cli.run(["separation", "--space", '{"kind": "hyperbolic_ball", "n": 1, "kappa": 0}',
+                        "--points", '{"points": [[0.0, 0.0]]}', "--out", "/dev/null"])
+        assert code == 2
+        assert "normal float" in capsys.readouterr().err
 
 
 class TestJsonArguments:

@@ -15,6 +15,9 @@ from holo_interp.errors import (ConditioningError, DomainError, NumericalGuardEr
 # frozen dense-eigensolve oracle: 5x5 lattice, spacing 2, fock(1)
 FIVE_BY_FIVE_S2_EIG_MIN = 0.6160426662500302
 EPS = float(np.finfo(float).eps)
+#: ``u`` of the graded floor of ``KernelSpace._orbit_gram``: the long
+#: double's epsneg, 2^-64 on x87
+U_LD = np.finfo(np.longdouble).epsneg
 
 
 def golden_spiral(r0, r1, m):
@@ -45,11 +48,35 @@ def one_row_orbits(z):
 
 
 def mp_normalized_gram(log_k, z):
-    """50-digit ``exp(log K(p,q) - log K(p,p)/2 - log K(q,q)/2)``."""
+    """50-digit ``exp(log K(p,q) - log K(p,p)/2 - log K(q,q)/2)``, and the
+    mask of the entries below the graded floor, ``|K(p, q)| < u min(K(p,
+    p), K(q, q))``."""
     with mpmath.workdps(50):
         zs = [mpmath.mpc(c.real, c.imag) for c in z]
-        return np.array([[complex(mpmath.exp(log_k(p, q) - log_k(p, p) / 2 - log_k(q, q) / 2))
-                          for q in zs] for p in zs])
+        diag = [log_k(p, p) for p in zs]
+        log_u = mpmath.log(mpmath.mpf(float(U_LD)))
+        gram = np.array([[complex(mpmath.exp(log_k(p, q) - dp / 2 - dq / 2))
+                          for q, dq in zip(zs, diag)] for p, dp in zip(zs, diag)])
+        below = np.array([[mpmath.re(log_k(p, q)) < log_u + min(mpmath.re(dp), mpmath.re(dq))
+                           for q, dq in zip(zs, diag)] for p, dp in zip(zs, diag)])
+    return gram, below
+
+
+def re_log_kernel(space, p, q):
+    """``Re log K(p, q)`` in float64 from the closed forms, at the (..., n)
+    rows ``p`` and ``q``: ``alpha Re(p . conj q)`` or ``-(A + 2) log|1 - p .
+    conj q / kappa^2|``."""
+    pair = np.sum(np.asarray(p, dtype=complex) * np.conj(np.asarray(q, dtype=complex)), axis=-1)
+    if space.kind == "fock":
+        return space.alpha * pair.real
+    return -(space.a_param + 2.0) * np.log(np.abs(1.0 - pair / space.kappa ** 2))
+
+
+def below_floor(space, p, q):
+    """Whether ``|K(p, q)| < u min(K(p, p), K(q, q))`` at the rows ``p`` and
+    ``q``, from ``re_log_kernel``: the Gram entries the graded floor drops."""
+    low = np.minimum(re_log_kernel(space, p, p), re_log_kernel(space, q, q))
+    return re_log_kernel(space, p, q) < math.log(U_LD) + low
 
 
 def pts_of(values, targets=None):
@@ -148,10 +175,16 @@ class TestGram:
 
     @pytest.mark.parametrize("space,z,log_k", GRADED, ids=GRADED_IDS)
     def test_normalized_gram_matches_mpmath(self, space, z, log_k):
+        # entries below the graded floor are exact zeros; every other entry
+        # within 4 eps of the 50-digit value.  The Fock sets reach entries
+        # below the floor; the Bergman ones, within 0.1 of the rim, do not
         g = space.normalized_gram(z)
-        ref = mp_normalized_gram(log_k, z)
+        ref, below = mp_normalized_gram(log_k, z)
+        assert below.any() == (space.kind == "fock")
+        assert np.all(g[below] == 0)
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        assert np.all(np.abs(g - ref) <= 4 * eps * np.abs(ref) + tiny)
+        kept = ~below
+        assert np.all(np.abs(g - ref)[kept] <= 4 * eps * np.abs(ref[kept]) + tiny)
 
     def test_size_guard(self, monkeypatch):
         monkeypatch.setattr(rkhs, "SIZE_GUARD", 10)
@@ -375,7 +408,7 @@ class TestMinNormInterpolant:
         k = rkhs.fock_kernel(1.0)
         itp = rkhs.min_norm_interpolant(k, pts_of(nodes, a))
         allpts = np.concatenate([nodes, extras]).reshape(-1, 1)
-        k_all = np.exp(k.log_kernel(allpts, allpts))
+        k_all = np.exp(k.log_kernel(allpts[:, None], allpts))
         cross = k_all[:12, :]  # values of every candidate kernel at the nodes
         from scipy.linalg import null_space
         basis = null_space(cross)  # perturbation coefficients vanishing on nodes
@@ -389,6 +422,37 @@ class TestMinNormInterpolant:
             perturbed = c_full + delta
             norm = float(np.real(np.conj(perturbed) @ k_all @ perturbed))
             assert norm >= base_norm - 1e-9 * max(1.0, base_norm)
+
+
+class TestGradedFloor:
+    """The graded floor drops a Gram entry where ``|K(p, q)| < u min(K(p,
+    p), K(q, q))``: the raw nodal residual ``|f(p) - a_p|`` stays at
+    rounding level on graded nodes.  A floor on the normalized entry alone,
+    ``|G[p, q]| < u``, drops ``G[0, 10] = e^-50`` on the cross below and
+    leaves ``f(10)`` off by about ``|c_0|``, 1.0."""
+
+    SETS = [
+        np.array([0, 10, -10, 10j, -10j]),
+        # the spacing-5 set of tests/test_cli.py
+        np.array([5.0 * complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]),
+    ]
+
+    @pytest.mark.parametrize("z", SETS, ids=["cross", "spacing_5"])
+    def test_raw_residual_from_the_coefficients(self, z):
+        # unit values, as in tests/test_cli.py: the sum over the nodes then
+        # cancels mildly enough for complex128 coefficients to show 1e-10
+        a = np.ones(len(z), dtype=complex)
+        space = rkhs.fock_kernel(1.0)
+        assert np.any(space.normalized_gram(z) == 0)  # the floor drops entries here
+        coeff = rkhs.min_norm_interpolant(space, pts_of(z, a)).coefficients
+        # f(p) = sum_j c_j exp(p conj p_j) at 40 digits, from the public
+        # coefficients alone
+        with mpmath.workdps(40):
+            nodes = [mpmath.mpc(p.real, p.imag) for p in z]
+            cs = [mpmath.mpc(c.real, c.imag) for c in coeff]
+            for p, ap in zip(nodes, a):
+                f = mpmath.fsum(c * mpmath.exp(p * mpmath.conj(q)) for c, q in zip(cs, nodes))
+                assert abs(f - mpmath.mpc(ap.real, ap.imag)) <= 1e-10
 
 
 def half_shifted_lattice(s, k):
@@ -665,7 +729,7 @@ def triangle_build(space, points, half, orbits, fixed):
     k, w = min(c, 3), r + len(fixed)
     rows = np.concatenate([orbits[0], fixed])
     cols = np.concatenate([*orbits[:k], fixed])
-    logk = space.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
+    logk = space.log_kernel(points[rows][:, None], points[cols], dtype=np.clongdouble)
     logk.real -= np.maximum.outer(half[rows], half[cols])
     logk.real -= np.minimum.outer(half[rows], half[cols])
     upper = np.triu(np.ones((r, r), dtype=bool))
@@ -685,6 +749,35 @@ def triangle_build(space, points, half, orbits, fixed):
     for t in range(1, k, 2):
         src[:r, 3, :r] = src[:r, 1, :r].T.conj()
     return src
+
+
+def assert_floored_triangle_build(space, z):
+    """The table of ``_orbit_gram`` on ``z`` against ``triangle_build``: the
+    entries the floor drops are exact zeros, and every other entry is the
+    triangle build's bit for bit, in the extended table and in the rounded
+    one.  Which entries drop is read from the triangle build's own values:
+    ``|G[p, q]| < u e^(-|h_p - h_q|)``, ``h`` the half diagonal logs, which
+    is ``|K(p, q)| < u min(K(p, p), K(q, q))``."""
+    quarter = rkhs._quarter_turn(z)
+    orbits, fixed = quarter
+    c = len(orbits)
+    sigma = rkhs._conjugation(z)
+    half = 0.5 * space.diag_log(z, dtype=np.clongdouble)
+    got = space._orbit_gram(z, half, *quarter, sigma)
+    want = triangle_build(space, z, half, *quarter)
+    node = np.concatenate([orbits, np.broadcast_to(fixed, (c, len(fixed)))], axis=1)
+    spread = np.abs(half[node[0]][:, None, None] - half[node][None, :, :])
+    with np.errstate(divide="ignore"):
+        below = np.log(np.abs(want)) < np.log(U_LD) - spread
+    kept = ~below
+    assert np.all(got[below] == 0)
+    assert_same_bits(got[kept], want[kept])
+    table = space._normalized_grams(z, quarter, sigma)[0]
+    want = want.astype(complex)
+    np.fill_diagonal(want[:, 0], 1.0)
+    assert np.all(table[below] == 0)
+    assert table[kept].tobytes() == want[kept].tobytes()
+    return below
 
 
 def assert_same_bits(a, b):
@@ -751,19 +844,24 @@ class TestOrbitGram:
 
     @pytest.mark.parametrize("space,z", CLOSED, ids=IDS)
     def test_representative_rows_only(self, space, z, monkeypatch):
-        shapes = []
+        # one extended log-kernel call, on the pairs of the lead entries
+        # only: one pair per class of Gram entries, each row an orbit
+        # representative or the origin
+        calls = []
         real = rkhs.KernelSpace.log_kernel
 
         def recording(self, a, b, dtype=complex):
             out = real(self, a, b, dtype)
-            shapes.append(out.shape)
+            calls.append((np.asarray(a).astype(complex), out.shape, out.dtype))
             return out
 
         monkeypatch.setattr(rkhs.KernelSpace, "log_kernel", recording)
         space.normalized_gram(z)
-        origin = int(np.any(np.all(z == 0, axis=1)))
-        reps = (len(z) - origin) // 4
-        assert shapes == [(reps + origin, 3 * reps + origin)]
+        orbits, fixed = rkhs._quarter_turn(z)
+        classes = self.entry_classes(z, rkhs._conjugation(z) is not None)
+        assert [call[1:] for call in calls] == [((len(classes),), np.clongdouble)]
+        reps = {tuple(row) for row in z[np.concatenate([orbits[0], fixed])].tolist()}
+        assert all(tuple(row) in reps for row in calls[0][0].tolist())
 
     W = [2.5, 2.5j] @ np.random.default_rng(221).normal(size=(2, 9))
     #: (space, nodes, closed under the turn, closed under conjugation)
@@ -802,33 +900,39 @@ class TestOrbitGram:
         monkeypatch.setattr(np, "exp", counting)
         return sizes
 
-    @staticmethod
-    def tables(space, z):
-        """The tables of ``_orbit_gram`` and of ``triangle_build`` on ``z``."""
-        quarter = rkhs._quarter_turn(z)
-        half = 0.5 * space.diag_log(z, dtype=np.clongdouble)
-        return (space._orbit_gram(z, half, *quarter, rkhs._conjugation(z)),
-                triangle_build(space, z, half, *quarter))
+    @pytest.fixture
+    def log_sizes(self, monkeypatch):
+        """Sizes of the extended-precision log-kernels evaluated."""
+        sizes = []
+        real = rkhs.KernelSpace.log_kernel
+
+        def counting(self, a, b, dtype=complex):
+            out = real(self, a, b, dtype)
+            if out.dtype == np.clongdouble:
+                sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(rkhs.KernelSpace, "log_kernel", counting)
+        return sizes
+
+    #: the sets whose tables hold entries below the graded floor
+    FLOORED = {"fock_origin", "fock_half_shifted", "far_pairs"}
 
     @pytest.mark.parametrize("space,z,turned,conjugated", BUILDS, ids=BUILD_IDS)
-    def test_bit_identical_to_the_triangle_build(self, space, z, turned, conjugated):
+    def test_bit_identical_to_the_triangle_build(self, space, z, turned, conjugated, request):
         quarter = rkhs._quarter_turn(z)
         assert (len(quarter[0]) == 4) == turned
         assert (rkhs._conjugation(z) is not None) == conjugated
-        got, want = self.tables(space, z)
-        assert_same_bits(got, want)
-        want = want.astype(complex)
-        np.fill_diagonal(want[:, 0], 1.0)
-        table = space._normalized_grams(z, quarter, rkhs._conjugation(z))[0]
-        assert table.tobytes() == want.tobytes()
+        below = assert_floored_triangle_build(space, z)
+        assert below.any() == (request.node.callspec.id in self.FLOORED)
 
     @staticmethod
     def entry_classes(z, conjugate):
-        """The number of classes of Gram entries ``G[a, b]`` on the nodes
-        ``z`` under the turn ``(a, b) -> (R a, R b)`` (on a turn-closed
-        set), the mirror ``(a, b) -> (b, a)`` and, with ``conjugate``,
-        ``(a, b) -> (conj a, conj b)`` where neither is the origin: one
-        exponential each."""
+        """The classes of Gram entries ``G[a, b]`` on the nodes ``z`` under
+        the turn ``(a, b) -> (R a, R b)`` (on a turn-closed set), the mirror
+        ``(a, b) -> (b, a)`` and, with ``conjugate``, ``(a, b) -> (conj a,
+        conj b)`` where neither is the origin, as an (N, 2) array of one
+        ``(a, b)`` per class: one extended log-kernel each."""
         m = len(z)
         orbits, fixed = rkhs._quarter_turn(z)
         turn = turn_of(z) if len(orbits) == 4 else np.arange(m)
@@ -844,34 +948,54 @@ class TestOrbitGram:
                 least = np.minimum(least, x * m + y)
                 if conjugate:
                     least = np.minimum(least, np.where(origin, least, conj[x] * m + conj[y]))
-        return len(np.unique(least))
+        return np.stack(np.divmod(np.unique(least), m), axis=1)
+
+    @staticmethod
+    def kept_classes(space, z, classes):
+        """How many of the ``classes`` of ``entry_classes`` are at or above
+        the graded floor (``below_floor``): one extended exponential each."""
+        return int(np.sum(~below_floor(space, z[classes[:, 0]], z[classes[:, 1]])))
 
     @pytest.mark.parametrize("space,z,turned,conjugated", BUILDS, ids=BUILD_IDS)
-    def test_one_exponential_per_class(self, space, z, turned, conjugated, exp_sizes):
+    def test_one_exponential_per_class(self, space, z, turned, conjugated, exp_sizes,
+                                       log_sizes):
+        # one extended log per class of Gram entries, one extended
+        # exponential per class at or above the graded floor
         space.normalized_gram(z)
-        assert sum(exp_sizes) == self.entry_classes(z, conjugated)
+        classes = self.entry_classes(z, conjugated)
+        assert sum(log_sizes) == len(classes)
+        assert sum(exp_sizes) == self.kept_classes(space, z, classes)
         if not conjugated:
             # the triangle build's count: on a turn-closed set the upper
             # triangles of s_0 and s_2, all of s_1 and the origin's column
             orbits, fixed = rkhs._quarter_turn(z)
             r, w = orbits.shape[1], orbits.shape[1] + len(fixed)
-            assert sum(exp_sizes) == (r * (r + 1) + r * r + len(fixed) * w if turned
+            assert sum(log_sizes) == (r * (r + 1) + r * r + len(fixed) * w if turned
                                       else r * (r + 1) // 2)
 
-    def test_half_the_exponentials_at_441_nodes(self, exp_sizes):
+    def test_half_the_exponentials_at_441_nodes(self, exp_sizes, log_sizes):
+        # 12480 extended logs, one per conjugate pair of the triangle
+        # build's 24421 entries, and 7413 exponentials, the classes at or
+        # above the graded floor
         lattice = pointset.square_lattice(1.0, radius=12.0).points
-        rkhs.fock_kernel(1.0).normalized_gram(lattice)
-        closed = sum(exp_sizes)
-        assert self.entry_classes(lattice, False) == 110 * 111 + 110 * 110 + 111 == 24421
-        assert closed == self.entry_classes(lattice, True) <= 0.52 * 24421
+        space = rkhs.fock_kernel(1.0)
+        space.normalized_gram(lattice)
+        assert len(self.entry_classes(lattice, False)) == 110 * 111 + 110 * 110 + 111 == 24421
+        classes = self.entry_classes(lattice, True)
+        assert sum(log_sizes) == len(classes) == 12480
+        assert sum(exp_sizes) == self.kept_classes(space, lattice, classes) == 7413
         # the lattice turned by 0.1 rad is still closed under the quarter
         # turn, but not under conjugation
         orbits, _ = rkhs._quarter_turn(lattice)
         turned = np.concatenate([[0], quarter_turns(np.exp(0.1j) * lattice[orbits[0], 0])])
-        assert rkhs._conjugation(turned.reshape(-1, 1)) is None
+        turned = turned.reshape(-1, 1)
+        assert rkhs._conjugation(turned) is None
         exp_sizes.clear()
-        rkhs.fock_kernel(1.0).normalized_gram(turned)
-        assert sum(exp_sizes) == 24421
+        log_sizes.clear()
+        space.normalized_gram(turned)
+        classes = self.entry_classes(turned, False)
+        assert sum(log_sizes) == len(classes) == 24421
+        assert sum(exp_sizes) == self.kept_classes(space, turned, classes) == 14457
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), kind=st.sampled_from(["fock", "bergman"]),
@@ -879,7 +1003,7 @@ class TestOrbitGram:
     def test_conjugate_pairs_property(self, data, kind, turned, origin):
         # {w, conj w} for random w off the real axis, optionally turned
         # through the quarter turn and with the origin: bit for bit the
-        # triangle build
+        # triangle build, but for the exact zeros below the graded floor
         scale = 0.7 if kind == "bergman" else 6.0
         re, im = st.floats(-scale, scale), st.floats(scale / 100, scale)
         w = np.array(data.draw(st.lists(st.tuples(re, im), min_size=1, max_size=6, unique=True)))
@@ -890,7 +1014,7 @@ class TestOrbitGram:
             z = np.concatenate([[0], z])
         space = (rkhs.fock_kernel(data.draw(st.floats(0.1, 3.0))) if kind == "fock"
                  else rkhs.bergman_kernel(data.draw(st.floats(-1.5, 6.0))))
-        assert_same_bits(*self.tables(space, z.reshape(-1, 1)))
+        assert_floored_triangle_build(space, z.reshape(-1, 1))
 
     def test_one_quarter_turn_per_node_set(self, monkeypatch):
         sets = []
@@ -972,7 +1096,7 @@ class TestBlockSolve:
         # subtraction of the half logs and a clongdouble matmul
         a = self.values(z)
         itp = rkhs.min_norm_interpolant(space, pointset.PointSet(z, a))
-        logk = space.log_kernel(z, z, dtype=np.clongdouble)
+        logk = space.log_kernel(z[:, None], z, dtype=np.clongdouble)
         want = np.abs((np.exp(logk - itp._half[None, :]) @ itp._y).astype(complex) - a)
         assert itp.residuals().tobytes() == want.tobytes()
 
