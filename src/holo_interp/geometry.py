@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, SpaceMismatchError
 
@@ -208,6 +207,8 @@ def hessian_comparison_factor(k: float, rho: float) -> float:
 
     Depends on the product ``k*rho`` only; the ``k -> 0`` limit is 2.
     """
+    if not (math.isfinite(k) and math.isfinite(rho)):
+        raise DomainError(f"k and rho must be finite, got k={k!r}, rho={rho!r}")
     if rho <= 0:
         raise DomainError("rho must be positive")
     if k < 0:
@@ -224,17 +225,23 @@ def ball_volume_bound(k: float, rho: float, dim: int) -> float:
     ``-k^2`` and real dimension ``dim``.
 
     Euclidean closed form at k = 0; otherwise adaptive quadrature of
-    ``(sinh(k t)/k)^(dim-1)`` to relative tolerance 1e-10.
+    ``(sinh(k t)/k)^(dim-1)`` to relative tolerance 1e-10.  No CLI command
+    reaches the quadrature, so ``scipy.integrate`` (which loads
+    ``scipy.optimize`` with it) is imported there and not with the module.
     """
+    if not (math.isfinite(k) and math.isfinite(rho)):
+        raise DomainError(f"k and rho must be finite, got k={k!r}, rho={rho!r}")
     if rho <= 0:
         raise DomainError("rho must be positive")
     if k < 0:
         raise DomainError("curvature magnitude k must be nonnegative")
-    if dim < 1 or int(dim) != dim:
-        raise DomainError("dim must be a positive integer")
+    if isinstance(dim, (bool, np.bool_)) or dim < 1 or int(dim) != dim:
+        raise DomainError(f"dim must be a positive integer, got {dim!r}")
     surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)  # area of S^(dim-1)
     if k == 0.0:
         return surf * rho ** dim / dim
+    from scipy import integrate
+
     val, _err = integrate.quad(
         lambda t: (math.sinh(k * t) / k) ** (dim - 1), 0.0, rho,
         epsabs=0.0, epsrel=1e-10,

@@ -18,6 +18,11 @@ from .errors import DomainError, SpaceMismatchError
 DENSITY_CUTOFF = 1.0
 #: Distances per block of grid rows in ``seip_density``
 DENSITY_BLOCK = 2 ** 15
+#: Samples per k-d tree query in ``near_pairs``.  The query returns one list
+#: per sample; the lists alive when the garbage collector runs move to its
+#: oldest generation, and how fast that generation grows sets how often a
+#: full collection runs.
+NEAR_BLOCK = 256
 
 
 @dataclass
@@ -205,13 +210,21 @@ def near_pairs(space: geometry.ModelSpace, nodes: np.ndarray, xs: np.ndarray, di
     and ``d`` is ``geometry.geodesic_distances`` of each pair.
 
     A k-d tree over the nodes gives each sample's nodes within its Euclidean
-    reach (``_reach``); no dense node-by-sample array is built.  Neither
-    array is validated, and each caller applies its own exact test to ``d``.
+    reach (``_reach``), ``NEAR_BLOCK`` samples per query; no dense
+    node-by-sample array is built.  Neither array is validated, and each
+    caller applies its own exact test to ``d``.
     """
     tree = cKDTree(_tree_coords(nodes))
-    found = tree.query_ball_point(_tree_coords(xs), _reach(space, xs, dist), return_sorted=True)
-    i = np.repeat(np.arange(len(xs)), [len(js) for js in found])
-    j = np.fromiter(chain.from_iterable(found), np.intp, len(i))
+    coords = _tree_coords(xs)
+    reach = np.broadcast_to(_reach(space, xs, dist), len(xs))
+    lengths, js = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for s in range(0, len(xs), NEAR_BLOCK):
+        found = tree.query_ball_point(coords[s:s + NEAR_BLOCK], reach[s:s + NEAR_BLOCK],
+                                      return_sorted=True)
+        lengths.append(np.fromiter(map(len, found), np.intp, len(found)))
+        js.append(np.fromiter(chain.from_iterable(found), np.intp, lengths[-1].sum()))
+    i = np.repeat(np.arange(len(xs)), np.concatenate(lengths))
+    j = np.concatenate(js)
     return i, j, geometry.geodesic_distances(space, nodes[j], xs[i])
 
 

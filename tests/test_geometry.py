@@ -231,6 +231,12 @@ class TestComparisonFactor:
         with pytest.raises(DomainError):
             hi.hessian_comparison_factor(-1.0, 1.0)
 
+    @pytest.mark.parametrize("k, rho", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_refused(self, k, rho):
+        # NaN passes both sign checks
+        with pytest.raises(DomainError):
+            hi.hessian_comparison_factor(k, rho)
+
     def test_lower_bound_and_monotonicity(self):
         xs = np.linspace(1e-6, 8.0, 200)
         vals = [hi.hessian_comparison_factor(x, 1.0) for x in xs]
@@ -260,6 +266,17 @@ class TestBallVolume:
             hi.ball_volume_bound(0.0, -1.0, 2)
         with pytest.raises(DomainError):
             hi.ball_volume_bound(0.0, 1.0, 0)
+
+    # NaN passes the sign checks; an infinite radius overflows the integrand
+    @pytest.mark.parametrize("k, rho", [(0.0, math.nan), (math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_refused(self, k, rho):
+        with pytest.raises(DomainError):
+            hi.ball_volume_bound(k, rho, 2)
+
+    def test_boolean_dim_refused(self):
+        # True == 1 would pass as dim = 1
+        with pytest.raises(DomainError):
+            hi.ball_volume_bound(0.0, 1.0, True)
 
 
 class TestComplexHessianFD:

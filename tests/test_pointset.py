@@ -328,14 +328,27 @@ class TestNearPairs:
         full = geometry.geodesic_distances(space, nodes[None, :, :], xs[:, None, :])
         if tie and full.size:  # a distance that occurs: the closed ball keeps it
             dist = float(full.flat[rng.integers(full.size)])
-        i, j, d = pointset.near_pairs(space, nodes, xs, dist)
-        assert i.dtype.kind == j.dtype.kind == "i"
-        # sample-major with j ascending: strictly increasing (i, j) keys
-        assert np.all(np.diff(i * max(m, 1) + j) > 0)
-        assert d.tobytes() == full[i, j].tobytes()
-        found = np.zeros(full.shape, bool)
-        found[i, j] = True
-        assert not np.any((full <= dist) & ~found)
+        assert_near_pairs(space, nodes, xs, full, dist)
+
+    @pytest.mark.parametrize("spec", [("flat", 1, None), ("ball", 1, 1.0)])
+    def test_samples_past_one_query_block(self, spec):
+        rng = np.random.default_rng(7)
+        space = make_space(spec)
+        nodes = random_rows(rng, spec, 40, 3.0)
+        xs = random_rows(rng, spec, 2 * pointset.NEAR_BLOCK + 3, 3.0)
+        full = geometry.geodesic_distances(space, nodes[None, :, :], xs[:, None, :])
+        assert_near_pairs(space, nodes, xs, full, 1.5)
+
+
+def assert_near_pairs(space, nodes, xs, full, dist):
+    i, j, d = pointset.near_pairs(space, nodes, xs, dist)
+    assert i.dtype.kind == j.dtype.kind == "i"
+    # sample-major with j ascending: strictly increasing (i, j) keys
+    assert np.all(np.diff(i * max(len(nodes), 1) + j) > 0)
+    assert d.tobytes() == full[i, j].tobytes()
+    found = np.zeros(full.shape, bool)
+    found[i, j] = True
+    assert not np.any((full <= dist) & ~found)
 
 
 class TestCountInBall:

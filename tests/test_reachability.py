@@ -6,11 +6,14 @@ and ``threading.setprofile``.  Every function and method compiled from
 comprehensions are not functions) must be entered by some job, unless
 ``ALLOWED`` names it together with the consumer that keeps it.  A function
 that neither the CLI nor a named consumer needs is to be deleted, not
-allowed.
+allowed.  The same jobs, run in a fresh interpreter, load no scipy package
+beyond those ``scipy.linalg`` and ``scipy.spatial`` load themselves.
 """
 
 import json
+import math
 import os
+import subprocess
 import sys
 import threading
 import types
@@ -179,3 +182,48 @@ def test_every_library_function_is_entered_or_allowed(tmp_path):
     assert sorted(set(ALLOWED) - set(functions.values())) == []
     assert sorted(a for a in ALLOWED if a not in unreached) == []
 
+
+
+#: Run in a fresh interpreter: the test process has scipy.integrate loaded
+#: already (tests/test_construction.py imports it).  Reads the jobs and the
+#: --out/--csv arguments as JSON on stdin; prints one JSON line.
+COLD_START = """
+import json, sys
+import numpy as np
+import scipy.linalg, scipy.spatial
+
+def packages():
+    return {name.split(".")[1] for name in sys.modules if name.startswith("scipy.")}
+
+before = packages()
+from holo_interp import cli, geometry
+jobs, out = json.load(sys.stdin)
+with np.errstate(over="ignore"):  # the last job overflows on purpose
+    codes = [cli.run([*argv, *out]) for argv in jobs]
+new = sorted(packages() - before)
+volume = geometry.ball_volume_bound(1.0, 1.0, 2)
+print(json.dumps({"codes": codes, "new": new, "volume": volume,
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_cli_jobs_load_only_the_scipy_packages_they_call(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
+    out = ["--out", str(tmp_path / "out.json"), "--csv", str(tmp_path / "out.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], input=json.dumps([[argv for _, argv in JOBS], out]),
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [code for code, _ in JOBS]
+    # every subcommand runs, and none of them loads scipy.integrate or
+    # scipy.optimize: only the quadrature of ball_volume_bound needs them
+    assert {argv[0] for _, argv in JOBS} == {
+        "separation", "density", "certify-bos", "certify-t1", "certify-t2",
+        "construct", "interpolate", "sweep", "verify-geometry"}
+    assert result["new"] == []
+    # the lazy import of the curved branch works from a cold start
+    assert abs(result["volume"] - 2.0 * math.pi * (math.cosh(1.0) - 1.0)) <= 1e-10
+    assert result["integrate"]
