@@ -41,7 +41,6 @@ from .construction import (
     dbar_energy,
     evaluate_extension,
     glued_extension,
-    local_section,
 )
 from .rkhs import (
     GramDiagnostic,
@@ -49,7 +48,6 @@ from .rkhs import (
     bergman_kernel,
     feasibility_sweep,
     fock_kernel,
-    gram_matrix,
     min_norm_interpolant,
 )
 

@@ -68,22 +68,7 @@ def cutoff_derivative(t):
 
 
 # ---------------------------------------------------------------------------
-# local sections and gluing
-
-def local_section(w: weights.HermitianWeight, space: geometry.ModelSpace,
-                  p, a_p: complex, z, delta0: float):
-    """Normal-frame holomorphic section ``a_p exp(exponent_p(z))`` on the
-    delta0-ball around ``p``; equals ``a_p`` at ``z = p``.
-
-    ``z`` is a single point (complex result) or a (G, n) array (array
-    result); every point must lie in the open delta0-ball.
-    """
-    zs, single = space.validate_rows(z)
-    if np.any(geometry.distances_from(space, zs, p) >= delta0):
-        raise DomainError("local section evaluated outside its delta0-ball")
-    out = complex(a_p) * np.exp(weights.normal_frame_exponent(w, p, zs))
-    return complex(out[0]) if single else out
-
+# gluing
 
 @dataclass
 class GluedExtension:

@@ -304,24 +304,6 @@ def complex_hessian_fd(f: Callable, z, step: Optional[float] = None) -> np.ndarr
     return 0.5 * (H + H.conj().T)
 
 
-def dbar_fd(f: Callable, z, step: Optional[float] = None) -> np.ndarray:
-    """Central-difference vector of Wirtinger derivatives ``df/dzbar_m``.
-
-    ``f`` may be complex-valued; used to differentiate cutoff factors.
-    """
-    z = as_point(z)
-    h = (1e-6 * max(1.0, float(np.linalg.norm(z)))) if step is None else float(step)
-    n = z.size
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[m] = 1.0
-        fx = (f(z + h * e) - f(z - h * e)) / (2.0 * h)
-        fy = (f(z + 1j * h * e) - f(z - 1j * h * e)) / (2.0 * h)
-        out[m] = 0.5 * (fx + 1j * fy)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # metric data and curvature forms
 

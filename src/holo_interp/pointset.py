@@ -9,7 +9,6 @@ from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .errors import DomainError, SpaceMismatchError
@@ -184,6 +183,8 @@ def separation(space: geometry.ModelSpace, pts: PointSet, r0: float = math.inf) 
     """
     if len(pts) <= 1:
         return SeparationReport(math.inf, None, min(math.inf, r0) / 2.0, r0)
+    from scipy.spatial import cKDTree  # here, not at import: interpolate and sweep build no tree
+
     points = space.validate_points(pts.points)
     tree = cKDTree(_tree_coords(points))
     nearest = tree.query(tree.data, k=2)[1]
@@ -214,6 +215,8 @@ def near_pairs(space: geometry.ModelSpace, nodes: np.ndarray, xs: np.ndarray, di
     node-by-sample array is built.  Neither array is validated, and each
     caller applies its own exact test to ``d``.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(_tree_coords(nodes))
     coords = _tree_coords(xs)
     reach = np.broadcast_to(_reach(space, xs, dist), len(xs))

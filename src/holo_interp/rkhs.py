@@ -54,18 +54,19 @@ class KernelSpace:
                 raise DomainError("bergman kernel requires A + 2 > 0 and kappa > 0")
 
     # -- raw kernel ---------------------------------------------------------
-    def log_kernel(self, z: np.ndarray, w: np.ndarray, dtype=complex) -> np.ndarray:
+    def log_kernel(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """log K(z, w) (principal branch) of the rows of the (..., n) arrays
         ``z`` and ``w``, which broadcast against each other: the kernel of
         ``sum_k z_k conj(w_k)`` (``sum(z * conj(w), axis=-1)``).  Pass
         ``z[:, None]`` and ``w`` for the (N, M) matrix of all pairs, the
         gathered rows of each pair for a list of pairs.
 
-        Exponent arguments grow like alpha |z| |w|, so graded node sets are
-        evaluated in extended precision (``dtype=np.clongdouble``) where
-        phase rounding would otherwise dominate.
+        Evaluated in extended precision (``np.clongdouble``): exponent
+        arguments grow like alpha |z| |w|, and on graded node sets phase
+        rounding in double precision would dominate.
         """
-        pair = np.sum(np.asarray(z, dtype=dtype) * np.asarray(w, dtype=dtype).conj(), axis=-1)
+        pair = np.sum(np.asarray(z, dtype=np.clongdouble)
+                      * np.asarray(w, dtype=np.clongdouble).conj(), axis=-1)
         if self.kind == "fock":
             pair *= self.alpha
             return pair
@@ -74,34 +75,19 @@ class KernelSpace:
             raise DomainError("bergman kernel singular: z conj(w) = kappa^2")
         return -(self.a_param + 2.0) * np.log(arg)
 
-    def kernel(self, z, w) -> complex:
-        """K(z, w) at two points, through the extended log-kernel."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        return complex(np.exp(self.log_kernel(z, w, dtype=np.clongdouble)))
-
-    def diag_log(self, z: np.ndarray, dtype=complex) -> np.ndarray:
-        s = self._norms_sq(_as_matrix(z, dtype))
-        if self.kind == "fock":
-            return self.alpha * s
-        return -(self.a_param + 2.0) * np.log(1.0 - s / self.kappa ** 2)
-
-    def _norms_sq(self, z: np.ndarray) -> np.ndarray:
-        """``sum_k |z_k|^2`` of each row of the (N, n) ``z``; a row that is not
-        finite or, for the Bergman kernel, not inside the kappa-disk raises
-        ``DomainError``: the domain of ``diag_log`` and of an interpolant."""
+    def diag_log(self, z: np.ndarray) -> np.ndarray:
+        """log K(p, p) in extended precision of each row of the (m, n) ``z``;
+        a row that is not finite or, for the Bergman kernel, not inside the
+        kappa-disk raises ``DomainError``."""
+        z = np.asarray(z, dtype=np.clongdouble)
         if not np.all(np.isfinite(z)):
             raise DomainError("points must be finite")
         s = np.sum(np.abs(z) ** 2, axis=1)
-        if self.kind == "bergman" and np.any(s >= self.kappa ** 2):
+        if self.kind == "fock":
+            return self.alpha * s
+        if np.any(s >= self.kappa ** 2):
             raise DomainError("points must lie inside the kappa-disk")
-        return s
-
-    def normalized_gram(self, points: np.ndarray) -> np.ndarray:
-        """Gram of the unit-normalized kernels; unit diagonal, exactly Hermitian."""
-        points = _as_matrix(points)
-        quarter = _quarter_turn(points)
-        return _unfold(self._normalized_grams(points, quarter, _conjugation(points))[0], quarter)
+        return -(self.a_param + 2.0) * np.log(1.0 - s / self.kappa ** 2)
 
     def _normalized_grams(self, points: np.ndarray, quarter, sigma):
         """The normalized Gram from one extended-precision build on the (m, n)
@@ -110,18 +96,17 @@ class KernelSpace:
 
         ``quarter`` is ``_quarter_turn(points)`` and ``sigma`` is
         ``_conjugation(points)``; every node set's table is the orbit table
-        of ``_orbit_gram``.  The character blocks are formed
-        from the complex128 table, the refinement mat-vecs of
-        ``min_norm_interpolant`` read the extended one (``_table_matvec``),
-        and only ``normalized_gram`` unfolds the m x m Gram (``_unfold``).
-        The extended table keeps its computed diagonal ``exp(logk_ii -
-        dl_i)``, the one the nodal evaluation in ``MinNormInterpolant``
-        sees.  Rows not in C^n raise ``DomainError``.
+        of ``_orbit_gram``.  The character blocks are formed from the
+        complex128 table, the refinement mat-vecs of ``min_norm_interpolant``
+        read the extended one (``_table_matvec``), and no m x m Gram is
+        unfolded.  The extended table keeps its computed diagonal
+        ``exp(logk_ii - dl_i)``, the one the residuals of the solve see.
+        Rows not in C^n raise ``DomainError``.
         """
         if points.shape[1] != self.n:
             raise DomainError(f"{self.kind} kernel on C^{self.n} given nodes "
                               f"in C^{points.shape[1]}")
-        half = 0.5 * self.diag_log(points, dtype=np.clongdouble)
+        half = 0.5 * self.diag_log(points)
         table_ld = self._orbit_gram(points, half, *quarter, sigma)
         table = table_ld.astype(complex)
         np.fill_diagonal(table[:, 0], 1.0)
@@ -204,7 +189,7 @@ class KernelSpace:
         half logs ``half`` subtracted larger first, and the mask of the pairs
         at or above the graded floor of ``_orbit_gram``: ``Re log K(p, q) >=
         log u + 2 min(h_p, h_q)``, which is ``Re x + |h_p - h_q| >= log u``."""
-        x = self.log_kernel(points[rows], points[cols], dtype=np.clongdouble)
+        x = self.log_kernel(points[rows], points[cols])
         h_row, h_col = half[rows], half[cols]
         low = np.minimum(h_row, h_col)
         keep = x.real >= 2 * low + _LOG_FLOOR
@@ -277,27 +262,6 @@ def _pairing(orbits, sigma):
     return rep[sigma[orbits[0]]], turn[sigma[orbits[0]]]
 
 
-def _unfold(table: np.ndarray, quarter) -> np.ndarray:
-    """The m x m Gram of ``KernelSpace.normalized_gram`` from its table: a
-    view of an open set's one slice, an orbit table gathered in node order
-    (node ``R^a q`` is row ``q``, turn ``a``: ``G[R^a q, R^b q'] = src[q, b -
-    a, q']``)."""
-    orbits, fixed = quarter
-    if len(orbits) == 1:
-        return table[:, 0]
-    w, r, m = len(table), orbits.shape[1], orbits.size + len(fixed)
-    rep, shift = np.full(m, r), np.zeros(m, dtype=np.intp)
-    rep[orbits] = np.arange(r)
-    shift[orbits] = np.arange(4)[:, None]
-    flat = (shift - np.arange(4)[:, None]) % 4 * w + rep
-    return np.take(table.reshape(-1), (4 * w * rep)[:, None] + flat[shift])
-
-
-def _as_matrix(z, dtype=complex) -> np.ndarray:
-    z = np.asarray(z, dtype=dtype)
-    return z[:, None] if z.ndim == 1 else z
-
-
 def fock_kernel(alpha: float = 1.0, n: int = 1) -> KernelSpace:
     return KernelSpace("fock", n=n, alpha=alpha)
 
@@ -319,29 +283,13 @@ class GramDiagnostic:
     set is closed under ``z -> i z``, which diagonalize its exactly
     turn-invariant Gram, otherwise the Gram itself; and when the node set
     is also closed under ``z -> conj z``, real symmetric matrices unitarily
-    similar to those blocks (or to the Gram), one each.  The Gram is not
-    kept: ``KernelSpace.normalized_gram`` unfolds it.
+    similar to those blocks (or to the Gram), one each.  No m x m Gram is
+    formed.
     """
 
     eig_min: float
     eig_max: float
     condition: float
-
-
-def gram_matrix(space: KernelSpace, pts: pointset.PointSet) -> GramDiagnostic:
-    """Extreme eigenvalues of the normalized Gram.
-
-    Deterministic dense eigensolves of the one orbit table's blocks: four
-    quarter-size character blocks on nodes closed under the quarter turn,
-    one full ``eigvalsh`` otherwise (``_character_blocks``); on nodes also
-    closed under conjugation, each of them a real symmetric eigensolve of
-    the same order (``_riesz_forms``).  No m x m Gram is unfolded.  Nodes
-    not in C^n for ``n = space.n`` raise ``DomainError``.
-    """
-    _check_size(pts)
-    quarter, sigma = _quarter_turn(pts.points), _conjugation(pts.points)
-    table = space._normalized_grams(pts.points, quarter, sigma)[0]
-    return _diagnose(_riesz_forms(_character_blocks(table, quarter), quarter, sigma)[0])
 
 
 def _check_size(pts: pointset.PointSet) -> None:
@@ -621,9 +569,9 @@ class MinNormInterpolant:
     """Kernel-span interpolant ``f = sum_j c_j K(., p_j)`` with minimal
     space norm among interpolants of the nodal data.
 
-    Evaluation runs through extended-precision exponents: the kernel sum
-    cancels heavily on graded node sets and plain double phases would cap
-    the achievable nodal residual well above the 1e-10 contract.
+    The nodal residuals come from the solve's extended-precision Gram: the
+    kernel sum cancels heavily on graded node sets, and plain double phases
+    would cap the achievable nodal residual well above the 1e-10 contract.
     """
 
     def __init__(self, space: KernelSpace, pts: pointset.PointSet,
@@ -647,32 +595,6 @@ class MinNormInterpolant:
     def coefficients(self) -> np.ndarray:
         """Raw kernel coefficients c with f = sum_j c_j K(., p_j)."""
         return (self._y * np.exp(-self._half)).astype(complex)
-
-    def __call__(self, z):
-        """``f(z)`` at a point or an array of points (trailing axis n when n
-        > 1); points that are not finite or, for the Bergman kernel, not
-        inside the kappa-disk raise ``DomainError``."""
-        z = np.asarray(z, dtype=complex)
-        if self.space.n > 1 and z.shape[-1:] != (self.space.n,):
-            raise DomainError(f"points of shape {z.shape}: trailing axis is not n = {self.space.n}")
-        scalar = z.ndim == 0
-        zs = np.atleast_1d(z).reshape(-1, 1) if self.space.n == 1 else z.reshape(-1, self.space.n)
-        self.space._norms_sq(zs)  # refuses points off the kernel's domain
-        logk = self.space.log_kernel(zs[:, None], self.points.points, dtype=np.clongdouble)
-        logk.real -= self._half
-        out = np.dot(np.exp(logk, out=logk), self._y).astype(complex)
-        return complex(out[0]) if scalar else out.reshape(z.shape if self.space.n == 1 else z.shape[:-1])
-
-    def residuals(self) -> np.ndarray:
-        """Raw nodal residuals ``|f(p) - a|`` by evaluating the interpolant.
-
-        An independent audit of ``raw_residuals``: it rebuilds the m x m
-        extended log-kernel of the nodes instead of reusing the solve's Gram,
-        so the two agree at rounding level, not bit for bit.
-        """
-        nodes = self.points.points
-        vals = self(nodes[:, 0] if self.space.n == 1 else nodes)
-        return np.abs(vals - self.points.values)
 
     def to_dict(self) -> dict:
         return {

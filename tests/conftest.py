@@ -1,7 +1,16 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import holo_interp as hi
+
+# tests/references.py is imported by name; pytest puts this directory on
+# sys.path in its default import mode, but not under --import-mode=importlib
+HERE = os.path.dirname(os.path.abspath(__file__))
+if HERE not in sys.path:
+    sys.path.insert(0, HERE)
 
 
 @pytest.fixture

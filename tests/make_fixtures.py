@@ -31,8 +31,7 @@ def derive() -> dict:
     for s in SPACINGS:
         lattice = pointset.square_lattice(s, radius=RADIUS)
         report = hi.theorem1_certificate(w, space, lattice, RHO, EPS, grid)
-        diag = rkhs.gram_matrix(kernel, lattice)
-        eig_min[str(s)] = diag.eig_min
+        eig_min[str(s)] = rkhs.feasibility_sweep(kernel, [s], RADIUS).rows[0].eig_min
         if report.passed:
             passing.append(s)
     return {

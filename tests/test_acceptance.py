@@ -18,6 +18,8 @@ import pytest
 import holo_interp as hi
 from holo_interp import construction, geometry, pointset, rkhs, weights
 
+import references
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 ONE_PLUS_COTH_1 = 2.3130352854993313
@@ -182,7 +184,7 @@ def test_criterion_4_boundary_c1_literal_tolerances():
     violations, v_ratios, g_ratios = [], [], []
     for label, aux, side, z, g in cases:
         v = aux.value(z)
-        dbar = geometry.dbar_fd(aux.value, z, step=1e-7 * aux.rho)
+        dbar = references.dbar_fd(aux.value, z, step=1e-7 * aux.rho)
         gnorm = 2.0 * float(np.linalg.norm(dbar)) / math.sqrt(g)
         if side > 0:
             if v != 0.0 or gnorm != 0.0:
@@ -226,7 +228,7 @@ def test_criterion_5_glued_construction():
         for off in (0.08, 0.1j, -0.15 + 0.1j):
             z = np.array([p + off])
             assert abs(off) <= 0.9 * ext.delta0 / 2.0
-            g = geometry.dbar_fd(lambda t: hi.evaluate_extension(ext, complex(t[0])), z)
+            g = references.dbar_fd(lambda t: hi.evaluate_extension(ext, complex(t[0])), z)
             f_val = hi.evaluate_extension(ext, complex(z[0]))
             worst_dbar = max(worst_dbar, abs(g[0]) / abs(f_val))
     ok_dbar = worst_dbar <= 1e-8
@@ -348,19 +350,18 @@ def test_criterion_9_kernel_engine():
     a = rng.normal(size=20) + 1j * rng.normal(size=20)
     pts = pointset.PointSet(z.reshape(-1, 1), a)
     itp = rkhs.min_norm_interpolant(k, pts)
-    worst_res = float(np.max(itp.residuals())) / float(np.max(np.abs(a)))
+    worst_res = float(np.max(references.residuals(itp))) / float(np.max(np.abs(a)))
     ok_res = worst_res <= 1e-10
 
     # closed forms on the symmetric pair
     ok_closed = True
     for s in (0.7, 1.3, 2.0):
-        diag = rkhs.gram_matrix(k, pointset.PointSet(np.array([[s], [-s]], dtype=complex)))
-        off = math.exp(-2.0 * s * s)
-        ok_closed &= abs(diag.eig_min - (1.0 - off)) <= 1e-12
-        ok_closed &= abs(diag.eig_max - (1.0 + off)) <= 1e-12
         pair = rkhs.min_norm_interpolant(
             k, pointset.PointSet(np.array([[s], [-s]], dtype=complex),
                                  np.array([1.0, 1.0], dtype=complex)))
+        off = math.exp(-2.0 * s * s)
+        ok_closed &= abs(pair.diagnostic.eig_min - (1.0 - off)) <= 1e-12
+        ok_closed &= abs(pair.diagnostic.eig_max - (1.0 + off)) <= 1e-12
         expect = 1.0 / (math.exp(s * s) + math.exp(-s * s))
         ok_closed &= abs(pair.coefficients[0] - expect) <= 1e-12
         ok_closed &= abs(pair.coefficients[1] - expect) <= 1e-12
@@ -368,7 +369,7 @@ def test_criterion_9_kernel_engine():
     # minimality against 100 value-preserving perturbations in an enlarged span
     extras = rng.uniform(-2, 2, 10) + 1j * rng.uniform(-2, 2, 10)
     allpts = np.concatenate([z, extras]).reshape(-1, 1)
-    k_all = np.exp(k.log_kernel(allpts[:, None], allpts))
+    k_all = np.exp(k.log_kernel(allpts[:, None], allpts)).astype(complex)
     from scipy.linalg import null_space
     basis = null_space(k_all[:20, :])
     c_full = np.concatenate([itp.coefficients, np.zeros(10, complex)])

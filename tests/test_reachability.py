@@ -7,7 +7,9 @@ comprehensions are not functions) must be entered by some job, unless
 ``ALLOWED`` names it together with the consumer that keeps it.  A function
 that neither the CLI nor a named consumer needs is to be deleted, not
 allowed.  The same jobs, run in a fresh interpreter, load no scipy package
-beyond those ``scipy.linalg`` and ``scipy.spatial`` load themselves.
+beyond those ``scipy.linalg`` and ``scipy.spatial`` load themselves, and
+the ``interpolate`` and ``sweep`` jobs, which build no k-d tree, load no
+``scipy.spatial``.
 """
 
 import json
@@ -25,16 +27,10 @@ from holo_interp import cli
 
 #: Functions no CLI job enters, each with the consumer that keeps it.
 #: Functions nested in an allowed one are allowed with it.
-SPANS = "a bench/spans.py hook; changes only with a declared benchmark change (ROADMAP item 1)"
 ITEM5 = "ROADMAP item 5: the extension norm bound and the auxiliary curvature audit"
 ALLOWED = {
-    "rkhs.KernelSpace.normalized_gram": SPANS,
-    "rkhs._unfold": "KernelSpace.normalized_gram (" + SPANS + ")",
-    "rkhs.gram_matrix": SPANS,
-    "rkhs.MinNormInterpolant.residuals": SPANS + "; the residual audit of tests/test_rkhs.py",
-    "rkhs.MinNormInterpolant.__call__": "MinNormInterpolant.residuals (" + SPANS + ")",
-    "geometry.distances_from": SPANS,
-    "construction.AuxiliaryWeight.value_grid": SPANS,
+    "geometry.distances_from": "auxiliary_curvature_check (" + ITEM5 + ")",
+    "construction.AuxiliaryWeight.value_grid": "AuxiliaryWeight.value (acceptance criterion 4)",
     "construction.extension_norm_sq": ITEM5,
     "construction.euclidean_disk_integral": ITEM5,
     "construction.auxiliary_curvature_check": ITEM5,
@@ -44,11 +40,8 @@ ALLOWED = {
     "geometry.ball_volume_bound": ITEM5 + " (TestExtensionNorm); acceptance criterion 6",
     "weights.mean_value_constant": "acceptance criterion 6",
     "weights.local_oscillation": "mean_value_constant (acceptance criterion 6)",
-    "geometry.dbar_fd": "acceptance criteria 4b and 5",
     "construction.AuxiliaryWeight.value": "acceptance criterion 4",
     "pointset.PointSet.with_values": "acceptance criterion 5",
-    "construction.local_section": "the per-node reference of TestGluedExtension",
-    "rkhs.KernelSpace.kernel": "the kernel reference of tests/test_rkhs.py",
     "geometry.hyperbolic_ball": "the test suite's disk constructor",
     "cli.main": "the holo-interp console script (pyproject.toml)",
 }
@@ -185,39 +178,55 @@ def test_every_library_function_is_entered_or_allowed(tmp_path):
 
 
 #: Run in a fresh interpreter: the test process has scipy.integrate loaded
-#: already (tests/test_construction.py imports it).  Reads the jobs and the
-#: --out/--csv arguments as JSON on stdin; prints one JSON line.
+#: already (tests/test_construction.py imports it).  Reads two lists of jobs
+#: and the --out/--csv arguments as JSON on stdin: the first list runs with
+#: only scipy.linalg loaded beforehand, the second after scipy.spatial too.
+#: Prints one JSON line.
 COLD_START = """
 import json, sys
 import numpy as np
-import scipy.linalg, scipy.spatial
+import scipy.linalg
 
 def packages():
     return {name.split(".")[1] for name in sys.modules if name.startswith("scipy.")}
 
 before = packages()
 from holo_interp import cli, geometry
-jobs, out = json.load(sys.stdin)
+tree_free, jobs, out = json.load(sys.stdin)
 with np.errstate(over="ignore"):  # the last job overflows on purpose
-    codes = [cli.run([*argv, *out]) for argv in jobs]
+    codes = [cli.run([*argv, *out]) for argv in tree_free]
+    new_tree_free = sorted(packages() - before)
+    import scipy.spatial
+    before = packages()
+    codes += [cli.run([*argv, *out]) for argv in jobs]
 new = sorted(packages() - before)
 volume = geometry.ball_volume_bound(1.0, 1.0, 2)
-print(json.dumps({"codes": codes, "new": new, "volume": volume,
-                  "integrate": "scipy.integrate" in sys.modules}))
+print(json.dumps({"codes": codes, "new_tree_free": new_tree_free, "new": new,
+                  "volume": volume, "integrate": "scipy.integrate" in sys.modules}))
 """
+
+#: the subcommands that build no k-d tree
+TREE_FREE = ("interpolate", "sweep")
 
 
 def test_cli_jobs_load_only_the_scipy_packages_they_call(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
     out = ["--out", str(tmp_path / "out.json"), "--csv", str(tmp_path / "out.csv")]
+    tree_free = [job for job in JOBS if job[1][0] in TREE_FREE]
+    jobs = [job for job in JOBS if job[1][0] not in TREE_FREE]
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START], input=json.dumps([[argv for _, argv in JOBS], out]),
+        [sys.executable, "-c", COLD_START],
+        input=json.dumps([[argv for _, argv in tree_free], [argv for _, argv in jobs], out]),
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [code for code, _ in JOBS]
+    assert result["codes"] == [code for code, _ in tree_free + jobs]
+    # interpolate and sweep load no scipy package beyond scipy.linalg's own,
+    # scipy.spatial among them
+    assert {argv[0] for _, argv in tree_free} == set(TREE_FREE)
+    assert result["new_tree_free"] == []
     # every subcommand runs, and none of them loads scipy.integrate or
     # scipy.optimize: only the quadrature of ball_volume_bound needs them
     assert {argv[0] for _, argv in JOBS} == {

@@ -12,6 +12,8 @@ from holo_interp import pointset, rkhs
 from holo_interp.errors import (ConditioningError, DomainError, NumericalGuardError,
                                 SizeGuardError)
 
+import references
+
 # frozen dense-eigensolve oracle: 5x5 lattice, spacing 2, fock(1)
 FIVE_BY_FIVE_S2_EIG_MIN = 0.6160426662500302
 EPS = float(np.finfo(float).eps)
@@ -88,23 +90,25 @@ def pts_of(values, targets=None):
 class TestKernels:
     def test_fock_closed_form(self):
         k = rkhs.fock_kernel(1.0)
-        assert k.kernel(1.0 + 0j, 1.0 + 0j) == pytest.approx(math.e)
-        assert k.kernel(1.0 + 1j, 0.5 - 0.5j) == pytest.approx(np.exp((1 + 1j) * np.conj(0.5 - 0.5j)))
+        assert references.kernel(k, 1.0 + 0j, 1.0 + 0j) == pytest.approx(math.e)
+        assert references.kernel(k, 1.0 + 1j, 0.5 - 0.5j) == pytest.approx(
+            np.exp((1 + 1j) * np.conj(0.5 - 0.5j)))
 
     def test_bergman_closed_form(self):
         k = rkhs.bergman_kernel(2.0)
-        assert k.kernel(0.0, 0.0) == pytest.approx(1.0)
+        assert references.kernel(k, 0.0, 0.0) == pytest.approx(1.0)
         z, w = 0.3 + 0.1j, -0.2 + 0.4j
-        assert k.kernel(z, w) == pytest.approx((1 - z * np.conj(w)) ** (-4.0))
+        assert references.kernel(k, z, w) == pytest.approx((1 - z * np.conj(w)) ** (-4.0))
 
     def test_hermitian_symmetry_and_positivity(self, rng):
         for k in (rkhs.fock_kernel(1.5), rkhs.bergman_kernel(3.0)):
             for _ in range(20):
                 z = complex(*rng.uniform(-0.6, 0.6, 2))
                 w = complex(*rng.uniform(-0.6, 0.6, 2))
-                assert k.kernel(z, w) == pytest.approx(np.conj(k.kernel(w, z)), rel=1e-12)
-                assert k.kernel(z, z).real > 0
-                assert abs(k.kernel(z, z).imag) < 1e-15
+                assert references.kernel(k, z, w) == pytest.approx(
+                    np.conj(references.kernel(k, w, z)), rel=1e-12)
+                assert references.kernel(k, z, z).real > 0
+                assert abs(references.kernel(k, z, z).imag) < 1e-15
 
     def test_kernel_space_validation(self):
         with pytest.raises(DomainError):
@@ -124,17 +128,17 @@ class TestKernels:
 
 class TestGram:
     def test_singleton(self):
-        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([0.3 + 0.4j]))
-        g = rkhs.fock_kernel(1.0).normalized_gram(np.array([[0.3 + 0.4j]]))
+        diag = references.riesz_bounds(rkhs.fock_kernel(1.0), pts_of([0.3 + 0.4j]))
+        g = references.normalized_gram(rkhs.fock_kernel(1.0), np.array([[0.3 + 0.4j]]))
         assert g.shape == (1, 1)
         assert g[0, 0] == 1.0
         assert diag.eig_min == pytest.approx(1.0) and diag.eig_max == pytest.approx(1.0)
 
     @pytest.mark.parametrize("s", [0.8, 1.5, 2.5])
     def test_symmetric_pair_closed_form(self, s):
-        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([s, -s]))
+        diag = references.riesz_bounds(rkhs.fock_kernel(1.0), pts_of([s, -s]))
         off = math.exp(-2.0 * s * s)
-        g = rkhs.fock_kernel(1.0).normalized_gram(np.array([[s], [-s]], dtype=complex))
+        g = references.normalized_gram(rkhs.fock_kernel(1.0), [s, -s])
         assert g[0, 1] == pytest.approx(off, rel=1e-14)
         assert diag.eig_min == pytest.approx(1.0 - off, rel=1e-12)
         assert diag.eig_max == pytest.approx(1.0 + off, rel=1e-12)
@@ -142,14 +146,14 @@ class TestGram:
     def test_five_by_five_lattice_frozen_oracle(self):
         lat = pointset.square_lattice(2.0, half_extent=4.0)
         assert len(lat) == 25
-        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
+        diag = references.riesz_bounds(rkhs.fock_kernel(1.0), lat)
         assert diag.eig_min == pytest.approx(FIVE_BY_FIVE_S2_EIG_MIN, abs=1e-9)
 
     def test_unit_diagonal_and_psd(self, rng):
         for trial in range(5):
             z = rng.uniform(-2, 2, (30, 1)) + 1j * rng.uniform(-2, 2, (30, 1))
-            diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pointset.PointSet(z))
-            assert np.allclose(np.diag(rkhs.fock_kernel(1.0).normalized_gram(z)), 1.0)
+            diag = references.riesz_bounds(rkhs.fock_kernel(1.0), pointset.PointSet(z))
+            assert np.allclose(np.diag(references.normalized_gram(rkhs.fock_kernel(1.0), z)), 1.0)
             assert diag.eig_min >= -1e-10
 
     GRADED = [
@@ -169,7 +173,7 @@ class TestGram:
 
     @pytest.mark.parametrize("space,z,log_k", GRADED, ids=GRADED_IDS)
     def test_normalized_gram_exactly_hermitian(self, space, z, log_k):
-        g = space.normalized_gram(z)
+        g = references.normalized_gram(space, z)
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.diag(g) == 1.0)
 
@@ -178,7 +182,7 @@ class TestGram:
         # entries below the graded floor are exact zeros; every other entry
         # within 4 eps of the 50-digit value.  The Fock sets reach entries
         # below the floor; the Bergman ones, within 0.1 of the rim, do not
-        g = space.normalized_gram(z)
+        g = references.normalized_gram(space, z)
         ref, below = mp_normalized_gram(log_k, z)
         assert below.any() == (space.kind == "fock")
         assert np.all(g[below] == 0)
@@ -190,11 +194,12 @@ class TestGram:
         monkeypatch.setattr(rkhs, "SIZE_GUARD", 10)
         lat = pointset.square_lattice(1.0, half_extent=2.0)
         with pytest.raises(SizeGuardError):
-            rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
+            rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), lat.with_values(np.ones(len(lat))))
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            rkhs.gram_matrix(rkhs.fock_kernel(1.0), pointset.PointSet(np.zeros((0, 1), complex)))
+        with pytest.raises(DomainError, match="empty point set"):
+            rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0),
+                                      pointset.PointSet(np.zeros((0, 1), complex), np.zeros(0)))
 
     @pytest.mark.parametrize("space,z", [
         (rkhs.fock_kernel(1.0), [[0.1, 0.2], [0.3j, -0.1 + 0.1j]]),
@@ -203,22 +208,20 @@ class TestGram:
     ], ids=["fock_c2_nodes", "bergman_c2_nodes", "fock_n2_c1_nodes"])
     def test_node_width_other_than_n_refused(self, space, z):
         pts = pointset.PointSet(np.array(z, dtype=complex), np.ones(len(z), complex))
-        for build in (rkhs.gram_matrix, rkhs.min_norm_interpolant):
-            with pytest.raises(DomainError, match=r"given nodes in C\^"):
-                build(space, pts)
         with pytest.raises(DomainError, match=r"given nodes in C\^"):
-            space.normalized_gram(pts.points)
+            rkhs.min_norm_interpolant(space, pts)
 
 
 class TestMinNormInterpolant:
     def test_singleton_normalized_kernel(self):
         k = rkhs.fock_kernel(1.0)
         itp = rkhs.min_norm_interpolant(k, pts_of([0.7 + 0.1j], [1.0 + 0j]))
-        p = 0.7 + 0.1j
-        assert itp(p) == pytest.approx(1.0, rel=1e-14)
+        p, z = 0.7 + 0.1j, 0.2 - 0.4j
+        f_p, f_z = references.interpolant(itp, np.array([[p], [z]]))
+        assert f_p == pytest.approx(1.0, rel=1e-14)
         # f = K(., p)/K(p, p)
-        z = 0.2 - 0.4j
-        assert itp(z) == pytest.approx(k.kernel(z, p) / k.kernel(p, p), rel=1e-12)
+        assert f_z == pytest.approx(references.kernel(k, z, p) / references.kernel(k, p, p),
+                                    rel=1e-12)
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_symmetric_pair_coefficients(self, s):
@@ -234,7 +237,7 @@ class TestMinNormInterpolant:
         z = base + 0.3 * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20))
         a = rng.normal(size=20) + 1j * rng.normal(size=20)
         itp = rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, a))
-        assert float(np.max(itp.residuals())) <= 1e-10 * float(np.max(np.abs(a)))
+        assert float(np.max(references.residuals(itp))) <= 1e-10 * float(np.max(np.abs(a)))
         assert itp.weighted_residuals.shape == (20,)
         assert float(np.max(itp.weighted_residuals)) <= 1e-14 * float(np.max(np.abs(a)))
         assert itp.norm_sq >= 0.0
@@ -246,15 +249,9 @@ class TestMinNormInterpolant:
         z = base + 0.3 * (rng.uniform(-1, 1, (12, 2)) + 1j * rng.uniform(-1, 1, (12, 2)))
         a = rng.normal(size=12) + 1j * rng.normal(size=12)
         itp = rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0, n=2), pointset.PointSet(z, a))
-        res = itp.residuals()
+        res = references.residuals(itp)
         assert res.shape == (12,)
         assert float(np.max(res)) <= 1e-10 * float(np.max(np.abs(a)))
-        per_point = np.abs(np.array([itp(p) for p in z]) - a)
-        assert res.tobytes() == per_point.tobytes()
-        # points whose trailing axis is not n = 2 are refused, not reshaped
-        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 1)), 0.5):
-            with pytest.raises(DomainError, match="trailing axis"):
-                itp(bad)
 
     def test_one_extended_build_and_one_factorization(self, monkeypatch):
         # the Gram is factored once: as its four character blocks on a closed
@@ -314,7 +311,7 @@ class TestMinNormInterpolant:
         for space, z, a in self.residual_sets():
             itp = rkhs.min_norm_interpolant(space, pointset.PointSet(z, a))
             scale = float(np.max(np.abs(a)))
-            raw, audit = itp.raw_residuals, itp.residuals()
+            raw, audit = itp.raw_residuals, references.residuals(itp)
             assert raw.dtype == np.float64 and raw.shape == (len(a),)
             assert float(np.max(raw)) <= 1e-10 * scale
             assert float(np.max(audit)) <= 1e-10 * scale
@@ -329,7 +326,7 @@ class TestMinNormInterpolant:
         rng = np.random.default_rng(0)
         a = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
         itp = rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), pts_of(z, a))
-        raw, audit = float(np.max(itp.raw_residuals)), float(np.max(itp.residuals()))
+        raw, audit = float(np.max(itp.raw_residuals)), float(np.max(references.residuals(itp)))
         assert raw > 1e6 * float(np.max(itp.weighted_residuals))
         assert 0.1 <= raw / audit <= 10.0
 
@@ -366,25 +363,30 @@ class TestMinNormInterpolant:
         z = 0.55 * (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12))
         a = rng.normal(size=12) + 1j * rng.normal(size=12)
         itp = rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0), pts_of(z, a))
-        assert float(np.max(itp.residuals())) <= 1e-10 * float(np.max(np.abs(a)))
+        assert float(np.max(references.residuals(itp))) <= 1e-10 * float(np.max(np.abs(a)))
 
     @pytest.mark.parametrize("z", [1.0, 1.5, -3.0, 2.0, -1j, [0.2, 1.5]],
                              ids=["rim", "outside", "far", "kappa_singular", "rim_imaginary",
                                   "array"])
     def test_bergman_evaluation_off_the_disk_refused(self, z):
+        # a node at z: the kernel's domain gate refuses it before any Gram
+        # entry is formed
+        nodes = [0.5, 0.5j, -0.5]
         itp = rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0),
-                                        pts_of([0.5, 0.5j, -0.5], [1, 1j, 1]))
-        assert np.isfinite(itp(0.99))
+                                        pts_of([*nodes, 0.99], [1, 1j, 1, 1j]))
+        assert np.all(np.isfinite(itp.raw_residuals))
+        z = np.atleast_1d(z)
         with pytest.raises(DomainError, match="inside the kappa-disk"):
-            itp(z)
+            rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0),
+                                      pts_of([*nodes, *z], np.ones(len(nodes) + len(z))))
 
     def test_bergman_evaluation_on_a_wider_disk(self):
         # the rule is sum |z|^2 < kappa^2: 1.5 is inside the disk of radius 2
-        itp = rkhs.min_norm_interpolant(rkhs.bergman_kernel(2.0, kappa=2.0),
-                                        pts_of([0.5, 0.5j, -0.5], [1, 1j, 1]))
-        assert np.isfinite(itp(1.5))
+        space = rkhs.bergman_kernel(2.0, kappa=2.0)
+        itp = rkhs.min_norm_interpolant(space, pts_of([0.5, 0.5j, -0.5, 1.5], [1, 1j, 1, 1j]))
+        assert np.all(np.isfinite(itp.raw_residuals))
         with pytest.raises(DomainError, match="inside the kappa-disk"):
-            itp(2.0)
+            rkhs.min_norm_interpolant(space, pts_of([0.5, 0.5j, -0.5, 2.0], [1, 1j, 1, 1j]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf),
                                      complex(math.nan, 0)])
@@ -394,10 +396,12 @@ class TestMinNormInterpolant:
         (rkhs.fock_kernel(1.0, n=2), np.array([[0.0, 0.0], [2.0, 1.0]])),
     ], ids=["fock", "bergman", "fock_n2"])
     def test_non_finite_evaluation_refused(self, space, nodes, bad):
-        itp = rkhs.min_norm_interpolant(space, pointset.PointSet(nodes, np.ones(len(nodes))))
-        z = bad if space.n == 1 else [0.0, bad]
+        # the kernel's domain gate, which every Gram build passes, refuses a
+        # non-finite row
+        assert np.all(np.isfinite(space.diag_log(nodes)))
+        z = [bad] if space.n == 1 else [0.0, bad]
         with pytest.raises(DomainError, match="finite"):
-            itp(z)
+            space.diag_log(np.concatenate([nodes, [z]]))
 
     def test_minimality_against_constrained_perturbations(self, rng):
         # perturb inside the span of an enlarged center set while keeping
@@ -408,7 +412,7 @@ class TestMinNormInterpolant:
         k = rkhs.fock_kernel(1.0)
         itp = rkhs.min_norm_interpolant(k, pts_of(nodes, a))
         allpts = np.concatenate([nodes, extras]).reshape(-1, 1)
-        k_all = np.exp(k.log_kernel(allpts[:, None], allpts))
+        k_all = np.exp(k.log_kernel(allpts[:, None], allpts)).astype(complex)
         cross = k_all[:12, :]  # values of every candidate kernel at the nodes
         from scipy.linalg import null_space
         basis = null_space(cross)  # perturbation coefficients vanishing on nodes
@@ -443,7 +447,7 @@ class TestGradedFloor:
         # cancels mildly enough for complex128 coefficients to show 1e-10
         a = np.ones(len(z), dtype=complex)
         space = rkhs.fock_kernel(1.0)
-        assert np.any(space.normalized_gram(z) == 0)  # the floor drops entries here
+        assert np.any(references.normalized_gram(space, z) == 0)  # the floor drops entries here
         coeff = rkhs.min_norm_interpolant(space, pts_of(z, a)).coefficients
         # f(p) = sum_j c_j exp(p conj p_j) at 40 digits, from the public
         # coefficients alone
@@ -498,7 +502,7 @@ class TestQuarterTurnBlocks:
     def test_block_extremes_equal_full_eigvalsh(self, space, z):
         turn = turn_of(z)
         assert np.array_equal(z[turn], 1j * z)
-        g = space.normalized_gram(z)
+        g = references.normalized_gram(space, z)
         ev = np.linalg.eigvalsh(g)
         quarter = rkhs._quarter_turn(z)
         table = space._normalized_grams(z, quarter, rkhs._conjugation(z))[0]
@@ -515,7 +519,7 @@ class TestQuarterTurnBlocks:
         # reference: the table gives them bit for bit
         quarter = rkhs._quarter_turn(z)
         orbits, fixed = quarter
-        g = space.normalized_gram(z)
+        g = references.normalized_gram(space, z)
         s = g[orbits[0][None, :, None], orbits[:, None, :]]  # s[t, q, q'] = G[q, R^t q']
         even, odd = s[0] + s[2], s[1] + s[3]
         alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
@@ -534,7 +538,7 @@ class TestQuarterTurnBlocks:
         # closed under conjugation too: the real forms of the four
         # quarter-size blocks, B_1 to B_3 as one stack
         assert rkhs._conjugation(z) is not None
-        rkhs.gram_matrix(space, pointset.PointSet(z))
+        references.riesz_bounds(space, pointset.PointSet(z))
         origin = int(np.any(np.all(z == 0, axis=1)))
         quarter = (len(z) - origin) // 4
         assert eigensolves == [("f", (quarter + origin,) * 2), ("f", (3, quarter, quarter))]
@@ -546,9 +550,9 @@ class TestQuarterTurnBlocks:
         keep[np.flatnonzero(np.any(z != 0, axis=1))[0]] = False
         z = z[keep]
         assert one_row_orbits(z)
-        diag = rkhs.gram_matrix(space, pointset.PointSet(z))
+        diag = references.riesz_bounds(space, pointset.PointSet(z))
         calls = eigensolves.copy()
-        ev = np.linalg.eigvalsh(space.normalized_gram(z))
+        ev = np.linalg.eigvalsh(references.normalized_gram(space, z))
         if rkhs._conjugation(z) is None:
             assert calls == [("c", (len(z), len(z)))]
             assert (diag.eig_min, diag.eig_max) == (float(ev[0]), float(ev[-1]))
@@ -562,9 +566,9 @@ class TestQuarterTurnBlocks:
     def test_open_set_closed_under_neither_map(self, eigensolves):
         z = golden_spiral(0.5, 4.0, 30).reshape(-1, 1)
         assert one_row_orbits(z) and rkhs._conjugation(z) is None
-        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pointset.PointSet(z))
+        diag = references.riesz_bounds(rkhs.fock_kernel(1.0), pointset.PointSet(z))
         assert eigensolves == [("c", (30, 30))]
-        ev = np.linalg.eigvalsh(rkhs.fock_kernel(1.0).normalized_gram(z))
+        ev = np.linalg.eigvalsh(references.normalized_gram(rkhs.fock_kernel(1.0), z))
         assert (diag.eig_min, diag.eig_max) == (float(ev[0]), float(ev[-1]))
 
     def test_turned_generic_orbits_take_the_complex_blocks(self, eigensolves):
@@ -573,7 +577,7 @@ class TestQuarterTurnBlocks:
         z = np.concatenate([[0], quarter_turns(golden_spiral(0.8, 3.0, 6))]).reshape(-1, 1)
         assert not one_row_orbits(z) and rkhs._conjugation(z) is None
         space = rkhs.fock_kernel(1.0)
-        diag = rkhs.gram_matrix(space, pointset.PointSet(z))
+        diag = references.riesz_bounds(space, pointset.PointSet(z))
         assert eigensolves == [("c", (7, 7))] + [("c", (6, 6))] * 3
         quarter = rkhs._quarter_turn(z)
         blocks = rkhs._character_blocks(space._normalized_grams(z, quarter, None)[0], quarter)
@@ -591,7 +595,7 @@ class TestQuarterTurnBlocks:
         assert eigensolves == [("f", (8, 8)), ("f", (3, 7, 7)), ("f", (4, 4)), ("f", (3, 3, 3))]
 
     def test_only_the_origin(self):
-        diag = rkhs.gram_matrix(rkhs.fock_kernel(1.0), pts_of([0.0]))
+        diag = references.riesz_bounds(rkhs.fock_kernel(1.0), pts_of([0.0]))
         assert (diag.eig_min, diag.eig_max) == (1.0, 1.0)
 
     def test_duplicate_rows_take_the_full_path(self):
@@ -673,8 +677,8 @@ class TestRealForms:
         spectra = [np.linalg.eigvalsh(f) for f in forms]
         assert spectra[3][0] < min(ev[0] for ev in spectra[:3]) / 10
         assert spectra[3][-1] > max(ev[-1] for ev in spectra[:3])
-        diag = rkhs.gram_matrix(space, pointset.PointSet(z))
-        ev = np.linalg.eigvalsh(space.normalized_gram(z))
+        diag = references.riesz_bounds(space, pointset.PointSet(z))
+        ev = np.linalg.eigvalsh(references.normalized_gram(space, z))
         bound = self.FORM * EPS * len(blocks[0])
         assert abs(diag.eig_min - ev[0]) <= bound and abs(diag.eig_max - ev[-1]) <= bound
         assert diag.eig_min < rkhs.CONDITION_GUARD < min(ev[0] for ev in spectra[:3])
@@ -711,9 +715,8 @@ class TestRealForms:
 
         monkeypatch.setattr(rkhs, "_conjugation", recording)
         lat = pointset.square_lattice(2.0, radius=6.0)  # 29 points
-        rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
         rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), lat.with_values(np.ones(len(lat))))
-        assert sets == [29, 29]
+        assert sets == [29]
         sets.clear()
         rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0])
         assert sets == [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
@@ -729,7 +732,7 @@ def triangle_build(space, points, half, orbits, fixed):
     k, w = min(c, 3), r + len(fixed)
     rows = np.concatenate([orbits[0], fixed])
     cols = np.concatenate([*orbits[:k], fixed])
-    logk = space.log_kernel(points[rows][:, None], points[cols], dtype=np.clongdouble)
+    logk = space.log_kernel(points[rows][:, None], points[cols])
     logk.real -= np.maximum.outer(half[rows], half[cols])
     logk.real -= np.minimum.outer(half[rows], half[cols])
     upper = np.triu(np.ones((r, r), dtype=bool))
@@ -762,7 +765,7 @@ def assert_floored_triangle_build(space, z):
     orbits, fixed = quarter
     c = len(orbits)
     sigma = rkhs._conjugation(z)
-    half = 0.5 * space.diag_log(z, dtype=np.clongdouble)
+    half = 0.5 * space.diag_log(z)
     got = space._orbit_gram(z, half, *quarter, sigma)
     want = triangle_build(space, z, half, *quarter)
     node = np.concatenate([orbits, np.broadcast_to(fixed, (c, len(fixed)))], axis=1)
@@ -814,8 +817,7 @@ class TestOrbitGram:
         assert np.array_equal(z[turn], 1j * z)
         quarter = rkhs._quarter_turn(z)
         table, table_ld, _ = space._normalized_grams(z, quarter, rkhs._conjugation(z))
-        g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
-        assert np.array_equal(space.normalized_gram(z), g)
+        g, gram_ld = references.unfold(table, quarter), references.unfold(table_ld, quarter)
         assert np.all(np.diag(g) == 1.0)
         for m in (g, gram_ld):
             assert np.array_equal(m, m.conj().T)
@@ -829,12 +831,13 @@ class TestOrbitGram:
         # the last place after it
         quarter = rkhs._quarter_turn(z)
         table, table_ld, half = space._normalized_grams(z, quarter, rkhs._conjugation(z))
-        g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
+        g, gram_ld = references.unfold(table, quarter), references.unfold(table_ld, quarter)
         # the rows taken as an open set: their one-orbit tables
         open_set = (np.arange(len(z))[None, :], np.empty(0, dtype=np.intp))
         table_tri, table_tri_ld, half_tri = space._normalized_grams(z, open_set,
                                                                     rkhs._conjugation(z))
-        g_tri, gram_tri = rkhs._unfold(table_tri, open_set), rkhs._unfold(table_tri_ld, open_set)
+        g_tri = references.unfold(table_tri, open_set)
+        gram_tri = references.unfold(table_tri_ld, open_set)
         assert np.array_equal(half, half_tri)
         eps_ld = np.finfo(np.longdouble).eps
         scale = 1 + np.abs(half)[:, None] + np.abs(half)[None, :]
@@ -850,13 +853,13 @@ class TestOrbitGram:
         calls = []
         real = rkhs.KernelSpace.log_kernel
 
-        def recording(self, a, b, dtype=complex):
-            out = real(self, a, b, dtype)
+        def recording(self, a, b):
+            out = real(self, a, b)
             calls.append((np.asarray(a).astype(complex), out.shape, out.dtype))
             return out
 
         monkeypatch.setattr(rkhs.KernelSpace, "log_kernel", recording)
-        space.normalized_gram(z)
+        references.normalized_gram(space, z)
         orbits, fixed = rkhs._quarter_turn(z)
         classes = self.entry_classes(z, rkhs._conjugation(z) is not None)
         assert [call[1:] for call in calls] == [((len(classes),), np.clongdouble)]
@@ -906,8 +909,8 @@ class TestOrbitGram:
         sizes = []
         real = rkhs.KernelSpace.log_kernel
 
-        def counting(self, a, b, dtype=complex):
-            out = real(self, a, b, dtype)
+        def counting(self, a, b):
+            out = real(self, a, b)
             if out.dtype == np.clongdouble:
                 sizes.append(out.size)
             return out
@@ -961,7 +964,7 @@ class TestOrbitGram:
                                        log_sizes):
         # one extended log per class of Gram entries, one extended
         # exponential per class at or above the graded floor
-        space.normalized_gram(z)
+        references.normalized_gram(space, z)
         classes = self.entry_classes(z, conjugated)
         assert sum(log_sizes) == len(classes)
         assert sum(exp_sizes) == self.kept_classes(space, z, classes)
@@ -979,7 +982,7 @@ class TestOrbitGram:
         # above the graded floor
         lattice = pointset.square_lattice(1.0, radius=12.0).points
         space = rkhs.fock_kernel(1.0)
-        space.normalized_gram(lattice)
+        references.normalized_gram(space, lattice)
         assert len(self.entry_classes(lattice, False)) == 110 * 111 + 110 * 110 + 111 == 24421
         classes = self.entry_classes(lattice, True)
         assert sum(log_sizes) == len(classes) == 12480
@@ -992,7 +995,7 @@ class TestOrbitGram:
         assert rkhs._conjugation(turned) is None
         exp_sizes.clear()
         log_sizes.clear()
-        space.normalized_gram(turned)
+        references.normalized_gram(space, turned)
         classes = self.entry_classes(turned, False)
         assert sum(log_sizes) == len(classes) == 24421
         assert sum(exp_sizes) == self.kept_classes(space, turned, classes) == 14457
@@ -1026,9 +1029,8 @@ class TestOrbitGram:
 
         monkeypatch.setattr(rkhs, "_quarter_turn", recording)
         lat = pointset.square_lattice(2.0, radius=6.0)  # 29 points
-        rkhs.gram_matrix(rkhs.fock_kernel(1.0), lat)
         rkhs.min_norm_interpolant(rkhs.fock_kernel(1.0), lat.with_values(np.ones(len(lat))))
-        assert sets == [29, 29]
+        assert sets == [29]
         sets.clear()
         # one per spacing, on the largest lattice: the smaller radius takes
         # the same orbits
@@ -1065,7 +1067,7 @@ class TestBlockSolve:
         quarter = rkhs._quarter_turn(pts.points)
         table, table_ld, half = space._normalized_grams(pts.points, quarter,
                                                         rkhs._conjugation(pts.points))
-        g, gram_ld = rkhs._unfold(table, quarter), rkhs._unfold(table_ld, quarter)
+        g, gram_ld = references.unfold(table, quarter), references.unfold(table_ld, quarter)
         b = pts.values.astype(np.clongdouble) * np.exp(-half)
         lu = scipy.linalg.lu_factor(g)
         y = scipy.linalg.lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
@@ -1088,17 +1090,6 @@ class TestBlockSolve:
     def values(z):
         rng = np.random.default_rng(len(z))
         return rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
-
-    @pytest.mark.parametrize("space,z", [SETS[4], (SETS[2][0], SETS[2][1][1:])],
-                             ids=["fock_317", "bergman_open"])
-    def test_residuals_bit_identical_to_the_matmul_formula(self, space, z):
-        # the audit evaluation against its plain formula, inlined: one
-        # subtraction of the half logs and a clongdouble matmul
-        a = self.values(z)
-        itp = rkhs.min_norm_interpolant(space, pointset.PointSet(z, a))
-        logk = space.log_kernel(z[:, None], z, dtype=np.clongdouble)
-        want = np.abs((np.exp(logk - itp._half[None, :]) @ itp._y).astype(complex) - a)
-        assert itp.residuals().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("space,z", SETS, ids=IDS)
     def test_equals_the_full_lu(self, space, z):
@@ -1139,7 +1130,8 @@ class TestBlockSolve:
         table_ld = space._normalized_grams(z, quarter, rkhs._conjugation(z))[1]
         rng = np.random.default_rng(len(z))
         y = (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))).astype(np.clongdouble)
-        return rkhs._table_matvec(table_ld, quarter)(y), np.dot(rkhs._unfold(table_ld, quarter), y), y
+        want = np.dot(references.unfold(table_ld, quarter), y)
+        return rkhs._table_matvec(table_ld, quarter)(y), want, y
 
     @pytest.mark.parametrize("space,z", SETS, ids=IDS)
     def test_table_matvec_is_the_unfolded_product(self, space, z):
@@ -1238,7 +1230,7 @@ class TestFeasibilitySweep:
         out = []
         for r in radii:
             lat = pointset.square_lattice(s, radius=r)
-            d = rkhs.gram_matrix(space, lat)
+            d = references.riesz_bounds(space, lat)
             out.append((d.eig_min, d.eig_max, len(lat)))
         return out
 
