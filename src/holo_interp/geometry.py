@@ -58,8 +58,7 @@ class ModelSpace:
             if self.kappa is not None:
                 raise DomainError("flat space has no curvature upper bound kappa")
         else:
-            if self.kappa is None or not 2.0 ** -511 <= self.kappa < 2.0 ** 512:
-                raise DomainError("kappa^2 must be a normal float: 2**-511 <= kappa < 2**512")
+            _check_kappa(self.kappa)
             if not 1.0 / self.kappa <= self.k < math.inf:
                 raise DomainError(
                     "curvature lower bound must lie below the upper bound: k >= 1/kappa"
@@ -97,6 +96,12 @@ class ModelSpace:
         z = np.asarray(z, dtype=complex)
         single = z.ndim <= 1
         return self.validate_points(np.atleast_1d(z)[None, :] if single else z), single
+
+
+def _check_kappa(kappa) -> None:
+    """Refuse a ball or disk radius whose square is not a normal float."""
+    if kappa is None or not 2.0 ** -511 <= kappa < 2.0 ** 512:
+        raise DomainError("kappa^2 must be a normal float: 2**-511 <= kappa < 2**512")
 
 
 def flat_space(n: int = 1) -> ModelSpace:

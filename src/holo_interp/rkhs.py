@@ -96,11 +96,11 @@ class KernelSpace:
 
         ``quarter`` is ``_quarter_turn(points)`` and ``sigma`` is
         ``_conjugation(points)``; every node set's table is the orbit table
-        of ``_orbit_gram``.  The character blocks are formed from the
-        complex128 table, the refinement mat-vecs of ``min_norm_interpolant``
-        read the extended one (``_table_matvec``), and no m x m Gram is
-        unfolded.  The extended table keeps its computed diagonal
-        ``exp(logk_ii - dl_i)``, the one the residuals of the solve see.
+        of ``_orbit_gram``.  The Riesz forms are gathered from the complex128
+        table, the refinement mat-vecs of ``min_norm_interpolant`` read the
+        extended one (``_table_matvec``), and no m x m Gram is unfolded.  The
+        extended table keeps its computed diagonal ``exp(logk_ii - dl_i)``,
+        the one the residuals of the solve see.
         Rows not in C^n raise ``DomainError``.
         """
         if points.shape[1] != self.n:
@@ -278,13 +278,13 @@ class GramDiagnostic:
     """Riesz bounds of the normalized kernel system on a finite node set.
 
     ``eig_min`` and ``eig_max`` are the extreme eigenvalues of the
-    normalized Gram, from the matrices of ``_riesz_forms``: the
-    quarter-turn character blocks of ``_character_blocks`` when the node
-    set is closed under ``z -> i z``, which diagonalize its exactly
-    turn-invariant Gram, otherwise the Gram itself; and when the node set
-    is also closed under ``z -> conj z``, real symmetric matrices unitarily
-    similar to those blocks (or to the Gram), one each.  No m x m Gram is
-    formed.
+    normalized Gram, from the matrices of ``_riesz_forms``, the ones
+    ``min_norm_interpolant`` factors: the quarter-turn character blocks
+    when the node set is closed under ``z -> i z``, which diagonalize its
+    exactly turn-invariant Gram, otherwise the Gram itself; and when the
+    node set is closed under ``z -> conj z``, real symmetric matrices
+    unitarily similar to those blocks (or to the Gram), one each, with no
+    complex block formed.  No m x m Gram is formed.
     """
 
     eig_min: float
@@ -301,23 +301,16 @@ def _check_size(pts: pointset.PointSet) -> None:
 
 
 def _diagnose(forms: list) -> GramDiagnostic:
-    """The diagnostic of the normalized Gram from the matrices of
-    ``_riesz_forms``."""
-    eig_min, eig_max = _extremes(forms)
-    cond = math.inf if eig_min <= 0 else eig_max / eig_min
-    return GramDiagnostic(eig_min, eig_max, cond)
-
-
-def _extremes(forms: list):
-    """``(eig_min, eig_max)`` of the normalized Gram from the matrices (or
-    stacks of them) of ``_riesz_forms``, whose spectra together are the
-    Gram's: one ``eigvalsh`` each, empty ones skipped.  On a
-    quarter-turn-closed set the four quarter-size blocks cost about a
-    sixteenth of one full solve, and the real symmetric form of a block
-    about half of the block's own complex solve at these orders."""
+    """The diagnostic of the normalized Gram from the matrices (or stacks of
+    them) of ``_riesz_forms``, whose spectra together are the Gram's: one
+    ``eigvalsh`` each, empty ones skipped.  On a quarter-turn-closed set the
+    four quarter-size blocks cost about a sixteenth of one full solve, and
+    the real symmetric form of a block about half of the block's own
+    complex solve at these orders."""
     spectra = [np.linalg.eigvalsh(f) for f in forms if f.size]
-    return (float(min(ev[..., 0].min() for ev in spectra)),
-            float(max(ev[..., -1].max() for ev in spectra)))
+    eig_min = float(min(ev[..., 0].min() for ev in spectra))
+    eig_max = float(max(ev[..., -1].max() for ev in spectra))
+    return GramDiagnostic(eig_min, eig_max, math.inf if eig_min <= 0 else eig_max / eig_min)
 
 
 def _quarter_turn(points: np.ndarray):
@@ -328,8 +321,8 @@ def _quarter_turn(points: np.ndarray):
     four-point orbit, its smallest index, in ascending order; ``fixed``
     holds the origin, the only possible fixed point, or nothing.  Rows not
     distinct and exactly closed under ``R`` are the one-row orbits
-    ``arange(m)[None, :]`` with no fixed point.  The Gram build, the
-    character blocks and the block solve all read these.
+    ``arange(m)[None, :]`` with no fixed point.  The Gram build, the Riesz
+    forms and the form solve all read these.
 
     Multiplying by ``1j`` only swaps and negates coordinates, so matching by
     exact value is reliable (``_permutation_onto``).
@@ -382,115 +375,89 @@ def _permutation_onto(points: np.ndarray, image: np.ndarray):
 _DFT = np.array([1, -1j, -1, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
 
 
-def _character_blocks(table: np.ndarray, quarter) -> list:
-    """The normalized Gram as diagonal blocks, from the complex128 ``table``
-    of ``KernelSpace._normalized_grams`` (rounded, unit diagonal), in the
-    node basis given by ``quarter``, the ``(orbits, fixed)`` of
-    ``_quarter_turn``.
-
-    Both kernels depend on ``z . conj(w)`` only, so when the rows are exactly
-    closed under the quarter turn ``R: z -> i z`` the Gram commutes with
-    ``R`` and is unitarily block-diagonal over the characters
-    ``k = 0..3`` of ``R``.  In the basis ``v_k^q = sum_t i^(k t) e_{R^t q}`` the
-    Gram acts as ``B_k[q, q'] = sum_t i^(k t) G[q, R^t q']``; a vector ``x``
-    has the coordinates ``beta_k[q] = (1/4) sum_t i^(-k t) x[R^t q]``, and
-    ``x[R^t q] = sum_k i^(k t) beta_k[q]`` maps them back.  The origin
-    belongs to ``k = 0`` with the basis vector ``2 e_o``, which makes its row
-    and column of ``B_0`` ``(1/2) sum_t G[o, R^t q']`` and its conjugate, so
-    ``B_0`` stays Hermitian, and its coordinate ``x[o] / 2``.  A kernel that
-    is not a function of ``z . conj(w)`` must not take this path.
-
-    The ``s_t`` are read from the orbit table, so no m x m Gram is formed;
-    a principal sub-block on whole orbits sums the same entries in the same
-    order as the blocks built on those nodes alone.  Any other node set is
-    one block, its Gram ``[table[:, 0]]``, in the node basis itself: its
-    ``orbits`` are the one row ``arange(m)``, ``fixed`` is empty, and
-    ``_DFT[:1, :1]`` is the identity.
-
-    On nodes also closed under ``z -> conj z`` each block carries an
-    antiunitary symmetry, ``B_k[pi q, pi q'] = conj(B_k[q, q']) i^(k (u_q' -
-    u_q))``, so ``_riesz_forms`` takes the eigenvalues from a real
-    symmetric form of each block.
-    """
-    orbits, fixed = quarter
-    if len(orbits) == 1:
-        return [table[:, 0]]
-    r = orbits.shape[1]
-    s = table[:r, :, :r].transpose(1, 0, 2)  # s[t, q, q'] = G[q, R^t q']
-    even, odd = s[0] + s[2], s[1] + s[3]
-    alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
-    b0 = even + odd
-    if len(fixed):
-        b0 = np.block([[b0, 0.5 * table[:r, :, r].sum(axis=1)[:, None]],
-                       [0.5 * table[r, :, :r].sum(axis=0)[None, :], table[r, 0, r]]])
-    return [b0, alt + alt_i, even - odd, alt - alt_i]
-
-
 #: ``_ROOT[j] = e^(-i pi j / 4)``, a square root of ``i^(-j)``
 _ROOT = np.array([1, math.sqrt(0.5) * (1 - 1j), -1j, -math.sqrt(0.5) * (1 + 1j)])
 
 
-def _riesz_forms(blocks: list, quarter, sigma):
+def _riesz_forms(table: np.ndarray, quarter, sigma):
     """The matrices whose spectra together make up the normalized Gram's,
-    from the ``blocks`` of ``_character_blocks`` on nodes with the ``(orbits,
-    fixed)`` of ``_quarter_turn`` and the conjugation ``sigma`` of
-    ``_conjugation``, as ``(forms, rows)``: ``rows[i][j]`` is the row of
-    ``blocks[i]`` (the origin's is the last of ``B_0``) that row ``j`` of
-    ``forms[i]`` is built on, so a principal sub-block of a form on whole
-    conjugate pairs of block rows is the form built on those rows alone,
-    bit for bit.  Without ``sigma`` the forms are the blocks.  With it they
-    are the real form of ``B_0`` (of the Gram on an open set) and, on a
-    quarter-turn-closed set, the forms of ``B_1``, ``B_2`` and ``B_3`` as one
-    (3, r, r) stack, with ``rows[1]`` for all three.
+    gathered from the complex128 ``table`` of ``KernelSpace._normalized_grams``
+    (rounded, unit diagonal) on nodes with the ``(orbits, fixed)``
+    ``quarter`` of ``_quarter_turn`` and the conjugation ``sigma`` of
+    ``_conjugation``, as ``(forms, (quarter, cols, p, scale))``.  The forms
+    are also the matrices that ``min_norm_interpolant`` factors.
 
-    Write ``sigma(q) = R^u_q pi(q)`` on representatives
-    (``_pairing``).  Both kernels satisfy ``K(conj z, conj w) = conj K(z,
-    w)``, so the antiunitary ``x -> P_sigma conj(x)`` commutes with the Gram
-    and maps ``v_k^q`` to ``i^(-k u_q) v_k^(pi q)``: ``B_k[pi q, pi q'] =
-    conj(B_k[q, q']) i^(k (u_q' - u_q))``; the origin is fixed with ``u =
-    0``, and on an open set, the Gram its one block, ``pi = sigma`` and ``u =
-    0``.  A Hermitian matrix that commutes with an antiunitary involution is
-    unitarily similar to a real symmetric one.  Scaled as ``h = L^* B_k
+    Both kernels depend on ``z . conj(w)`` only (no other kernel may take
+    this path), so on rows exactly closed under ``R: z -> i z`` the Gram is
+    unitarily block-diagonal over the characters ``k = 0..3`` of ``R``: in
+    the basis ``v_k^q = sum_t i^(k t) e_{R^t q}`` it acts as ``B_k[q, q'] =
+    sum_t i^(k t) s_t[q, q']``, ``s_t[q, q'] = G[q, R^t q']`` the slices of
+    the table, and ``x`` has the coordinates ``beta_k[q] = (1/4) sum_t
+    i^(-k t) x[R^t q]``, mapped back by ``x[R^t q] = sum_k i^(k t)
+    beta_k[q]``.  The origin belongs to ``k = 0`` with the basis vector ``2
+    e_o``: its row of ``B_0`` is ``(1/2) sum_t G[o, R^t q']``, its column the
+    conjugate, its coordinate ``x[o] / 2``.  Any other node set is one
+    block, its Gram ``table[:, 0]``: one orbit row ``arange(m)``, no
+    ``fixed``, and ``_DFT[:1, :1]`` the identity.
+
+    With ``sigma(q) = R^u_q pi(q)`` on representatives (``_pairing``) and
+    ``K(conj z, conj w) = conj K(z, w)``, the antiunitary ``x -> P_sigma
+    conj(x)`` commutes with the Gram: ``B_k[pi q, pi q'] = conj(B_k[q, q'])
+    i^(k (u_q' - u_q))``, the origin fixed with ``u = 0``.  So ``h = L^* B_k
     L``, ``L`` diagonal with ``1`` on the first member ``a`` of each pair
-    ``(a, b = pi a)``, ``i^(-j)`` on ``b`` and ``_ROOT[j] = e^(-i pi j / 4)``
-    on a self-paired ``f``, ``j = k u mod 4``, the block satisfies ``h[pi
-    q, pi q'] = conj h[q, q']``; in the basis ``(e_a + e_b) / sqrt 2``, ``i
-    (e_a - e_b) / sqrt 2``, ``e_f`` it is the real symmetric ``[[Re(H1 +
-    H2), Im(H2 - H1), sqrt2 Re h3], [Im(H1 + H2), Re(H1 - H2), sqrt2 Im
-    h3], [sqrt2 Re hfa, -sqrt2 Im hfa, Re hff]]`` with ``H1 = h[a, a]``,
-    ``H2 = h[a, b]``, ``h3 = h[a, f]``, ``hfa = h[f, a]`` and ``hff = h[f,
-    f]``, read from the rows ``a`` and ``f`` alone.  It is symmetric
-    to rounding; ``eigvalsh`` reads its lower triangle.
+    ``(a, b = pi a)`` and on the origin, ``i^(-j)`` on ``b`` and ``_ROOT[j]``
+    on a self-paired ``f`` (``j = k u mod 4``), has ``h[pi q, pi q'] = conj
+    h[q, q']``, and in the basis ``(e_a + e_b) / sqrt 2``, ``i (e_a - e_b) /
+    sqrt 2``, ``e_f`` it is the real symmetric ``F_k = [[Re(H1 + H2), Im(H2
+    - H1), sqrt2 Re h3], [Im(H1 + H2), Re(H1 - H2), sqrt2 Im h3], [sqrt2 Re
+    hfa, -sqrt2 Im hfa, Re hff]]``, ``H1 = h[a, a]``, ``H2 = h[a, b]``, ``h3
+    = h[a, f]``, ``hfa = h[f, a]``, ``hff = h[f, f]``.  Only the rows ``a``,
+    ``f`` and the origin of each ``s_t``, at the columns ``a``, ``b``, ``f``
+    and the origin, are gathered, and summed as ``(s_0 +- s_2) + i^k (s_1 +-
+    s_3)``.  A set not closed under conjugation is taken as ``pi`` the
+    identity and ``u = 0``: every row is an ``f``, ``L`` is 1, and the forms
+    are the complex blocks, an open set's the view ``table[:, 0]``.
 
-    Every block gets its form.  The symmetry is antiunitary and keeps each
-    character: it relates ``B_3`` to ``conj(B_3)``, not to ``B_1``.  The
-    linear reflection ``P_sigma`` does map character ``k`` to ``-k``, but it
-    takes ``G`` to ``P_sigma^T G P_sigma = conj(G)``, not to ``G``, so
-    ``B_3`` and ``B_1`` have different spectra in general; on the spacing-2
-    half-shifted lattice at alpha 0.6, ``B_3`` alone holds both extremes.
+    ``forms`` is ``F_0`` and, on a turn-closed set, ``F_1`` to ``F_3`` as
+    one (3, r, r) stack.  Every block keeps its form: the symmetry maps each
+    character to itself, and ``B_3`` is not isospectral to ``B_1`` (on the
+    spacing-2 half-shifted lattice at alpha 0.6 it holds both extremes).
+    ``cols[j]`` is the block row of form coordinate ``j`` (pair coordinates
+    on ``a`` then ``b``, the origin last, in ``F_0`` only), so a principal
+    sub-block of a form on whole conjugate pairs is the form built on them
+    alone, bit for bit; ``p`` counts the pairs and ``scale[k]`` is ``L`` of
+    character ``k`` at ``cols``.  ``eigvalsh`` and ``cho_factor(lower=True)``
+    read the lower triangles of these forms, symmetric to rounding.
     """
-    if sigma is None:
-        return blocks, [np.arange(len(b)) for b in blocks]
     orbits, fixed = quarter
-    pi, u = _pairing(orbits, sigma)
-    q = np.arange(len(pi))
-    a, f = np.flatnonzero(q < pi), np.flatnonzero(q == pi)
-    p = len(a)
-    rows_af, cols_abf = np.concatenate([a, f]), np.concatenate([a, pi[a], f])
-    o = len(pi) + np.arange(len(fixed))
-    rows_0, cols_0 = np.concatenate([rows_af, o]), np.concatenate([cols_abf, o])
-    forms = [_real_form(blocks[0][rows_0[:, None], cols_0], p)]
-    if len(blocks) == 4:
-        turns = np.arange(1, 4)[:, None] * u % 4  # k u_q for k = 1, 2, 3
-        h = np.empty((3, len(rows_af), len(cols_abf)), dtype=complex)
-        for k in range(3):
-            h[k] = blocks[k + 1][rows_af[:, None], cols_abf]
+    c, r = orbits.shape
+    q = np.arange(r)
+    pi, u = (q, 0 * q) if sigma is None else _pairing(orbits, sigma)
+    a, f, o = np.flatnonzero(q < pi), np.flatnonzero(q == pi), r + np.arange(len(fixed))
+    p, n = len(a), r - len(a)  # pairs, and the rows a and f
+    rows, cols = np.concatenate([a, f, o]), np.concatenate([a, pi[a], f, o])
+    turns = np.arange(c)[:, None] * u % 4  # k u_q
+    scale = np.ones((c, len(cols)), dtype=complex)
+    scale[:, p:r] = np.concatenate([_DFT[1, turns[:, a]], _ROOT[turns[:, f]]], axis=1)
+    # sub[i, t, j] = G[rows[i], R^t cols[j]]; without sigma every row, in order
+    sub = table if sigma is None else table[np.ix_(rows, np.arange(c), cols)]
+    forms = [sub[:, 0]]
+    if c == 4:
+        s = sub[:n, :, :r].transpose(1, 0, 2)
+        even, odd = s[0] + s[2], s[1] + s[3]
+        alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
+        b0 = even + odd
+        if len(fixed):
+            b0 = np.block([[b0, 0.5 * sub[:n, :, r].sum(axis=1)[:, None]],
+                           [0.5 * sub[n, :, :r].sum(axis=0)[None, :], sub[n, 0, r]]])
+        h = np.stack([alt + alt_i, even - odd, alt - alt_i])
         # L on the columns b and f, L^* on the rows f; L is 1 on a
-        h[:, :, p:] *= np.concatenate([_DFT[1, turns[:, a]], _ROOT[turns[:, f]]], axis=1)[:, None]
-        h[:, p:] *= _ROOT[turns[:, f]].conj()[:, :, None]
-        forms.append(_real_form(h, p))
-    form_rows = np.concatenate([a, a, f])
-    return forms, [np.concatenate([form_rows, o]), form_rows][:len(forms)]
+        h[:, :, p:] *= scale[1:, None, p:r]
+        h[:, p:] *= scale[1:, 2 * p:r, None].conj()
+        forms = [b0, h]
+    if sigma is not None:
+        forms = [_real_form(form, p) for form in forms]
+    return forms, (quarter, cols, p, scale)
 
 
 def _real_form(h, p):
@@ -513,20 +480,35 @@ def _real_form(h, p):
     return form
 
 
-def _block_solve(lus: list, orbits: np.ndarray, fixed: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solve ``G x = rhs`` (complex128) from the LU factors ``lus`` of the
-    blocks of ``_character_blocks``: ``rhs`` into the block coordinates, one
-    solve per block, and the solutions back into the node basis."""
+#: ``M^*`` on the coordinates ``(a, b)`` of a conjugate pair, ``M``'s columns
+#: ``(e_a + e_b) / sqrt 2`` and ``i (e_a - e_b) / sqrt 2`` (``_riesz_forms``)
+_MIX = math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]])
+
+
+def _form_solve(factors: list, basis, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``G x = rhs`` (complex128) from the Cholesky ``factors`` of the
+    forms of ``_riesz_forms``, one per character, and their ``basis``:
+    ``rhs`` into the block coordinates ``beta_k``, through ``L^*`` and the
+    pair mixing into form coordinates, one ``cho_solve`` per form (a real
+    form takes the real and imaginary parts as two columns), and back
+    through the same maps."""
+    (orbits, fixed), cols, p, scale = basis
     c, r = orbits.shape
-    dft = _DFT[:c, :c]
-    beta = dft @ rhs[orbits] / c
-    beta = [np.concatenate([beta[0], rhs[fixed] / 2]), *beta[1:]]
-    u = [scipy.linalg.lu_solve(lu, v) for lu, v in zip(lus, beta)]
-    x = np.empty_like(rhs)
-    x[orbits] = dft.conj() @ np.stack([u[0][:r], *u[1:]])
-    x[fixed] = 2 * u[0][r:]
-    return x
+    beta = np.zeros((c, len(cols)), dtype=complex)
+    beta[:, :r], beta[0, r:] = _DFT[:c, :c] @ rhs[orbits] / c, rhs[fixed] / 2
+    v = beta[:, cols] * scale.conj()
+    pairs = v[:, :2 * p].reshape(c, 2, p)  # pairs[k, :, j] on a[j] and b[j]
+    pairs[:] = _MIX @ pairs
+    re_im = v.view(float).reshape(c, len(cols), 2)
+    for k, factor in enumerate(factors):
+        part = (re_im if factor[0].dtype == float else v)[k, :len(factor[0])]
+        part[:] = scipy.linalg.cho_solve(factor, part)
+    pairs[:] = _MIX.conj().T @ pairs
+    beta[:, cols] = v * scale
+    out = np.empty_like(rhs)
+    out[orbits] = _DFT[:c, :c].conj() @ beta[:, :r]
+    out[fixed] = 2 * beta[0, r:]
+    return out
 
 
 def _table_matvec(table: np.ndarray, quarter):
@@ -616,28 +598,27 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     with a ``NumericalGuardError``, and nodes not in C^n for ``n =
     space.n`` with a ``DomainError``.
 
-    The rounded Gram is LU-factored once, block by block over the blocks of
-    the one orbit table (``_character_blocks``) that also give its
-    eigenvalues: on nodes closed under ``z -> i z`` the four quarter-size
-    character blocks, otherwise the one m x m block.  Each solve maps the
+    The rounded Gram is factored once, as the forms of ``_riesz_forms``
+    whose eigenvalues are reported: on nodes closed under ``z -> conj z``
+    the real symmetric forms (of the four quarter-size character blocks on
+    nodes closed under ``z -> i z``, otherwise of the one m x m Gram), each
+    by a real Cholesky; on other nodes the complex blocks, or the Gram
+    itself, by a complex one.  Each solve (``_form_solve``) maps the
     right-hand side ``x`` into the block coordinates, ``beta_k[q] = (1/4)
     sum_t i^(-k t) x[R^t q]`` plus ``x[o] / 2`` for the origin as the last
-    entry of ``beta_0``, solves
-    ``B_k u_k = beta_k``, and maps back, ``y[R^t q] = sum_k i^(k t) u_k[q]``
-    and ``y[o] = 2 u_0[-1]``.  The three refinement residuals and the
-    reported residuals are taken against the extended orbit table
-    (``_table_matvec``), every entry of the Gram read from it; no m x m
-    Gram is formed.  The eigenvalues come from the forms of
-    ``_riesz_forms``: real symmetric ones on nodes closed under
-    conjugation.
+    entry of ``beta_0``, then into form coordinates, solves against each
+    form and maps back, ``y[R^t q] = sum_k i^(k t) u_k[q]`` and ``y[o] = 2
+    u_0[-1]``.  The three refinement residuals and the reported residuals
+    are taken against the extended orbit table (``_table_matvec``), every
+    entry of the Gram read from it; no m x m Gram is formed.
     """
     if pts.values is None:
         raise DomainError("interpolation needs target values")
     _check_size(pts)
     quarter, sigma = _quarter_turn(pts.points), _conjugation(pts.points)
     table, table_ld, half = space._normalized_grams(pts.points, quarter, sigma)
-    blocks = _character_blocks(table, quarter)
-    diag = _diagnose(_riesz_forms(blocks, quarter, sigma)[0])
+    forms, basis = _riesz_forms(table, quarter, sigma)
+    diag = _diagnose(forms)
     if not diag.eig_min >= CONDITION_GUARD:
         raise ConditioningError(
             f"normalized gram eig_min = {diag.eig_min:.3e} below guard {CONDITION_GUARD:.1e}",
@@ -648,11 +629,13 @@ def min_norm_interpolant(space: KernelSpace, pts: pointset.PointSet) -> MinNormI
     # the strongly graded right-hand side keeps componentwise accuracy.
     b = pts.values.astype(np.clongdouble) * np.exp(-half)
     times_gram = _table_matvec(table_ld, quarter)
-    lus = [scipy.linalg.lu_factor(block) for block in blocks]
-    y = _block_solve(lus, *quarter, b.astype(complex)).astype(np.clongdouble)
+    # one factor per character: the stack of F_1 to F_3 split in three
+    factors = [scipy.linalg.cho_factor(f, lower=True)
+               for f in [forms[0], *(f for stack in forms[1:] for f in stack)]]
+    y = _form_solve(factors, basis, b.astype(complex)).astype(np.clongdouble)
     for _ in range(3):
         residual = b - times_gram(y)
-        y = y + _block_solve(lus, *quarter, residual.astype(complex)).astype(np.clongdouble)
+        y = y + _form_solve(factors, basis, residual.astype(complex)).astype(np.clongdouble)
     # f(p_i) = e^{dl_i/2} (G y)_i, so one residual vector gives both scales
     abs_residual = np.abs(times_gram(y) - b)
     weighted = abs_residual.astype(float)
@@ -696,16 +679,16 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     empty ``spacings`` and a negative radius raise ``DomainError``; radius
     0 is the origin alone.
 
-    One orbit table, its character blocks and their Riesz forms
-    (``_riesz_forms``: real symmetric ones, every lattice being closed under
-    conjugation) are built per spacing, on the lattice at the largest
-    radius (which the size guard checks), and no m x m Gram is formed.  A
-    normalized entry depends only on its pair of points and
-    ``square_lattice`` keeps its a-major order at every radius, so each
-    radius's lattice, found by exact value, is whole orbits and whole
-    conjugate pairs with the same representatives in the same order, and
-    its forms are the principal sub-blocks on the rows of its
-    representatives (and the origin, last in ``B_0``): bit-identical to
+    One orbit table and its Riesz forms (``_riesz_forms``: the real
+    symmetric forms of the character blocks, every lattice being closed
+    under conjugation, gathered from the table) are built per spacing, on
+    the lattice at the largest radius (which the size guard checks), and no
+    m x m Gram or complex block is formed.  A normalized entry depends only
+    on its pair of points and ``square_lattice`` keeps its a-major order at
+    every radius, so each radius's lattice, found by exact value, is whole
+    orbits and whole conjugate pairs with the same representatives in the
+    same order, and its forms are the principal sub-blocks on the rows of
+    its representatives (and the origin, last in ``F_0``): bit-identical to
     building them anew.
     """
     if space.n != 1:
@@ -725,7 +708,7 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
         _check_size(largest)
         quarter, sigma = _quarter_turn(largest.points), _conjugation(largest.points)
         table = space._normalized_grams(largest.points, quarter, sigma)[0]
-        forms, form_rows = _riesz_forms(_character_blocks(table, quarter), quarter, sigma)
+        forms, (_, cols, _, _) = _riesz_forms(table, quarter, sigma)
         orbits, fixed = quarter
         for r in radii:
             lattice, subs = largest, forms
@@ -737,13 +720,13 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
                     "a truncated lattice is whole orbits of the largest one"
                 assert sigma is None or np.array_equal(inside[sigma], inside), \
                     "a truncated lattice is whole conjugate pairs of the largest one"
-                keeps = [np.concatenate([kept[0], inside[fixed]])] + [kept[0]] * 3
-                sels = [np.flatnonzero(keep[at]) for at, keep in zip(form_rows, keeps)]
+                sel = np.flatnonzero(np.concatenate([kept[0], inside[fixed]])[cols])
+                sels = [sel, sel[sel < orbits.shape[1]]]  # the origin is last, in F_0 only
                 subs = [form[..., sel[:, None], sel] for form, sel in zip(forms, sels)]
-            eig_min, eig_max = _extremes(subs)
-            rows.append(SweepRow(s, eig_min, eig_max, r, len(lattice)))
+            diag = _diagnose(subs)
+            rows.append(SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice)))
             if r == radii[0]:
-                primary[s] = eig_min
+                primary[s] = diag.eig_min
     ordered = [primary[s] for s in spacings]
     monotone = all(ordered[i + 1] <= ordered[i] + 1e-12 for i in range(len(ordered) - 1))
     return SweepResult(tuple(rows), monotone)

@@ -123,8 +123,7 @@ class BergmanDeformation:
     """Closed-form deformation ``-A log(1 - |z|^2/kappa^2)`` on the kappa-disk."""
 
     def __init__(self, a: float, kappa: float):
-        if not 0.0 < kappa < math.inf:
-            raise DomainError("kappa must be positive and finite")
+        geometry._check_kappa(kappa)
         self.a = float(a)
         self.kappa = float(kappa)
 

@@ -1,8 +1,9 @@
 """References the tests check the library against, kept out of the library
 so that no oracle shares code with what it checks: the kernel at two points,
-the m x m normalized Gram unfolded from the library's orbit table, the Riesz
-bounds of any node set, the minimal-norm interpolant summed over its nodes,
-the normal-frame local section of one node and a finite-difference dbar.
+the m x m normalized Gram unfolded from the library's orbit table and its
+quarter-turn character blocks, the Riesz bounds of any node set, the
+minimal-norm interpolant summed over its nodes, the normal-frame local
+section of one node and a finite-difference dbar.
 """
 
 from typing import Callable, Optional
@@ -61,14 +62,36 @@ def normalized_gram(space: rkhs.KernelSpace, z) -> np.ndarray:
     return unfold(space._normalized_grams(z, quarter, rkhs._conjugation(z))[0], quarter)
 
 
+def character_blocks(g: np.ndarray, quarter) -> list:
+    """The quarter-turn character blocks ``B_k[q, q'] = sum_t i^(k t) G[q,
+    R^t q']`` of the m x m Gram ``g`` on nodes with the ``(orbits, fixed)``
+    of ``rkhs._quarter_turn``, gathered from ``g`` in full and summed as the
+    library sums them, ``(s_0 +- s_2) + i^k (s_1 +- s_3)`` with ``s_t[q, q']
+    = G[q, R^t q']``.  The origin is the last row and column of ``B_0``,
+    ``(1/2) sum_t G[o, R^t q']`` and its conjugate; an open set's one block
+    is ``g``."""
+    orbits, fixed = quarter
+    if len(orbits) == 1:
+        return [g]
+    s = g[orbits[0][None, :, None], orbits[:, None, :]]
+    even, odd = s[0] + s[2], s[1] + s[3]
+    alt, alt_i = s[0] - s[2], 1j * (s[1] - s[3])
+    b0 = even + odd
+    if len(fixed):
+        o = fixed[0]
+        b0 = np.block([[b0, 0.5 * g[orbits, o].sum(axis=0)[:, None]],
+                       [0.5 * g[o, orbits].sum(axis=0)[None, :], g[o, o]]])
+    return [b0, alt + alt_i, even - odd, alt - alt_i]
+
+
 def riesz_bounds(space: rkhs.KernelSpace, pts) -> rkhs.GramDiagnostic:
     """The Riesz bounds of the normalized kernels on the nodes of ``pts``, as
-    the library's solve finds them (the eigensolves of the Riesz forms of
-    the one orbit table), without its target values or conditioning guard."""
+    the library's solve finds them (the eigensolves of the Riesz forms
+    gathered from the one orbit table), without its target values or
+    conditioning guard."""
     quarter, sigma = rkhs._quarter_turn(pts.points), rkhs._conjugation(pts.points)
     table = space._normalized_grams(pts.points, quarter, sigma)[0]
-    blocks = rkhs._character_blocks(table, quarter)
-    return rkhs._diagnose(rkhs._riesz_forms(blocks, quarter, sigma)[0])
+    return rkhs._diagnose(rkhs._riesz_forms(table, quarter, sigma)[0])
 
 
 # ---------------------------------------------------------------------------

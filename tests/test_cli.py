@@ -86,6 +86,17 @@ class TestExitCodes:
         assert code == 2
         assert "normal float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", ["1e-170", "1e300"])
+    def test_bergman_weight_kappa_square_beyond_normal_floats_exits_two(self, kappa, capsys):
+        # the space's rule for the weight's kappa: 1e-170 raised a
+        # ZeroDivisionError (exit 1) in the second-derivative bound, 1e300
+        # exited 2 with a bare overflow message
+        weight = '{"builtin": "bergman", "A": 4, "kappa": %s}' % kappa
+        code = cli.run(["separation", "--space", FLAT, "--weight", weight,
+                        "--points", '{"points": [[0.0, 0.0], [0.5, 0.0]]}', "--out", "/dev/null"])
+        assert code == 2
+        assert "normal float" in capsys.readouterr().err
+
     def test_conditioning_guard_exits_three(self, tmp_path, capsys):
         pts = {"points": [[0.0, 0.0], [1e-9, 0.0]], "values": [[1.0, 0.0], [1.0, 0.0]]}
         path = tmp_path / "close.json"
