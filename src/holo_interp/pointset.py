@@ -370,9 +370,17 @@ def square_lattice(spacing: float, radius: Optional[float] = None,
     z.imag = axis[None, :]
     z = z.reshape(-1, 1)
     if radius is not None:
-        # np.hypot rounds as the scalar abs(); numpy's array complex abs may not
-        z = z[np.hypot(z.real, z.imag)[:, 0] <= radius + 1e-12]
+        z = z[_in_disk(z[:, 0], spacing, radius)]
     return PointSet(z)
+
+
+def _in_disk(z: np.ndarray, spacing: float, radius: float) -> np.ndarray:
+    """The mask of ``z = spacing (a + i b)`` (shape (N,)) with ``|a|, |b| <= floor(radius /
+    spacing)`` (exact: rounding is monotone) and ``|z| <= radius + 1e-12``."""
+    edge = spacing * math.floor(radius / spacing)
+    # np.hypot rounds as the scalar abs(); numpy's array complex abs may not
+    return ((np.maximum(np.abs(z.real), np.abs(z.imag)) <= edge)
+            & (np.hypot(z.real, z.imag) <= radius + 1e-12))
 
 
 def grid_points(x0: float, x1: float, nx: int, y0: float, y1: float, ny: int) -> np.ndarray:

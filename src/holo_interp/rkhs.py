@@ -159,8 +159,8 @@ class KernelSpace:
         node = np.concatenate([orbits, np.broadcast_to(fixed, (c, len(fixed)))], axis=1)
         w = node.shape[1]
         lead, follow, source, flip = _exponent_classes(orbits, fixed, sigma)
-        x, keep = self._floored_exponents(points, half, node[0][lead // (c * w)],
-                                          node.reshape(-1)[lead % (c * w)])
+        row, col = np.divmod(lead, c * w)
+        x, keep = self._floored_exponents(points, half, node[0][row], node.reshape(-1)[col])
         # a partner's exponent is its leader's conjugate, or, where its
         # imaginary part is a zero, the same with the same sign
         flip &= x.imag[source] != 0
@@ -189,6 +189,7 @@ class KernelSpace:
         half logs ``half`` subtracted larger first, and the mask of the pairs
         at or above the graded floor of ``_orbit_gram``: ``Re log K(p, q) >=
         log u + 2 min(h_p, h_q)``, which is ``Re x + |h_p - h_q| >= log u``."""
+        points = points.astype(np.clongdouble)  # once, not per gathered pair
         x = self.log_kernel(points[rows], points[cols])
         h_row, h_col = half[rows], half[cols]
         low = np.minimum(h_row, h_col)
@@ -235,8 +236,8 @@ def _exponent_classes(orbits, fixed, sigma):
     if sigma is None:
         return np.concatenate([at[entry], origin]), none, none, none.astype(bool)
     pi, u = _pairing(orbits, sigma)
-    t_c = (u[q2] - u[q] - t) % 4
-    t_h = -t_c % 4
+    t_c = (u[q2] - u[q] - t) & 3  # mod 4
+    t_h = -t_c & 3
     copy = (t_h == 1) | ((t_h != 3) & (pi[q2] <= pi[q]))
     partner = np.where(copy, pi[q2] * row + t_h * w + pi[q],
                        pi[q] * row + t_c * w + pi[q2])
@@ -582,7 +583,7 @@ class MinNormInterpolant:
         return {
             "kind": self.space.kind,
             "n_points": len(self.points),
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
+            "coefficients": self.coefficients.view(float).reshape(-1, 2).tolist(),
             "norm_sq": self.norm_sq,
             "gram_eig_min": self.diagnostic.eig_min,
             "gram_eig_max": self.diagnostic.eig_max,
@@ -683,13 +684,13 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     symmetric forms of the character blocks, every lattice being closed
     under conjugation, gathered from the table) are built per spacing, on
     the lattice at the largest radius (which the size guard checks), and no
-    m x m Gram or complex block is formed.  A normalized entry depends only
-    on its pair of points and ``square_lattice`` keeps its a-major order at
-    every radius, so each radius's lattice, found by exact value, is whole
-    orbits and whole conjugate pairs with the same representatives in the
-    same order, and its forms are the principal sub-blocks on the rows of
-    its representatives (and the origin, last in ``F_0``): bit-identical to
-    building them anew.
+    m x m Gram or complex block is formed.  Each smaller radius's lattice is
+    the mask of its rows that ``square_lattice``'s truncation rule keeps
+    (``pointset._in_disk``).  An entry depends only on its pair of points,
+    so that lattice is whole orbits and whole conjugate pairs with the same
+    representatives in the same order, and its forms are the principal
+    sub-blocks on the rows of its representatives (and the origin, last in
+    ``F_0``): bit-identical to building them anew.
     """
     if space.n != 1:
         raise DomainError("the lattice sweep is defined on one complex variable")
@@ -697,9 +698,11 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
     if not spacings:
         raise DomainError(f"the sweep needs at least one spacing, got {spacings}")
     radii = [float(radius)] + [float(r) for r in extra_radii]
-    for r in radii:
+    for r in radii:  # all before any lattice is built: a smaller radius is only a mask
         if r < 0:
             raise DomainError(f"sweep radii must be nonnegative, got {r}")
+        if not math.isfinite(r):
+            raise DomainError(f"lattice radius must be finite, got {r}")
     r_max = max(radii)
     rows = []
     primary = {}
@@ -711,12 +714,11 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
         forms, (_, cols, _, _) = _riesz_forms(table, quarter, sigma)
         orbits, fixed = quarter
         for r in radii:
-            lattice, subs = largest, forms
+            n_points, subs = len(largest), forms
             if r != r_max:
-                lattice = pointset.square_lattice(s, radius=r)
-                inside = np.isin(largest.points[:, 0], lattice.points[:, 0])
-                kept = inside[orbits]
-                assert inside.sum() == len(lattice) and (kept == kept[0]).all(), \
+                inside = pointset._in_disk(largest.points[:, 0], s, r)
+                n_points, kept = int(inside.sum()), inside[orbits]
+                assert (kept == kept[0]).all(), \
                     "a truncated lattice is whole orbits of the largest one"
                 assert sigma is None or np.array_equal(inside[sigma], inside), \
                     "a truncated lattice is whole conjugate pairs of the largest one"
@@ -724,7 +726,7 @@ def feasibility_sweep(space: KernelSpace, spacings: Sequence[float], radius: flo
                 sels = [sel, sel[sel < orbits.shape[1]]]  # the origin is last, in F_0 only
                 subs = [form[..., sel[:, None], sel] for form, sel in zip(forms, sels)]
             diag = _diagnose(subs)
-            rows.append(SweepRow(s, diag.eig_min, diag.eig_max, r, len(lattice)))
+            rows.append(SweepRow(s, diag.eig_min, diag.eig_max, r, n_points))
             if r == radii[0]:
                 primary[s] = diag.eig_min
     ordered = [primary[s] for s in spacings]

@@ -285,6 +285,7 @@ class TestExitCodes:
         ["--spacings", "1", "--radius", "nan"],
         ["--spacings", "inf", "--radius", "6"],
         ["--spacings", "4,3", "--radius", "6", "--extra-radii", "inf"],
+        ["--spacings", "4,3", "--radius", "6", "--extra-radii", "nan"],
     ])
     def test_sweep_non_finite_lattice_exits_two(self, args, capsys):
         code = cli.run(["sweep", "--weight", FOCK, *args, "--out", "/dev/null"])

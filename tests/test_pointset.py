@@ -791,6 +791,19 @@ class TestGenerators:
         # bytes compare signed zeros too
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.1, 3.0), st.integers(0, 20), st.integers(0, 20),
+           st.sampled_from([-1e-12, -1e-15, 0.0, 1e-15, 1e-13, 0.5]))
+    def test_mask_of_a_larger_lattice_is_the_loop_lattice(self, spacing, k, extra, nudge):
+        # the sweep's smaller radii: the rows of the largest lattice that the
+        # truncation rule keeps are the loop's points in the loop's order, at
+        # radii on, just inside and just outside a multiple of the spacing
+        radius = spacing * k + nudge
+        assume(radius >= 0)
+        big = pointset.square_lattice(spacing, radius=radius + extra * spacing).points[:, 0]
+        got = big[pointset._in_disk(big, spacing, radius)]
+        assert got.tobytes() == self.loop_lattice(spacing, radius=radius)[:, 0].tobytes()
+
     def test_grid_points_order(self):
         g = pointset.grid_points(0, 1, 2, 0, 1, 2)
         assert np.array_equal(g, np.array([0, 1, 1j, 1 + 1j]))

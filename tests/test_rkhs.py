@@ -1080,14 +1080,16 @@ class TestBlockSolve:
     ]
     IDS = TestQuarterTurnBlocks.IDS + ["fock_317"]
     #: both refinements stop at the long-double floor, about cond * eps_ld
-    #: relative; over 20 seeds on these sets and the same sets less one
-    #: node, the form and full-LU solutions differ by up to 1.6 cond eps_ld
-    #: and permuted nodes by up to 1.8.  The weighted residuals sit at their
-    #: own floor, which grows with cond: on the n = 2 set (cond 41) both
-    #: solves reach 8 to 10 eps_ld max|b| and differ by up to 5.9 of it at
-    #: some seeds, on the others by up to 0.8
+    #: relative; over value seeds 0 to 19 on these sets and the same sets
+    #: less one node, the form and full-LU solutions differ by up to 1.6
+    #: cond eps_ld and permuted nodes by up to 1.4.  The weighted residuals
+    #: sit at their own floor, which grows with cond too: their maxima
+    #: differ by up to 0.31 cond eps_ld max|b| (5.9 eps_ld max|b| on the n =
+    #: 2 set, cond 41, at seeds 5 and 7)
     FLOOR = 4.0
     EPS_LD = float(np.finfo(np.longdouble).eps)
+    #: value seeds of the full-LU comparison
+    SEEDS = range(8)
 
     @staticmethod
     def full_lu(space, pts):
@@ -1115,20 +1117,20 @@ class TestBlockSolve:
                       <= bound * scale * node_scale + eps * np.abs(coeff))
 
     @staticmethod
-    def values(z):
-        rng = np.random.default_rng(len(z))
+    def values(z, seed=None):
+        rng = np.random.default_rng(len(z) if seed is None else seed)
         return rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
 
     @pytest.mark.parametrize("space,z", SETS, ids=IDS)
     def test_equals_the_full_lu(self, space, z):
-        pts = pointset.PointSet(z, self.values(z))
-        itp = rkhs.min_norm_interpolant(space, pts)
-        y, weighted = self.full_lu(space, pts)
-        bound = self.FLOOR * itp.diagnostic.condition * self.EPS_LD
-        self.assert_close(itp, y, (y * np.exp(-itp._half)).astype(complex), bound)
-        b_max = float(np.max(np.abs(pts.values * np.exp(-itp._half))))
-        floor = self.FLOOR * self.EPS_LD * b_max
-        assert np.max(itp.weighted_residuals) <= np.max(weighted) + floor
+        for seed in self.SEEDS:
+            pts = pointset.PointSet(z, self.values(z, seed))
+            itp = rkhs.min_norm_interpolant(space, pts)
+            y, weighted = self.full_lu(space, pts)
+            bound = self.FLOOR * itp.diagnostic.condition * self.EPS_LD
+            self.assert_close(itp, y, (y * np.exp(-itp._half)).astype(complex), bound)
+            b_max = float(np.max(np.abs(pts.values * np.exp(-itp._half))))
+            assert np.max(itp.weighted_residuals) <= np.max(weighted) + bound * b_max
 
     @pytest.mark.parametrize("space,z", SETS, ids=IDS)
     def test_permuted_nodes(self, space, z):
@@ -1230,7 +1232,12 @@ class TestFeasibilitySweep:
         ([], 4.0, (), "at least one spacing, got []"),
         ([2.0], -1.0, (), "got -1.0"),
         ([2.0], 4.0, [6.0, -0.5], "got -0.5"),
-    ], ids=["no_spacing", "negative_radius", "negative_extra_radius"])
+        # checked before any lattice is built: a mask alone would reach
+        # math.floor(nan) and raise a ValueError
+        ([4.0, 3.0], 6.0, [math.nan], "lattice radius must be finite, got nan"),
+        ([4.0, 3.0], math.inf, [], "lattice radius must be finite, got inf"),
+    ], ids=["no_spacing", "negative_radius", "negative_extra_radius", "nan_extra_radius",
+            "infinite_radius"])
     def test_sweep_that_checks_nothing_refused(self, spacings, radius, extra, message):
         with pytest.raises(DomainError) as exc:
             rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), spacings, radius, extra_radii=extra)
@@ -1291,6 +1298,20 @@ class TestFeasibilitySweep:
         rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0, 2.0])
         sizes = [len(pointset.square_lattice(s, radius=6.0)) for s in (3.0, 2.0)]
         assert shapes == [((m - 1) // 4 + 1, 4, (m - 1) // 4 + 1) for m in sizes]
+
+    def test_one_lattice_per_spacing(self, monkeypatch):
+        # each smaller radius is a mask over the largest lattice's rows, not a
+        # lattice of its own
+        calls = []
+        real = pointset.square_lattice
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pointset, "square_lattice", counting)
+        rkhs.feasibility_sweep(rkhs.fock_kernel(1.0), [3.0, 2.0], 4.0, extra_radii=[6.0, 2.0])
+        assert calls == [((3.0,), {"radius": 6.0}), ((2.0,), {"radius": 6.0})]
 
     def test_no_m_by_m_array(self):
         # the 441-node lattice, whose m x m extended Gram alone is 6.2 MB: the
