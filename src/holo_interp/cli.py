@@ -294,37 +294,39 @@ def _cmd_verify_geometry(args) -> int:
     record("comparison_factor_product_only", len(vals) == 1,
            f"{len(vals)} distinct values across 17 scalings of k*rho = 1.3")
 
+    # A check draws all its samples at once, in a one-sample loop's order, for one FD call;
+    # moduli go by hypot and squares by pow, as on one Python scalar (FD scales a last bit by 1/h^2)
+    m = args.samples
     if space.is_flat and space.n == 1:
         p = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        worst = 0.0
-        for _ in range(args.samples):
-            z = np.array([complex(rng.uniform(-2, 2), rng.uniform(-2, 2))])
-            h = geometry.complex_hessian_fd(lambda t: abs(t[0] - p) ** 2, z)
-            rel = geometry.relative_form_eigenvalues(space, z, h)[0]
-            worst = max(worst, abs(rel - 2.0))
+        zs = rng.uniform(-2, 2, (m, 2)).view(complex)  # (re, im) pairs as (m, 1) rows
+        h = geometry.complex_hessian_fd(
+            lambda t: np.float_power(np.hypot((t - p).real, (t - p).imag)[:, 0], 2), zs)
+        rel = geometry.relative_form_eigenvalues(space, zs, h)[:, 0]
+        worst = float(np.max(np.abs(rel - 2.0), initial=0.0))
         record("flat_squared_distance_eigenvalue", worst <= 1e-6, f"worst |rel-2| = {worst:.3e}")
     elif not space.is_flat and space.n == 1:
         kap = space.kappa
-        worst_ratio = 0.0
-        for i in range(args.samples):
-            d = 0.1 + (3.0 - 0.1) * i / max(1, args.samples - 1)
-            z = np.array([geometry.geodesic_point(space, 0.0, d, float(rng.uniform(0, 2 * math.pi)))])
-            h = geometry.complex_hessian_fd(
-                lambda t: geometry.distance(space, np.zeros(1), t) ** 2, z)
-            rel = geometry.relative_form_eigenvalues(space, z, h)[-1]
-            worst_ratio = max(worst_ratio, rel / geometry.hessian_comparison_factor(space.k, d))
+
+        def distance(t):  # from the origin, to validated stencil rows
+            return geometry.geodesic_distances(space, np.zeros(1), space.validate_points(t))
+
+        ds = 0.1 + (3.0 - 0.1) * np.arange(m) / max(1, m - 1)
+        zs = geometry.geodesic_point(space, 0.0, ds, rng.uniform(0, 2 * math.pi, m))[:, None]
+        h = geometry.complex_hessian_fd(lambda t: np.float_power(distance(t), 2), zs)
+        rel = geometry.relative_form_eigenvalues(space, zs, h)[:, -1]
+        # the closed-form factor stays scalar: math.tanh, not np.tanh
+        factor = np.array([geometry.hessian_comparison_factor(space.k, d) for d in ds.tolist()])
+        worst_ratio = float(np.max(rel / factor, initial=0.0))
         record("hyperbolic_squared_distance_comparison", worst_ratio <= 1.0 + 1e-4,
                f"worst rel/factor = {worst_ratio:.10f}")
 
-        worst_eig = 0.0
-        for _ in range(args.samples):
-            r = kap * (0.05 + 0.85 * rng.random())
-            z = np.array([r * np.exp(1j * rng.uniform(0, 2 * math.pi))])
-            f = lambda t: float(2.0 * np.log(np.tanh(
-                geometry.distance(space, np.zeros(1), t) / (2.0 * kap))))
-            h = geometry.complex_hessian_fd(f, z, step=2.5e-4 * max(1.0, abs(z[0])))
-            rel = geometry.relative_form_eigenvalues(space, z, h)[0]
-            worst_eig = min(worst_eig, rel)
+        u = rng.random((m, 2))  # (radius, angle) draws in sample order
+        zs = (kap * (0.05 + 0.85 * u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1])))[:, None]
+        h = geometry.complex_hessian_fd(
+            lambda t: 2.0 * np.log(np.tanh(distance(t) / (2.0 * kap))), zs,
+            step=2.5e-4 * np.maximum(1.0, np.hypot(zs.real, zs.imag)[:, 0]))
+        worst_eig = float(np.min(geometry.relative_form_eigenvalues(space, zs, h)[:, 0], initial=0.0))
         record("hyperbolic_log_tanh_psh", worst_eig >= -1e-6, f"min eigenvalue = {worst_eig:.3e}")
 
         closed = geometry.ricci_eigen(space, np.zeros(1))

@@ -416,27 +416,25 @@ def auxiliary_curvature_check(aux: AuxiliaryWeight, space: geometry.ModelSpace,
     whose ball boundary passes within the FD stencil of a grid point are
     counted conservatively.
     """
-    entries = []
-    factor = geometry.hessian_comparison_factor(space.k, aux.rho)
-    for z in grid:
-        z = space.validate_point(z)
-        d = geometry.distances_from(space, aux.points.points, z)
-        if d.size and float(np.min(d)) < 0.05 * aux.rho:
-            raise DomainError("curvature check grid must keep distance >= 0.05*rho from nodes")
-        h = geometry.default_fd_step(z) if step is None else float(step)
-        buffer = 2.0 * h * math.sqrt(float(geometry.metric_coefficient(space, z)))
-        count = int(np.count_nonzero(d < aux.rho + buffer)) if d.size else 0
-        hess = geometry.complex_hessian_fd(aux.value, z, step=h)
-        eig_min = float(geometry.relative_form_eigenvalues(space, z, hess)[0])
-        bound = -space.n * count / aux.rho ** 2 * factor
-        entries.append(CurvatureCheckEntry(z, eig_min, bound))
-    if not entries:
+    if not len(grid):
         raise DomainError("curvature check grid must be nonempty")
-    worst = min(range(len(entries)), key=lambda i: entries[i].slack)
+    zs = np.asarray(grid, dtype=complex)
+    zs = space.validate_points(zs[:, None] if zs.ndim == 1 and space.n == 1 else zs)
+    d = geometry.geodesic_distances(space, aux.points.points[None, :, :], zs[:, None, :])
+    if d.size and float(np.min(d)) < 0.05 * aux.rho:
+        raise DomainError("curvature check grid must keep distance >= 0.05*rho from nodes")
+    h = geometry.default_fd_step(zs) if step is None else np.full(len(zs), float(step))
+    buffer = 2.0 * h * np.sqrt(geometry.metric_coefficient(space, zs))
+    count = np.count_nonzero(d < (aux.rho + buffer)[:, None], axis=1)
+    hess = geometry.complex_hessian_fd(aux.value_grid, zs, step=h)
+    eig_min = geometry.relative_form_eigenvalues(space, zs, hess)[:, 0]
+    bound = -space.n * count / aux.rho ** 2 * geometry.hessian_comparison_factor(space.k, aux.rho)
+    entries = tuple(map(CurvatureCheckEntry, zs, eig_min.tolist(), bound.tolist()))
+    worst = int(np.argmin(eig_min - bound))
     return CurvatureCheckReport(
         passed=bool(entries[worst].slack >= -tol),
         tolerance=tol,
         worst_slack=float(entries[worst].slack),
         worst_index=worst,
-        entries=tuple(entries),
+        entries=entries,
     )

@@ -264,11 +264,11 @@ def bergman_weight(a: float, kappa: float = 1.0, r0: Optional[float] = None,
 
 
 def _bergman_second_derivative_bound(a: float, kappa: float, radius: float) -> float:
-    # max |second real partials| of f = -A log(1 - r^2/kappa^2) on |z| <= radius:
-    # the radial f''(r) = 2A (kappa^2 + r^2) / (kappa^2 - r^2)^2 dominates f'(r)/r
-    # and the mixed partials and grows with r, so it peaks on the rim
-    k2, r2 = kappa ** 2, radius ** 2
-    return 1.05 * 2.0 * a * (k2 + r2) / (k2 - r2) ** 2
+    # max |second real partials| of f = -A log(1 - r^2/kappa^2) on |z| <= radius: the
+    # radial f''(r) = 2A (1 + t) / (kappa^2 (1 - t)^2), t = (r/kappa)^2, dominates f'(r)/r and
+    # the mixed partials and peaks on the rim; no factor of it under- or overflows
+    t = (radius / kappa) ** 2
+    return 1.05 * 2.0 * a * (1.0 + t) / (kappa ** 2 * (1.0 - t) ** 2)
 
 
 # ---------------------------------------------------------------------------

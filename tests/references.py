@@ -3,7 +3,8 @@ so that no oracle shares code with what it checks: the kernel at two points,
 the m x m normalized Gram unfolded from the library's orbit table and its
 quarter-turn character blocks, the Riesz bounds of any node set, the
 minimal-norm interpolant summed over its nodes, the normal-frame local
-section of one node and a finite-difference dbar.
+section of one node, a finite-difference dbar and the one-point
+finite-difference Hessians.
 """
 
 from typing import Callable, Optional
@@ -131,7 +132,7 @@ def local_section(w: weights.HermitianWeight, space: geometry.ModelSpace,
     result); every point must lie in the open delta0-ball.
     """
     zs, single = space.validate_rows(z)
-    if np.any(geometry.distances_from(space, zs, p) >= delta0):
+    if np.any(geometry.geodesic_distances(space, zs, space.validate_point(p)) >= delta0):
         raise DomainError("local section evaluated outside its delta0-ball")
     out = complex(a_p) * np.exp(weights.normal_frame_exponent(w, p, zs))
     return complex(out[0]) if single else out
@@ -153,3 +154,38 @@ def dbar_fd(f: Callable, z, step: Optional[float] = None) -> np.ndarray:
         fy = (f(z + 1j * h * e) - f(z - 1j * h * e)) / (2.0 * h)
         out[m] = 0.5 * (fx + 1j * fy)
     return out
+
+
+def real_hessian_fd(g: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Hessian of the real function ``g`` at the real
+    point ``x``, one evaluation of ``g`` at a time."""
+    d = x.size
+    out = np.zeros((d, d))
+    g0 = g(x)
+    steps = np.eye(d) * h
+    for i in range(d):
+        out[i, i] = (g(x + steps[i]) - 2.0 * g0 + g(x - steps[i])) / (h * h)
+        for j in range(i + 1, d):
+            v = (
+                g(x + steps[i] + steps[j])
+                - g(x + steps[i] - steps[j])
+                - g(x - steps[i] + steps[j])
+                + g(x - steps[i] - steps[j])
+            ) / (4.0 * h * h)
+            out[i, j] = out[j, i] = v
+    return out
+
+
+def complex_hessian_point(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
+    """``geometry.complex_hessian_fd`` at the one point ``z`` (n,) with the
+    step ``h``, from ``real_hessian_fd`` on ``f`` of one point at a time:
+    the same stencil, rounding order and Richardson level."""
+    n = z.size
+    x = np.concatenate([z.real, z.imag])
+
+    def level(step):
+        R = real_hessian_fd(lambda xr: float(f((xr[:n] + 1j * xr[n:])[None, :])[0]), x, step)
+        return (R[:n, :n] + R[n:, n:] + 1j * (R[:n, n:] - R[:n, n:].T)) / 4.0
+
+    H = (4.0 * level(h / 2.0) - level(h)) / 3.0
+    return 0.5 * (H + H.conj().T)

@@ -70,7 +70,8 @@ def test_criterion_2_squared_distance_comparison():
     for i in range(200):
         d = 0.1 + (3.0 - 0.1) * i / 199.0
         z = np.array([geometry.geodesic_point(disk, 0.0, d, 2.399 * i)])
-        H = hi.complex_hessian_fd(lambda t: hi.distance(disk, np.zeros(1), t) ** 2, z)
+        H = hi.complex_hessian_fd(
+            lambda t: geometry.geodesic_distances(disk, np.zeros(1), disk.validate_points(t)) ** 2, z)
         rel = geometry.relative_form_eigenvalues(disk, z, H)[-1]
         worst_ratio = max(worst_ratio, rel / hi.hessian_comparison_factor(1.0, d))
     ok_hyp = worst_ratio <= 1.0 + 1e-4
@@ -80,7 +81,8 @@ def test_criterion_2_squared_distance_comparison():
     worst_flat = 0.0
     for i in range(50):
         z = np.array([complex(math.cos(i), math.sin(2 * i)) * 1.7])
-        H = hi.complex_hessian_fd(lambda t: abs(t[0] - p) ** 2, z)
+        # |t - p| by hypot, as abs() takes it on one complex scalar
+        H = hi.complex_hessian_fd(lambda t: np.hypot((t - p).real, (t - p).imag)[:, 0] ** 2, z)
         rel = geometry.relative_form_eigenvalues(flat, z, H)[0]
         worst_flat = max(worst_flat, abs(rel - 2.0))
     ok_flat = worst_flat <= 1e-6
@@ -110,7 +112,8 @@ def test_criterion_3_log_tanh_psh():
         pvec = np.array([p])
 
         def f(t):
-            return float(2.0 * np.log(np.tanh(hi.distance(disk, pvec, t) / 2.0)))
+            d = geometry.geodesic_distances(disk, pvec, disk.validate_points(t))
+            return 2.0 * np.log(np.tanh(d / 2.0))
 
         H = hi.complex_hessian_fd(f, z, step=2.5e-4 * max(1.0, abs(z0)))
         rel = geometry.relative_form_eigenvalues(disk, z, H)[0]

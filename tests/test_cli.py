@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from holo_interp import cli
@@ -96,6 +97,32 @@ class TestExitCodes:
                         "--points", '{"points": [[0.0, 0.0], [0.5, 0.0]]}', "--out", "/dev/null"])
         assert code == 2
         assert "normal float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa", [1e-100, 1e150, 2.0 ** -511])
+    @pytest.mark.parametrize("command", ["certify-t1", "certify-t2", "construct"])
+    def test_bergman_kappa_at_the_float_scales_raises_nothing(self, kappa, command):
+        # the default m2 = 1.05 * 2A (kappa^2 + r^2) / (kappa^2 - r^2)^2 at
+        # r = 0.9 kappa: the squared difference underflowed to 0 (a
+        # ZeroDivisionError, exit 1) at 1e-100 and 2**-511 and overflowed
+        # (an OverflowError) at 1e150; at 2**-511 the bound itself is beyond
+        # the floats, an input error
+        space = '{"kind": "hyperbolic_ball", "n": 1, "kappa": %r}' % kappa
+        weight = '{"builtin": "bergman", "A": 4.0, "kappa": %r}' % kappa
+        options = {"certify-t1": ["--rho", repr(0.5 * kappa), "--eps", "0.5"],
+                   "certify-t2": ["--eps", "0.5"],
+                   "construct": ["--rho", repr(0.5 * kappa), "--nr", "2", "--ntheta", "4"]}
+        with np.errstate(over="ignore", invalid="ignore"):  # construct at 1e150
+            code = cli.run([command, "--space", space, "--weight", weight,
+                            "--points", '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}',
+                            "--grid=0:0:1", *options[command], "--out", "/dev/null"])
+        if kappa == 2.0 ** -511:
+            assert code == 2
+        elif command == "construct" and kappa == 1e150:
+            # the dbar-energy guard: (z - p)(kappa^2 - conj(p) z) overflows
+            # in the closed-form cutoff derivative at this scale
+            assert code == 3
+        else:
+            assert code in (0, 1)
 
     def test_conditioning_guard_exits_three(self, tmp_path, capsys):
         pts = {"points": [[0.0, 0.0], [1e-9, 0.0]], "values": [[1.0, 0.0], [1.0, 0.0]]}

@@ -31,7 +31,7 @@ def brute_value_grid(aux, zs):
     before it culled nodes, kept as the reference."""
     out = np.zeros(zs.shape[0])
     for q in aux.points.points:
-        d = geometry.distances_from(aux.space, zs, q)
+        d = geometry.geodesic_distances(aux.space, zs, q)
         pole = d == 0.0
         u = d ** 2 / aux.rho ** 2
         inside = (~pole) & (u < 1.0)
@@ -579,7 +579,7 @@ class TestSeipWeight:
     def test_decomposes_into_density_and_near_terms(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [0.1 + 0.1j], [-0.6j]]))
         x = 0.02 - 0.03j
-        d = geometry.distances_from(disk, pts.points, x)
+        d = geometry.geodesic_distances(disk, pts.points, disk.validate_point(x))
         near = d[d < 1.0]
         near_sum = float(np.sum(2.0 * np.log(np.tanh(near / 2.0))))
         v = seip_weight_value(disk, pts, x)

@@ -99,19 +99,19 @@ class TestDistance:
 
     @pytest.mark.parametrize("space", [hi.flat_space(2), hi.hyperbolic_ball(3.0, n=2)])
     def test_one_closed_form(self, space, rng):
-        # distance, distances_from and the row-wise form agree to the bit
+        # distance, the row-wise form and one row against a point agree to the bit
         a = (rng.uniform(-1, 1, (40, 2)) + 1j * rng.uniform(-1, 1, (40, 2)))
         b = a[::-1].copy()
         rows = geometry.geodesic_distances(space, a, b)
         assert rows.shape == (40,)
         for i in range(40):
-            d = geometry.distances_from(space, a[i:i + 1], b[i])[0]
+            d = geometry.geodesic_distances(space, a[i:i + 1], b[i])[0]
             assert rows[i] == d == hi.distance(space, a[i], b[i]) == hi.distance(space, b[i], a[i])
 
     def test_vectorized_matches_scalar(self, disk, rng):
         pts = (rng.uniform(-0.6, 0.6, (50, 1)) + 1j * rng.uniform(-0.6, 0.6, (50, 1)))
         z = 0.1 + 0.2j
-        d = geometry.distances_from(disk, pts, z)
+        d = geometry.geodesic_distances(disk, pts, disk.validate_point(z))
         for i in range(50):
             assert d[i] == pytest.approx(hi.distance(disk, pts[i], z), rel=1e-14)
 
@@ -281,22 +281,27 @@ class TestBallVolume:
             hi.ball_volume_bound(0.0, 1.0, True)
 
 
+def squared_distance_from_origin(space):
+    """``d(0, .)^2`` on rows of points, each row validated."""
+    return lambda t: geometry.geodesic_distances(space, np.zeros(1), space.validate_points(t)) ** 2
+
+
 class TestComplexHessianFD:
     def test_exact_for_quadratic(self):
-        H = hi.complex_hessian_fd(lambda z: abs(z[0]) ** 2, 0.4 + 0.1j)
+        H = hi.complex_hessian_fd(lambda z: np.hypot(z.real, z.imag)[:, 0] ** 2, 0.4 + 0.1j)
         assert H.shape == (1, 1)
         assert H[0, 0].real == pytest.approx(1.0, abs=1e-7)
         assert H[0, 0].imag == 0.0
 
     def test_pluriharmonic_vanishes(self):
-        H = hi.complex_hessian_fd(lambda z: (z[0] ** 3).real, 0.3 - 0.2j)
+        H = hi.complex_hessian_fd(lambda z: (z[:, 0] ** 3).real, 0.3 - 0.2j)
         assert abs(H[0, 0]) < 1e-8
 
     def test_hyperbolic_comparison_at_fixed_radius(self, disk):
         # d(0, .)^2 at |z| = 0.3; relative eigenvalue must respect the bound
         d = 2.0 * math.atanh(0.3)
         z = np.array([0.3 + 0.0j])
-        H = hi.complex_hessian_fd(lambda t: hi.distance(disk, np.zeros(1), t) ** 2, z)
+        H = hi.complex_hessian_fd(squared_distance_from_origin(disk), z)
         rel = geometry.relative_form_eigenvalues(disk, z, H)[0]
         bound = hi.hessian_comparison_factor(1.0, d)
         assert rel <= bound * (1.0 + 1e-4)
@@ -305,9 +310,9 @@ class TestComplexHessianFD:
 
     def test_n2_identity_and_hermitian(self):
         z = np.array([0.2 + 0.1j, -0.3 + 0.4j])
-        H = hi.complex_hessian_fd(lambda t: float(np.sum(np.abs(t) ** 2)), z)
+        H = hi.complex_hessian_fd(lambda t: np.sum(np.abs(t) ** 2, axis=-1), z)
         assert np.allclose(H, np.eye(2), atol=1e-7)
-        f = lambda t: (t[0] * t[1]).real  # pluriharmonic in two variables
+        f = lambda t: (t[:, 0] * t[:, 1]).real  # pluriharmonic in two variables
         H2 = hi.complex_hessian_fd(f, z)
         assert np.allclose(H2, H2.conj().T)
         assert np.max(np.abs(H2)) < 1e-8
@@ -315,11 +320,77 @@ class TestComplexHessianFD:
     def test_evaluation_failure_propagates(self, disk):
         z = np.array([0.999999 + 0j])
         with pytest.raises(DomainError):
-            hi.complex_hessian_fd(lambda t: hi.distance(disk, np.zeros(1), t) ** 2, z)
+            hi.complex_hessian_fd(squared_distance_from_origin(disk), z)
 
     def test_step_domain(self):
         with pytest.raises(DomainError):
-            hi.complex_hessian_fd(lambda z: abs(z[0]) ** 2, 0.0, step=-1.0)
+            hi.complex_hessian_fd(lambda z: np.abs(z[:, 0]) ** 2, 0.0, step=-1.0)
+
+
+#: (space, f on rows) of the row FD tests: flat C^1, flat C^2 (a real
+#: polynomial with mixed partials) and d(0, .)^2 on the disk
+FD_CASES = {
+    "flat1": (hi.flat_space(1), lambda t: np.hypot((t - 0.3 + 0.4j).real,
+                                                   (t - 0.3 + 0.4j).imag)[:, 0] ** 2),
+    "flat2": (hi.flat_space(2), lambda t: (t.real ** 2 * t.imag[:, ::-1]).sum(axis=-1)
+              + t.real[:, 0] * t.real[:, 1] * t.imag[:, 0]),
+    "disk": (hi.hyperbolic_ball(1.0), squared_distance_from_origin(hi.hyperbolic_ball(1.0))),
+}
+
+
+def fd_rows(space, rng, m=12):
+    """``m`` rows of the space: |z| < 0.85 on the unit disk, and on flat
+    space up to 1.7 sqrt(n), so that the default step varies from row to row."""
+    zs = rng.uniform(-0.6, 0.6, (m, space.n)) + 1j * rng.uniform(-0.6, 0.6, (m, space.n))
+    return 2.0 * zs if space.is_flat else zs
+
+
+def counting(f, sizes):
+    def wrapped(t):
+        sizes.append(len(t))
+        return f(t)
+    return wrapped
+
+
+class TestComplexHessianFDRows:
+    @pytest.mark.parametrize("case", sorted(FD_CASES))
+    @pytest.mark.parametrize("per_row_step", [False, True])
+    def test_rows_equal_one_point_bit_for_bit(self, case, per_row_step, rng):
+        space, f = FD_CASES[case]
+        zs = fd_rows(space, rng)
+        steps = rng.uniform(1e-5, 1e-3, len(zs)) if per_row_step else None
+        H = hi.complex_hessian_fd(f, zs, step=steps)
+        assert H.shape == (len(zs), space.n, space.n)
+        for i, z in enumerate(zs):
+            h = steps[i] if per_row_step else None
+            one = hi.complex_hessian_fd(f, z, step=h)
+            assert one.shape == (space.n, space.n)
+            assert H[i].tobytes() == one.tobytes()
+            # the same stencil and rounding order as one evaluation at a time
+            h = float(geometry.default_fd_step(z)) if h is None else h
+            assert H[i].tobytes() == references.complex_hessian_point(f, z, h).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(FD_CASES))
+    def test_one_call_per_level_on_1_plus_8n2_points_per_row(self, case, rng):
+        space, f = FD_CASES[case]
+        zs = fd_rows(space, rng)
+        sizes = []
+        hi.complex_hessian_fd(counting(f, sizes), zs)
+        assert sizes == [len(zs) * (1 + 8 * space.n ** 2)] * 2
+
+    @pytest.mark.parametrize("case", sorted(FD_CASES))
+    def test_small_blocks_give_the_same_bytes(self, case, rng, monkeypatch):
+        space, f = FD_CASES[case]
+        zs = fd_rows(space, rng, m=25)
+        H = hi.complex_hessian_fd(f, zs)
+        monkeypatch.setattr(geometry, "FD_BLOCK", 40)
+        sizes = []
+        small = hi.complex_hessian_fd(counting(f, sizes), zs)
+        assert small.tobytes() == H.tobytes()
+        per_row = 1 + 8 * space.n ** 2
+        rows = max(1, 40 // per_row)
+        assert len(sizes) == 2 * -(-len(zs) // rows)
+        assert max(sizes) == rows * per_row and sum(sizes) == 2 * len(zs) * per_row
 
 
 class TestDbarFD:
@@ -338,7 +409,7 @@ class TestRicci:
 
     def test_disk_value_matches_fd_oracle(self, disk):
         # -i ddbar log(metric coefficient) at 0, relative to omega
-        g_log = lambda z: -math.log(4.0 / (1.0 - abs(z[0]) ** 2) ** 2)
+        g_log = lambda z: -np.log(4.0 / (1.0 - np.abs(z[:, 0]) ** 2) ** 2)
         H = hi.complex_hessian_fd(g_log, np.zeros(1))
         fd_val = geometry.relative_form_eigenvalues(disk, np.zeros(1), H)[0]
         closed = hi.ricci_eigen(disk, 0.0)

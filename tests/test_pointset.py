@@ -388,10 +388,10 @@ class TestCountInBall:
 
 
 def scan_counts(space, pts, rows, rho):
-    """Per-sample reference: every node's distance from ``distances_from``,
+    """Per-sample reference: every node's distance from ``geodesic_distances``,
     then the strict test."""
-    return np.array([np.count_nonzero(geometry.distances_from(space, pts.points, z) < rho)
-                     for z in rows], dtype=np.intp)
+    return np.array([np.count_nonzero(geometry.geodesic_distances(
+        space, pts.points, space.validate_point(z)) < rho) for z in rows], dtype=np.intp)
 
 
 def assert_grid_counts(space, pts, rows, rho):

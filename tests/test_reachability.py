@@ -29,8 +29,8 @@ from holo_interp import cli
 #: Functions nested in an allowed one are allowed with it.
 ITEM5 = "ROADMAP item 5: the extension norm bound and the auxiliary curvature audit"
 ALLOWED = {
-    "geometry.distances_from": "auxiliary_curvature_check (" + ITEM5 + ")",
-    "construction.AuxiliaryWeight.value_grid": "AuxiliaryWeight.value (acceptance criterion 4)",
+    "construction.AuxiliaryWeight.value_grid": "AuxiliaryWeight.value (acceptance criterion 4) "
+                                                "and auxiliary_curvature_check (" + ITEM5 + ")",
     "construction.extension_norm_sq": ITEM5,
     "construction.euclidean_disk_integral": ITEM5,
     "construction.auxiliary_curvature_check": ITEM5,
@@ -43,6 +43,7 @@ ALLOWED = {
     "construction.AuxiliaryWeight.value": "acceptance criterion 4",
     "pointset.PointSet.with_values": "acceptance criterion 5",
     "geometry.hyperbolic_ball": "the test suite's disk constructor",
+    "geometry.distance": "the exported one-pair distance, the tests' scalar reference",
     "cli.main": "the holo-interp console script (pyproject.toml)",
 }
 
