@@ -43,10 +43,12 @@ RAW_RESIDUAL_WARN = 1e-10
 def _load_json_arg(args, name: str):
     """The JSON argument ``--name``: inline JSON (starts with '{') or a path
     to a JSON file, decoded once per run (the decoded object is kept on
-    ``args``, which each run parses afresh)."""
+    ``args``, which each run parses afresh); an absent option is a ``DomainError``."""
     decoded = vars(args).setdefault("_decoded", {})
     if name not in decoded:
-        text = spec = getattr(args, name)
+        text = spec = getattr(args, name, None)
+        if not spec:
+            raise DomainError(f"--{name} is required for this command")
         if not spec.lstrip().startswith("{"):
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -59,7 +61,7 @@ def _load_space(args) -> geometry.ModelSpace:
         return geometry.space_from_dict(_load_json_arg(args, "space"))
     if getattr(args, "points", None):
         d = _load_json_arg(args, "points")
-        if "space" in d:
+        if isinstance(d, dict) and "space" in d:
             return geometry.space_from_dict(d["space"])
     raise DomainError("no --space given and the point file carries none")
 
@@ -68,8 +70,6 @@ def _load_points(args, space=None) -> pointset.PointSet:
     """The ``--points`` set, checked against ``space`` for the commands that
     take one (a node outside the ball would otherwise drop out as NaN).  An
     empty set is stored as (0, 1) whatever the dimension, so it is not checked."""
-    if not getattr(args, "points", None):
-        raise DomainError("--points is required for this command")
     pts = pointset.pointset_from_dict(_load_json_arg(args, "points"))
     if space is not None and len(pts):
         space.validate_points(pts.points)
@@ -77,8 +77,6 @@ def _load_points(args, space=None) -> pointset.PointSet:
 
 
 def _load_weight(args) -> weights.HermitianWeight:
-    if not getattr(args, "weight", None):
-        raise DomainError("--weight is required for this command")
     return weights.weight_from_dict(_load_json_arg(args, "weight"))
 
 
@@ -226,6 +224,8 @@ def _cmd_construct(args) -> int:
 
 
 def _kernel_from_weight_spec(spec: dict) -> rkhs.KernelSpace:
+    if not isinstance(spec, dict):
+        raise DomainError(f"a weight spec is a JSON object, got {spec!r}")
     name = spec.get("builtin")
     n = geometry._dimension(spec.get("n", 1))
     number = functools.partial(geometry._spec_number, spec)
@@ -312,7 +312,7 @@ def _cmd_verify_geometry(args) -> int:
             return geometry.geodesic_distances(space, np.zeros(1), space.validate_points(t))
 
         ds = 0.1 + (3.0 - 0.1) * np.arange(m) / max(1, m - 1)
-        zs = geometry.geodesic_point(space, 0.0, ds, rng.uniform(0, 2 * math.pi, m))[:, None]
+        zs = geometry.geodesic_point(space, np.zeros((1, 1)), ds, rng.uniform(0, 2 * math.pi, m)).T
         h = geometry.complex_hessian_fd(lambda t: np.float_power(distance(t), 2), zs)
         rel = geometry.relative_form_eigenvalues(space, zs, h)[:, -1]
         # the closed-form factor stays scalar: math.tanh, not np.tanh
@@ -329,7 +329,7 @@ def _cmd_verify_geometry(args) -> int:
         worst_eig = float(np.min(geometry.relative_form_eigenvalues(space, zs, h)[:, 0], initial=0.0))
         record("hyperbolic_log_tanh_psh", worst_eig >= -1e-6, f"min eigenvalue = {worst_eig:.3e}")
 
-        closed = geometry.ricci_eigen(space, np.zeros(1))
+        closed = float(geometry.ricci_eigen(space, np.zeros((1, 1)))[0])
         record("ricci_closed_form", abs(closed + space.n / kap ** 2) <= 1e-12,
                f"ricci eigen at 0 = {closed:.12g}")
 

@@ -1,6 +1,7 @@
 """Constructive interpolation pipeline: normal-frame local sections, smooth
 cutoff gluing, the singular auxiliary weight with log poles on the node set,
-and the dbar-energy quadrature of the glued extension.
+and the dbar-energy quadrature of the glued extension.  ``evaluate_extension``
+takes (G, n) rows and returns a (G,) array; ``AuxiliaryWeight.value`` takes one point.
 
 The final holomorphic correction is not produced by a PDE solve; the
 ``rkhs`` module supplies the desk-scale interpolant with the same contract
@@ -111,8 +112,8 @@ def glued_extension(space: geometry.ModelSpace, w: weights.HermitianWeight,
     return GluedExtension(space, w, pts, float(delta0))
 
 
-def evaluate_extension(ext: GluedExtension, z):
-    """F(z) for a single point (complex) or a (G, n) array of points (array).
+def evaluate_extension(ext: GluedExtension, z) -> np.ndarray:
+    """F at each row of a (G, n) array of points, a (G,) complex array.
 
     At most one node contributes at each point; F(p) = a(p) exactly on the
     set.  One pass over the (point, node) pairs of ``pointset.near_pairs``
@@ -121,7 +122,7 @@ def evaluate_extension(ext: GluedExtension, z):
     in node order (a point that rounding puts in two touching balls sums
     them as a per-node loop would).
     """
-    zs, single = ext.space.validate_rows(z)
+    zs = ext.space.validate_points(z)
     out = np.zeros(zs.shape[0], dtype=complex)
     if len(ext.points):
         nodes = ext.points.points
@@ -131,7 +132,7 @@ def evaluate_extension(ext: GluedExtension, z):
         chi = cutoff((dist / ext.delta0) ** 2)
         expo = weights.normal_frame_exponent(ext.weight, nodes[node], zs[pt])
         np.add.at(out, pt, ext.values()[node] * np.exp(expo) * chi)
-    return complex(out[0]) if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +169,6 @@ class AuxiliaryWeight:
         exactly 0.0, so the values equal the sum over all nodes bit for bit.
         """
         zs = np.asarray(zs, dtype=complex)
-        if zs.ndim == 1:
-            zs = zs[:, None]
         rows = np.nonzero(np.isfinite(zs).all(axis=1))[0]
         self.space.validate_points(zs[rows])
         out = np.zeros(zs.shape[0])
@@ -226,14 +225,15 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
     node row ``p`` of ``ext`` (validated with it), in closed form:
     ``chi'(t) dzbar(d^2) / delta0^2`` with ``t = d^2/delta0^2``.
 
-    ``zs`` is an array of coordinates; ``p`` is one node row, or an array of
-    node rows (..., 1) whose leading shape broadcasts against ``zs``.
+    ``zs`` is an array of coordinates and ``p`` an array of node rows
+    (..., 1) whose leading shape broadcasts against ``zs``.
 
     Flat: ``dzbar(d^2) = z - p``.  Disk: differentiating
     ``d = 2 kappa asinh(sqrt(u))``, ``u = kappa^2 |z-p|^2 / ((kappa^2-|p|^2)
     (kappa^2-|z|^2))``, and using ``1 + u = |kappa^2 - conj(p) z|^2 /
-    ((kappa^2-|p|^2)(kappa^2-|z|^2))`` gives ``dzbar(d^2) = 2 kappa^2 d
-    e^{i arg((z-p)(kappa^2 - conj(p) z))} / (kappa^2 - |z|^2)``.
+    ((kappa^2-|p|^2)(kappa^2-|z|^2))`` gives ``dzbar(d^2) = 2 d e^{i arg((z-p)
+    (1 - conj(p/kappa) z/kappa))} / (1 - |z/kappa|^2)``, every length over
+    kappa so that no factor grows like kappa^3.
 
     Only the cutoff factor is differentiated; the local section is
     holomorphic by construction.
@@ -244,20 +244,18 @@ def _cutoff_dbar_grid(ext: GluedExtension, p, zs: np.ndarray) -> np.ndarray:
     if space.is_flat:
         dbar_dsq = zs - p
     else:
-        kap2 = space.kappa ** 2
-        phase = (zs - p) * (kap2 - p.conjugate() * zs)
+        kap = space.kappa
+        phase = (zs - p) * (1.0 - (p / kap).conjugate() * (zs / kap))
         mod = np.abs(phase)
         unit = np.divide(phase, mod, out=np.zeros_like(phase), where=mod > 0)
-        dbar_dsq = 2.0 * kap2 * d * unit / (kap2 - np.abs(zs) ** 2)
+        dbar_dsq = 2.0 * d * unit / (1.0 - np.abs(zs / kap) ** 2)
     return cutoff_derivative((d / ext.delta0) ** 2) * dbar_dsq / ext.delta0 / ext.delta0
 
 
 def _annulus_nodes(space, p, d_lo, d_hi, nr, ntheta):
     """Midpoint nodes of the annulus ``d_lo <= d(p,.) <= d_hi`` in row-major
-    (radius, angle) order, their area Jacobians and the cell size.
-
-    ``p`` is one point, giving (nr*ntheta,) nodes, or a (b, 1, 1) array of
-    centres, giving one (b, nr*ntheta) row of nodes per centre.
+    (radius, angle) order, their area Jacobians and the cell size: one
+    (b, nr*ntheta) row of nodes per centre of the (b, 1, 1) array ``p``.
     """
     dd = (d_hi - d_lo) / nr
     dth = 2.0 * math.pi / ntheta
@@ -418,8 +416,7 @@ def auxiliary_curvature_check(aux: AuxiliaryWeight, space: geometry.ModelSpace,
     """
     if not len(grid):
         raise DomainError("curvature check grid must be nonempty")
-    zs = np.asarray(grid, dtype=complex)
-    zs = space.validate_points(zs[:, None] if zs.ndim == 1 and space.n == 1 else zs)
+    zs = pointset.grid_rows(space, grid)
     d = geometry.geodesic_distances(space, aux.points.points[None, :, :], zs[:, None, :])
     if d.size and float(np.min(d)) < 0.05 * aux.rho:
         raise DomainError("curvature check grid must keep distance >= 0.05*rho from nodes")

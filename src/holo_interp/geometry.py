@@ -7,6 +7,11 @@ kept as an audit tool for curvature inequalities.
 
 Conventions used throughout the package:
 
+* points go in as (m, n) rows, or (..., n) arrays of centres, and results
+  come out as arrays, except in the functions that take one point by
+  nature: ``distance`` and ``as_point`` here, and ``AuxiliaryWeight.value``
+  and the frame constants of ``weights``;
+
 * the Kaehler form is ``omega = (i/2) sum_j dz_j ^ dzbar_j`` times the
   metric coefficient matrix ``G``, so ``i ddbar |z|^2 = 2 omega`` on flat
   space; both models are conformal, ``G = g I``;
@@ -71,10 +76,6 @@ class ModelSpace:
     def is_flat(self):
         return self.kind == FLAT
 
-    def validate_point(self, z) -> np.ndarray:
-        """One point as a length-n coordinate vector, by ``validate_points``."""
-        return self.validate_points(as_point(z, self.n)[None, :])[0]
-
     def validate_points(self, zs) -> np.ndarray:
         """An (m, n) array of points, refused with ``DomainError`` when a
         coordinate is not finite or, on the ball, a point's room ``kappa^2 -
@@ -92,13 +93,6 @@ class ModelSpace:
                 raise DomainError(f"point with |z| = {np.linalg.norm(zs[outside[0]]):.6g} "
                                   f"outside the open ball of radius {self.kappa}")
         return zs
-
-    def validate_rows(self, z):
-        """A single point or an (m, n) array as validated (m, n) rows, and
-        whether it was a single point."""
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim <= 1
-        return self.validate_points(np.atleast_1d(z)[None, :] if single else z), single
 
 
 def _check_kappa(kappa) -> None:
@@ -151,6 +145,8 @@ def _spec_number(spec: dict, key: str, default: float) -> float:
 
 
 def space_from_dict(d: dict) -> ModelSpace:
+    if not isinstance(d, dict):
+        raise DomainError(f"a space spec is a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == FLAT:
         return ModelSpace(FLAT, n=_dimension(d.get("n", 1)), k=_spec_number(d, "k", 0.0))
@@ -193,7 +189,8 @@ def geodesic_distances(space: ModelSpace, a, b) -> np.ndarray:
 
 def distance(space: ModelSpace, x, y) -> float:
     """Geodesic distance between two points of the model space."""
-    return float(geodesic_distances(space, space.validate_point(x), space.validate_point(y)))
+    x, y = (space.validate_points(as_point(p, space.n)[None, :]) for p in (x, y))
+    return float(geodesic_distances(space, x, y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +276,8 @@ def _complex_hessian_once(f: Callable, x: np.ndarray, h: np.ndarray) -> np.ndarr
 
 
 def complex_hessian_fd(f: Callable, z, step=None) -> np.ndarray:
-    """Central-difference matrices ``[d^2 f / dz_j dzbar_m]``, symmetrized:
-    (n, n) at one point ``z`` (n,), or (m, n, n) at the rows of an (m, n) array.
+    """Central-difference matrices ``[d^2 f / dz_j dzbar_m]``, symmetrized,
+    (m, n, n) at the rows of an (m, n) array ``z``.
 
     ``f`` maps a (k, n) array of points to the (k,) array of their real
     values, each row's independent of the others.  ``step`` is a scalar or
@@ -288,11 +285,9 @@ def complex_hessian_fd(f: Callable, z, step=None) -> np.ndarray:
     Richardson level, each level calls ``f`` once per block of about
     ``FD_BLOCK`` points, ``1 + 8 n^2`` per row.  Failures of ``f`` propagate.
     """
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim <= 1
-    zs = np.atleast_1d(z)[None, :] if single else z
+    zs = np.asarray(z, dtype=complex)
     if zs.ndim != 2:
-        raise DomainError(f"expected one point or an (m, n) array of points, got shape {z.shape}")
+        raise DomainError(f"expected an (m, n) array of points, got shape {zs.shape}")
     m, n = zs.shape
     h = default_fd_step(zs) if step is None else np.broadcast_to(np.asarray(step, dtype=float), (m,))
     if np.any(h <= 0):
@@ -305,7 +300,7 @@ def complex_hessian_fd(f: Callable, z, step=None) -> np.ndarray:
         H = (4.0 * _complex_hessian_once(f, x[b], h[b] / 2.0)
              - _complex_hessian_once(f, x[b], h[b])) / 3.0
         out[b] = 0.5 * (H + H.conj().swapaxes(1, 2))
-    return out[0] if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +326,9 @@ def ddbar_log_ball(z, kappa: float) -> np.ndarray:
 
 
 def ricci_form_matrix(space: ModelSpace, z) -> np.ndarray:
-    """Coefficient matrix of the Ricci form ``-i ddbar log det G`` at one
-    point (n, n) or at each row of an (m, n) array (m, n, n)."""
-    zs, single = space.validate_rows(z)
-    z = zs[0] if single else zs
+    """Coefficient matrices (m, n, n) of the Ricci form ``-i ddbar log det G``
+    at the rows of an (m, n) array."""
+    z = space.validate_points(z)
     if space.is_flat:
         return np.zeros(z.shape + (space.n,))
     # log det G is -2n log(1 - |z|^2/kappa^2) plus a constant
@@ -343,81 +337,65 @@ def ricci_form_matrix(space: ModelSpace, z) -> np.ndarray:
 
 def relative_form_eigenvalues(space: ModelSpace, z, coeff_matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of Hermitian (1,1)-forms against ``G = g I``,
-    i.e. ``eigvalsh(2H) / g``: at one point (H (n, n), result (n,)) or at
-    each row of an (m, n) array (H (m, n, n), result (m, n))."""
-    zs, single = space.validate_rows(z)
-    z = zs[0] if single else zs
+    i.e. ``eigvalsh(2H) / g``, at the rows of an (m, n) array: H is (m, n, n),
+    the result (m, n)."""
+    z = space.validate_points(z)
     H = np.asarray(coeff_matrix)
     if H.shape != z.shape + (space.n,):
         raise DomainError("coefficient matrix has wrong shape for this space")
     return np.linalg.eigvalsh(2.0 * H) / metric_coefficient(space, z)[..., None]
 
 
-def ricci_eigen(space: ModelSpace, z) -> float:
-    """Smallest relative eigenvalue of the Ricci form at ``z``.
+def ricci_eigen(space: ModelSpace, z) -> np.ndarray:
+    """Smallest relative eigenvalue of the Ricci form at the rows of an
+    (m, n) array, shape (m,).
 
     Zero on flat space; ``-n/kappa^2`` at every point of the hyperbolic
     ball (the radial direction attains the minimum).
     """
-    return float(relative_form_eigenvalues(space, z, ricci_form_matrix(space, z))[0])
+    return relative_form_eigenvalues(space, z, ricci_form_matrix(space, z))[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic helpers (n = 1) used by polar quadrature and tests
 
-def _centres(space: ModelSpace, p):
-    """One centre (n = 1) as a complex, or an array of centres (ndim >= 2,
-    one coordinate per entry) as a complex array of its shape; every centre
-    is validated."""
+def _centres(space: ModelSpace, p) -> np.ndarray:
+    """An (..., 1) array of centres (n = 1), each validated."""
     p = np.asarray(p, dtype=complex)
-    if p.ndim <= 1:
-        return complex(space.validate_point(p)[0])
-    space.validate_points(p.reshape(-1, 1))
+    space.validate_points(p.reshape(-1, p.shape[-1]) if p.ndim >= 2 else p)
     return p
 
 
-def mobius_translate(space: ModelSpace, p, u):
-    """Isometry of the kappa-disk sending 0 to ``p``, applied to ``u`` (n=1).
-
-    ``u`` may be a scalar or an array; the result has its shape.  ``p`` is
-    one point, or an array of centres of ndim >= 2 (one coordinate per
-    entry) that broadcasts against ``u``.
-    """
+def mobius_translate(space: ModelSpace, p, u) -> np.ndarray:
+    """Isometry of the kappa-disk sending 0 to ``p``, applied to ``u`` (n=1);
+    ``p`` is an (..., 1) array of centres that broadcasts against ``u``."""
     _require_disk(space)
     p = _centres(space, p)
     u = np.asarray(u, dtype=complex)
-    out = (u + p) / (1.0 + p.conjugate() * u / space.kappa ** 2)
-    return complex(out) if out.ndim == 0 else out
+    return (u + p) / (1.0 + p.conjugate() * u / space.kappa ** 2)
 
 
-def geodesic_point(space: ModelSpace, p, d, theta):
-    """Point at geodesic distance ``d`` and direction ``theta`` from ``p`` (n=1).
-
-    ``d`` and ``theta`` broadcast against each other, and against ``p`` when
-    it is an array of centres (see ``mobius_translate``); scalars give a
-    complex.
+def geodesic_point(space: ModelSpace, p, d, theta) -> np.ndarray:
+    """Points at geodesic distance ``d`` and direction ``theta`` from the
+    (..., 1) array of centres ``p`` (n=1); the three broadcast together.
     """
     if space.n != 1:
         raise SpaceMismatchError("geodesic_point is implemented for n = 1")
     d = np.asarray(d, dtype=float)
     direction = np.exp(1j * np.asarray(theta, dtype=float))
     if space.is_flat:
-        out = _centres(space, p) + d * direction
-        return complex(out) if out.ndim == 0 else out
+        return _centres(space, p) + d * direction
     kap = space.kappa
     return mobius_translate(space, p, kap * np.tanh(d / (2.0 * kap)) * direction)
 
 
-def polar_area_jacobian(space: ModelSpace, d):
-    """Area element J(d) with dA = J(d) dd dtheta in geodesic polar coords (n=1).
-
-    ``d`` may be a scalar or an array; scalars give a float.
-    """
+def polar_area_jacobian(space: ModelSpace, d) -> np.ndarray:
+    """Area element J(d) with dA = J(d) dd dtheta in geodesic polar coords
+    (n=1), at each entry of the array ``d``."""
     if space.n != 1:
         raise SpaceMismatchError("polar_area_jacobian is implemented for n = 1")
     d = np.asarray(d, dtype=float)
-    out = d if space.is_flat else space.kappa * np.sinh(d / space.kappa)
-    return float(out) if out.ndim == 0 else out
+    return d if space.is_flat else space.kappa * np.sinh(d / space.kappa)
 
 
 def _require_disk(space: ModelSpace):

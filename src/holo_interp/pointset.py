@@ -1,5 +1,7 @@
 """Discrete point sets: separation statistics, ball counts, and the
-hyperbolic (Seip-type) density used by the negative-curvature certificate."""
+hyperbolic (Seip-type) density used by the negative-curvature certificate.
+Counts and densities take the (m, n) rows of a grid and return (m,) arrays;
+``grid_rows`` turns the CLI's grids (scalars when n = 1) into rows."""
 
 from __future__ import annotations
 
@@ -254,23 +256,23 @@ def _reach(space, points, dist):
 # ---------------------------------------------------------------------------
 # counting and density
 
-def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float):
-    """Number of set points inside the open geodesic ball B(z, rho).
+def count_in_ball(space: geometry.ModelSpace, pts: PointSet, z, rho: float) -> np.ndarray:
+    """Number of set points inside the open geodesic ball B(z, rho) about
+    each row of the (m, n) grid ``z``, an (m,) int array.
 
-    ``z`` is one point (an ``int`` result) or an (m, n) grid (an (m,) int
-    array).  The nodes and the samples are validated; a node off the ball
-    raises ``DomainError``.  Only the candidates of ``near_pairs`` get the
+    The nodes and the samples are validated; a node off the ball raises
+    ``DomainError``.  Only the candidates of ``near_pairs`` get the
     strict test ``d < rho``.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    xs, single = space.validate_rows(z)
+    xs = space.validate_points(z)
     counts = np.zeros(len(xs), dtype=np.intp)
     if len(pts):
         space.validate_points(pts.points)
         i, _, d = near_pairs(space, pts.points, xs, rho)
         counts = np.bincount(i[d < rho], minlength=len(xs))
-    return int(counts[0]) if single else counts
+    return counts
 
 
 def grid_rows(space: geometry.ModelSpace, grid) -> np.ndarray:
@@ -280,10 +282,10 @@ def grid_rows(space: geometry.ModelSpace, grid) -> np.ndarray:
 
 
 def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
-                 cutoff: float = DENSITY_CUTOFF):
-    """Sum of ``-log tanh^2(d(x,p)/(2 kappa))`` over nodes at distance >= cutoff.
+                 cutoff: float = DENSITY_CUTOFF) -> np.ndarray:
+    """Sum of ``-log tanh^2(d(x,p)/(2 kappa))`` over nodes at distance >= cutoff,
+    at each row of the (m, n) grid ``x``, an (m,) array.
 
-    ``x`` is one point (a float result) or an (m, n) grid (an (m,) array).
     Requires a hyperbolic ball; each contributing term is positive and
     decreases to 0 as the node recedes.  It is ``log1p(w)``, ``w = 1/u`` with
     ``u`` as in ``geometry.geodesic_distances``, every length over kappa; ``d
@@ -297,7 +299,7 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
         raise SpaceMismatchError("the density is defined on the hyperbolic ball only")
     if not math.isfinite(cutoff):
         raise DomainError(f"density cutoff must be finite, got {cutoff}")
-    xs, single = space.validate_rows(x)
+    xs = space.validate_points(x)
     out = np.zeros(len(xs))
     if len(pts):
         space.validate_points(pts.points)
@@ -317,7 +319,7 @@ def seip_density(space: geometry.ModelSpace, pts: PointSet, x,
                     d = geometry.geodesic_distances(space, pts.points[c], xs[i + r])
                     terms[r, c] = np.where(d >= cutoff, 2.0 * (math.log(2.0 * kap) - np.log(d)), 0.0)
                 out[i:i + step] = np.sum(terms, axis=1)
-    return float(out[0]) if single else out
+    return out
 
 
 class GridSupremum(NamedTuple):

@@ -5,10 +5,13 @@ part is a real polynomial in the underlying real coordinates or a built-in
 closed form.  Every weight has one exact ``ddbar``, which the curvature
 eigenvalues use.  Built-ins: ``fock(alpha)`` with weight ``alpha |z|^2`` and
 ``bergman(A)`` with weight ``-A log(1 - |z|^2/kappa^2)`` on the kappa-disk.
+Points go in as rows and results come out as arrays, except in ``h_norm_sq``,
+``local_oscillation``, ``mean_value_constant`` and ``frame_bound_constant``.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import geometry
+from . import geometry, pointset
 from .errors import DomainError, SpaceMismatchError
 
 
@@ -66,19 +69,19 @@ class Polynomial:
         return cls({(i,): c for i, c in enumerate(coeffs)}, 1)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = _evaluate(self.terms, z, complex)
-        return complex(out) if z.ndim == 1 else out
+        return _evaluate(self.terms, np.asarray(z, dtype=complex), complex)
 
     def dz(self, k: int) -> "Polynomial":
         return Polynomial(_derivative(self.terms, k), self.n)
 
     @classmethod
     def from_dict(cls, d) -> "Polynomial":
+        """A sigma of a weight spec: a list of ``[re, im]`` coefficients by
+        ascending power, or ``{"n": ..., "terms": [...]}`` (``_spec_terms``)."""
         if isinstance(d, list):
-            return cls.from_coeffs([complex(c[0], c[1]) for c in d])
-        terms = {tuple(t["powers"]): complex(t["coeff"][0], t["coeff"][1]) for t in d["terms"]}
-        return cls(terms, geometry._dimension(d["n"]))
+            return cls.from_coeffs([_coefficient(c) for c in d])
+        return cls(_spec_terms(d, "sigma", lambda t: _coefficient(t.get("coeff"))),
+                   geometry._dimension(d["n"]))
 
 
 class RealPolynomial:
@@ -97,8 +100,7 @@ class RealPolynomial:
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
-        out = _evaluate(self.terms, np.concatenate([z.real, z.imag], axis=-1), float)
-        return float(out) if z.ndim == 1 else out
+        return _evaluate(self.terms, np.concatenate([z.real, z.imag], axis=-1), float)
 
     def _partial(self, k: int) -> "RealPolynomial":
         return RealPolynomial(_derivative(self.terms, k), self.n)
@@ -135,9 +137,7 @@ class BergmanDeformation:
         return s
 
     def value(self, z):
-        s = self._s(z)
-        out = -self.a * np.log(1.0 - s)
-        return float(out) if np.ndim(out) == 0 else out
+        return -self.a * np.log(1.0 - self._s(z))
 
     def dz_gradient(self, z) -> np.ndarray:
         """Exact vector of d/dz_k at each (..., n) point, shape (..., n)."""
@@ -195,9 +195,7 @@ class HermitianWeight:
 
     def phi_def_value(self, z):
         if self.phi_def is None:
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros(z.shape[:-1])
-            return float(out) if out.ndim == 0 else out
+            return np.zeros(np.shape(z)[:-1])
         return self.phi_def.value(z)
 
     def phi_def_dz(self, z) -> np.ndarray:
@@ -216,14 +214,10 @@ class HermitianWeight:
             out = out + d[..., :, None] * d.conj()[..., None, :]
         return out if self.phi_def is None else out + self.phi_def.ddbar(z)
 
-    def value(self, z):
-        """The weight Phi(z); accepts a single point or an (..., n) array."""
+    def value(self, z) -> np.ndarray:
+        """The weight Phi at each row of an (..., n) array of points."""
         z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            z = z[None]
-        sig = self.sigma_values(z)
-        out = np.sum(np.abs(sig) ** 2, axis=-1) + self.phi_def_value(z)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.sum(np.abs(self.sigma_values(z)) ** 2, axis=-1) + self.phi_def_value(z)
 
     def frame_bound_constant(self, delta0: float) -> float:
         """Bound C with ||f_p(z)||_h^2 <= C ||a(p)||_h^2 on the delta0-ball."""
@@ -276,13 +270,13 @@ def _bergman_second_derivative_bound(a: float, kappa: float, radius: float) -> f
 
 def h_norm_sq(w: HermitianWeight, z, value: complex) -> float:
     """Pointwise squared h-norm ``|value|^2 exp(-Phi(z))``."""
-    return abs(value) ** 2 * math.exp(-w.value(geometry.as_point(z, w.n)))
+    return abs(value) ** 2 * math.exp(-w.value(geometry.as_point(z, w.n)[None, :])[0])
 
 
-def curvature_eigen_min(w: HermitianWeight, space: geometry.ModelSpace, z):
-    """Smallest relative eigenvalue of ``i ddbar Phi + Ric(omega)``.
+def curvature_eigen_min(w: HermitianWeight, space: geometry.ModelSpace, z) -> np.ndarray:
+    """Smallest relative eigenvalue of ``i ddbar Phi + Ric(omega)`` at each
+    row of the (m, n) grid ``z``, an (m,) array.
 
-    ``z`` is one point (a float result) or an (m, n) grid (an (m,) array).
     Exact: ``w.ddbar`` plus the closed-form Ricci form, against ``g I``.
     The weight must have the space's dimension, and a Bergman deformation
     on the ball its kappa.
@@ -293,45 +287,36 @@ def curvature_eigen_min(w: HermitianWeight, space: geometry.ModelSpace, z):
     if (isinstance(deform, BergmanDeformation) and not space.is_flat
             and abs(space.kappa - deform.kappa) > 1e-12 * deform.kappa):
         raise SpaceMismatchError("bergman weight kappa differs from the space kappa")
-    zs, single = space.validate_rows(z)
+    zs = space.validate_points(z)
     total = w.ddbar(zs) + geometry.ricci_form_matrix(space, zs)
-    eig = geometry.relative_form_eigenvalues(space, zs, total)[:, 0]
-    return float(eig[0]) if single else eig
+    return geometry.relative_form_eigenvalues(space, zs, total)[:, 0]
 
 
 def normal_frame_exponent(w: HermitianWeight, p, z):
     """Holomorphic exponent of the normal frame centered at ``p``.
 
     ``sum_k dPhi_def/dz_k(p) (z_k - p_k) + sum_a conj(sigma_a(p)) (sigma_a(z)
-    - sigma_a(p))``; vanishes at ``z = p``.  Vectorized over ``z``; ``p`` is
-    one point or an (..., n) array of centres that broadcasts against ``z``.
+    - sigma_a(p))``; vanishes at ``z = p``.  ``p`` and ``z`` are (..., n)
+    arrays of centres and points that broadcast against each other.
     """
-    p = np.asarray(p, dtype=complex)
-    if p.ndim <= 1:
-        p = geometry.as_point(p, w.n)
-    elif p.shape[-1] != w.n:
-        raise DomainError(f"expected centres with {w.n} complex coordinates, got shape {p.shape}")
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim <= 1
-    if z.ndim == 0:
-        z = z[None]
+    p, z = np.asarray(p, dtype=complex), np.asarray(z, dtype=complex)
+    if p.ndim < 2 or p.shape[-1] != w.n:
+        raise DomainError(f"expected (..., {w.n}) rows of centres, got shape {p.shape}")
     sig_p = w.sigma_values(p)
     sig_z = w.sigma_values(z)
     grad = w.phi_def_dz(p)
-    # one scalar-times-column product per term: numpy then rounds each
-    # element the same way however many points are evaluated together, so
-    # a batched evaluation equals the per-point one exactly.  One centre is
-    # indexed to numpy scalars, rounded as a single point always was; an
-    # array of centres puts its coordinate axis first, so indexing gives
-    # arrays that broadcast against the points.
-    if p.ndim > 1:
-        sig_p, grad, p = (np.moveaxis(x, -1, 0) for x in (sig_p, grad, p))
+    # one product of columns per term: numpy then rounds each element the
+    # same way however many points are evaluated together, so a batched
+    # evaluation equals the per-point one exactly.  The centres' coordinate
+    # axis goes first, so indexing gives arrays that broadcast against the
+    # points.
+    sig_p, grad, p = (np.moveaxis(x, -1, 0) for x in (sig_p, grad, p))
     out = np.zeros(z.shape[:-1], dtype=complex)
     for a in range(sig_p.shape[0]):
         out = out + sig_p[a].conj() * (sig_z[..., a] - sig_p[a])
     for k in range(w.n):
         out = out + grad[k] * (z[..., k] - p[k])
-    return complex(out) if scalar else out
+    return out
 
 
 def local_oscillation(w: HermitianWeight, center, radius: float,
@@ -373,11 +358,41 @@ def mean_value_constant(w: HermitianWeight, center, radius: float) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _coefficient(c) -> complex:
+    """A sigma coefficient: a finite ``[re, im]`` pair, by ``pointset._parse_pair``."""
+    if not (pointset._is_pair(c) and cmath.isfinite(pointset._parse_pair(c))):
+        raise DomainError(f"a sigma coefficient is a finite [re, im] pair of numbers, got {c!r}")
+    return pointset._parse_pair(c)
+
+
+def _spec_terms(spec, what: str, coeff) -> dict:
+    """``{powers: coefficient}`` over the ``terms`` of a polynomial spec, the
+    ``coeff(term)`` of equal powers summed.  Each term is an object with
+    integral powers >= 0 (``2`` or ``2.0``, not ``1.9`` or ``true``) and a
+    finite coefficient; anything else raises ``DomainError``."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
+        raise DomainError(f"a {what} is an object with a 'terms' list, got {spec!r}")
+    terms = {}
+    for t in spec["terms"]:
+        powers = t.get("powers") if isinstance(t, dict) else None
+        if not isinstance(powers, list) or not all(
+                type(e) in (int, float) and 0 <= e < math.inf and e == int(e) for e in powers):
+            raise DomainError(f"a {what} term needs a list of integer powers >= 0, got {t!r}")
+        c = coeff(t)
+        if not cmath.isfinite(c):
+            raise DomainError(f"a {what} coefficient must be finite, got {t['coeff']!r}")
+        key = tuple(map(int, powers))
+        terms[key] = terms.get(key, 0) + c
+    return terms
+
+
 def weight_from_dict(d: dict) -> HermitianWeight:
     """The weight of a JSON spec: a builtin (``fock``, ``bergman``) or
     ``sigmas`` with an optional ``real_poly`` deformation.  Numeric fields
     are read by ``geometry._spec_number``; the spec's ``n``, the sigmas'
     and the deformation's dimensions must agree (``DomainError``)."""
+    if not isinstance(d, dict):
+        raise DomainError(f"a weight spec is a JSON object, got {d!r}")
     number = functools.partial(geometry._spec_number, d)
     n = geometry._dimension(d.get("n", 1))
     if "builtin" in d:
@@ -390,11 +405,15 @@ def weight_from_dict(d: dict) -> HermitianWeight:
             return bergman_weight(number("A" if "A" in d else "a", 1.0),
                                   kappa=number("kappa", 1.0))
         raise DomainError(f"unknown builtin weight {name!r}")
+    if not isinstance(d.get("sigmas", []), list):
+        raise DomainError(f"'sigmas' must be a list, got {d['sigmas']!r}")
     sigmas = tuple(Polynomial.from_dict(s) for s in d.get("sigmas", []))
     phi_def = None
     if d.get("phi_def"):
+        if not isinstance(d["phi_def"], dict):
+            raise DomainError(f"'phi_def' must be an object, got {d['phi_def']!r}")
         spec = d["phi_def"]["real_poly"]
-        terms = {tuple(t["powers"]): t["coeff"] for t in spec["terms"]}
+        terms = _spec_terms(spec, "real_poly", lambda t: geometry._spec_number(t, "coeff", None))
         phi_def = RealPolynomial(terms, geometry._dimension(spec["n"]))
     dims = {s.n for s in sigmas}
     if phi_def is not None:

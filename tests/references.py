@@ -125,17 +125,17 @@ def residuals(itp: rkhs.MinNormInterpolant) -> np.ndarray:
 def local_section(w: weights.HermitianWeight, space: geometry.ModelSpace,
                   p, a_p: complex, z, delta0: float):
     """Normal-frame holomorphic section ``a_p exp(exponent_p(z))`` on the
-    delta0-ball around ``p``; equals ``a_p`` at ``z = p``: the per-node
-    reference of the glued extension.
+    delta0-ball around the node ``p`` (its n coordinates); equals ``a_p`` at
+    ``z = p``: the per-node reference of the glued extension.
 
-    ``z`` is a single point (complex result) or a (G, n) array (array
-    result); every point must lie in the open delta0-ball.
+    ``z`` is a (G, n) array of points, each in the open delta0-ball; the
+    result is a (G,) array.
     """
-    zs, single = space.validate_rows(z)
-    if np.any(geometry.geodesic_distances(space, zs, space.validate_point(p)) >= delta0):
+    zs = space.validate_points(z)
+    p = space.validate_points(geometry.as_point(p, space.n)[None, :])
+    if np.any(geometry.geodesic_distances(space, zs, p) >= delta0):
         raise DomainError("local section evaluated outside its delta0-ball")
-    out = complex(a_p) * np.exp(weights.normal_frame_exponent(w, p, zs))
-    return complex(out[0]) if single else out
+    return complex(a_p) * np.exp(weights.normal_frame_exponent(w, p, zs))
 
 
 def dbar_fd(f: Callable, z, step: Optional[float] = None) -> np.ndarray:

@@ -69,10 +69,10 @@ def test_criterion_2_squared_distance_comparison():
     worst_ratio = 0.0
     for i in range(200):
         d = 0.1 + (3.0 - 0.1) * i / 199.0
-        z = np.array([geometry.geodesic_point(disk, 0.0, d, 2.399 * i)])
+        z = geometry.geodesic_point(disk, np.zeros((1, 1)), d, 2.399 * i)
         H = hi.complex_hessian_fd(
             lambda t: geometry.geodesic_distances(disk, np.zeros(1), disk.validate_points(t)) ** 2, z)
-        rel = geometry.relative_form_eigenvalues(disk, z, H)[-1]
+        rel = geometry.relative_form_eigenvalues(disk, z, H)[0, -1]
         worst_ratio = max(worst_ratio, rel / hi.hessian_comparison_factor(1.0, d))
     ok_hyp = worst_ratio <= 1.0 + 1e-4
 
@@ -80,10 +80,10 @@ def test_criterion_2_squared_distance_comparison():
     p = 0.4 - 0.7j
     worst_flat = 0.0
     for i in range(50):
-        z = np.array([complex(math.cos(i), math.sin(2 * i)) * 1.7])
+        z = np.array([[complex(math.cos(i), math.sin(2 * i)) * 1.7]])
         # |t - p| by hypot, as abs() takes it on one complex scalar
         H = hi.complex_hessian_fd(lambda t: np.hypot((t - p).real, (t - p).imag)[:, 0] ** 2, z)
-        rel = geometry.relative_form_eigenvalues(flat, z, H)[0]
+        rel = geometry.relative_form_eigenvalues(flat, z, H)[0, 0]
         worst_flat = max(worst_flat, abs(rel - 2.0))
     ok_flat = worst_flat <= 1e-6
     elapsed = time.perf_counter() - t0
@@ -108,7 +108,7 @@ def test_criterion_3_log_tanh_psh():
         z0 = p + r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         if abs(z0) > 0.93:
             z0 = p + 0.05 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        z = np.array([z0])
+        z = np.array([[z0]])
         pvec = np.array([p])
 
         def f(t):
@@ -116,9 +116,9 @@ def test_criterion_3_log_tanh_psh():
             return 2.0 * np.log(np.tanh(d / 2.0))
 
         H = hi.complex_hessian_fd(f, z, step=2.5e-4 * max(1.0, abs(z0)))
-        rel = geometry.relative_form_eigenvalues(disk, z, H)[0]
+        rel = geometry.relative_form_eigenvalues(disk, z, H)[0, 0]
         worst_eig = min(worst_eig, rel)
-        worst_lap = max(worst_lap, abs(4.0 * H[0, 0].real))
+        worst_lap = max(worst_lap, abs(4.0 * H[0, 0, 0].real))
     elapsed = time.perf_counter() - t0
 
     ok = _report(3, "log-tanh plurisubharmonicity",
@@ -181,7 +181,7 @@ def test_criterion_4_boundary_c1_literal_tolerances():
     node = 0.3 - 0.2j
     aux = construction.AuxiliaryWeight(disk, pointset.PointSet(np.array([[node]])), 0.8)
     for side in (-1.0, +1.0):
-        z = np.array([geometry.geodesic_point(disk, node, aux.rho * (1.0 + side * e), 0.7)])
+        z = geometry.geodesic_point(disk, [[node]], aux.rho * (1.0 + side * e), 0.7)[0]
         cases.append(("disk rho=0.8", aux, side, z, 4.0 / (1.0 - abs(z[0]) ** 2) ** 2))
 
     violations, v_ratios, g_ratios = [], [], []
@@ -222,7 +222,7 @@ def test_criterion_5_glued_construction():
     pts = lat.with_values(vals)
     ext = hi.glued_extension(flat, w, pts)
 
-    exact = all(hi.evaluate_extension(ext, pts.points[i]) == pts.values[i]
+    exact = all(hi.evaluate_extension(ext, pts.points[i:i + 1])[0] == pts.values[i]
                 for i in range(len(pts)))
 
     worst_dbar = 0.0
@@ -231,8 +231,8 @@ def test_criterion_5_glued_construction():
         for off in (0.08, 0.1j, -0.15 + 0.1j):
             z = np.array([p + off])
             assert abs(off) <= 0.9 * ext.delta0 / 2.0
-            g = references.dbar_fd(lambda t: hi.evaluate_extension(ext, complex(t[0])), z)
-            f_val = hi.evaluate_extension(ext, complex(z[0]))
+            g = references.dbar_fd(lambda t: hi.evaluate_extension(ext, t[None, :])[0], z)
+            f_val = hi.evaluate_extension(ext, z[None, :])[0]
             worst_dbar = max(worst_dbar, abs(g[0]) / abs(f_val))
     ok_dbar = worst_dbar <= 1e-8
 

@@ -111,16 +111,11 @@ class TestExitCodes:
         options = {"certify-t1": ["--rho", repr(0.5 * kappa), "--eps", "0.5"],
                    "certify-t2": ["--eps", "0.5"],
                    "construct": ["--rho", repr(0.5 * kappa), "--nr", "2", "--ntheta", "4"]}
-        with np.errstate(over="ignore", invalid="ignore"):  # construct at 1e150
-            code = cli.run([command, "--space", space, "--weight", weight,
-                            "--points", '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}',
-                            "--grid=0:0:1", *options[command], "--out", "/dev/null"])
+        code = cli.run([command, "--space", space, "--weight", weight,
+                        "--points", '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}',
+                        "--grid=0:0:1", *options[command], "--out", "/dev/null"])
         if kappa == 2.0 ** -511:
             assert code == 2
-        elif command == "construct" and kappa == 1e150:
-            # the dbar-energy guard: (z - p)(kappa^2 - conj(p) z) overflows
-            # in the closed-form cutoff derivative at this scale
-            assert code == 3
         else:
             assert code in (0, 1)
 
@@ -402,6 +397,103 @@ class TestExitCodes:
                         "--points", '{"points": [[0.0, 0.0]]}', "--out", "/dev/null"])
         assert code == 2
         assert "normal float" in capsys.readouterr().err
+
+    #: a valid argv of each command less one JSON option it needs, and that option
+    MISSING_OPTION_ARGV = {
+        "separation": (["--space", FLAT], "--points"),
+        "density": (["--space", DISK, "--grid=-0.2:0.2:2"], "--points"),
+        "certify-bos": (["--points", '{"points": [[0.0, 0.0]]}', "--rho", "2", "--eps", "1",
+                         "--grid=-1:1:2"], "--weight"),
+        "certify-t1": (["--space", FLAT, "--points", '{"points": [[0.0, 0.0]]}', "--rho", "2",
+                        "--eps", "1", "--grid=-1:1:2"], "--weight"),
+        "certify-t2": (["--space", DISK, "--points", '{"points": [[0.0, 0.0]]}', "--eps", "0.5",
+                        "--grid=-0.2:0.2:2"], "--weight"),
+        "construct": (["--space", FLAT, "--points",
+                       '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}', "--rho", "1",
+                       "--grid=-1:1:3"], "--weight"),
+        "interpolate": (["--points", '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}'],
+                        "--weight"),
+        "sweep": (["--spacings", "3", "--radius", "2"], "--weight"),
+        "verify-geometry": ([], "--space"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(MISSING_OPTION_ARGV))
+    def test_missing_json_option_exits_two(self, command, capsys):
+        # interpolate and sweep without --weight raised an AttributeError
+        argv, option = self.MISSING_OPTION_ARGV[command]
+        assert cli.run([command, *argv, "--out", "/dev/null"]) == 2
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,option,spec", [
+        ("interpolate", "--weight", [1]),
+        ("certify-bos", "--weight", [1]),
+        ("separation", "--space", [1]),
+        ("certify-bos", "--weight", {"phi_def": {"real_poly": [1]}}),
+        ("certify-bos", "--weight", {"sigmas": [[1]]}),
+        ("certify-bos", "--weight", {"sigmas": 5}),
+        ("certify-bos", "--weight", {"sigmas": ["ab"]}),
+        ("certify-bos", "--weight", {"phi_def": "x"}),
+        ("certify-bos", "--weight", {"sigmas": [[["1", 0]]]}),
+    ], ids=["interpolate_list", "weight_list", "space_list", "real_poly_list", "sigma_term",
+            "sigmas_number", "sigma_string", "phi_def_string", "sigma_string_coefficient"])
+    def test_spec_that_is_not_an_object_exits_two(self, command, option, spec, tmp_path,
+                                                   capsys):
+        # each raised an AttributeError or a TypeError out of cli.run
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = {"interpolate": ["--points", '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}'],
+                "certify-bos": ["--points", '{"points": [[0.0, 0.0]]}', "--rho", "2",
+                                "--eps", "1", "--grid=-1:1:2"],
+                "separation": ["--points", '{"points": [[0.0, 0.0]]}']}[command]
+        assert cli.run([command, option, str(path), *argv, "--out", "/dev/null"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"sigmas": [[[True, 0], [1, 0]]]}, "sigma coefficient"),
+        ({"sigmas": [[[1, 0, 5], [1, 0]]]}, "sigma coefficient"),
+        ({"sigmas": [{"n": 1, "terms": [{"powers": [1.9], "coeff": [1, 0]}]}]}, "power"),
+        ({"sigmas": [{"n": 1, "terms": [{"powers": [True], "coeff": [1, 0]}]}]}, "power"),
+        ({"sigmas": [[[0, 0], [1, 0]]],
+          "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2.5, 0], "coeff": 1}]}}},
+         "power"),
+        ({"sigmas": [[[0, 0], [1, 0]]],
+          "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2, 0], "coeff": True}]}}},
+         "'coeff' must be a number"),
+        ({"sigmas": [[[0, 0], [1, 0]]],
+          "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2, 0], "coeff": "nan"}]}}},
+         "must be finite"),
+    ], ids=["bool_coefficient", "three_entry_coefficient", "fractional_power", "bool_power",
+            "fractional_real_power", "bool_real_coefficient", "nan_real_coefficient"])
+    def test_polynomial_spec_read_as_another_weight_exits_two(self, spec, message, capsys):
+        # the first six exited 0 with the margins of an altered weight
+        # (true as 1, the 5 dropped, int() of each power); "nan" exited 3
+        code = cli.run(["certify-bos", "--weight", json.dumps(spec),
+                        "--points", '{"points": [[0.0, 0.0]]}', "--rho", "2", "--eps", "1",
+                        "--grid=-1:1:2", "--out", "/dev/null"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_power_accepted(self):
+        spec = {"sigmas": [{"n": 1, "terms": [{"powers": [1.0], "coeff": [1, 0]}]}],
+                "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2.0, 0], "coeff": 0.5}]}}}
+        code = cli.run(["certify-bos", "--weight", json.dumps(spec),
+                        "--points", '{"points": [[0.0, 0.0]]}', "--rho", "2", "--eps", "1",
+                        "--grid=-1:1:2", "--out", "/dev/null"])
+        assert code == 0
+
+    @pytest.mark.parametrize("kappa", [1e103, 1e110, 1e150])
+    def test_construct_at_a_large_bergman_kappa_exits_zero(self, kappa, tmp_path):
+        # (z - p)(kappa^2 - conj(p) z) overflowed from about 1e103: exit 3
+        out = tmp_path / "construct.json"
+        code = cli.run(["construct",
+                        "--space", '{"kind": "hyperbolic_ball", "n": 1, "kappa": %r}' % kappa,
+                        "--weight", '{"builtin": "bergman", "A": 4.0, "kappa": %r}' % kappa,
+                        "--points", '{"points": [[0.0, 0.0]], "values": [[1.0, 0.0]]}',
+                        "--rho", repr(0.5 * kappa), "--grid=0:0:1", "--nr", "4", "--ntheta", "8",
+                        "--out", str(out)])
+        assert code == 0
+        energy = json.loads(out.read_text())["energy"]
+        assert 0.0 < energy["energy"] < math.inf and math.isfinite(energy["refined_energy"])
 
 
 class TestJsonArguments:

@@ -49,7 +49,7 @@ def reference_node_energy(ext, aux, i, nr, ntheta):
     sp, p, d0 = ext.space, ext.points.points[i], ext.delta0
     dd, dth = (d0 / 2.0) / nr, 2.0 * math.pi / ntheta
     ds = d0 / 2.0 + (np.arange(nr) + 0.5) * dd
-    zs = geometry.geodesic_point(sp, p, ds[:, None],
+    zs = geometry.geodesic_point(sp, p[None], ds[:, None],
                                  ((np.arange(ntheta) + 0.5) * dth)[None, :]).reshape(-1)
     jac = np.repeat(geometry.polar_area_jacobian(sp, ds), ntheta)
     zcol = zs[:, None]
@@ -62,7 +62,7 @@ def reference_node_energy(ext, aux, i, nr, ntheta):
         phase = (zs - pc) * (kap2 - pc.conjugate() * zs)
         dbar_dsq = 2.0 * kap2 * d * (phase / np.abs(phase)) / (kap2 - np.abs(zs) ** 2)
     dbar = construction.cutoff_derivative(d ** 2 / d0 ** 2) * dbar_dsq / d0 ** 2
-    expo = weights.normal_frame_exponent(ext.weight, p, zcol)
+    expo = weights.normal_frame_exponent(ext.weight, p[None], zcol)
     integrand = (np.exp(2.0 * expo.real - ext.weight.value(zcol) - aux.value_grid(zcol))
                  * np.abs(dbar) ** 2 / geometry.metric_coefficient(sp, zcol) * jac)
     return abs(ext.values()[i]) ** 2 * float(np.sum(integrand) * dd * dth)
@@ -151,7 +151,7 @@ class TestCutoffDbar:
         node = pointset.PointSet(np.array([[p]]), np.array([1.0 + 0j]))
         ext = construction.GluedExtension(space, w, node, delta0)
         ts = np.array(self.TS)
-        zs = geometry.geodesic_point(space, p, delta0 * np.sqrt(ts)[:, None],
+        zs = geometry.geodesic_point(space, [[p]], delta0 * np.sqrt(ts)[:, None],
                                      np.array([0.3, 1.9, 4.0])[None, :]).reshape(-1)
         closed = construction._cutoff_dbar_grid(ext, node.points[0], zs)
 
@@ -173,17 +173,19 @@ class TestCutoffDbar:
 
 class TestLocalSection:
     def test_center_value(self, fock1, flat1):
-        assert references.local_section(fock1, flat1, 0.0, 2.0 - 1.0j, 0.0, 0.5) == 2.0 - 1.0j
+        section = references.local_section(fock1, flat1, 0.0, 2.0 - 1.0j, [[0.0]], 0.5)
+        assert section[0] == 2.0 - 1.0j
 
     def test_fock_at_origin_is_constant(self, fock1, flat1):
         for z in (0.1, 0.2j, -0.3 + 0.3j):
-            assert references.local_section(fock1, flat1, 0.0, 1.5 + 0j, z, 0.5) == 1.5 + 0j
+            assert references.local_section(fock1, flat1, 0.0, 1.5 + 0j, [[z]], 0.5)[0] == 1.5 + 0j
 
     def test_fock_off_origin_exponential(self, fock1, flat1):
         a = 0.7 + 0.2j
         for z in (1.2, 1.0 + 0.3j):
             expect = a * np.exp(z - 1.0)
-            assert references.local_section(fock1, flat1, 1.0, a, z, 0.5) == pytest.approx(expect)
+            assert references.local_section(fock1, flat1, 1.0, a, [[z]], 0.5)[0] == \
+                pytest.approx(expect)
 
     def test_norm_inequality_sample_sweep(self, fock1, flat1, rng):
         # ||f_p(z)||_h^2 <= ||a||_h^2 for the pure-sigma weight (C = 1)
@@ -191,12 +193,12 @@ class TestLocalSection:
         lhs_bound = weights.h_norm_sq(fock1, p, a)
         for _ in range(200):
             z = p + complex(*rng.uniform(-0.3, 0.3, 2))
-            f = references.local_section(fock1, flat1, p, a, z, 0.5)
+            f = references.local_section(fock1, flat1, p, a, [[z]], 0.5)[0]
             assert weights.h_norm_sq(fock1, z, f) <= lhs_bound * (1 + 1e-12)
 
     def test_outside_ball_rejected(self, fock1, flat1):
         with pytest.raises(DomainError):
-            references.local_section(fock1, flat1, 0.0, 1.0, 2.0, 0.5)
+            references.local_section(fock1, flat1, 0.0, 1.0, [[2.0]], 0.5)
 
 
 class TestGluedExtension:
@@ -217,7 +219,8 @@ class TestGluedExtension:
         ext = hi.glued_extension(flat1, fock1, pts)
         assert ext.delta0 == 5e-201
         assert hi.evaluate_extension(ext, pts.points).tolist() == [1.0, 1j]
-        assert hi.evaluate_extension(ext, 1.4e-200) == pytest.approx(hi.cutoff(0.64), rel=1e-12)
+        assert hi.evaluate_extension(ext, [[1.4e-200]])[0] == pytest.approx(hi.cutoff(0.64),
+                                                                            rel=1e-12)
         dbar = construction._cutoff_dbar_grid(ext, pts.points[0], np.array([1.3e-200 + 0j]))
         assert np.isfinite(dbar).all() and dbar[0] != 0
 
@@ -225,12 +228,12 @@ class TestGluedExtension:
         pts = lattice_with_values()
         ext = hi.glued_extension(flat1, fock1, pts)
         for i in range(len(pts)):
-            assert hi.evaluate_extension(ext, pts.points[i]) == pts.values[i]
+            assert hi.evaluate_extension(ext, pts.points[i:i + 1])[0] == pts.values[i]
 
     def test_vanishes_far_from_nodes(self, fock1, flat1):
         pts = lattice_with_values()
         ext = hi.glued_extension(flat1, fock1, pts)
-        assert hi.evaluate_extension(ext, 0.75 + 0.75j) == 0.0
+        assert hi.evaluate_extension(ext, [[0.75 + 0.75j]])[0] == 0.0
 
     def test_annulus_composition(self, fock1, flat1):
         pts = lattice_with_values()
@@ -239,9 +242,9 @@ class TestGluedExtension:
         z = p + 0.4 + 0.1j  # delta0/2 < d < delta0
         d = abs(z - p)
         assert ext.delta0 / 2 < d < ext.delta0
-        expect = references.local_section(fock1, flat1, p, pts.values[0], z, ext.delta0) \
+        expect = references.local_section(fock1, flat1, p, pts.values[0], [[z]], ext.delta0)[0] \
             * hi.cutoff(d ** 2 / ext.delta0 ** 2)
-        assert hi.evaluate_extension(ext, z) == pytest.approx(expect, rel=1e-14)
+        assert hi.evaluate_extension(ext, [[z]])[0] == pytest.approx(expect, rel=1e-14)
 
     def test_dbar_vanishes_on_plateau(self, fock1, flat1):
         pts = lattice_with_values()
@@ -250,8 +253,8 @@ class TestGluedExtension:
         for off in (0.1, 0.15j, -0.2 + 0.05j):
             z = np.array([p + off])
             assert abs(z[0] - p) <= 0.9 * ext.delta0 / 2
-            g = references.dbar_fd(lambda t: hi.evaluate_extension(ext, complex(t[0])), z)
-            f_val = hi.evaluate_extension(ext, complex(z[0]))
+            g = references.dbar_fd(lambda t: hi.evaluate_extension(ext, t[None, :])[0], z)
+            f_val = hi.evaluate_extension(ext, z[None, :])[0]
             assert abs(g[0]) <= 1e-8 * abs(f_val)
 
     def test_node_outside_ball_refused(self, disk):
@@ -269,7 +272,7 @@ class TestGluedExtension:
                                 np.array([1.0 + 0j, 2.0 + 0j]))
         w = hi.bergman_weight(3.0)
         ext = hi.glued_extension(disk, w, pts)
-        assert hi.evaluate_extension(ext, 0.5 + 0j) == 2.0 + 0j
+        assert hi.evaluate_extension(ext, [[0.5 + 0j]])[0] == 2.0 + 0j
 
 
 class TestBatchedExtension:
@@ -287,7 +290,7 @@ class TestBatchedExtension:
         zs = np.concatenate([pts.points[:, 0], other])
         batch = hi.evaluate_extension(ext, zs[:, None])
         assert batch.shape == zs.shape
-        assert batch.tolist() == [hi.evaluate_extension(ext, z) for z in zs]
+        assert batch.tolist() == [hi.evaluate_extension(ext, [[z]])[0] for z in zs]
         assert batch[:len(pts)].tolist() == pts.values.tolist()
         assert np.count_nonzero(batch[len(pts):]) > 50
 
@@ -300,7 +303,8 @@ class TestBatchedExtension:
         zs = np.array([[0.1 + 0j], [0.2j], [0.3 + 0.3j]])
         section = references.local_section
         rows = section(fock1, flat1, 0.4, 1.5 - 0.5j, zs, 0.5)
-        assert rows.tolist() == [section(fock1, flat1, 0.4, 1.5 - 0.5j, z[0], 0.5) for z in zs]
+        assert rows.tolist() == [section(fock1, flat1, 0.4, 1.5 - 0.5j, z[None], 0.5)[0]
+                                 for z in zs]
         with pytest.raises(DomainError):
             section(fock1, flat1, 0.0, 1.0, np.array([[0.1 + 0j], [2.0 + 0j]]), 0.5)
 
@@ -365,7 +369,7 @@ class TestNodeBatchedExtension:
         nodes = np.concatenate([(1.0 - gap) * ring for gap in (1e-2, 1e-4, 1e-6)])[:, None]
         vals = rng.normal(size=len(nodes)) + 1j * rng.normal(size=len(nodes))
         ext = hi.glued_extension(disk, hi.bergman_weight(3.0), pointset.PointSet(nodes, vals))
-        inner = [geometry.geodesic_point(disk, p, ext.delta0 * r, th) for p in nodes
+        inner = [geometry.geodesic_point(disk, p[None], ext.delta0 * r, th)[0, 0] for p in nodes
                  for r in (0.1, 0.5, 0.9, 1.0) for th in rng.uniform(0.0, 2.0 * np.pi, 4)]
         rim = (1.0 - 10.0 ** -rng.uniform(1.0, 7.0, 300)) * np.exp(2j * np.pi * rng.random(300))
         zs = np.concatenate([nodes[:, 0], inner, rim])[:, None]
@@ -396,13 +400,6 @@ class TestNodeBatchedExtension:
         assert got.tobytes() == reference_extension(ext, zs).tobytes()
         assert got[0] == 0.0
 
-    def test_single_point_is_complex(self, rng):
-        for ext, zs in extension_setups(rng):
-            rows = hi.evaluate_extension(ext, zs[:40])
-            for z, f in zip(zs[:40], rows):
-                one = hi.evaluate_extension(ext, z if ext.space.n > 1 else z[0])
-                assert type(one) is complex and one == f
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_node_set(self, n):
         sp = hi.flat_space(n)
@@ -410,7 +407,7 @@ class TestNodeBatchedExtension:
                                           pointset.PointSet(np.zeros((0, 1), complex)), 0.5)
         got = hi.evaluate_extension(ext, np.ones((5, n), complex))
         assert got.shape == (5,) and got.tobytes() == np.zeros(5, complex).tobytes()
-        assert hi.evaluate_extension(ext, np.ones(n, complex)) == 0j
+        assert hi.evaluate_extension(ext, np.ones((1, n), complex))[0] == 0j
 
     def test_one_row_outside_ball_rejected(self, disk):
         ext = hi.glued_extension(disk, hi.bergman_weight(3.0), disk_nodes())
@@ -512,11 +509,11 @@ class TestAuxiliaryWeight:
         pts = disk_nodes()
         aux = construction.AuxiliaryWeight(disk, pts, 0.5)
         rand = (0.95 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400)))[:, None]
-        rim = np.array([[geometry.geodesic_point(disk, q, 0.5, th)]
+        rim = np.array([geometry.geodesic_point(disk, q[None], 0.5, th)[0]
                         for q in pts.points for th in (0.0, 2.0, 4.0)])
         zs = np.concatenate([rand, pts.points, rim])
         self._assert_matches_reference(aux, zs, np.arange(400, 400 + len(pts)))
-        annuli = [construction._annulus_nodes(disk, q, 0.1, 0.2, 4, 8)[0][:, None]
+        annuli = [construction._annulus_nodes(disk, q[None, None], 0.1, 0.2, 4, 8)[0][0][:, None]
                   for q in pts.points]
         self._patches(aux, [np.concatenate([q[None, :], a]) for q, a in zip(pts.points, annuli)])
 
@@ -534,7 +531,7 @@ def seip_weight_value(space, pts, z):
     """The tanh pole weight ``n sum_p log tanh^2(d(p, z)/(2 kappa))``: each
     term is minus a term of the density, so it is ``-n`` times the density
     with no cutoff."""
-    return -space.n * hi.seip_density(space, pts, z, cutoff=0.0)
+    return -space.n * hi.seip_density(space, pts, np.reshape(z, (1, -1)), cutoff=0.0)[0]
 
 
 class TestSeipWeight:
@@ -579,11 +576,11 @@ class TestSeipWeight:
     def test_decomposes_into_density_and_near_terms(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [0.1 + 0.1j], [-0.6j]]))
         x = 0.02 - 0.03j
-        d = geometry.geodesic_distances(disk, pts.points, disk.validate_point(x))
+        d = geometry.geodesic_distances(disk, pts.points, disk.validate_points([[x]]))
         near = d[d < 1.0]
         near_sum = float(np.sum(2.0 * np.log(np.tanh(near / 2.0))))
         v = seip_weight_value(disk, pts, x)
-        assert v == pytest.approx(-hi.seip_density(disk, pts, x) + near_sum, rel=1e-12)
+        assert v == pytest.approx(-hi.seip_density(disk, pts, [[x]])[0] + near_sum, rel=1e-12)
 
 
 class TestDbarEnergy:
@@ -652,7 +649,7 @@ class TestDbarEnergy:
                 d = ext.delta0 * (0.5 + 0.5 * rng.random())
                 th = 2 * math.pi * rng.random()
                 z = p + d * complex(math.cos(th), math.sin(th))
-                count = hi.count_in_ball(flat1, pts, z, rho)
+                count = hi.count_in_ball(flat1, pts, [[z]], rho)[0]
                 assert aux.value(z) >= count * floor - 1e-9
 
 

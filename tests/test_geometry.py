@@ -43,10 +43,10 @@ class TestModelSpace:
             assert hi.hyperbolic_ball(edge).kappa == edge
 
     def test_membership(self, disk):
-        assert np.array_equal(disk.validate_point(0.99), [0.99])
+        assert np.array_equal(disk.validate_points([[0.99]]), [[0.99]])
         for rim_or_beyond in (1.0, 1.2):
             with pytest.raises(DomainError, match="outside the open ball"):
-                disk.validate_point(rim_or_beyond)
+                disk.validate_points([[rim_or_beyond]])
 
     def test_from_dict(self, disk, flat1):
         for d, sp in (({"kind": "hyperbolic_ball", "kappa": 1.0}, disk),
@@ -111,7 +111,7 @@ class TestDistance:
     def test_vectorized_matches_scalar(self, disk, rng):
         pts = (rng.uniform(-0.6, 0.6, (50, 1)) + 1j * rng.uniform(-0.6, 0.6, (50, 1)))
         z = 0.1 + 0.2j
-        d = geometry.geodesic_distances(disk, pts, disk.validate_point(z))
+        d = geometry.geodesic_distances(disk, pts, disk.validate_points([[z]]))
         for i in range(50):
             assert d[i] == pytest.approx(hi.distance(disk, pts[i], z), rel=1e-14)
 
@@ -288,43 +288,43 @@ def squared_distance_from_origin(space):
 
 class TestComplexHessianFD:
     def test_exact_for_quadratic(self):
-        H = hi.complex_hessian_fd(lambda z: np.hypot(z.real, z.imag)[:, 0] ** 2, 0.4 + 0.1j)
+        H = hi.complex_hessian_fd(lambda z: np.hypot(z.real, z.imag)[:, 0] ** 2, [[0.4 + 0.1j]])[0]
         assert H.shape == (1, 1)
         assert H[0, 0].real == pytest.approx(1.0, abs=1e-7)
         assert H[0, 0].imag == 0.0
 
     def test_pluriharmonic_vanishes(self):
-        H = hi.complex_hessian_fd(lambda z: (z[:, 0] ** 3).real, 0.3 - 0.2j)
+        H = hi.complex_hessian_fd(lambda z: (z[:, 0] ** 3).real, [[0.3 - 0.2j]])[0]
         assert abs(H[0, 0]) < 1e-8
 
     def test_hyperbolic_comparison_at_fixed_radius(self, disk):
         # d(0, .)^2 at |z| = 0.3; relative eigenvalue must respect the bound
         d = 2.0 * math.atanh(0.3)
-        z = np.array([0.3 + 0.0j])
+        z = np.array([[0.3 + 0.0j]])
         H = hi.complex_hessian_fd(squared_distance_from_origin(disk), z)
-        rel = geometry.relative_form_eigenvalues(disk, z, H)[0]
+        rel = geometry.relative_form_eigenvalues(disk, z, H)[0, 0]
         bound = hi.hessian_comparison_factor(1.0, d)
         assert rel <= bound * (1.0 + 1e-4)
         # the model saturates its own comparison bound
         assert rel == pytest.approx(bound, rel=1e-5)
 
     def test_n2_identity_and_hermitian(self):
-        z = np.array([0.2 + 0.1j, -0.3 + 0.4j])
-        H = hi.complex_hessian_fd(lambda t: np.sum(np.abs(t) ** 2, axis=-1), z)
+        z = np.array([[0.2 + 0.1j, -0.3 + 0.4j]])
+        H = hi.complex_hessian_fd(lambda t: np.sum(np.abs(t) ** 2, axis=-1), z)[0]
         assert np.allclose(H, np.eye(2), atol=1e-7)
         f = lambda t: (t[:, 0] * t[:, 1]).real  # pluriharmonic in two variables
-        H2 = hi.complex_hessian_fd(f, z)
+        H2 = hi.complex_hessian_fd(f, z)[0]
         assert np.allclose(H2, H2.conj().T)
         assert np.max(np.abs(H2)) < 1e-8
 
     def test_evaluation_failure_propagates(self, disk):
-        z = np.array([0.999999 + 0j])
-        with pytest.raises(DomainError):
+        z = np.array([[0.999999 + 0j]])
+        with pytest.raises(DomainError, match="outside the open ball"):
             hi.complex_hessian_fd(squared_distance_from_origin(disk), z)
 
     def test_step_domain(self):
         with pytest.raises(DomainError):
-            hi.complex_hessian_fd(lambda z: np.abs(z[:, 0]) ** 2, 0.0, step=-1.0)
+            hi.complex_hessian_fd(lambda z: np.abs(z[:, 0]) ** 2, np.zeros((1, 1)), step=-1.0)
 
 
 #: (space, f on rows) of the row FD tests: flat C^1, flat C^2 (a real
@@ -363,7 +363,7 @@ class TestComplexHessianFDRows:
         assert H.shape == (len(zs), space.n, space.n)
         for i, z in enumerate(zs):
             h = steps[i] if per_row_step else None
-            one = hi.complex_hessian_fd(f, z, step=h)
+            one = hi.complex_hessian_fd(f, z[None, :], step=h)[0]
             assert one.shape == (space.n, space.n)
             assert H[i].tobytes() == one.tobytes()
             # the same stencil and rounding order as one evaluation at a time
@@ -405,30 +405,31 @@ class TestDbarFD:
 
 class TestRicci:
     def test_flat_zero(self, flat1):
-        assert hi.ricci_eigen(flat1, 1.3 - 0.2j) == 0.0
+        assert hi.ricci_eigen(flat1, [[1.3 - 0.2j]])[0] == 0.0
 
     def test_disk_value_matches_fd_oracle(self, disk):
         # -i ddbar log(metric coefficient) at 0, relative to omega
         g_log = lambda z: -np.log(4.0 / (1.0 - np.abs(z[:, 0]) ** 2) ** 2)
-        H = hi.complex_hessian_fd(g_log, np.zeros(1))
-        fd_val = geometry.relative_form_eigenvalues(disk, np.zeros(1), H)[0]
-        closed = hi.ricci_eigen(disk, 0.0)
+        H = hi.complex_hessian_fd(g_log, np.zeros((1, 1)))
+        fd_val = geometry.relative_form_eigenvalues(disk, np.zeros((1, 1)), H)[0, 0]
+        closed = hi.ricci_eigen(disk, np.zeros((1, 1)))[0]
         assert closed == pytest.approx(-1.0, abs=1e-12)
         assert fd_val == pytest.approx(closed, abs=1e-7)
 
     def test_disk_homogeneous(self, disk):
-        assert hi.ricci_eigen(disk, 0.1) == pytest.approx(hi.ricci_eigen(disk, 0.7j), abs=1e-12)
+        assert hi.ricci_eigen(disk, [[0.1]])[0] == pytest.approx(hi.ricci_eigen(disk, [[0.7j]])[0],
+                                                                abs=1e-12)
 
     def test_kappa_scaling(self):
         sp = hi.hyperbolic_ball(2.0)
-        assert hi.ricci_eigen(sp, 0.3) == pytest.approx(-0.25, abs=1e-12)
+        assert hi.ricci_eigen(sp, [[0.3]])[0] == pytest.approx(-0.25, abs=1e-12)
 
 
 class TestPolarHelpers:
     def test_geodesic_point_distance(self, disk, flat1):
         for sp in (disk, flat1):
             p = 0.2 + 0.1j if sp is disk else 1.0 + 2.0j
-            z = geometry.geodesic_point(sp, p, 0.7, 1.1)
+            z = geometry.geodesic_point(sp, [[p]], 0.7, 1.1)[0]
             assert hi.distance(sp, p, z) == pytest.approx(0.7, rel=1e-12)
 
     def test_area_jacobian(self, disk, flat1):
@@ -439,11 +440,11 @@ class TestPolarHelpers:
         ds = rng.uniform(0.0, 2.5, 7)
         ths = rng.uniform(0.0, 2 * math.pi, 5)
         for sp, p in ((disk, 0.3 + 0.2j), (flat1, 1.0 - 2.0j)):
-            grid = geometry.geodesic_point(sp, p, ds[:, None], ths[None, :])
+            grid = geometry.geodesic_point(sp, [[p]], ds[:, None], ths[None, :])
             assert grid.shape == (7, 5)
             for i, d in enumerate(ds):
                 for j, th in enumerate(ths):
-                    z = geometry.geodesic_point(sp, p, float(d), float(th))
+                    z = geometry.geodesic_point(sp, [[p]], float(d), float(th))[0, 0]
                     assert isinstance(z, complex)
                     assert abs(grid[i, j] - z) <= 1e-15 * max(1.0, abs(z))
 
@@ -455,12 +456,12 @@ class TestPolarHelpers:
             grid = geometry.geodesic_point(sp, centres, ds, ths)
             assert grid.shape == (4, 7, 5)
             for c, rows in zip(centres, grid):
-                assert rows.tobytes() == geometry.geodesic_point(sp, c[0, 0], ds, ths).tobytes()
+                assert rows.tobytes() == geometry.geodesic_point(sp, c, ds, ths).tobytes()
         us = 0.9 * rng.uniform(-0.7, 0.7, 6) + 0.9j * rng.uniform(-0.7, 0.7, 6)
         batch = geometry.mobius_translate(disk, centres[:, 0], us)
         assert batch.shape == (4, 6)
         for c, row in zip(centres, batch):
-            assert row.tobytes() == geometry.mobius_translate(disk, c[0, 0], us).tobytes()
+            assert row.tobytes() == geometry.mobius_translate(disk, c, us).tobytes()
         # every centre is validated
         bad = np.array([[0.1 + 0j], [1.2 + 0j]])
         with pytest.raises(DomainError):
@@ -470,19 +471,21 @@ class TestPolarHelpers:
 
     def test_batched_mobius_and_jacobian_match_scalar(self, disk, flat1, rng):
         us = 0.9 * rng.uniform(-0.7, 0.7, 6) + 0.9j * rng.uniform(-0.7, 0.7, 6)
-        batch = geometry.mobius_translate(disk, 0.4 - 0.3j, us)
-        assert [complex(b) for b in batch] == [geometry.mobius_translate(disk, 0.4 - 0.3j, u)
-                                               for u in us]
+        batch = geometry.mobius_translate(disk, [[0.4 - 0.3j]], us)[0]
+        assert [complex(b) for b in batch] == [
+            complex(geometry.mobius_translate(disk, [[0.4 - 0.3j]], u)[0, 0]) for u in us]
         ds = np.array([0.0, 0.25, 1.0, 3.0])
         for sp in (disk, flat1):
             batch = geometry.polar_area_jacobian(sp, ds)
-            assert [float(b) for b in batch] == [geometry.polar_area_jacobian(sp, d) for d in ds]
+            assert [float(b) for b in batch] == [
+                float(geometry.polar_area_jacobian(sp, ds[i:i + 1])[0]) for i in range(len(ds))]
 
 
 def accepts(space, z) -> bool:
-    """Whether ``validate_point`` accepts ``z`` rather than raising ``DomainError``."""
+    """Whether ``validate_points`` accepts the one point ``z`` rather than
+    raising ``DomainError``."""
     try:
-        space.validate_point(z)
+        space.validate_points(np.reshape(z, (1, -1)))
     except DomainError:
         return False
     return True
@@ -509,13 +512,12 @@ class TestValidatePoints:
         # norm is taken: every test of the space gives the validate_points verdict
         inside = np.array([0.7837755087521135 + 0.6210442430941338j])
         assert disk.validate_points(inside[None, :]).shape == (1, 1)
-        assert np.array_equal(disk.validate_point(inside), inside)
+        assert np.array_equal(disk.validate_points(inside[None, :])[0], inside)
         assert math.isfinite(hi.distance(disk, inside, 0.0))
         ball2 = hi.hyperbolic_ball(1.0, n=2)
         outside = np.array([0.48090435075256605 - 0.39278464191801304j,
                             -0.7052889907336295 + 0.3420799176369893j])
         for check in (lambda: ball2.validate_points(outside[None, :]),
-                      lambda: ball2.validate_point(outside),
                       lambda: hi.distance(ball2, outside, np.zeros(2))):
             with pytest.raises(DomainError, match="outside the open ball"):
                 check()
@@ -526,7 +528,7 @@ class TestValidatePoints:
         for z in (-0.9976583203713225 - 0.06839499831034074j,
                   0.426909766723684 - 0.9042942281558196j):
             assert np.linalg.norm([z]) < 1.0
-            for check in (lambda: disk.validate_point(z), lambda: hi.distance(disk, z, 0.0)):
+            for check in (lambda: disk.validate_points([[z]]), lambda: hi.distance(disk, z, 0.0)):
                 with pytest.raises(DomainError, match="outside the open ball"):
                     check()
 
@@ -548,7 +550,7 @@ class TestValidatePoints:
         for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)):
             for sp in (disk, flat1):
                 with pytest.raises(DomainError):
-                    sp.validate_point(bad)
+                    sp.validate_points([[bad]])
                 with pytest.raises(DomainError, match="point 1 has a non-finite"):
                     sp.validate_points(np.array([[0.1 + 0j], [bad]]))
 
@@ -569,8 +571,9 @@ class TestConformalMetric:
         eig = geometry.relative_form_eigenvalues(disk2, zs, ric)
         assert eig.shape == (6, 2)
         for z, h, e in zip(zs, ric, eig):
-            np.testing.assert_array_equal(geometry.ricci_form_matrix(disk2, z), h)
-            np.testing.assert_array_equal(geometry.relative_form_eigenvalues(disk2, z, h), e)
+            np.testing.assert_array_equal(geometry.ricci_form_matrix(disk2, z[None])[0], h)
+            np.testing.assert_array_equal(
+                geometry.relative_form_eigenvalues(disk2, z[None], h[None])[0], e)
         # the smallest relative Ricci eigenvalue is -n/kappa^2 at every point
         np.testing.assert_allclose(eig[:, 0], -2.0 / 1.5 ** 2, rtol=1e-12)
 

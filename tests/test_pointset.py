@@ -13,6 +13,11 @@ from holo_interp.errors import DomainError, SpaceMismatchError
 LOG4 = 1.3862943611198906
 
 
+def row(z):
+    """The one point ``z`` (a scalar, or its n coordinates) as a (1, n) row."""
+    return np.reshape(np.asarray(z, dtype=complex), (1, -1))
+
+
 def brute_count(space, pts, z, rho):
     # independent enumeration oracle
     return sum(1 for p in pts.points if hi.distance(space, p, z) < rho)
@@ -354,25 +359,26 @@ def assert_near_pairs(space, nodes, xs, full, dist):
 class TestCountInBall:
     def test_lattice_enumeration(self, flat1):
         lat = pointset.square_lattice(1.0, half_extent=2.0)
-        assert hi.count_in_ball(flat1, lat, 0.0, 1.5) == 9
-        assert hi.count_in_ball(flat1, lat, 0.0, 1.5) == brute_count(flat1, lat, 0.0, 1.5)
+        assert hi.count_in_ball(flat1, lat, row(0.0), 1.5)[0] == 9
+        assert hi.count_in_ball(flat1, lat, row(0.0), 1.5)[0] == brute_count(flat1, lat, 0.0, 1.5)
 
     def test_empty(self, flat1):
-        assert hi.count_in_ball(flat1, pointset.PointSet(np.zeros((0, 1), complex)), 0.0, 1.0) == 0
+        assert hi.count_in_ball(flat1, pointset.PointSet(np.zeros((0, 1), complex)),
+                                row(0.0), 1.0)[0] == 0
 
     def test_center_counts_itself(self, flat1):
         lat = pointset.square_lattice(1.0, half_extent=2.0)
-        assert hi.count_in_ball(flat1, lat, 1.0 + 1.0j, 1e-9) >= 1
+        assert hi.count_in_ball(flat1, lat, row(1.0 + 1.0j), 1e-9)[0] >= 1
 
     def test_open_ball_boundary_excluded(self, flat1):
         pts = pointset.PointSet(np.array([[1.0 + 0j]]))
-        assert hi.count_in_ball(flat1, pts, 0.0, 1.0) == 0
-        assert hi.count_in_ball(flat1, pts, 0.0, 1.0 + 1e-12) == 1
+        assert hi.count_in_ball(flat1, pts, row(0.0), 1.0)[0] == 0
+        assert hi.count_in_ball(flat1, pts, row(0.0), 1.0 + 1e-12)[0] == 1
 
     def test_monotone_in_rho_and_saturates(self, flat1, rng):
         lat = pointset.square_lattice(1.0, half_extent=3.0)
         z = complex(*rng.uniform(-1, 1, 2))
-        counts = [hi.count_in_ball(flat1, lat, z, rho) for rho in np.linspace(0.1, 12, 40)]
+        counts = [hi.count_in_ball(flat1, lat, row(z), rho)[0] for rho in np.linspace(0.1, 12, 40)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] == len(lat)
 
@@ -381,8 +387,8 @@ class TestCountInBall:
         lat = pointset.square_lattice(1.5, half_extent=6.0)
         scaled = pointset.PointSet(lat.points * 2.0)
         for z, rho in [(0.25 + 0.5j, 2.0), (1.0 + 0j, 3.5)]:
-            c1 = hi.count_in_ball(flat1, lat, z, rho)
-            c2 = hi.count_in_ball(flat1, scaled, 2.0 * z, 2.0 * rho)
+            c1 = hi.count_in_ball(flat1, lat, row(z), rho)[0]
+            c2 = hi.count_in_ball(flat1, scaled, row(2.0 * z), 2.0 * rho)[0]
             assert c1 == c2
             assert c1 / rho ** 2 == (c2 / (2.0 * rho) ** 2) * 4.0
 
@@ -391,7 +397,7 @@ def scan_counts(space, pts, rows, rho):
     """Per-sample reference: every node's distance from ``geodesic_distances``,
     then the strict test."""
     return np.array([np.count_nonzero(geometry.geodesic_distances(
-        space, pts.points, space.validate_point(z)) < rho) for z in rows], dtype=np.intp)
+        space, pts.points, space.validate_points(z[None])) < rho) for z in rows], dtype=np.intp)
 
 
 def assert_grid_counts(space, pts, rows, rho):
@@ -399,8 +405,7 @@ def assert_grid_counts(space, pts, rows, rho):
     assert isinstance(grid, np.ndarray) and grid.shape == (len(rows),)
     assert grid.dtype.kind == "i"
     assert np.array_equal(grid, scan_counts(space, pts, rows, rho))
-    single = [hi.count_in_ball(space, pts, z, rho) for z in rows]
-    assert all(type(c) is int for c in single)
+    single = [hi.count_in_ball(space, pts, z[None], rho)[0] for z in rows]
     assert np.array_equal(grid, single)
     return grid
 
@@ -463,7 +468,7 @@ class TestGridCounts:
         rows = 0.999 * np.sqrt(rng.random((1000, 1))) * np.exp(2j * np.pi * rng.random((1000, 1)))
         d = geometry.geodesic_distances(disk, origin.points, rows)
         for x, rho in zip(rows, np.nextafter(d, math.inf)):
-            assert hi.count_in_ball(disk, origin, x, rho) == 1
+            assert hi.count_in_ball(disk, origin, x[None], rho)[0] == 1
 
     def test_coordinates_near_two_to_the_500(self, flat1):
         big = 2.0 ** 500
@@ -472,7 +477,7 @@ class TestGridCounts:
         pts = pointset.PointSet(nodes)
         for rho in (2.0 ** 448, 2.0 ** 450, 1.5 * big, 3.5 * big):
             assert_grid_counts(flat1, pts, rows, rho)
-        assert hi.count_in_ball(flat1, pts, 4 * big, 1.0) == 1
+        assert hi.count_in_ball(flat1, pts, row(4 * big), 1.0)[0] == 1
         # the node -2**500 lies exactly at 2**450 from its sample: excluded
         assert hi.count_in_ball(flat1, pts, rows, 2.0 ** 450).tolist() == [2, 0, 1, 0, 1]
 
@@ -482,18 +487,17 @@ class TestGridCounts:
         # the radius-3e-200 one
         for space in (flat1, disk, hi.hyperbolic_ball(1e150)):
             node = pointset.PointSet(np.array([[1e-200 + 0j]]))
-            assert hi.count_in_ball(space, node, 0.0, 1e-250) == 0
-            assert hi.count_in_ball(space, node, 0.0, 3e-200) == 1
+            assert hi.count_in_ball(space, node, row(0.0), 1e-250)[0] == 0
+            assert hi.count_in_ball(space, node, row(0.0), 3e-200)[0] == 1
 
     def test_empty_set_and_one_row_grid(self, flat1, disk):
         empty = pointset.PointSet(np.zeros((0, 1), complex))
-        assert hi.count_in_ball(flat1, empty, 0.0, 1.0) == 0
+        assert hi.count_in_ball(flat1, empty, row(0.0), 1.0)[0] == 0
         counts = hi.count_in_ball(disk, empty, np.array([[0j], [0.5j]]), 1.0)
         assert counts.tolist() == [0, 0] and counts.dtype.kind == "i"
         lat = pointset.square_lattice(1.0, half_extent=2.0)
         one = hi.count_in_ball(flat1, lat, np.array([[0.5 + 0j]]), 1.2)
         assert isinstance(one, np.ndarray) and one.tolist() == [6]
-        assert type(hi.count_in_ball(flat1, lat, 0.5, 1.2)) is int
 
     def test_grid_rows_validated(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j]]))
@@ -506,41 +510,42 @@ class TestGridCounts:
 class TestSeipDensity:
     def test_flat_rejected(self, flat1):
         with pytest.raises(SpaceMismatchError):
-            hi.seip_density(flat1, pointset.PointSet(np.array([[0j]])), 0.5)
+            hi.seip_density(flat1, pointset.PointSet(np.array([[0j]])), row(0.5))
 
     def test_empty(self, disk):
-        assert hi.seip_density(disk, pointset.PointSet(np.zeros((0, 1), complex)), 0.0) == 0.0
+        empty = pointset.PointSet(np.zeros((0, 1), complex))
+        assert hi.seip_density(disk, empty, row(0.0))[0] == 0.0
 
     def test_cutoff_excludes_near_node(self, disk):
         # node at geodesic distance 0.5 < 1 contributes nothing
         r = math.tanh(0.25)
         pts = pointset.PointSet(np.array([[complex(r)]]))
-        assert hi.seip_density(disk, pts, 0.0) == 0.0
+        assert hi.seip_density(disk, pts, row(0.0))[0] == 0.0
 
     def test_single_term_value(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j]]))  # d = 2*atanh(1/2) >= 1
-        assert hi.seip_density(disk, pts, 0.0) == pytest.approx(LOG4, abs=1e-12)
+        assert hi.seip_density(disk, pts, row(0.0))[0] == pytest.approx(LOG4, abs=1e-12)
 
     def test_additive_over_disjoint_union(self, disk, rng):
         a = pointset.PointSet(np.array([[0.5 + 0j], [0.6j]]))
         b = pointset.PointSet(np.array([[-0.55 + 0.1j], [0.3 - 0.6j]]))
         union = pointset.PointSet(np.vstack([a.points, b.points]))
-        x = 0.05 - 0.02j
-        assert hi.seip_density(disk, union, x) == pytest.approx(
-            hi.seip_density(disk, a, x) + hi.seip_density(disk, b, x), rel=1e-12)
+        x = row(0.05 - 0.02j)
+        assert hi.seip_density(disk, union, x)[0] == pytest.approx(
+            hi.seip_density(disk, a, x)[0] + hi.seip_density(disk, b, x)[0], rel=1e-12)
 
     def test_term_decreases_to_zero(self, disk):
         vals = []
         for r in np.linspace(0.47, 0.999, 60):
             pts = pointset.PointSet(np.array([[complex(r)]]))
-            vals.append(hi.seip_density(disk, pts, 0.0))
+            vals.append(hi.seip_density(disk, pts, row(0.0))[0])
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 5e-3
 
     def test_cutoff_override(self, disk):
         r = math.tanh(0.25)
         pts = pointset.PointSet(np.array([[complex(r)]]))
-        assert hi.seip_density(disk, pts, 0.0, cutoff=0.1) > 0.0
+        assert hi.seip_density(disk, pts, row(0.0), cutoff=0.1)[0] > 0.0
 
 
 def density_sets():
@@ -566,9 +571,8 @@ class TestSeipDensityGrid:
     def test_grid_equals_stacked_points(self, case, cutoff):
         space, pts, rows = density_sets()[case]
         grid = hi.seip_density(space, pts, rows, cutoff=cutoff)
-        single = np.array([hi.seip_density(space, pts, x, cutoff=cutoff) for x in rows])
+        single = np.array([hi.seip_density(space, pts, x[None], cutoff=cutoff)[0] for x in rows])
         assert isinstance(grid, np.ndarray) and grid.shape == (len(rows),)
-        assert isinstance(hi.seip_density(space, pts, rows[0], cutoff=cutoff), float)
         assert grid.tobytes() == single.tobytes()
 
     def test_grid_spanning_several_blocks(self, monkeypatch):
@@ -646,19 +650,20 @@ class TestDensityTerm:
     def test_sample_on_a_node_adds_zero(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.6j], [0.1 + 0.2j]]))
         rest = pointset.PointSet(pts.points[:2])
-        x = pts.points[2]
-        assert hi.seip_density(disk, pts, x) == hi.seip_density(disk, rest, x) > 0.0
+        x = pts.points[2:]
+        assert hi.seip_density(disk, pts, x)[0] == hi.seip_density(disk, rest, x)[0] > 0.0
         grid = hi.seip_density(disk, pts, pts.points)
-        assert grid.tolist() == [hi.seip_density(disk, pts, p) for p in pts.points]
+        assert grid.tolist() == [hi.seip_density(disk, pts, p[None])[0] for p in pts.points]
 
     def test_cutoff_zero_takes_every_node(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.6j], [0.1 + 0.2j]]))
         x = np.array([0.05 - 0.02j])
-        assert hi.seip_density(disk, pts, x, cutoff=0.0) == pytest.approx(
+        assert hi.seip_density(disk, pts, x[None], cutoff=0.0)[0] == pytest.approx(
             mp_density(disk, pts, x, 0.0), rel=1e-13)
-        assert hi.seip_density(disk, pts, x, cutoff=-1.0) == hi.seip_density(disk, pts, x, cutoff=0.0)
+        assert hi.seip_density(disk, pts, x[None], cutoff=-1.0)[0] == \
+            hi.seip_density(disk, pts, x[None], cutoff=0.0)[0]
         # at d = 0 the term is infinite, as the tanh form gives it
-        assert hi.seip_density(disk, pts, pts.points[2], cutoff=0.0) == math.inf
+        assert hi.seip_density(disk, pts, pts.points[2:], cutoff=0.0)[0] == math.inf
 
     @pytest.mark.parametrize("cutoff", [60.0, 1e6, 1e308])
     def test_large_or_nan_cutoff_adds_zero(self, disk, cutoff):
@@ -670,7 +675,7 @@ class TestDensityTerm:
     def test_non_finite_cutoff_refused(self, disk, cutoff):
         space, pts, rows = density_sets()[0]
         empty = pointset.PointSet(np.zeros((0, 1), complex))
-        for nodes, x in ((pts, rows), (pts, rows[0]), (empty, rows)):
+        for nodes, x in ((pts, rows), (pts, rows[:1]), (empty, rows)):
             with pytest.raises(DomainError, match="cutoff must be finite"):
                 hi.seip_density(space, nodes, x, cutoff=cutoff)
         with pytest.raises(DomainError, match="cutoff must be finite"):
@@ -710,7 +715,7 @@ class TestSupDensity:
     def test_singleton_far_grid(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j]]))
         sup = hi.sup_density(disk, pts, [-0.5 + 0j])
-        assert sup.value == pytest.approx(hi.seip_density(disk, pts, -0.5 + 0j), rel=1e-14)
+        assert sup.value == pytest.approx(hi.seip_density(disk, pts, row(-0.5 + 0j))[0], rel=1e-14)
         assert sup.index == 0
 
     def test_first_maximiser_on_tied_grid(self, disk):
@@ -730,7 +735,7 @@ class TestSupDensity:
         sup = hi.sup_density(disk, pts, grid)
         rows = hi.sup_density(disk, pts, np.array(grid)[:, None])
         assert (sup.value, sup.index) == (rows.value, rows.index)
-        assert sup.value == max(hi.seip_density(disk, pts, z) for z in grid)
+        assert sup.value == max(hi.seip_density(disk, pts, row(z))[0] for z in grid)
 
     def test_refining_grids_monotone(self, disk):
         pts = pointset.PointSet(np.array([[0.5 + 0j], [-0.5 + 0j], [0.5j], [-0.5j]]))

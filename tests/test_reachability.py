@@ -44,6 +44,8 @@ ALLOWED = {
     "pointset.PointSet.with_values": "acceptance criterion 5",
     "geometry.hyperbolic_ball": "the test suite's disk constructor",
     "geometry.distance": "the exported one-pair distance, the tests' scalar reference",
+    "geometry.as_point": "the one-point functions: geometry.distance, weights.h_norm_sq, "
+                         "weights.local_oscillation and AuxiliaryWeight.value",
     "cli.main": "the holo-interp console script (pyproject.toml)",
 }
 
@@ -61,6 +63,9 @@ POLY = json.dumps({
                                                  {"powers": [0, 2], "coeff": 0.5}]}},
     "M2": 1.0, "r0": 1.0, "mu": 1.0,
 })
+# the same sigma as an object of terms
+POLY_TERMS = json.dumps({**json.loads(POLY), "sigmas": [{"n": 1, "terms": [
+    {"powers": [1], "coeff": [1.0, 0.0]}, {"powers": [3], "coeff": [0.05, 0.0]}]}]})
 
 
 def points(zs, values=None):
@@ -87,6 +92,8 @@ JOBS = [
     (0, ["separation", "--space", DISK, "--points", DISK_NODES]),
     (0, ["density", "--space", DISK, "--points", DISK_NODES, "--grid=-0.2:0.2:2"]),
     (0, ["certify-bos", "--weight", POLY, "--points", FLAT_NODES, *CERTIFY, "--grid=-1:1:2"]),
+    (0, ["certify-bos", "--weight", POLY_TERMS, "--points", FLAT_NODES, *CERTIFY,
+            "--grid=-1:1:2"]),
     (0, ["certify-t1", "--space", FLAT, "--weight", FOCK, "--points", FLAT_NODES, *CERTIFY,
             "--grid=-1:1:2"]),
     (1, ["certify-t1", "--space", DISK, "--weight", BERGMAN, "--points", DISK_NODES,

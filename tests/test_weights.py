@@ -64,73 +64,73 @@ class TestPolynomials:
 
 class TestWeightValue:
     def test_fock(self, fock1):
-        assert fock1.value(1 + 1j) == pytest.approx(2.0, rel=1e-15)
+        assert fock1.value([[1 + 1j]])[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_bergman_origin(self):
         w = hi.bergman_weight(2.0)
-        assert w.value(0.0) == 0.0
+        assert w.value([[0.0]])[0] == 0.0
 
     def test_bergman_substitution(self):
         w = hi.bergman_weight(2.0)
         z = math.sqrt(1.0 - 1.0 / math.e)
-        assert w.value(z) == pytest.approx(2.0, rel=1e-12)
+        assert w.value([[z]])[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_builtin_decomposition_consistent(self, fock1):
         # sum |sigma|^2 + phi_def recomputed by hand
         for z in (0.3 + 0.4j, -1.0 + 2.0j):
             sig = fock1.sigma_values(np.array([z]))
             manual = float(np.sum(np.abs(sig) ** 2)) + fock1.phi_def_value(np.array([z]))
-            assert fock1.value(z) == pytest.approx(manual, abs=1e-12)
+            assert fock1.value([[z]])[0] == pytest.approx(manual, abs=1e-12)
 
     def test_fock_n2(self):
         w = hi.fock_weight(2.0, n=2)
-        assert w.value([1.0, 1j]) == pytest.approx(4.0, rel=1e-14)
+        assert w.value([[1.0, 1j]])[0] == pytest.approx(4.0, rel=1e-14)
 
     def test_bergman_domain(self):
         w = hi.bergman_weight(2.0)
-        with pytest.raises(DomainError):
-            w.value(1.0)
+        with pytest.raises(DomainError, match="outside the open kappa-disk"):
+            w.value([[1.0]])
 
 
 class TestCurvature:
     def test_fock_flat_closed_form(self, flat1, fock1):
         for z in (0.0, 1.5 - 0.5j):
-            assert hi.curvature_eigen_min(fock1, flat1, z) == 2.0
+            assert hi.curvature_eigen_min(fock1, flat1, [[z]])[0] == 2.0
 
     def test_fock_n2_isotropic(self):
         sp = hi.flat_space(2)
         w = hi.fock_weight(0.7, n=2)
-        assert hi.curvature_eigen_min(w, sp, [0.1, 0.2j]) == pytest.approx(1.4)
+        assert hi.curvature_eigen_min(w, sp, [[0.1, 0.2j]])[0] == pytest.approx(1.4)
 
     def test_fock_fd_matches_closed_form(self, flat1, fock1):
         # route the generic FD path by stripping the builtin tag
         generic = weights.HermitianWeight(fock1.sigmas, None, m2=0.0, r0=1.0, mu=1.0, n=1)
         for z in (0.0, 0.8 + 0.3j):
-            assert hi.curvature_eigen_min(generic, flat1, z) == pytest.approx(2.0, abs=1e-6)
+            assert hi.curvature_eigen_min(generic, flat1, [[z]])[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_bergman_closed_form_vs_fd_oracle(self, disk):
         w = hi.bergman_weight(2.0)
-        closed = hi.curvature_eigen_min(w, disk, 0.0)
+        closed = hi.curvature_eigen_min(w, disk, [[0.0]])[0]
         assert closed == pytest.approx(0.0, abs=1e-14)
         # FD oracle, two step sizes: Hessian of Phi plus the Ricci form
-        z = np.zeros(1, dtype=complex)
+        z = np.zeros((1, 1), dtype=complex)
         for step in (1e-4, 5e-5):
             hess = geometry.complex_hessian_fd(w.value, z, step=step)
             total = hess + geometry.ricci_form_matrix(disk, z)
-            fd = float(geometry.relative_form_eigenvalues(disk, z, total)[0])
+            fd = float(geometry.relative_form_eigenvalues(disk, z, total)[0, 0])
             assert fd == pytest.approx(closed, abs=1e-6)
 
     def test_bergman_constant_in_z(self, disk):
         w = hi.bergman_weight(3.0)
         generic = weights.HermitianWeight((), w.phi_def, m2=w.m2, r0=w.r0, mu=w.mu, n=1)
         for z in (0.0, 0.3 + 0.2j, 0.6j):
-            assert hi.curvature_eigen_min(generic, disk, z) == pytest.approx(0.5, abs=1e-6)
+            assert hi.curvature_eigen_min(generic, disk, [[z]])[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_bergman_kappa_mismatch(self):
         w = hi.bergman_weight(3.0, kappa=1.0)
         sp = hi.hyperbolic_ball(2.0)
         with pytest.raises(SpaceMismatchError):
-            hi.curvature_eigen_min(w, sp, 0.0)
+            hi.curvature_eigen_min(w, sp, [[0.0]])
 
 
 def random_polynomial_weight(rng, n):
@@ -171,13 +171,13 @@ class TestExactDdbar:
             grid = hi.curvature_eigen_min(w, space, zs)
             assert grid.shape == (7,)
             for z, value in zip(zs, grid):
-                assert hi.curvature_eigen_min(w, space, z) == value
+                assert hi.curvature_eigen_min(w, space, z[None])[0] == value
 
     def test_weight_space_dimension_mismatch(self):
         with pytest.raises(SpaceMismatchError):
-            hi.curvature_eigen_min(hi.fock_weight(1.0), hi.flat_space(2), [0.0, 0.0])
+            hi.curvature_eigen_min(hi.fock_weight(1.0), hi.flat_space(2), [[0.0, 0.0]])
         with pytest.raises(SpaceMismatchError):
-            hi.curvature_eigen_min(hi.fock_weight(1.0, n=2), hi.flat_space(1), 0.0)
+            hi.curvature_eigen_min(hi.fock_weight(1.0, n=2), hi.flat_space(1), [[0.0]])
 
 
 class TestNonFiniteParameters:
@@ -196,20 +196,21 @@ class TestNonFiniteParameters:
 class TestNormalFrame:
     def test_vanishes_at_center(self, fock1):
         for p in (0.0, 1.0 + 2.0j):
-            assert hi.normal_frame_exponent(fock1, p, p) == 0.0
+            assert hi.normal_frame_exponent(fock1, [[p]], [[p]])[0] == 0.0
 
     def test_fock_linear_exponent(self, fock1):
         for z in (0.5 + 0.5j, -1.0 + 0j):
-            assert hi.normal_frame_exponent(fock1, 1.0, z) == pytest.approx(z - 1.0, rel=1e-14)
+            assert hi.normal_frame_exponent(fock1, [[1.0]], [[z]])[0] == pytest.approx(z - 1.0,
+                                                                                     rel=1e-14)
 
     def test_deformation_gradient_at_zero(self):
         phi = RealPolynomial({(2, 0): 1.0}, 1)  # Re(z)^2
         w = weights.HermitianWeight((), phi, m2=2.0, r0=1.0, mu=1.0, n=1)
-        assert hi.normal_frame_exponent(w, 0.0, 0.7 + 0.1j) == 0.0
+        assert hi.normal_frame_exponent(w, [[0.0]], [[0.7 + 0.1j]])[0] == 0.0
 
     def test_vectorized(self, fock1):
         zs = np.array([[0.5 + 0j], [1.5 + 1j]])
-        out = hi.normal_frame_exponent(fock1, 1.0, zs)
+        out = hi.normal_frame_exponent(fock1, [[1.0]], zs)
         assert np.allclose(out, zs[:, 0] - 1.0)
 
     def test_array_of_centres_matches_single_centre(self, fock1, rng):
@@ -222,7 +223,7 @@ class TestNormalFrame:
             batch = hi.normal_frame_exponent(w, centres, zs)
             assert batch.shape == (5, 40)
             for c, z, row in zip(centres, zs, batch):
-                assert row.tobytes() == hi.normal_frame_exponent(w, c[0], z).tobytes()
+                assert row.tobytes() == hi.normal_frame_exponent(w, c, z).tobytes()
         with pytest.raises(DomainError):
             hi.normal_frame_exponent(fock1, np.zeros((5, 1, 2), dtype=complex), zs)
 
@@ -230,6 +231,7 @@ class TestNormalFrame:
 def frame_ratios(w, p, samples):
     """``||f_p(z)||_h^2 / ||a(p)||_h^2 = exp(2 Re exponent_p(z) + Phi(p) - Phi(z))``
     at each sample ``z``: the left side of the normal-frame norm bound."""
+    p = np.asarray(p, dtype=complex).reshape(1, w.n)
     zs = np.asarray(samples, dtype=complex).reshape(-1, w.n)
     return np.exp(2.0 * hi.normal_frame_exponent(w, p, zs).real + w.value(p) - w.value(zs))
 
@@ -262,7 +264,7 @@ class TestFrameNormBound:
                                     m2=2.0, r0=1.0, mu=1.0, n=1)
         p = 0.1 - 0.05j
         samples = [p + complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(40)]
-        ref = [weights.h_norm_sq(w, s, np.exp(hi.normal_frame_exponent(w, p, s)))
+        ref = [weights.h_norm_sq(w, s, np.exp(hi.normal_frame_exponent(w, [[p]], [[s]])[0]))
                / weights.h_norm_sq(w, p, 1.0) for s in samples]
         assert np.allclose(frame_ratios(w, p, samples), ref, rtol=1e-13, atol=0.0)
 
@@ -307,12 +309,22 @@ class TestSerialization:
         assert (w.m2, w.r0, w.mu, w.lam, w.n) == (3.0, 0.8, 0.9, 1.1, 1)
         z = 0.3 + 0.9j
         # |2 z|^2 + 1.5 x^2
-        assert w.value(z) == pytest.approx(4.0 * abs(z) ** 2 + 1.5 * 0.3 ** 2, rel=1e-14)
+        assert w.value([[z]])[0] == pytest.approx(4.0 * abs(z) ** 2 + 1.5 * 0.3 ** 2, rel=1e-14)
+
+    def test_repeated_powers_are_summed(self):
+        # the last of two equal powers used to overwrite the first: 2 x^2, not 3 x^2
+        w = weights.weight_from_dict({
+            "sigmas": [{"n": 1, "terms": [{"powers": [1], "coeff": [1.0, 0.0]},
+                                          {"powers": [1.0], "coeff": [0.0, 1.0]}]}],
+            "phi_def": {"real_poly": {"n": 1, "terms": [{"powers": [2, 0], "coeff": 1.0},
+                                                        {"powers": [2, 0], "coeff": 2.0}]}}})
+        assert w.sigmas[0].terms == {(1,): 1 + 1j}
+        assert w.phi_def.terms == {(2, 0): 3.0}
 
     def test_sigma_coefficient_list_form(self):
         w = weights.weight_from_dict(
             {"sigmas": [[[0.0, 0.0], [1.0, 0.0]]], "M2": 0.0, "r0": 1.0, "mu": 1.0})
-        assert w.value(2.0) == pytest.approx(4.0)
+        assert w.value([[2.0]])[0] == pytest.approx(4.0)
 
     @pytest.mark.parametrize("spec", [
         {"builtin": "fock", "alpha": 1.0, "r0": "nan"},
